@@ -22,6 +22,7 @@ import (
 	"repro/internal/particles"
 	"repro/internal/simmpi"
 	"repro/internal/tasking"
+	"repro/internal/warmrt"
 )
 
 // benchResult is one measured configuration.
@@ -59,15 +60,20 @@ func scaledIters(n int) int {
 	return n
 }
 
-// measureLoop times fn over iters iterations after warmup rounds and
-// reads heap counters around the measured window. Allocations on every
-// goroutine count (runtime.MemStats is process-wide), which is what the
-// world-based benches need.
+// measureLoop times fn over iters iterations after warmup rounds and a
+// collection (see measureWindow).
 func measureLoop(name string, warmup, iters int, fn func()) benchResult {
 	for i := 0; i < warmup; i++ {
 		fn()
 	}
 	runtime.GC()
+	return measureWindow(name, iters, fn)
+}
+
+// measureWindow times fn over iters iterations and reads heap counters
+// around them. Allocations on every goroutine count (runtime.MemStats is
+// process-wide), which is what the world-based benches need.
+func measureWindow(name string, iters int, fn func()) benchResult {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
@@ -85,26 +91,25 @@ func measureLoop(name string, warmup, iters int, fn func()) benchResult {
 	}
 }
 
-// benchChainMatrix builds the n-unknown tridiagonal SPD system the
-// Krylov benches solve.
-func benchChainMatrix(n int) *la.CSRMatrix {
+// benchBandMatrix builds the n-row banded matrix with halfBand entries
+// either side of a diagonal of 4 and -1 elsewhere in the band; at
+// halfBand 1 it is the tridiagonal SPD system the Krylov benches solve.
+func benchBandMatrix(n, halfBand int) *la.CSRMatrix {
 	lists := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			lists[i] = append(lists[i], int32(i-1))
-		}
-		if i < n-1 {
-			lists[i] = append(lists[i], int32(i+1))
+	for i := range lists {
+		for j := max(i-halfBand, 0); j <= min(i+halfBand, n-1); j++ {
+			if j != i {
+				lists[i] = append(lists[i], int32(j))
+			}
 		}
 	}
 	a := la.NewCSRFromGraph(graph.FromAdjacency(lists))
-	for i := 0; i < n; i++ {
-		a.Val[a.Find(int32(i), int32(i))] = 4
-		if i > 0 {
-			a.Val[a.Find(int32(i), int32(i-1))] = -1
-		}
-		if i < n-1 {
-			a.Val[a.Find(int32(i), int32(i+1))] = -1
+	for i := int32(0); i < int32(n); i++ {
+		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
+			a.Val[k] = -1
+			if a.Col[k] == i {
+				a.Val[k] = 4
+			}
 		}
 	}
 	return a
@@ -112,7 +117,7 @@ func benchChainMatrix(n int) *la.CSRMatrix {
 
 func benchKrylov(results *[]benchResult) {
 	const n = 4096
-	a := benchChainMatrix(n)
+	a := benchBandMatrix(n, 1)
 	d := make([]float64, n)
 	a.Diagonal(d)
 	inv := make([]float64, n)
@@ -241,6 +246,85 @@ func benchCollective(results *[]benchResult) {
 	}
 	*results = append(*results, res)
 }
+
+// benchSpMVL2 measures one SpMV on an L2-resident matrix of the size a
+// fluid_sync rank multiplies ~800 times per step (1400 rows x 13 entries,
+// ~18k nnz). The Krylov rows above run a tridiagonal system and the la
+// package's BenchmarkSpMV is DRAM-sized; neither can see the kernel.
+func benchSpMVL2(results *[]benchResult) {
+	const n = 1400
+	a := benchBandMatrix(n, 6)
+	x, y := make([]float64, n), make([]float64, n)
+	la.Fill(x, 1)
+	*results = append(*results, measureLoop("spmv/l2-resident", 100, scaledIters(20000), func() {
+		a.MulVec(x, y)
+	}))
+}
+
+// benchLockstep measures what a synchronization costs two ranks that
+// really overlap, as the distributed Krylov loop's do: each op is ~10 us
+// of private work (an 8192-element dot product) followed by one scalar
+// allreduce, or by one leased 512-value halo exchange. The ranks arrive
+// microseconds apart, which is the case the spin-then-park wait exists
+// for; collective/allreduce-f64 and halo/persistent above time
+// back-to-back calls and cannot see a park.
+func benchLockstep(results *[]benchResult) {
+	const nWork, nHalo, warmup = 8192, 512, 200
+	rounds := scaledIters(5000)
+	for _, halo := range []bool{false, true} {
+		name := "allreduce/2rank-lockstep"
+		if halo {
+			name = "halo/2rank-lockstep"
+		}
+		w, err := simmpi.NewWorld(2)
+		if err != nil {
+			panic(err)
+		}
+		var res benchResult
+		if err := w.Run(func(r *simmpi.Rank) {
+			peer := 1 - r.ID()
+			x := make([]float64, nWork)
+			la.Fill(x, 1e-3)
+			acc := 0.0
+			round := func() {
+				acc = la.Dot(x, x)
+				if !halo {
+					acc = r.Comm.AllreduceFloat64(acc, simmpi.OpSum)
+					return
+				}
+				b := r.Comm.LeaseFloat64s(nHalo)
+				b.Data[0] = acc
+				r.Comm.SendFloat64Buf(peer, 1, b)
+				rb := r.Comm.RecvFloat64Buf(peer, 1)
+				acc += rb.Data[0]
+				rb.Release()
+			}
+			for i := 0; i < warmup; i++ {
+				round()
+			}
+			r.Comm.Barrier()
+			if r.ID() == 0 {
+				// Keep the runtime's own park bookkeeping out of
+				// allocs_per_op: after the collection (which empties the
+				// runtime's central sudog list), so the refill survives.
+				runtime.GC()
+				warmrt.Scheduler()
+				res = measureWindow(name, rounds, round)
+			} else {
+				for i := 0; i < rounds; i++ {
+					round()
+				}
+			}
+			benchSink = acc
+		}); err != nil {
+			panic(err)
+		}
+		*results = append(*results, res)
+	}
+}
+
+// benchSink keeps measured results observable.
+var benchSink float64
 
 // benchTrackerStep measures the steady-state serial particle step.
 func benchTrackerStep(results *[]benchResult) {
@@ -374,10 +458,12 @@ func benchAssembly(results *[]benchResult) {
 // ('-' writes to stdout).
 func runBenchout(path string, stdout, stderr io.Writer) error {
 	var results []benchResult
-	fmt.Fprintln(stderr, "benchfig: running A/B benchmarks (krylov, halo, collective, tracker, assembly)...")
+	fmt.Fprintln(stderr, "benchfig: running A/B benchmarks (krylov, spmv, halo, collective, lockstep, tracker, assembly)...")
 	benchKrylov(&results)
+	benchSpMVL2(&results)
 	benchHalo(&results)
 	benchCollective(&results)
+	benchLockstep(&results)
 	benchTrackerStep(&results)
 	benchAssembly(&results)
 	report := benchReport{Schema: benchSchema, GoMaxProcs: runtime.GOMAXPROCS(0), Benches: results}

@@ -147,17 +147,50 @@ func (a *CSRMatrix) MulVec(x, y []float64) {
 	a.mulVecRows(x, y, 0, a.N)
 }
 
-// mulVecRows computes y[lo:hi] = (A x)[lo:hi]. Each row is reduced
-// serially left to right, so row-blocked parallel execution (ParOps)
-// produces exactly the serial MulVec bits.
+// mulVecRows computes y[lo:hi] = (A x)[lo:hi]. It walks two rows at a
+// time with one accumulator per row, so two independent FP-add chains
+// are in flight, but each row is still reduced strictly left to right:
+// rows are interleaved, never reassociated, and row-blocked parallel
+// execution (ParOps) at any [lo,hi) produces exactly the serial MulVec
+// bits. Rows are resliced up front so the inner loops carry no bounds
+// checks on Col/Val (only the x gather keeps one).
 func (a *CSRMatrix) mulVecRows(x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			sum += a.Val[k] * x[a.Col[k]]
+	ptr, y := a.Ptr[lo:hi+1], y[lo:hi]
+	i := 0
+	for ; i+1 < len(y); i += 2 {
+		c0, v0 := a.row(ptr[i], ptr[i+1])
+		c1, v1 := a.row(ptr[i+1], ptr[i+2])
+		n := min(len(c0), len(c1))
+		s0, s1 := 0.0, 0.0
+		ca, va, cb, vb := c0[:n], v0[:n], c1[:n], v1[:n]
+		for k := range ca {
+			s0 += va[k] * x[ca[k]]
+			s1 += vb[k] * x[cb[k]]
 		}
-		y[i] = sum
+		y[i] = rowTail(s0, c0[n:], v0[n:], x)
+		y[i+1] = rowTail(s1, c1[n:], v1[n:], x)
 	}
+	if i < len(y) {
+		c, v := a.row(ptr[i], ptr[i+1])
+		y[i] = rowTail(0, c, v, x)
+	}
+}
+
+// row returns the column and value slices of the row spanning slots
+// [p,q), with equal lengths the compiler can see.
+func (a *CSRMatrix) row(p, q int32) ([]int32, []float64) {
+	c := a.Col[p:q]
+	return c, a.Val[p:q][:len(c)]
+}
+
+// rowTail continues a row's left-to-right reduction from sum over the
+// remaining entries.
+func rowTail(sum float64, c []int32, v []float64, x []float64) float64 {
+	v = v[:len(c)]
+	for k, j := range c {
+		sum += v[k] * x[j]
+	}
+	return sum
 }
 
 // Diagonal extracts the matrix diagonal into d.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/simmpi"
 	"repro/internal/tasking"
+	"repro/internal/warmrt"
 )
 
 // TestSolverStepZeroAllocMultidep pins the last per-step allocator in
@@ -67,6 +68,7 @@ func TestSolverStepZeroAllocMultidep(t *testing.T) {
 		r.Comm.Barrier()
 		var m0, m1 runtime.MemStats
 		if r.ID() == 0 {
+			warmrt.Scheduler()
 			runtime.ReadMemStats(&m0)
 		}
 		r.Comm.Barrier()

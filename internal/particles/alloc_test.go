@@ -7,6 +7,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/simmpi"
 	"repro/internal/tasking"
+	"repro/internal/warmrt"
 )
 
 // stillAir is a quiescent carrier with no gravity: particles injected
@@ -114,6 +115,7 @@ func TestMigrateZeroAllocForcedMigration(t *testing.T) {
 		r.Comm.Barrier()
 		var m0, m1 runtime.MemStats
 		if r.ID() == 0 {
+			warmrt.Scheduler()
 			runtime.ReadMemStats(&m0)
 		}
 		r.Comm.Barrier()

@@ -137,9 +137,10 @@ func WithFaultPlan(p *FaultPlan) Option {
 // World.Run returns as a typed error. Zero disables the watchdog.
 //
 // The deadline is per operation, so it bounds detection latency of a
-// lost peer, not total run time. Blocking waits allocate one timer each
-// while a watchdog is installed; worlds without one keep the zero-alloc
-// steady state.
+// lost peer, not total run time. The timer is armed only when a wait
+// actually parks (after its spin budget, see World.spinOK), so a wait
+// satisfied while spinning allocates nothing; worlds without a watchdog
+// keep the zero-alloc steady state on every path.
 func WithWatchdog(d time.Duration) Option {
 	return func(w *World) { w.watchdog = d }
 }
@@ -151,15 +152,6 @@ func (r *Rank) SetStep(step int) { r.world.steps[r.rank] = step }
 
 // stepOf reports the last step set by the rank's own goroutine.
 func (w *World) stepOf(rank int) int { return w.steps[rank] }
-
-// opDeadline computes the watchdog deadline for a blocking operation
-// starting now; the zero time means no watchdog.
-func (w *World) opDeadline() time.Time {
-	if w.watchdog <= 0 {
-		return time.Time{}
-	}
-	return time.Now().Add(w.watchdog)
-}
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
 func mix64(x uint64) uint64 {

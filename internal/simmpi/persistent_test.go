@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/warmrt"
 )
 
 // TestMailboxReleasesDrainedKeys is the retention regression for the
@@ -93,6 +95,7 @@ func measureWorldAllocs(t *testing.T, ranks, warmup, rounds int, body func(r *Ra
 		r.Comm.Barrier()
 		var m0, m1 runtime.MemStats
 		if r.ID() == 0 {
+			warmrt.Scheduler()
 			runtime.ReadMemStats(&m0)
 		}
 		r.Comm.Barrier()

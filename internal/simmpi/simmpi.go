@@ -7,7 +7,17 @@
 // rely on:
 //
 //   - blocking semantics: receives and collectives block until satisfied,
-//     wasting the caller's core exactly as a blocked MPI process does; and
+//     wasting the caller's core exactly as a blocked MPI process does.
+//     A blocked rank first busy-waits on an atomic for a small constant
+//     budget (spinRounds, a few microseconds) and only then parks on a
+//     condvar: ranks in lockstep are rarely more than microseconds apart,
+//     and a futex sleep/wake per exchange costs more than the exchange.
+//     It spins only while every rank of every running world can have a
+//     processor to itself (GOMAXPROCS > 1 and live ranks <= GOMAXPROCS,
+//     see spinOK); oversubscribed, it parks at once, because the core it
+//     would burn is the one its peer needs. This is a scheduling policy
+//     the code decides from what it can observe, not an option: results
+//     never depend on it; and
 //   - the PMPI interception surface: every blocking call is bracketed by
 //     Enter/Exit hooks, which is how the DLB library observes idleness
 //     without any change to application code.
@@ -19,8 +29,10 @@ package simmpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -42,6 +54,7 @@ type World struct {
 	inbox    []*mailbox // one per rank
 	worldCom *commShared
 	bufs     bufPool // freelist of leased transport buffers
+	spinMax  int64   // waits spin while liveRanks <= spinMax (set by Run; 0 = always park)
 
 	// Robustness state (see fault.go). steps, sendSeq and faultHits are
 	// indexed by rank and touched only by that rank's goroutine.
@@ -129,6 +142,12 @@ func (w *World) RanksOnNode(node int) []int {
 // — are returned as-is so errors.As works on them; a root-cause error is
 // preferred over the collateral stalls it leaves in peer ranks.
 func (w *World) Run(body func(r *Rank)) error {
+	w.spinMax = 0
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		w.spinMax = int64(p)
+	}
+	liveRanks.Add(int64(w.size))
+	defer liveRanks.Add(-int64(w.size))
 	var wg sync.WaitGroup
 	errs := make([]error, w.size)
 	for rank := 0; rank < w.size; rank++ {
@@ -231,12 +250,32 @@ type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queues map[msgKey]*msgQueue
-	free   []*msgQueue // recycled empty queues
+	free   []*msgQueue   // recycled empty queues
+	puts   atomic.Uint64 // messages ever enqueued; what a spinning take watches
 }
 
+// mailboxQueues is how many queues (of queueCap slots each) a mailbox
+// owns from birth. A rank that gets one exchange ahead of its peer holds
+// two live keys per source instead of one; whether that first happens in
+// a warm-up round or an hour in is up to the scheduler, so the handful a
+// halo pattern can need is provisioned up front rather than grown on
+// whichever round the interleaving first demands it. Beyond it queues are
+// still made one at a time and recycled.
+const (
+	mailboxQueues = 4
+	queueCap      = 2
+)
+
 func newMailbox() *mailbox {
-	mb := &mailbox{queues: make(map[msgKey]*msgQueue)}
+	mb := &mailbox{queues: make(map[msgKey]*msgQueue, mailboxQueues)}
 	mb.cond = sync.NewCond(&mb.mu)
+	slab := make([]msgQueue, mailboxQueues)
+	slots := make([]message, mailboxQueues*queueCap)
+	mb.free = make([]*msgQueue, mailboxQueues, 2*mailboxQueues)
+	for i := range slab {
+		slab[i].buf = slots[i*queueCap : i*queueCap : (i+1)*queueCap]
+		mb.free[i] = &slab[i]
+	}
 	return mb
 }
 
@@ -254,6 +293,7 @@ func (mb *mailbox) put(key msgKey, m message) {
 		mb.queues[key] = q
 	}
 	q.buf = append(q.buf, m)
+	mb.puts.Add(1)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
 }
@@ -274,22 +314,28 @@ func (mb *mailbox) popLocked(key msgKey, q *msgQueue) message {
 	return m
 }
 
-// take blocks until a message for key arrives, or until deadline (the
-// zero time waits forever). It reports false on expiry. The watchdog
-// timer broadcasts after an empty lock/unlock of mb.mu, which orders the
-// wakeup after any waiter that checked the deadline has entered Wait —
-// without it the broadcast could land between check and Wait and be
-// lost.
-func (mb *mailbox) take(key msgKey, deadline time.Time) (message, bool) {
+// take blocks until a message for key arrives, or until the watchdog
+// (zero waits forever) expires; it reports false on expiry. With spin set
+// it first busy-waits on the put counter for the spin budget and only
+// then parks on the condvar — where, and only where, the watchdog timer
+// is armed (see wakeAfter).
+func (mb *mailbox) take(key msgKey, spin bool, watchdog time.Duration) (message, bool) {
+	if spin {
+		for i, seen := 0, ^uint64(0); i < spinRounds; i++ {
+			if p := mb.puts.Load(); p != seen {
+				seen = p
+				if m, ok := mb.tryTake(key); ok {
+					return m, true
+				}
+			}
+			runtime.Gosched()
+		}
+	}
 	mb.mu.Lock()
-	var timer *time.Timer
-	if !deadline.IsZero() {
-		timer = time.AfterFunc(time.Until(deadline), func() {
-			mb.mu.Lock()
-			mb.mu.Unlock() //nolint:staticcheck // empty critical section is the ordering point
-			mb.cond.Broadcast()
-		})
-		defer timer.Stop()
+	var deadline time.Time
+	if watchdog > 0 {
+		deadline = time.Now().Add(watchdog)
+		defer wakeAfter(mb.cond, watchdog).Stop()
 	}
 	for {
 		if q := mb.queues[key]; q != nil {
@@ -297,12 +343,25 @@ func (mb *mailbox) take(key msgKey, deadline time.Time) (message, bool) {
 			mb.mu.Unlock()
 			return m, true
 		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
+		if watchdog > 0 && !time.Now().Before(deadline) {
 			mb.mu.Unlock()
 			return message{}, false
 		}
 		mb.cond.Wait()
 	}
+}
+
+// wakeAfter arms the watchdog of a wait about to park on cond: after d
+// it broadcasts, following an empty lock/unlock of cond.L, which orders
+// the wakeup after any waiter that checked its deadline has entered Wait
+// — without it the broadcast could land between check and Wait and be
+// lost. The caller stops the timer when its wait ends.
+func wakeAfter(cond *sync.Cond, d time.Duration) *time.Timer {
+	return time.AfterFunc(d, func() {
+		cond.L.Lock()
+		cond.L.Unlock() //nolint:staticcheck // empty critical section is the ordering point
+		cond.Broadcast()
+	})
 }
 
 func (mb *mailbox) tryTake(key msgKey) (message, bool) {
@@ -314,6 +373,28 @@ func (mb *mailbox) tryTake(key msgKey) (message, bool) {
 	}
 	return mb.popLocked(key, q), true
 }
+
+// liveRanks counts the ranks of every world currently inside Run, in
+// this process: the load the spin policy weighs against GOMAXPROCS.
+var liveRanks atomic.Int64
+
+// spinRounds is the busy-wait budget of a blocking wait, in rounds of one
+// atomic load plus one runtime.Gosched (~125 ns a round, so ~8 us): about
+// what parking and being woken costs, so a rank a few microseconds ahead
+// of its peer never pays for a futex. The yield matters as much as the
+// load: a peer this rank has just woken sits in this P's run queue, and
+// Gosched hands it the processor at once instead of after the budget. It
+// is a constant, not a tunable: results do not depend on it, only how a
+// wait spends its first microseconds.
+const spinRounds = 64
+
+// spinOK reports whether a blocking wait may busy-wait before parking:
+// only while every live rank can have a processor to itself (live ranks
+// <= GOMAXPROCS, GOMAXPROCS > 1). Oversubscribed — four ranks on two
+// procs, two concurrent two-rank runs — a spinning rank would hold the
+// very core its peer needs, so it parks at once, as every wait did before
+// the spin existed.
+func (w *World) spinOK() bool { return liveRanks.Load() <= w.spinMax }
 
 func (w *World) blockEnter(rank int) {
 	if w.hooks != nil {
@@ -434,7 +515,7 @@ func (c *Comm) Recv(src, tag int) any {
 // and bounded by the world watchdog.
 func (c *Comm) recvBlocking(mb *mailbox, key msgKey, tag int) message {
 	c.world.blockEnter(c.me)
-	m, ok := mb.take(key, c.world.opDeadline())
+	m, ok := mb.take(key, c.world.spinOK(), c.world.watchdog)
 	if !ok {
 		panic(&ErrRankStalled{Rank: c.me, Tag: tag, Step: c.world.stepOf(c.me)})
 	}
@@ -474,7 +555,7 @@ type collective struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	n       int
-	gen     int
+	gen     atomic.Uint64 // advanced under mu; loaded lock-free by spinning waiters
 	arrived int
 	slots   []any
 	result  any
@@ -499,35 +580,41 @@ func newCollective(n int) *collective {
 	return c
 }
 
-// waitInfo carries the watchdog deadline and the identity to report if
-// it expires; the zero deadline waits forever. Passed by value — no
-// allocation on the collective hot path.
+// waitInfo carries the wait policy of one collective call — whether it
+// may spin, the watchdog bound (zero waits forever) — and the identity to
+// report if the watchdog expires. Passed by value — no allocation on the
+// collective hot path.
 type waitInfo struct {
-	deadline time.Time
+	spin     bool
+	watchdog time.Duration
 	rank     int
 	step     int
 }
 
-// waitLocked blocks until the generation advances past gen or the
-// watchdog deadline passes; on expiry it releases c.mu first (so every
+// waitLocked blocks until the generation advances past gen; the caller
+// holds c.mu and gets it back. With wd.spin it first busy-waits off the
+// lock for the spin budget; then it parks on the condvar, arming the
+// watchdog timer only there. On expiry it releases c.mu first (so every
 // other stalled participant can time out too) and panics with
-// *ErrRankStalled. The timer's empty lock/unlock of c.mu orders its
-// broadcast after any waiter has entered Wait (see mailbox.take).
-func (c *collective) waitLocked(gen int, wd waitInfo) {
-	if wd.deadline.IsZero() {
-		for gen == c.gen {
-			c.cond.Wait()
+// *ErrRankStalled.
+func (c *collective) waitLocked(gen uint64, wd waitInfo) {
+	if wd.spin {
+		c.mu.Unlock()
+		for i := 0; i < spinRounds && c.gen.Load() == gen; i++ {
+			runtime.Gosched()
 		}
+		c.mu.Lock()
+	}
+	if c.gen.Load() != gen {
 		return
 	}
-	timer := time.AfterFunc(time.Until(wd.deadline), func() {
-		c.mu.Lock()
-		c.mu.Unlock() //nolint:staticcheck // empty critical section is the ordering point
-		c.cond.Broadcast()
-	})
-	defer timer.Stop()
-	for gen == c.gen {
-		if !time.Now().Before(wd.deadline) {
+	var deadline time.Time
+	if wd.watchdog > 0 {
+		deadline = time.Now().Add(wd.watchdog)
+		defer wakeAfter(c.cond, wd.watchdog).Stop()
+	}
+	for c.gen.Load() == gen {
+		if wd.watchdog > 0 && !time.Now().Before(deadline) {
 			c.mu.Unlock()
 			panic(&ErrRankStalled{Rank: wd.rank, Tag: CollectiveTag, Step: wd.step})
 		}
@@ -539,13 +626,13 @@ func (c *collective) waitLocked(gen int, wd waitInfo) {
 // reduce over all contributions, and returns the common result.
 func (c *collective) rendezvous(idx int, contrib any, wd waitInfo, reduce func(slots []any) any) any {
 	c.mu.Lock()
-	gen := c.gen
+	gen := c.gen.Load()
 	c.slots[idx] = contrib
 	c.arrived++
 	if c.arrived == c.n {
 		c.result = reduce(c.slots)
 		c.arrived = 0
-		c.gen++
+		c.gen.Add(1)
 		c.mu.Unlock()
 		c.cond.Broadcast()
 		return c.result
@@ -596,7 +683,7 @@ func reduceInt(acc, x int, op ReduceOp) int {
 // the generic path, so results are bit-identical.
 func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo) float64 {
 	c.mu.Lock()
-	gen := c.gen
+	gen := c.gen.Load()
 	c.fslots[idx] = v
 	c.arrived++
 	if c.arrived == c.n {
@@ -606,7 +693,7 @@ func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo)
 		}
 		c.resF = acc
 		c.arrived = 0
-		c.gen++
+		c.gen.Add(1)
 		c.mu.Unlock()
 		c.cond.Broadcast()
 		return acc
@@ -620,7 +707,7 @@ func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo)
 // rendezvousInt is the typed scalar-int rendezvous (see rendezvousF64).
 func (c *collective) rendezvousInt(idx int, v int, op ReduceOp, wd waitInfo) int {
 	c.mu.Lock()
-	gen := c.gen
+	gen := c.gen.Load()
 	c.islots[idx] = v
 	c.arrived++
 	if c.arrived == c.n {
@@ -630,7 +717,7 @@ func (c *collective) rendezvousInt(idx int, v int, op ReduceOp, wd waitInfo) int
 		}
 		c.resI = acc
 		c.arrived = 0
-		c.gen++
+		c.gen.Add(1)
 		c.mu.Unlock()
 		c.cond.Broadcast()
 		return acc
@@ -661,7 +748,7 @@ func (c *collective) copyOutLocked(dst []float64) []float64 {
 // caller vectors are not retained across steps.
 func (c *collective) rendezvousSliceReduce(idx int, v []float64, op ReduceOp, dst []float64, wd waitInfo) []float64 {
 	c.mu.Lock()
-	gen := c.gen
+	gen := c.gen.Load()
 	c.sslots[idx] = v
 	c.arrived++
 	if c.arrived == c.n {
@@ -680,7 +767,7 @@ func (c *collective) rendezvousSliceReduce(idx int, v []float64, op ReduceOp, ds
 			c.sslots[i] = nil
 		}
 		c.arrived = 0
-		c.gen++
+		c.gen.Add(1)
 		dst = c.copyOutLocked(dst)
 		c.mu.Unlock()
 		c.cond.Broadcast()
@@ -696,7 +783,7 @@ func (c *collective) rendezvousSliceReduce(idx int, v []float64, op ReduceOp, ds
 // comm rank (see rendezvousSliceReduce for the allocation contract).
 func (c *collective) rendezvousGatherF64(idx int, v float64, dst []float64, wd waitInfo) []float64 {
 	c.mu.Lock()
-	gen := c.gen
+	gen := c.gen.Load()
 	c.fslots[idx] = v
 	c.arrived++
 	if c.arrived == c.n {
@@ -706,7 +793,7 @@ func (c *collective) rendezvousGatherF64(idx int, v float64, dst []float64, wd w
 		c.resBuf = c.resBuf[:c.n]
 		copy(c.resBuf, c.fslots)
 		c.arrived = 0
-		c.gen++
+		c.gen.Add(1)
 		dst = c.copyOutLocked(dst)
 		c.mu.Unlock()
 		c.cond.Broadcast()
@@ -741,7 +828,7 @@ func (c *Comm) collEnter() waitInfo {
 			}
 		}
 	}
-	return waitInfo{deadline: w.opDeadline(), rank: c.me, step: w.stepOf(c.me)}
+	return waitInfo{spin: w.spinOK(), watchdog: w.watchdog, rank: c.me, step: w.stepOf(c.me)}
 }
 
 // Barrier blocks until every rank of the communicator arrives.
