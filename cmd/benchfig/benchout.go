@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -315,7 +316,9 @@ func benchLockstep(results *[]benchResult) {
 					round()
 				}
 			}
-			benchSink = acc
+			if r.ID() == 0 { // one writer: both ranks storing it is a data race
+				benchSink = acc
+			}
 		}); err != nil {
 			panic(err)
 		}
@@ -326,8 +329,8 @@ func benchLockstep(results *[]benchResult) {
 // benchSink keeps measured results observable.
 var benchSink float64
 
-// benchTrackerStep measures the steady-state serial particle step.
-func benchTrackerStep(results *[]benchResult) {
+// benchTrackerMesh is the airway the tracker rows sweep.
+func benchTrackerMesh() *mesh.Mesh {
 	cfg := mesh.DefaultAirwayConfig()
 	cfg.Generations = 2
 	cfg.NTheta = 8
@@ -336,14 +339,68 @@ func benchTrackerStep(results *[]benchResult) {
 	if err != nil {
 		panic(err)
 	}
+	return m
+}
+
+var benchAerosol = particles.Props{Diameter: 10e-6, Density: 1000}
+
+// benchTrackerStep measures the steady-state serial particle step.
+func benchTrackerStep(results *[]benchResult) {
 	fluid := particles.AirAt20C()
 	fluid.Gravity = mesh.Vec3{}
-	tr := particles.NewTracker(m, nil, particles.Props{Diameter: 10e-6, Density: 1000}, fluid)
+	tr := particles.NewTracker(benchTrackerMesh(), nil, benchAerosol, fluid)
 	tr.InjectAtInlet(1000, 3, mesh.Vec3{})
 	still := func(int32) mesh.Vec3 { return mesh.Vec3{} }
 	*results = append(*results, measureLoop("tracker/step", 10, scaledIters(50), func() {
 		tr.Step(1e-4, still)
 	}))
+}
+
+// benchTrackerStepBatched reports the serial tracker sweep per
+// particle-step (one op = one particle advanced one step) where the
+// lane-batched Newmark/Ganser kernel earns its keep: tracker/step above
+// sits in still air, where every lane takes the Stokes branch and
+// converges at once, while here particles slip through a swirling field
+// at Re_p ~ 0.5, so each lane iterates its lagged drag through Log and
+// Exp a handful of times. Every op replays the same step from a restored
+// snapshot of particles known to survive it, so nothing is lost and the
+// sweep allocates nothing.
+func benchTrackerStepBatched(results *[]benchResult) {
+	m := benchTrackerMesh()
+	nodal := make([]mesh.Vec3, m.NumNodes())
+	for nd, c := range m.Coords {
+		nodal[nd] = mesh.Vec3{
+			X: 0.6 * math.Sin(7*c.Z+3*c.Y),
+			Y: 0.6 * math.Cos(5*c.X-2*c.Z),
+			Z: -1.4 - 0.4*math.Sin(3*(c.X+c.Y)),
+		}
+	}
+	field := func(nd int32) mesh.Vec3 { return nodal[nd] }
+	const dt = 1e-4
+	tr := particles.NewTracker(m, nil, benchAerosol, particles.AirAt20C())
+	tr.InjectAtInlet(4000, 3, mesh.Vec3{Z: -1})
+	snapshot := tr.Active.Clone()
+	tr.Step(dt, field)
+	lost := map[int64]bool{}
+	for _, p := range tr.TakeLost() {
+		lost[p.ID] = true
+	}
+	snapshot.Compact(func(i int) bool { return !lost[snapshot.ID[i]] })
+
+	steps := scaledIters(200)
+	res := measureLoop("particles/step-batched", 10, steps, func() {
+		tr.Active.CopyFrom(snapshot)
+		tr.Step(dt, field)
+	})
+	if tr.Active.Len() != snapshot.Len() {
+		panic("benchout: particles/step-batched lost particles from a snapshot of survivors")
+	}
+	n := float64(snapshot.Len())
+	res.Iterations = steps * snapshot.Len()
+	res.NsPerOp /= n
+	res.AllocsPerOp /= n
+	res.BytesPerOp /= n
+	*results = append(*results, res)
 }
 
 // benchAssembly measures the matrix-assembly strategies on a synthetic
@@ -465,6 +522,7 @@ func runBenchout(path string, stdout, stderr io.Writer) error {
 	benchCollective(&results)
 	benchLockstep(&results)
 	benchTrackerStep(&results)
+	benchTrackerStepBatched(&results)
 	benchAssembly(&results)
 	report := benchReport{Schema: benchSchema, GoMaxProcs: runtime.GOMAXPROCS(0), Benches: results}
 	out, err := json.MarshalIndent(report, "", "  ")

@@ -254,12 +254,13 @@ func TestBenchoutWritesValidReport(t *testing.T) {
 		"assemble-multidep/fresh", "assemble-multidep/compiled",
 		"assemble/atomic", "assemble/coloring",
 		"spmv/l2-resident", "allreduce/2rank-lockstep", "halo/2rank-lockstep",
+		"particles/step-batched",
 	} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("bench %q missing from report", name)
 		}
 	}
-	for _, name := range []string{"pcg/workspace", "bicgstab/workspace", "tracker/step", "assemble-multidep/compiled"} {
+	for _, name := range []string{"pcg/workspace", "bicgstab/workspace", "tracker/step", "particles/step-batched", "assemble-multidep/compiled"} {
 		if r := got[name]; r.AllocsPerOp != 0 {
 			t.Errorf("%s allocates %.3f objects per op in steady state, want 0", name, r.AllocsPerOp)
 		}

@@ -26,37 +26,45 @@ var stillField = func(int32) mesh.Vec3 { return mesh.Vec3{} }
 // particle phase: after warmup, Tracker.Step performs zero heap
 // allocations in steady state, serially and sharded over a pool at 1
 // and 4 workers (the fates scratch, the sweep body and the pool's loop
-// states are all reused).
+// states are all reused, and the kernel's lane scratch stays on the
+// sweeping goroutine's stack) — for a population of whole 8-lane blocks
+// and for one whose last shard ends in a partial block.
 func TestTrackerStepZeroAlloc(t *testing.T) {
 	m := airway(t, 2)
 	for _, workers := range []int{0, 1, 4} {
-		tr := NewTracker(m, nil, aerosol(), stillAir())
-		var pool *tasking.Pool
-		if workers > 0 {
-			pool = tasking.NewPool(workers)
-			tr.SetPool(pool)
-		}
-		// Enough particles that the pooled runs actually shard
-		// (stepShardSize = 256).
-		injected := tr.InjectAtInlet(1200, 3, mesh.Vec3{})
-		if injected <= stepShardSize {
-			t.Fatalf("injected %d particles, need > %d to exercise sharding", injected, stepShardSize)
-		}
-		const dt = 1e-4
-		for i := 0; i < 10; i++ { // warmup: fates scratch, loop states
-			tr.Step(dt, stillField)
-		}
-		if a, _, _ := tr.Counts(); a != injected {
-			t.Fatalf("workers=%d: population not steady (%d of %d active)", workers, a, injected)
-		}
-		avg := testing.AllocsPerRun(30, func() {
-			tr.Step(dt, stillField)
-		})
-		if avg != 0 {
-			t.Errorf("workers=%d: steady-state Tracker.Step allocates %.2f objects per step, want 0", workers, avg)
-		}
-		if pool != nil {
-			pool.Close()
+		for _, tail := range []int{0, 5} {
+			tr := NewTracker(m, nil, aerosol(), stillAir())
+			var pool *tasking.Pool
+			if workers > 0 {
+				pool = tasking.NewPool(workers)
+				tr.SetPool(pool)
+			}
+			// Enough particles that the pooled runs actually shard
+			// (stepShardSize = 256).
+			injected := tr.InjectAtInlet(1200, 3, mesh.Vec3{})
+			population := injected - injected%newmarkLanes - newmarkLanes + tail
+			if population <= stepShardSize {
+				t.Fatalf("injected %d particles, need > %d to exercise sharding", injected, stepShardSize)
+			}
+			tr.Active.Truncate(population)
+			const dt = 1e-4
+			for i := 0; i < 10; i++ { // warmup: fates scratch, loop states
+				tr.Step(dt, stillField)
+			}
+			if a, _, _ := tr.Counts(); a != population || a%newmarkLanes != tail {
+				t.Fatalf("workers=%d: population not steady (%d of %d active, want %d past a whole block)",
+					workers, a, population, tail)
+			}
+			avg := testing.AllocsPerRun(30, func() {
+				tr.Step(dt, stillField)
+			})
+			if avg != 0 {
+				t.Errorf("workers=%d population=%d: steady-state Tracker.Step allocates %.2f objects per step, want 0",
+					workers, population, avg)
+			}
+			if pool != nil {
+				pool.Close()
+			}
 		}
 	}
 }

@@ -233,13 +233,22 @@ func pointInTet(p, a, b, c, d mesh.Vec3, tol float64) bool {
 		sign*v(a, b, c, p) >= eps
 }
 
+// kindTets is mesh.TetDecomposition in element-local node indices, one
+// static table per element kind, so Contains walks a table instead of
+// materializing node quadruples on every call.
+// TestKindTetsMatchTetDecomposition pins the two against each other.
+var kindTets = [...][][4]uint8{
+	mesh.Tet4:     {{0, 1, 2, 3}},
+	mesh.Prism6:   {{0, 1, 2, 3}, {1, 2, 3, 4}, {2, 3, 4, 5}},
+	mesh.Pyramid5: {{0, 1, 2, 4}, {0, 2, 3, 4}},
+}
+
 // Contains tests whether element e contains point p.
 func (l *Locator) Contains(e int, p mesh.Vec3) bool {
-	var scratch [3][4]int32
-	tets := l.m.TetDecomposition(e, scratch[:0])
-	for _, t := range tets {
-		if pointInTet(p,
-			l.m.Coords[t[0]], l.m.Coords[t[1]], l.m.Coords[t[2]], l.m.Coords[t[3]], 1e-9) {
+	nodes := l.m.ElemNodes(e)
+	coords := l.m.Coords
+	for _, t := range kindTets[l.m.Kinds[e]] {
+		if pointInTet(p, coords[nodes[t[0]]], coords[nodes[t[1]]], coords[nodes[t[2]]], coords[nodes[t[3]]], 1e-9) {
 			return true
 		}
 	}

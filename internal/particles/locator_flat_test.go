@@ -168,3 +168,35 @@ func TestLocatorFlatUnionInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestKindTetsMatchTetDecomposition pins Contains' static per-kind tet
+// tables to mesh.TetDecomposition: same tets, same order, for every
+// element kind.
+func TestKindTetsMatchTetDecomposition(t *testing.T) {
+	m := airway(t, 1)
+	seen := map[mesh.Kind]bool{}
+	for e := 0; e < m.NumElems(); e++ {
+		kind := m.Kinds[e]
+		if seen[kind] {
+			continue
+		}
+		seen[kind] = true
+		nodes := m.ElemNodes(e)
+		want := m.TetDecomposition(e, nil)
+		got := kindTets[kind]
+		if len(got) != len(want) {
+			t.Fatalf("%v: table has %d tets, TetDecomposition %d", kind, len(got), len(want))
+		}
+		for i, tet := range got {
+			for j, local := range tet {
+				if nodes[local] != want[i][j] {
+					t.Fatalf("%v: tet %d node %d is local %d (global %d), TetDecomposition says %d",
+						kind, i, j, local, nodes[local], want[i][j])
+				}
+			}
+		}
+	}
+	if len(seen) != len(kindTets) {
+		t.Fatalf("mesh exercises %d element kinds, table has %d", len(seen), len(kindTets))
+	}
+}

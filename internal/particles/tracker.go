@@ -34,6 +34,11 @@ type Particle struct {
 // identical however many workers execute the shards.
 const stepShardSize = 256
 
+// Shards are whole kernel blocks, so only a population's last shard ever
+// runs a partial block: the conversion is a compile error unless
+// stepShardSize is a multiple of newmarkLanes.
+const _ = uint(-(stepShardSize % newmarkLanes))
+
 // Tracker advances the particles living in one subdomain (or the whole
 // mesh when elems is nil). Its population lives in a structure-of-arrays
 // ParticleStore, and Step shards the population across an optional
@@ -63,9 +68,8 @@ type Tracker struct {
 
 	// Step-parameter slots read by stepBody, the population-sweep loop
 	// body built once in NewTracker: remaking the closure per Step (it
-	// captures the dt, the hoisted Newmark constants and the velocity
-	// field) would heap-allocate on every step of the hot loop.
-	stepDt   float64
+	// captures the hoisted Newmark constants, dt among them, and the
+	// velocity field) would heap-allocate on every step of the hot loop.
 	stepPre  newmarkConsts
 	stepVel  func(node int32) mesh.Vec3
 	stepBody func(lo, hi int)
@@ -93,17 +97,25 @@ func NewTracker(m *mesh.Mesh, elems []int32, species Props, fluid FluidProps) *T
 	t.stepBody = func(lo, hi int) {
 		s := t.Active
 		fates := t.fates
-		for i := lo; i < hi; i++ {
-			st := NewmarkState{Pos: s.Pos[i], Vel: s.Vel[i], Acc: s.Acc[i]}
-			uf := t.Loc.InterpolateIDW(int(s.Elem[i]), st.Pos, t.stepVel)
-			newmarkStepPre(&st, t.Fluid, t.Species, t.stepPre, uf, t.stepDt)
-			s.Pos[i], s.Vel[i], s.Acc[i] = st.Pos, st.Vel, st.Acc
-			if elem, ok := t.Loc.Locate(st.Pos, s.Elem[i]); ok {
-				s.Elem[i] = elem
-				fates[i] = 0
-			} else {
-				s.Elem[i] = -1
-				fates[i] = 1
+		var b newmarkBlock // lane scratch: stays on this goroutine's stack
+		for i0 := lo; i0 < hi; i0 += newmarkLanes {
+			n := min(newmarkLanes, hi-i0)
+			for l := 0; l < n; l++ {
+				i := i0 + l
+				b.pos[l], b.vel[l], b.acc[l] = s.Pos[i], s.Vel[i], s.Acc[i]
+				b.uf[l] = t.Loc.InterpolateIDW(int(s.Elem[i]), s.Pos[i], t.stepVel)
+			}
+			newmarkStepLanes(&b, n, &t.stepPre)
+			for l := 0; l < n; l++ {
+				i := i0 + l
+				s.Pos[i], s.Vel[i], s.Acc[i] = b.pos[l], b.vel[l], b.acc[l]
+				if elem, ok := t.Loc.Locate(b.pos[l], s.Elem[i]); ok {
+					s.Elem[i] = elem
+					fates[i] = 0
+				} else {
+					s.Elem[i] = -1
+					fates[i] = 1
+				}
 			}
 		}
 	}
@@ -216,8 +228,7 @@ func (t *Tracker) Step(dt float64, velField func(node int32) mesh.Vec3) {
 	// Parameters flow to the prebuilt sweep body through the slots; the
 	// velocity-field reference is dropped afterwards so the caller's
 	// closure is not retained between steps.
-	t.stepDt = dt
-	t.stepPre = newmarkConstsFor(t.Fluid, t.Species)
+	t.stepPre = newmarkConstsFor(t.Fluid, t.Species, dt)
 	t.stepVel = velField
 	if t.pool != nil && n > stepShardSize {
 		t.pool.ParallelFor(n, stepShardSize, t.stepBody)

@@ -200,7 +200,9 @@ func TestRecoverResubmitsManifests(t *testing.T) {
 	envA := &testEnv{ts: tsA, srv: a}
 	id := envA.submit(t, `{"scenario":"work","options":{"steps":9}}`)
 	tsA.Close() // the process "crashes": no cleanup, manifest stays
-	a.Close()
+	// A's hung job is only released once the test is over: cancelling it
+	// here would let its terminal cleanup delete the manifest under B.
+	defer a.Close()
 
 	if _, err := os.Stat(filepath.Join(dir, id+".job.json")); err != nil {
 		t.Fatalf("manifest missing after crash: %v", err)
