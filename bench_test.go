@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/navierstokes"
-	"repro/internal/particles"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
 	"repro/internal/simmpi"
@@ -209,100 +208,6 @@ func BenchmarkSolverStepWorkers(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- particle engine: locator grid and tracker step A/B ---
-
-// benchParticleMesh is the default benchmark mesh for the particle
-// engine: a generation-2 airway, the same geometry the seed's tracker
-// benchmark used.
-func benchParticleMesh(b *testing.B) *mesh.Mesh {
-	b.Helper()
-	mc := mesh.DefaultAirwayConfig()
-	mc.Generations = 2
-	m, err := mesh.GenerateAirway(mc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-func benchLocator(b *testing.B, mk func(*mesh.Mesh, []int32, int) *particles.Locator) {
-	b.Helper()
-	m := benchParticleMesh(b)
-	loc := mk(m, nil, 32)
-	// probePoints is the same centroid-hit / bbox-miss mix that
-	// benchfig -exp particles measures, so the ratios stay comparable.
-	pts := probePoints(m, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pts[i%len(pts)]
-		loc.Locate(p, -1)
-	}
-}
-
-func BenchmarkLocatorFlat(b *testing.B) { benchLocator(b, particles.NewLocator) }
-func BenchmarkLocatorMap(b *testing.B)  { benchLocator(b, particles.NewLocatorMap) }
-
-func benchLocatorBuild(b *testing.B, mk func(*mesh.Mesh, []int32, int) *particles.Locator) {
-	b.Helper()
-	m := benchParticleMesh(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mk(m, nil, 32)
-	}
-}
-
-func BenchmarkLocatorBuildFlat(b *testing.B) { benchLocatorBuild(b, particles.NewLocator) }
-func BenchmarkLocatorBuildMap(b *testing.B)  { benchLocatorBuild(b, particles.NewLocatorMap) }
-
-// BenchmarkTrackerStep races the seed's serial AoS engine against the SoA
-// engine, serial and sharded over 2/4/8 workers. Every iteration restores
-// the same injected population and advances it one step, so all variants
-// do identical physics work.
-func BenchmarkTrackerStep(b *testing.B) {
-	m := benchParticleMesh(b)
-	const nParticles = 5000
-	down := func(node int32) mesh.Vec3 { return mesh.Vec3{Z: -1} }
-
-	b.Run("legacy-aos-serial", func(b *testing.B) {
-		tr := particles.NewLegacyTracker(m, nil, particles.Props{Diameter: 10e-6, Density: 1000}, particles.AirAt20C())
-		tr.InjectAtInlet(nParticles, 1, mesh.Vec3{Z: -1})
-		snapshot := append([]particles.Particle(nil), tr.Active...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.Active = append(tr.Active[:0], snapshot...)
-			tr.Step(1e-4, down)
-			tr.TakeLost()
-		}
-	})
-
-	soa := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			tr := particles.NewTracker(m, nil, particles.Props{Diameter: 10e-6, Density: 1000}, particles.AirAt20C())
-			if workers > 0 {
-				pool := tasking.NewPool(workers)
-				defer pool.Close()
-				tr.SetPool(pool)
-			}
-			tr.InjectAtInlet(nParticles, 1, mesh.Vec3{Z: -1})
-			snapshot := tr.Active.Clone()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Active.CopyFrom(snapshot)
-				tr.Step(1e-4, down)
-				tr.TakeLost()
-			}
-		}
-	}
-	b.Run("soa-serial", soa(0))
-	b.Run("soa-parallel-2", soa(2))
-	b.Run("soa-parallel-4", soa(4))
-	b.Run("soa-parallel-8", soa(8))
 }
 
 // --- ablations (design choices from DESIGN.md) ---

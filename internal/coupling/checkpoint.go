@@ -79,7 +79,7 @@ func (cfg *RunConfig) prepCheckpoint(m *mesh.Mesh, size int) (resume, snap *chec
 	return resume, snap, startStep
 }
 
-// ckptSaver coordinates boundary captures inside the rank bodies.
+// ckptSaver coordinates boundary captures inside the rank body.
 type ckptSaver struct {
 	plan *checkpoint.Plan
 	snap *checkpoint.Snapshot // nil disables capture

@@ -3,6 +3,7 @@ package coupling
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -69,50 +70,71 @@ func resumeAndCompare(t *testing.T, cfg RunConfig, path string, ref *RunResult) 
 	}
 }
 
-// TestResumeDeterminismSynchronous: kill a synchronous run two steps past
-// its last checkpoint, resume it, and require the finished run to be
-// indistinguishable from one that was never interrupted — including when
-// the resumed run uses a different worker count (the fingerprint
-// deliberately ignores WorkersPerRank; results are bit-identical at any
-// worker count).
-func TestResumeDeterminismSynchronous(t *testing.T) {
-	for _, resumeWorkers := range []int{1, 4} {
-		t.Run(map[int]string{1: "workers1", 4: "workers4"}[resumeWorkers], func(t *testing.T) {
-			cfg := fastCfg()
-			cfg.FluidRanks = 4
-			cfg.Steps = 6
-			cfg.InjectEvery = 2
-			ref, err := Run(testMesh(t), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := runInterrupted(t, cfg, 2, 2) // checkpoint after step 1, die during step 2
-			cfg.WorkersPerRank = resumeWorkers
+// resumeCut is one interrupted-run shape: checkpoint every `every`
+// steps, die right after step cancelAt's boundary, resume at
+// resumeWorkers workers per rank.
+type resumeCut struct {
+	name                           string
+	every, cancelAt, resumeWorkers int
+}
+
+// resumeCuts is the mode's original hand-picked cut at two resume worker
+// counts, then a cut at EVERY step boundary (Every = 1, dying after step
+// 0 … steps-2; the final boundary takes no checkpoint), alternating the
+// resume worker count.
+func resumeCuts(steps, every, cancelAt int) []resumeCut {
+	cuts := []resumeCut{
+		{"workers1", every, cancelAt, 1},
+		{"workers4", every, cancelAt, 4},
+	}
+	for k := 0; k <= steps-2; k++ {
+		cuts = append(cuts, resumeCut{fmt.Sprintf("boundary%d", k), 1, k, []int{1, 4}[k%2]})
+	}
+	return cuts
+}
+
+// testResumeDeterminism kills cfg's run at each cut, resumes it, and
+// requires the finished run to be indistinguishable from one that was
+// never interrupted — including when the resumed run uses a different
+// worker count (the fingerprint deliberately ignores WorkersPerRank;
+// results are bit-identical at any worker count).
+func testResumeDeterminism(t *testing.T, cfg RunConfig, cuts []resumeCut) {
+	ref, err := Run(testMesh(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cuts {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := cfg
+			path := runInterrupted(t, cfg, c.every, c.cancelAt)
+			cfg.WorkersPerRank = c.resumeWorkers
 			resumeAndCompare(t, cfg, path, ref)
 		})
 	}
 }
 
+// TestResumeDeterminismSynchronous: the byte-identical resume pin where
+// every rank carries both roles.
+func TestResumeDeterminismSynchronous(t *testing.T) {
+	cfg := fastCfg()
+	cfg.FluidRanks = 4
+	cfg.Steps = 6
+	cfg.InjectEvery = 2
+	// Hand-picked cut: checkpoint after step 1, die during step 2.
+	testResumeDeterminism(t, cfg, resumeCuts(cfg.Steps, 2, 2))
+}
+
 // TestResumeDeterminismCoupled: the same pin across the fluid/particle
 // split, where resume must also replay the velocity shipments.
 func TestResumeDeterminismCoupled(t *testing.T) {
-	for _, resumeWorkers := range []int{1, 4} {
-		t.Run(map[int]string{1: "workers1", 4: "workers4"}[resumeWorkers], func(t *testing.T) {
-			cfg := fastCfg()
-			cfg.Mode = Coupled
-			cfg.FluidRanks = 3
-			cfg.ParticleRanks = 2
-			cfg.Steps = 6
-			cfg.InjectEvery = 2
-			ref, err := Run(testMesh(t), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := runInterrupted(t, cfg, 2, 3) // checkpoint after steps 1 and 3, die during step 3
-			cfg.WorkersPerRank = resumeWorkers
-			resumeAndCompare(t, cfg, path, ref)
-		})
-	}
+	cfg := fastCfg()
+	cfg.Mode = Coupled
+	cfg.FluidRanks = 3
+	cfg.ParticleRanks = 2
+	cfg.Steps = 6
+	cfg.InjectEvery = 2
+	// Hand-picked cut: checkpoint after steps 1 and 3, die during step 3.
+	testResumeDeterminism(t, cfg, resumeCuts(cfg.Steps, 2, 3))
 }
 
 // TestResumeSkipsMismatchedSnapshot: a snapshot from a different

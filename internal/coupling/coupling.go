@@ -175,6 +175,9 @@ func Run(m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 // can never be cancelled (ctx.Done() == nil, e.g. context.Background())
 // adds no collective and no overhead.
 func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
+	if cfg.Mode > Coupled {
+		return nil, fmt.Errorf("coupling: unknown mode %d", cfg.Mode)
+	}
 	if cfg.Mode == Synchronous && cfg.ParticleRanks != 0 {
 		return nil, fmt.Errorf("coupling: synchronous mode takes no particle ranks")
 	}
@@ -198,13 +201,7 @@ func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, e
 	if cfg.Watchdog <= 0 {
 		cfg.Watchdog = WatchdogFromContext(ctx)
 	}
-	switch cfg.Mode {
-	case Synchronous:
-		return runSynchronous(ctx, m, cfg)
-	case Coupled:
-		return runCoupled(ctx, m, cfg)
-	}
-	return nil, fmt.Errorf("coupling: unknown mode %d", cfg.Mode)
+	return run(ctx, m, cfg)
 }
 
 // stepCanceller decides, once per time step, whether the whole world
@@ -215,11 +212,7 @@ func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, e
 // only observed between steps — a step in flight always completes.
 type stepCanceller struct {
 	ctx       context.Context
-	cancelled *atomic.Bool
-}
-
-func newStepCanceller(ctx context.Context) *stepCanceller {
-	return &stepCanceller{ctx: ctx, cancelled: new(atomic.Bool)}
+	cancelled atomic.Bool
 }
 
 // next reports whether the world agreed to stop before this step.
@@ -282,14 +275,6 @@ func (cfg *RunConfig) simTimeAt(step int) float64 {
 // allocation-free.
 const maxEventsPerStep = 16
 
-// reserveTrace pre-grows every rank timeline for a run of the given
-// step count.
-func reserveTrace(tr *trace.Trace, steps int) {
-	for _, rt := range tr.Ranks {
-		rt.Reserve(steps * maxEventsPerStep)
-	}
-}
-
 // haloPeers extracts the neighbor comm-ranks of a rank mesh.
 func haloPeers(rm *partition.RankMesh) []int {
 	peers := make([]int, 0, len(rm.Halos))
@@ -335,124 +320,6 @@ func closePools(pools []*tasking.Pool) {
 	}
 }
 
-// runSynchronous: all ranks do fluid then particles (Figure 3, top).
-func runSynchronous(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
-	n := cfg.FluidRanks
-	rms, err := buildPartition(m, n, cfg.PartitionScratch)
-	if err != nil {
-		return nil, err
-	}
-	world, d, pools, err := newWorld(cfg, n)
-	if err != nil {
-		return nil, err
-	}
-	defer closePools(pools)
-
-	resume, snap, startStep := cfg.prepCheckpoint(m, n)
-	saver := &ckptSaver{plan: cfg.Checkpoint, snap: snap, cfg: &cfg}
-
-	tr := trace.NewTrace(n)
-	reserveTrace(tr, cfg.Steps)
-	res := &RunResult{Trace: tr}
-	injected := make([]int, n)
-	deposited := make([]int, n)
-	exited := make([]int, n)
-	activeEnd := make([]int, n)
-	cancel := newStepCanceller(ctx)
-	// Step-boundary clocks for telemetry, recorded by rank 0 only and
-	// read after world.Run joins every rank goroutine. Preallocated so
-	// the step loop stays allocation-free. On resume the completed steps'
-	// clocks come straight from the snapshot so the telemetry timeline is
-	// whole.
-	var stepClocks []float64
-	if cfg.Telemetry != nil {
-		stepClocks = make([]float64, 0, cfg.Steps)
-		if resume != nil {
-			stepClocks = append(stepClocks, resume.StepClocks...)
-		}
-	}
-
-	start := time.Now()
-	err = world.Run(func(r *simmpi.Rank) {
-		id := r.ID()
-		ns, err := navierstokes.NewSolver(m, rms[id], r.Comm, pools[id], cfg.NS, cfg.Cost, tr.Ranks[id])
-		if err != nil {
-			panic(err)
-		}
-		tk := particles.NewTracker(m, rms[id].Elems, cfg.Species, cfg.Fluid)
-		// The particle phase shards across the same pool DLB resizes, so
-		// cores lent while this rank blocks in MPI speed up its particles
-		// once reclaimed (and vice versa).
-		tk.SetPool(pools[id])
-		peers := haloPeers(rms[id])
-		velAt := ns.VelocityAt // hoisted: a per-step method value would allocate
-		if resume != nil {
-			restoreRank(resume, id, ns, tk, tr.Ranks[id], &injected[id], d)
-		}
-
-		for step := startStep; step < cfg.Steps; step++ {
-			r.SetStep(step)
-			if cancel.next(r.Comm) {
-				break
-			}
-			if _, err := ns.Step(); err != nil {
-				panic(err)
-			}
-			if cfg.injectNow(step) {
-				injected[id] += particles.InjectAtInletCollectiveAt(r.Comm, tk, cfg.NumParticles, cfg.Seed, step,
-					cfg.NS.InletVelocityAt(cfg.simTimeAt(step)))
-			}
-			w0 := tk.WorkUnits
-			tk.Step(cfg.NS.Props.Dt, velAt)
-			particles.Migrate(r.Comm, tk, peers, tagMigrate)
-			tr.Ranks[id].Advance(trace.PhaseParticles, float64(tk.WorkUnits-w0)*cfg.ParticleUnit)
-			maxClock := r.Comm.AllreduceFloat64(tr.Ranks[id].Clock(), simmpi.OpMax)
-			tr.Ranks[id].AlignTo(maxClock)
-			if id == 0 {
-				if stepClocks != nil {
-					stepClocks = append(stepClocks, maxClock)
-				}
-				if cfg.OnStep != nil {
-					cfg.OnStep(step)
-				}
-			}
-			if saver.due(step) {
-				// Boundary capture: every rank snapshots its quiescent
-				// state, the first barrier proves every message of this
-				// step was consumed, rank 0 writes the file, the second
-				// barrier holds the world until it is on disk. Barriers
-				// do not advance virtual clocks, so the trace is
-				// unaffected.
-				captureRank(snap, id, ns, tk, tr.Ranks[id], injected[id], d)
-				r.Comm.Barrier()
-				if id == 0 {
-					saver.save(step, stepClocks)
-				}
-				r.Comm.Barrier()
-			}
-		}
-		a, dd, ee := tk.Counts()
-		deposited[id], exited[id], activeEnd[id] = dd, ee, a
-	})
-	res.Wall = time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	if err := cancel.err(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		res.Injected += injected[i]
-		res.Deposited += deposited[i]
-		res.Exited += exited[i]
-		res.ActiveEnd += activeEnd[i]
-	}
-	res.Makespan = tr.MaxClock()
-	res.DLB = d.Snapshot()
-	recordTelemetry(&cfg, res, stepClocks, d)
-	return res, nil
-}
-
 // velocityTransfer precomputes which owned nodes each fluid rank ships to
 // each particle rank.
 type velocityTransfer struct {
@@ -496,19 +363,71 @@ func buildTransfer(fluidRMs, partRMs []*partition.RankMesh) *velocityTransfer {
 	return vt
 }
 
-// runCoupled: f fluid ranks + p particle ranks (Figure 3, bottom).
-func runCoupled(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
+// ship sends fluid rank id's owned velocities to the particle ranks
+// (world ranks f..), stamping the sender's virtual clock (one-way
+// pipeline). The payload fills a leased transport buffer in place; the
+// particle rank releases it back to the world freelist, so the
+// steady-state shipment allocates nothing on either side.
+func (vt *velocityTransfer) ship(world *simmpi.Comm, f, id int, ns *navierstokes.Solver, clock float64) {
+	for _, xl := range vt.sends[id] {
+		buf := world.LeaseFloat64s(1 + 3*len(xl.nodes))
+		buf.Data[0] = clock
+		for i, g := range xl.nodes {
+			v := ns.VelocityAt(g)
+			buf.Data[1+3*i] = v.X
+			buf.Data[1+3*i+1] = v.Y
+			buf.Data[1+3*i+2] = v.Z
+		}
+		world.SendFloat64Buf(f+xl.peer, tagVelocity, buf)
+	}
+}
+
+// receive fills particle rank pid's velocity store (indexed by rm's
+// local nodes) from all its fluid sources, reading each leased buffer in
+// place and recycling it. It returns the virtual time the field is
+// complete: the latest sender clock plus unit per node shipped.
+func (vt *velocityTransfer) receive(world *simmpi.Comm, pid int, rm *partition.RankMesh, vel []mesh.Vec3, unit float64) float64 {
+	senderClock, shipped := 0.0, 0
+	for _, xl := range vt.recvs[pid] {
+		rb := world.RecvFloat64Buf(xl.peer, tagVelocity)
+		buf := rb.Data
+		if buf[0] > senderClock {
+			senderClock = buf[0]
+		}
+		for i, g := range xl.nodes {
+			if ln := rm.LocalNode[g]; ln >= 0 {
+				vel[ln] = mesh.Vec3{X: buf[1+3*i], Y: buf[1+3*i+1], Z: buf[1+3*i+2]}
+			}
+		}
+		shipped += len(xl.nodes)
+		rb.Release()
+	}
+	return senderClock + float64(shipped)*unit
+}
+
+// run executes both modes of Figure 3 with one rank body and one step
+// loop: coupled mode is the same code run as two instances inside one
+// MPI world, so a rank's role is which of the two codes it carries. Ranks
+// below f get a solver (ns != nil) and step the fluid; every rank in
+// synchronous mode (p = 0), and ranks f.. in coupled mode, get a tracker
+// (tk != nil) and transport particles. Only when the roles are split
+// does the world Split in two and the velocity field travel by message;
+// a rank with both reads its own solver.
+func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	f, p := cfg.FluidRanks, cfg.ParticleRanks
-	total := f + p
+	total, split := f+p, p > 0
 	fluidRMs, err := buildPartition(m, f, cfg.PartitionScratch)
 	if err != nil {
 		return nil, err
 	}
-	partRMs, err := buildPartition(m, p, cfg.PartitionScratch)
-	if err != nil {
-		return nil, err
+	partRMs := fluidRMs
+	var vt *velocityTransfer
+	if split {
+		if partRMs, err = buildPartition(m, p, cfg.PartitionScratch); err != nil {
+			return nil, err
+		}
+		vt = buildTransfer(fluidRMs, partRMs)
 	}
-	vt := buildTransfer(fluidRMs, partRMs)
 
 	world, d, pools, err := newWorld(cfg, total)
 	if err != nil {
@@ -520,15 +439,20 @@ func runCoupled(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, e
 	saver := &ckptSaver{plan: cfg.Checkpoint, snap: snap, cfg: &cfg}
 
 	tr := trace.NewTrace(total)
-	reserveTrace(tr, cfg.Steps)
+	for _, rt := range tr.Ranks {
+		rt.Reserve(cfg.Steps * maxEventsPerStep)
+	}
 	res := &RunResult{Trace: tr}
 	injected := make([]int, total)
 	deposited := make([]int, total)
 	exited := make([]int, total)
 	activeEnd := make([]int, total)
-	cancel := newStepCanceller(ctx)
-	// Mirror of runSynchronous's telemetry step markers: in coupled mode
-	// the marker is fluid rank 0's clock after its step and sends.
+	cancel := &stepCanceller{ctx: ctx}
+	// Step-boundary clocks for telemetry, recorded by rank 0 only and
+	// read after world.Run joins every rank goroutine. Preallocated so
+	// the step loop stays allocation-free. On resume the completed steps'
+	// clocks come straight from the snapshot so the telemetry timeline is
+	// whole.
 	var stepClocks []float64
 	if cfg.Telemetry != nil {
 		stepClocks = make([]float64, 0, cfg.Steps)
@@ -540,138 +464,121 @@ func runCoupled(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, e
 	start := time.Now()
 	err = world.Run(func(r *simmpi.Rank) {
 		id := r.ID()
-		isFluid := id < f
-		var color int
-		if !isFluid {
-			color = 1
+		rt := tr.Ranks[id]
+		// sub is the communicator of this rank's own code — the world
+		// itself when every rank runs both, its half otherwise — and pid
+		// the rank's index in it.
+		sub := r.Comm
+		if split {
+			color := 0
+			if id >= f {
+				color = 1
+			}
+			sub = r.Comm.Split(color, id)
 		}
-		sub := r.Comm.Split(color, id)
+		pid := sub.Rank()
 
-		if isFluid {
-			ns, err := navierstokes.NewSolver(m, fluidRMs[id], sub, pools[id], cfg.NS, cfg.Cost, tr.Ranks[id])
-			if err != nil {
+		var ns *navierstokes.Solver
+		if id < f {
+			var err error
+			if ns, err = navierstokes.NewSolver(m, fluidRMs[id], sub, pools[id], cfg.NS, cfg.Cost, rt); err != nil {
 				panic(err)
 			}
-			if resume != nil {
-				restoreRank(resume, id, ns, nil, tr.Ranks[id], &injected[id], d)
-			}
-			for step := startStep; step < cfg.Steps; step++ {
-				r.SetStep(step)
-				// The cancel collective spans the WHOLE world (not the
-				// fluid sub-communicator), so both codes agree on the
-				// stopping step and no shipped velocity goes unconsumed.
-				if cancel.next(r.Comm) {
-					break
-				}
-				if _, err := ns.Step(); err != nil {
-					panic(err)
-				}
-				// Ship owned velocities to particle ranks, stamping the
-				// sender's virtual clock (one-way pipeline). The payload
-				// fills a leased transport buffer in place; the particle
-				// rank releases it back to the world freelist, so the
-				// steady-state shipment allocates nothing on either side.
-				for _, xl := range vt.sends[id] {
-					buf := r.Comm.LeaseFloat64s(1 + 3*len(xl.nodes))
-					buf.Data[0] = tr.Ranks[id].Clock()
-					for i, g := range xl.nodes {
-						v := ns.VelocityAt(g)
-						buf.Data[1+3*i] = v.X
-						buf.Data[1+3*i+1] = v.Y
-						buf.Data[1+3*i+2] = v.Z
-					}
-					r.Comm.SendFloat64Buf(f+xl.peer, tagVelocity, buf)
-				}
-				if id == 0 {
-					if stepClocks != nil {
-						stepClocks = append(stepClocks, tr.Ranks[id].Clock())
-					}
-					if cfg.OnStep != nil {
-						cfg.OnStep(step)
-					}
-				}
-				if saver.due(step) {
-					// Boundary capture across BOTH codes: the world-level
-					// barrier proves every velocity shipment, migration
-					// and halo message of this step was consumed before
-					// rank 0 writes the file.
-					captureRank(snap, id, ns, nil, tr.Ranks[id], injected[id], d)
-					r.Comm.Barrier()
-					if id == 0 {
-						saver.save(step, stepClocks)
-					}
-					r.Comm.Barrier()
-				}
-			}
-			return
 		}
-
-		// Particle rank.
-		pid := id - f
-		rm := partRMs[pid]
-		tk := particles.NewTracker(m, rm.Elems, cfg.Species, cfg.Fluid)
-		tk.SetPool(pools[id])
-		peers := make([]int, 0, len(rm.Halos))
-		for _, h := range rm.Halos {
-			peers = append(peers, h.Peer)
-		}
-		// Velocity store for local nodes.
-		vel := make([]mesh.Vec3, rm.NumLocalNodes())
-		velAt := func(g int32) mesh.Vec3 {
-			if ln := rm.LocalNode[g]; ln >= 0 {
-				return vel[ln]
+		var (
+			tk    *particles.Tracker
+			rm    *partition.RankMesh // the tracker's subdomain
+			peers []int
+			vel   []mesh.Vec3 // shipped velocity store for rm's local nodes
+			velAt func(int32) mesh.Vec3
+		)
+		if !split || id >= f {
+			rm = partRMs[pid]
+			tk = particles.NewTracker(m, rm.Elems, cfg.Species, cfg.Fluid)
+			// The particle phase shards across the same pool DLB resizes, so
+			// cores lent while this rank blocks in MPI speed up its particles
+			// once reclaimed (and vice versa).
+			tk.SetPool(pools[id])
+			peers = haloPeers(rm)
+			if ns != nil {
+				velAt = ns.VelocityAt // hoisted: a per-step method value would allocate
+			} else {
+				vel = make([]mesh.Vec3, rm.NumLocalNodes())
+				velAt = func(g int32) mesh.Vec3 {
+					if ln := rm.LocalNode[g]; ln >= 0 {
+						return vel[ln]
+					}
+					return mesh.Vec3{}
+				}
 			}
-			return mesh.Vec3{}
 		}
 		if resume != nil {
-			restoreRank(resume, id, nil, tk, tr.Ranks[id], &injected[id], d)
+			restoreRank(resume, id, ns, tk, rt, &injected[id], d)
 		}
+
 		for step := startStep; step < cfg.Steps; step++ {
 			r.SetStep(step)
-			// Mirror of the fluid loop's world-level cancel collective.
+			// The cancel collective spans the WHOLE world (not a
+			// sub-communicator), so both codes agree on the stopping
+			// step and no shipped velocity goes unconsumed.
 			if cancel.next(r.Comm) {
 				break
 			}
-			// Receive this step's velocity field from all fluid sources,
-			// reading each leased buffer in place and recycling it.
-			senderClock := 0.0
-			shipped := 0
-			for _, xl := range vt.recvs[pid] {
-				rb := r.Comm.RecvFloat64Buf(xl.peer, tagVelocity)
-				buf := rb.Data
-				if buf[0] > senderClock {
-					senderClock = buf[0]
+			if ns != nil {
+				if _, err := ns.Step(); err != nil {
+					panic(err)
 				}
-				for i, g := range xl.nodes {
-					if ln := rm.LocalNode[g]; ln >= 0 {
-						vel[ln] = mesh.Vec3{X: buf[1+3*i], Y: buf[1+3*i+1], Z: buf[1+3*i+2]}
-					}
+			}
+			if split {
+				if ns != nil {
+					vt.ship(r.Comm, f, id, ns, rt.Clock())
+				} else {
+					rt.AlignTo(vt.receive(r.Comm, pid, rm, vel, cfg.TransferUnit))
 				}
-				shipped += len(xl.nodes)
-				rb.Release()
 			}
-			tr.Ranks[id].AlignTo(senderClock + float64(shipped)*cfg.TransferUnit)
-			if cfg.injectNow(step) {
-				injected[id] += particles.InjectAtInletCollectiveAt(sub, tk, cfg.NumParticles, cfg.Seed, step,
-					cfg.NS.InletVelocityAt(cfg.simTimeAt(step)))
+			// The step marker is rank 0's view of the boundary: its own
+			// clock after the sends when it only solves the fluid, the
+			// all-reduced clock when it also transports particles.
+			marker := rt.Clock()
+			if tk != nil {
+				if cfg.injectNow(step) {
+					injected[id] += particles.InjectAtInletCollectiveAt(sub, tk, cfg.NumParticles, cfg.Seed, step,
+						cfg.NS.InletVelocityAt(cfg.simTimeAt(step)))
+				}
+				w0 := tk.WorkUnits
+				tk.Step(cfg.NS.Props.Dt, velAt)
+				particles.Migrate(sub, tk, peers, tagMigrate)
+				rt.Advance(trace.PhaseParticles, float64(tk.WorkUnits-w0)*cfg.ParticleUnit)
+				marker = sub.AllreduceFloat64(rt.Clock(), simmpi.OpMax)
+				rt.AlignTo(marker)
 			}
-			w0 := tk.WorkUnits
-			tk.Step(cfg.NS.Props.Dt, velAt)
-			particles.Migrate(sub, tk, peers, tagMigrate)
-			tr.Ranks[id].Advance(trace.PhaseParticles, float64(tk.WorkUnits-w0)*cfg.ParticleUnit)
-			maxClock := sub.AllreduceFloat64(tr.Ranks[id].Clock(), simmpi.OpMax)
-			tr.Ranks[id].AlignTo(maxClock)
+			if id == 0 {
+				if stepClocks != nil {
+					stepClocks = append(stepClocks, marker)
+				}
+				if cfg.OnStep != nil {
+					cfg.OnStep(step)
+				}
+			}
 			if saver.due(step) {
-				// Particle half of the capture: two world barriers
-				// matching the fluid loop's, with rank 0's file write in
-				// between on the fluid side.
-				captureRank(snap, id, nil, tk, tr.Ranks[id], injected[id], d)
+				// Boundary capture across every role: each rank snapshots
+				// its quiescent state, the first world barrier proves every
+				// velocity shipment, migration and halo message of this
+				// step was consumed, rank 0 writes the file, the second
+				// barrier holds the world until it is on disk. Barriers do
+				// not advance virtual clocks, so the trace is unaffected.
+				captureRank(snap, id, ns, tk, rt, injected[id], d)
 				r.Comm.Barrier()
+				if id == 0 {
+					saver.save(step, stepClocks)
+				}
 				r.Comm.Barrier()
 			}
 		}
-		a, dd, ee := tk.Counts()
-		deposited[id], exited[id], activeEnd[id] = dd, ee, a
+		if tk != nil {
+			a, dd, ee := tk.Counts()
+			deposited[id], exited[id], activeEnd[id] = dd, ee, a
+		}
 	})
 	res.Wall = time.Since(start)
 	if err != nil {

@@ -17,9 +17,9 @@
 package navierstokes
 
 import (
+	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/fem"
 	"repro/internal/graph"
 	"repro/internal/la"
@@ -333,15 +333,66 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	return s, nil
 }
 
-// buildPlan constructs the tasking plan for a strategy over this rank's
-// elements, delegating to the core runtime layer (the paper's
-// contribution lives there, not in the numerical code).
+// buildPlan constructs the parallelization plan of a scattered-reduction
+// element loop over this rank's elements under a strategy (Atomics /
+// Coloring / Multidependences), including the Metis-style sub-partition
+// and the mutexinoutset dependence construction for multidependences.
+// The pool's maximum size sets the default multidep task count.
 func (s *Solver) buildPlan(strategy tasking.Strategy) (*tasking.AssemblyPlan, error) {
-	return core.BuildPlan(s.RM, core.Options{
-		Strategy:          strategy,
-		Keying:            s.Cfg.Keying,
-		SubdomainsPerRank: s.Cfg.SubdomainsPerRank,
-	}, s.Pool.MaxWorkers())
+	rm := s.RM
+	ne := rm.NumElems()
+	switch strategy {
+	case tasking.StrategySerial:
+		return tasking.NewSerialPlan(ne), nil
+	case tasking.StrategyAtomic:
+		return tasking.NewAtomicPlan(ne), nil
+	case tasking.StrategyColoring:
+		return tasking.NewColoringPlan(localConflicts(rm)), nil
+	case tasking.StrategyMultidep:
+		nsub := s.Cfg.SubdomainsPerRank
+		if nsub <= 0 {
+			nsub = 4 * s.Pool.MaxWorkers()
+		}
+		if nsub > ne {
+			nsub = ne
+		}
+		if nsub < 1 {
+			nsub = 1
+		}
+		weights := make([]float64, ne)
+		for e := 0; e < ne; e++ {
+			weights[e] = fem.CostWeight(rm.Kinds[e])
+		}
+		labels, adj, err := partition.SubPartition(rm, weights, nsub)
+		if err != nil {
+			return nil, err
+		}
+		return tasking.NewMultidepPlan(labels, adj, s.Cfg.Keying), nil
+	}
+	return nil, fmt.Errorf("navierstokes: unsupported strategy %v", strategy)
+}
+
+// localConflicts builds a rank's element conflict graph: two elements
+// conflict iff they share a local node (they may write the same matrix
+// rows).
+func localConflicts(rm *partition.RankMesh) *graph.CSR {
+	n2e := make([][]int32, rm.NumLocalNodes())
+	for e := 0; e < rm.NumElems(); e++ {
+		for _, nd := range rm.ElemNodesLocal(e) {
+			n2e[nd] = append(n2e[nd], int32(e))
+		}
+	}
+	lists := make([][]int32, rm.NumElems())
+	for _, elems := range n2e {
+		for _, e := range elems {
+			for _, f := range elems {
+				if e != f {
+					lists[e] = append(lists[e], f)
+				}
+			}
+		}
+	}
+	return graph.FromAdjacency(lists)
 }
 
 // --- distributed vector primitives ---

@@ -11,14 +11,12 @@ import (
 // grid over element bounding boxes plus exact point-in-tetrahedron tests
 // on each element's tet decomposition.
 //
-// Two grid representations are available. The default is a CSR-style flat
-// grid: one offset slice plus one index slice holding the precomputed
-// per-cell candidate lists contiguously, so a lookup is two slice reads
-// with no hashing and no pointer chasing. The seed's map[int][]int32
-// buckets are kept behind NewLocatorMap for A/B benchmarking
-// (BenchmarkLocatorFlat vs BenchmarkLocatorMap). Both representations
-// enumerate each cell's candidates in identical order, so Locate results
-// are bit-for-bit interchangeable.
+// The grid is a CSR-style flat one: one offset slice plus one index slice
+// holding the precomputed per-cell candidate lists contiguously, so a
+// lookup is two slice reads with no hashing and no pointer chasing. The
+// seed's map[int][]int32 buckets survive as the test oracle (mapLocator):
+// both enumerate each cell's candidates in identical order, so Locate
+// results are bit-for-bit interchangeable.
 type Locator struct {
 	m     *mesh.Mesh
 	elems []int32 // element subset (global ids)
@@ -29,7 +27,7 @@ type Locator struct {
 	nz     int
 	tol    float64
 
-	// Flat CSR grid (default): cell k's candidates are
+	// Flat CSR grid: cell k's candidates are
 	// cellElems[cellPtr[k]:cellPtr[k+1]]. Only a build-time intermediate:
 	// buildNeighborhoods folds it into the union lists below and releases
 	// it, so a live flat locator holds just unionPtr/unionElems.
@@ -37,31 +35,17 @@ type Locator struct {
 	cellElems []int32
 	// Precomputed per-cell neighborhood lists: cell k's own candidates
 	// followed by its 26 neighbors', in the exact order the legacy scan
-	// visits them, with later duplicates dropped. A flat-grid Locate walks
-	// this one list instead of up to 27 bucket lookups; dropping a
-	// duplicate never changes the first Contains hit, so results are
-	// identical to the nested scan.
+	// visits them, with later duplicates dropped. Locate walks this one
+	// list instead of up to 27 bucket lookups; dropping a duplicate never
+	// changes the first Contains hit, so results are identical to the
+	// nested scan.
 	unionPtr   []int32
 	unionElems []int32
-
-	// Legacy map buckets (nil unless built with NewLocatorMap).
-	buckets map[int][]int32
 }
 
-// NewLocator builds a flat-grid locator over the given elements of m;
-// pass nil to cover the whole mesh. cellsPerAxis controls grid resolution
-// (16-64 is reasonable; it is clamped to at least 4).
-func NewLocator(m *mesh.Mesh, elems []int32, cellsPerAxis int) *Locator {
-	return newLocator(m, elems, cellsPerAxis, false)
-}
-
-// NewLocatorMap builds a locator using the legacy map-bucket grid. It
-// locates identically to NewLocator and exists for A/B comparison.
-func NewLocatorMap(m *mesh.Mesh, elems []int32, cellsPerAxis int) *Locator {
-	return newLocator(m, elems, cellsPerAxis, true)
-}
-
-func newLocator(m *mesh.Mesh, elems []int32, cellsPerAxis int, useMap bool) *Locator {
+// newGrid sizes the uniform grid over m's bounding box and resolves the
+// element subset; it bins nothing.
+func newGrid(m *mesh.Mesh, elems []int32, cellsPerAxis int) *Locator {
 	if elems == nil {
 		elems = make([]int32, m.NumElems())
 		for i := range elems {
@@ -86,25 +70,23 @@ func newLocator(m *mesh.Mesh, elems []int32, cellsPerAxis int, useMap bool) *Loc
 	l.nx = int((hi.X-lo.X)/l.cell) + 2
 	l.ny = int((hi.Y-lo.Y)/l.cell) + 2
 	l.nz = int((hi.Z-lo.Z)/l.cell) + 2
-	if useMap {
-		l.buckets = make(map[int][]int32)
-		for _, e := range elems {
-			elo, ehi := m.ElemBox(int(e))
-			l.forCells(elo, ehi, func(key int) {
-				l.buckets[key] = append(l.buckets[key], e)
-			})
-		}
-		return l
-	}
+	return l
+}
+
+// NewLocator builds a flat-grid locator over the given elements of m;
+// pass nil to cover the whole mesh. cellsPerAxis controls grid resolution
+// (16-64 is reasonable; it is clamped to at least 4).
+func NewLocator(m *mesh.Mesh, elems []int32, cellsPerAxis int) *Locator {
+	l := newGrid(m, elems, cellsPerAxis)
 	// CSR build: count entries per cell, prefix-sum, then fill. The fill
-	// pass walks elems in the same order as the map build appends, so each
-	// cell's candidate list is ordered identically in both representations.
-	// Element boxes are cached between the two passes so the node sweep in
-	// ElemBox runs once per element, as in the map build.
+	// pass walks elems in the same order as the map oracle's build appends,
+	// so each cell's candidate list is ordered identically in both
+	// representations. Element boxes are cached between the two passes so
+	// the node sweep in ElemBox runs once per element.
 	ncells := l.nx * l.ny * l.nz
 	counts := make([]int32, ncells+1)
-	boxes := make([][2]mesh.Vec3, len(elems))
-	for i, e := range elems {
+	boxes := make([][2]mesh.Vec3, len(l.elems))
+	for i, e := range l.elems {
 		elo, ehi := m.ElemBox(int(e))
 		boxes[i] = [2]mesh.Vec3{elo, ehi}
 		l.forCells(elo, ehi, func(key int) {
@@ -118,7 +100,7 @@ func newLocator(m *mesh.Mesh, elems []int32, cellsPerAxis int, useMap bool) *Loc
 	l.cellElems = make([]int32, l.cellPtr[ncells])
 	next := make([]int32, ncells)
 	copy(next, l.cellPtr[:ncells])
-	for i, e := range elems {
+	for i, e := range l.elems {
 		l.forCells(boxes[i][0], boxes[i][1], func(key int) {
 			l.cellElems[next[key]] = e
 			next[key]++
@@ -181,12 +163,6 @@ func (l *Locator) buildNeighborhoods(ncells int) {
 	// reads unionPtr/unionElems exclusively, so release the intermediate
 	// rather than keeping it alive per rank.
 	l.cellPtr, l.cellElems = nil, nil
-}
-
-// candidates returns a grid cell's candidate list in map mode; the flat
-// path never reaches it (Locate serves flat lookups from unionElems).
-func (l *Locator) candidates(key int) []int32 {
-	return l.buckets[key]
 }
 
 func (l *Locator) cellIndex(p mesh.Vec3) (ix, iy, iz int) {
@@ -266,39 +242,12 @@ func (l *Locator) Locate(p mesh.Vec3, hint int32) (int32, bool) {
 	if ix < 0 || iy < 0 || iz < 0 || ix >= l.nx || iy >= l.ny || iz >= l.nz {
 		return -1, false
 	}
-	if l.buckets == nil {
-		// Flat grid: one precomputed neighborhood list covers the cell and
-		// its 26 neighbors in legacy scan order, duplicates removed.
-		k := l.key(ix, iy, iz)
-		for _, e := range l.unionElems[l.unionPtr[k]:l.unionPtr[k+1]] {
-			if l.Contains(int(e), p) {
-				return e, true
-			}
-		}
-		return -1, false
-	}
-	for _, e := range l.candidates(l.key(ix, iy, iz)) {
+	// One precomputed neighborhood list covers the cell and its 26
+	// neighbors in legacy scan order, duplicates removed.
+	k := l.key(ix, iy, iz)
+	for _, e := range l.unionElems[l.unionPtr[k]:l.unionPtr[k+1]] {
 		if l.Contains(int(e), p) {
 			return e, true
-		}
-	}
-	// Check the 26-cell neighborhood: bounding boxes straddle cells.
-	for dz := -1; dz <= 1; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				x, y, z := ix+dx, iy+dy, iz+dz
-				if x < 0 || y < 0 || z < 0 || x >= l.nx || y >= l.ny || z >= l.nz {
-					continue
-				}
-				for _, e := range l.candidates(l.key(x, y, z)) {
-					if l.Contains(int(e), p) {
-						return e, true
-					}
-				}
-			}
 		}
 	}
 	return -1, false

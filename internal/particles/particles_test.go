@@ -346,20 +346,3 @@ func TestMigrateAcrossRanks(t *testing.T) {
 		t.Fatal("no migration happened across the boundary")
 	}
 }
-
-func BenchmarkTrackerStep(b *testing.B) {
-	cfg := mesh.DefaultAirwayConfig()
-	cfg.Generations = 2
-	m, err := mesh.GenerateAirway(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := NewTracker(m, nil, aerosol(), AirAt20C())
-	tr.InjectAtInlet(1000, 1, mesh.Vec3{Z: -1})
-	down := func(node int32) mesh.Vec3 { return mesh.Vec3{Z: -1} }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Step(1e-4, down)
-	}
-}

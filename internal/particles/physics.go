@@ -64,8 +64,8 @@ func reynolds(f FluidProps, p Props, slip float64) float64 {
 // positive exponent and a strictly positive base none of Pow's
 // special-case and extra-precision machinery is needed. Across the
 // physical range Re ∈ [1e-6, 1e6] the result stays within a few ULPs of
-// the Pow form — TestGanserCdFastPathULPBound pins the bound against
-// GanserCdPow, which is kept as the bit-reference.
+// the Pow form — TestGanserCdFastPathULPBound pins the bound against the
+// math.Pow spelling, which is kept as the test oracle.
 func GanserCd(re float64) float64 {
 	return ganserCd(re, ganserPow(re))
 }
@@ -93,12 +93,6 @@ func ganserCdRe(re, pw float64) float64 {
 		return 24
 	}
 	return ganserCd(re, pw) * re
-}
-
-// GanserCdPow is the math.Pow reference implementation of eq. 8, the
-// gold standard the fast path is verified against.
-func GanserCdPow(re float64) float64 {
-	return 24/re*(1+0.1118*math.Pow(re, ganserExp)) + 0.4305/(1+3305/re)
 }
 
 // DragForce computes eq. 6: F_D = (pi/8) mu_f dp Cd Re_p (u_f - u_p).

@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// GanserCdPow is the math.Pow reference implementation of eq. 8, the
+// oracle the exp/log fast path is verified against.
+func GanserCdPow(re float64) float64 {
+	return 24/re*(1+0.1118*math.Pow(re, ganserExp)) + 0.4305/(1+3305/re)
+}
+
 // ulpDiff returns the distance in ULPs between two finite floats of the
 // same sign (all Cd values here are positive and finite).
 func ulpDiff(a, b float64) uint64 {

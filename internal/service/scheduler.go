@@ -2,7 +2,7 @@
 // HTTP/JSON job server: submissions become jobs placed by a bounded
 // cost/capacity scheduler, identical concurrent submissions share one
 // underlying run through an expiring single-flight artifact cache, and
-// job contexts thread cancellation down to the simulation step loops.
+// job contexts thread cancellation down to the simulation step loop.
 //
 // The capacity model mirrors the paper's cluster-saturation concern:
 // each scenario carries a cost estimate (ranks x steps x mesh

@@ -10,13 +10,13 @@ import (
 	"repro/internal/tasking"
 )
 
-// ParticleEngineReport measures the A/B pairs of the Lagrangian particle
-// engine on the default benchmark mesh (a generation-2 airway): flat-grid
-// versus map-bucket locator (build and query), and the seed's serial AoS
-// tracker versus the SoA tracker serial and sharded across workers. It
-// backs the registered "particles" scenario (`benchfig -exp particles`);
-// `go test -bench` gives the same numbers with testing-grade
-// methodology.
+// ParticleEngineReport measures the Lagrangian particle engine on the
+// default benchmark mesh (a generation-2 airway): flat-grid locator build
+// and query, and the SoA tracker step serial and sharded across workers.
+// It backs the registered "particles" scenario (`benchfig -exp
+// particles`). The seed's map-bucket locator and serial AoS tracker are
+// test oracles now; `go test -bench 'Locator|TrackerStep'
+// ./internal/particles` races the engine against them.
 func ParticleEngineReport() (string, error) {
 	mc := mesh.DefaultAirwayConfig()
 	mc.Generations = 2
@@ -25,41 +25,26 @@ func ParticleEngineReport() (string, error) {
 		return "", err
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Particle engine A/B — mesh %s\n", m.Summary())
+	fmt.Fprintf(&sb, "Particle engine — mesh %s\n", m.Summary())
 
-	// Locator build.
-	buildFlat := bestOf(3, func() { particles.NewLocator(m, nil, 32) })
-	buildMap := bestOf(3, func() { particles.NewLocatorMap(m, nil, 32) })
-	fmt.Fprintf(&sb, "  locator build: flat %v, map %v (%.2fx)\n",
-		buildFlat.Round(time.Microsecond), buildMap.Round(time.Microsecond),
-		float64(buildMap)/float64(buildFlat))
-
-	// Locator query over a fixed probe set (hits and misses).
+	// Locator build, then query over a fixed probe set (hits and misses).
+	build := bestOf(3, func() { particles.NewLocator(m, nil, 32) })
+	fmt.Fprintf(&sb, "  locator build: flat grid %v\n", build.Round(time.Microsecond))
 	flat := particles.NewLocator(m, nil, 32)
-	mp := particles.NewLocatorMap(m, nil, 32)
 	pts := probePoints(m, 4096)
-	qFlat := bestOf(3, func() { locateAll(flat, pts) })
-	qMap := bestOf(3, func() { locateAll(mp, pts) })
-	fmt.Fprintf(&sb, "  locate %d points: flat %v, map %v (%.2fx)\n",
-		len(pts), qFlat.Round(time.Microsecond), qMap.Round(time.Microsecond),
-		float64(qMap)/float64(qFlat))
+	query := bestOf(3, func() {
+		for _, p := range pts {
+			flat.Locate(p, -1)
+		}
+	})
+	fmt.Fprintf(&sb, "  locate %d points: flat grid %v\n", len(pts), query.Round(time.Microsecond))
 
 	// Tracker step throughput.
 	const nParticles = 5000
 	species := particles.Props{Diameter: 10e-6, Density: 1000}
 	down := func(node int32) mesh.Vec3 { return mesh.Vec3{Z: -1} }
 
-	legacy := particles.NewLegacyTracker(m, nil, species, particles.AirAt20C())
-	legacy.InjectAtInlet(nParticles, 1, mesh.Vec3{Z: -1})
-	legacySnap := append([]particles.Particle(nil), legacy.Active...)
-	tLegacy := bestOf(3, func() {
-		legacy.Active = append(legacy.Active[:0], legacySnap...)
-		legacy.Step(1e-4, down)
-		legacy.TakeLost()
-	})
-	fmt.Fprintf(&sb, "  tracker step (%d particles): legacy AoS serial %v\n",
-		len(legacySnap), tLegacy.Round(time.Microsecond))
-
+	var tSerial time.Duration
 	for _, workers := range []int{0, 2, 4} {
 		tr := particles.NewTracker(m, nil, species, particles.AirAt20C())
 		label := "SoA serial"
@@ -79,8 +64,13 @@ func ParticleEngineReport() (string, error) {
 		if pool != nil {
 			pool.Close()
 		}
-		fmt.Fprintf(&sb, "  tracker step (%d particles): %-15s %v (%.2fx vs legacy)\n",
-			snap.Len(), label, d.Round(time.Microsecond), float64(tLegacy)/float64(d))
+		fmt.Fprintf(&sb, "  tracker step (%d particles): %-15s %v", snap.Len(), label, d.Round(time.Microsecond))
+		if workers == 0 {
+			tSerial = d
+		} else {
+			fmt.Fprintf(&sb, " (%.2fx vs serial)", float64(tSerial)/float64(d))
+		}
+		sb.WriteByte('\n')
 	}
 	return sb.String(), nil
 }
@@ -113,10 +103,4 @@ func probePoints(m *mesh.Mesh, n int) []mesh.Vec3 {
 		})
 	}
 	return pts[:n]
-}
-
-func locateAll(l *particles.Locator, pts []mesh.Vec3) {
-	for _, p := range pts {
-		l.Locate(p, -1)
-	}
 }

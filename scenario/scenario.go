@@ -5,7 +5,7 @@
 // renders uniformly to text, JSON, and CSV. A Runner executes a selected
 // set of scenarios concurrently with deterministic result ordering,
 // progress callbacks, and context cancellation threaded down into the
-// simulation step loops.
+// simulation step loop.
 package scenario
 
 import (

@@ -227,7 +227,7 @@ func registerPaperScenarios() {
 		}))
 
 	reg(scenario.New(ScenarioParticles,
-		"Particle engine A/B: flat-grid vs map locator and legacy AoS vs SoA tracker, serial and pooled",
+		"Particle engine: flat-grid locator build and query, SoA tracker step serial and pooled",
 		[]string{"paper", "bench", "report"},
 		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
 			out, err := ParticleEngineReport()
@@ -236,13 +236,13 @@ func registerPaperScenarios() {
 			}
 			return &scenario.Artifact{
 				Scenario: ScenarioParticles, Kind: scenario.KindReport,
-				Title:  "Particle engine A/B",
+				Title:  "Particle engine",
 				Report: out,
 			}, nil
 		}))
 
 	reg(scenario.New(ScenarioSolver,
-		"Solver kernel A/B: threaded deterministic la kernels (SpMV, Dot, PCG, BiCGSTAB) and the Ganser drag fast path",
+		"Solver kernel A/B: threaded deterministic la kernels (SpMV, Dot, PCG, BiCGSTAB) and the Ganser drag correlation",
 		[]string{"paper", "bench", "report"},
 		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
 			out, err := SolverKernelReport()
