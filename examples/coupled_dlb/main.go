@@ -1,13 +1,12 @@
 // Coupled-mode + DLB mechanics on the host: runs the same simulation in
 // synchronous mode and in several coupled f+p splits, with and without
-// DLB, using the real lending implementation (pools resized through the
-// PMPI hooks). It prints wall-clock times and lending statistics.
+// DLB, using the real lending implementation (pools resized whenever a
+// rank parks in MPI). It prints wall-clock times and lending statistics.
 //
-// Expect DLB to be SLOWER here: at this toy scale a phase lasts
-// microseconds while hooks fire on every one of tens of thousands of
-// blocking calls, so lending overhead dominates — the same trade-off
-// that makes DLB pay off only when phases are long (the paper's
-// production runs). The cluster-scale shapes of Figures 8-11 are
+// Do not expect DLB to win here: at this toy scale phases last
+// microseconds, so a parked rank's cores are free elsewhere only briefly
+// — the same trade-off that makes DLB pay off only when phases are long
+// (the paper's production runs). The cluster-scale shapes of Figures 8-11 are
 // regenerated by `go run ./cmd/benchfig -exp fig8`. The workload is the
 // registered "coupled_dlb" scenario (`benchfig -exp coupled_dlb` runs
 // the same code).

@@ -496,7 +496,7 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 			rm = partRMs[pid]
 			tk = particles.NewTracker(m, rm.Elems, cfg.Species, cfg.Fluid)
 			// The particle phase shards across the same pool DLB resizes, so
-			// cores lent while this rank blocks in MPI speed up its particles
+			// cores lent while this rank parks in MPI speed up its particles
 			// once reclaimed (and vice versa).
 			tk.SetPool(pools[id])
 			peers = haloPeers(rm)

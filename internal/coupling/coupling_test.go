@@ -2,8 +2,10 @@ package coupling
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/mesh"
+	"repro/internal/simmpi"
 	"repro/internal/tasking"
 	"repro/internal/trace"
 )
@@ -147,9 +149,21 @@ func TestCoupledModeValidation(t *testing.T) {
 	}
 }
 
+// lateRankZero is a fault plan that holds world rank 0 back for far
+// longer than any spin budget before its first collective (the world
+// Split), so every other rank parks there at least once, whatever
+// GOMAXPROCS: DLB lends only on a park. A delay moves wall-clock time
+// only, never a result.
+func lateRankZero() *simmpi.FaultPlan {
+	return &simmpi.FaultPlan{Rules: []simmpi.FaultRule{{
+		Rank: 0, Op: simmpi.FaultCollective, Tag: -1, Step: 0, Nth: 1,
+		Action: simmpi.FaultDelay, Delay: 50 * time.Millisecond,
+	}}}
+}
+
 func TestDLBLendsDuringCoupledRun(t *testing.T) {
-	// With DLB on and both codes on one node, the blocked side's cores
-	// must get lent at least once.
+	// With DLB on and both codes on one node, a parked side's cores must
+	// get lent at least once.
 	m := testMesh(t)
 	cfg := fastCfg()
 	cfg.Mode = Coupled
@@ -158,6 +172,7 @@ func TestDLBLendsDuringCoupledRun(t *testing.T) {
 	cfg.RanksPerNode = 4 // one node: lending possible
 	cfg.UseDLB = true
 	cfg.WorkersPerRank = 2
+	cfg.FaultPlan = lateRankZero()
 	res, err := Run(m, cfg)
 	if err != nil {
 		t.Fatal(err)

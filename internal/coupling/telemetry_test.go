@@ -130,10 +130,11 @@ func TestDLBRunRecordsMigrations(t *testing.T) {
 	cfg.WorkersPerRank = 2
 	cfg.NS.Strategy = tasking.StrategyColoring
 	cfg.NS.SGSStrategy = tasking.StrategyColoring
+	cfg.FaultPlan = lateRankZero() // ranks 1..3 park in the Split: lends are certain
 	st, meta, res := recordedRun(t, cfg)
 
 	if res.DLB.Lends == 0 {
-		t.Skip("run produced no lends; nothing to assert")
+		t.Fatal("forced parks produced no lends")
 	}
 	rows, err := st.Query(meta.Run, telemetry.Query{Rank: telemetry.WorldRank, HasRank: true})
 	if err != nil {

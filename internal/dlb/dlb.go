@@ -4,11 +4,16 @@
 // MPI calls through the PMPI-style hooks exposed by simmpi and reacts by
 // resizing the OpenMP-like worker pools of the processes sharing a node.
 //
-// When a process enters a blocking MPI call it lends its cores to the
-// other processes on the same node; when the call completes it reclaims
-// them. Lending never crosses node boundaries — cores are a node-local
-// resource — which is why the placement of fluid and particle ranks
-// across nodes matters in the coupled-mode experiments (Figures 8-11).
+// A process lends its cores to the other processes on the same node when
+// it parks in a blocking MPI call, and reclaims them when the parked call
+// completes. A call satisfied while simmpi still spins lends nothing: a
+// spinning rank still holds its core, and lending it for a few
+// microseconds would cost two pool resizes per exchange. This is LeWI
+// over an MPI library in blocking-wait mode, where only a blocked call
+// gives its core back. Lending never crosses node boundaries — cores are
+// a node-local resource — which is why the placement of fluid and
+// particle ranks across nodes matters in the coupled-mode experiments
+// (Figures 8-11).
 package dlb
 
 import (
@@ -26,8 +31,8 @@ type Resizable interface {
 
 // Stats counts DLB activity for reporting and tests.
 type Stats struct {
-	Lends    int // blocking-call entries that lent cores
-	Reclaims int // blocking-call exits that took cores back
+	Lends    int // parks that lent cores
+	Reclaims int // park exits that took cores back
 	// PeakWorkers records the largest worker count each rank reached
 	// thanks to borrowed cores.
 	PeakWorkers map[int]int
@@ -50,7 +55,7 @@ const maxMigrations = 4096
 
 // DLB is the library instance for one run. Register every rank, then
 // install it as the world's BlockingHooks (it implements
-// simmpi.BlockingHooks).
+// simmpi.BlockingHooks and simmpi.ParkHooks).
 type DLB struct {
 	mu      sync.Mutex
 	enabled bool
@@ -62,7 +67,8 @@ type DLB struct {
 }
 
 type nodeState struct {
-	procs []*procState // registration order
+	procs  []*procState // registration order
+	active []*procState // rebalanceLocked's scratch: the non-blocked procs
 }
 
 type procState struct {
@@ -75,8 +81,8 @@ type procState struct {
 }
 
 // setTarget pushes a worker count to the pool only when it changed —
-// rebalances run on every blocking call, so redundant pool wakeups are
-// the dominant overhead otherwise. Reports whether the pool was resized.
+// rebalances run on every park, so redundant pool wakeups are the
+// dominant overhead otherwise. Reports whether the pool was resized.
 func (p *procState) setTarget(n int) bool {
 	if p.target == n {
 		return false
@@ -134,9 +140,18 @@ func (d *DLB) Register(rank, node int, pool Resizable, ownedCores int) error {
 	return nil
 }
 
-// IntoBlockingCall implements the PMPI hook: the rank is about to block,
-// so its cores become lendable (LeWI).
-func (d *DLB) IntoBlockingCall(rank int) {
+// IntoBlockingCall implements the PMPI hook and does nothing: a rank
+// entering a blocking call may still be satisfied while it spins, holding
+// its core the whole time. DLB lends in IntoPark instead.
+func (d *DLB) IntoBlockingCall(int) {}
+
+// OutOfBlockingCall implements the PMPI hook and does nothing; a parked
+// call has already reclaimed its cores in OutOfPark.
+func (d *DLB) OutOfBlockingCall(int) {}
+
+// IntoPark implements simmpi.ParkHooks: the rank gave up spinning and
+// parks, so its cores become lendable (LeWI).
+func (d *DLB) IntoPark(rank int) {
 	if !d.enabled {
 		return
 	}
@@ -151,9 +166,9 @@ func (d *DLB) IntoBlockingCall(rank int) {
 	d.rebalanceLocked(p.node)
 }
 
-// OutOfBlockingCall implements the PMPI hook: the rank resumed, so it
-// reclaims its owned cores.
-func (d *DLB) OutOfBlockingCall(rank int) {
+// OutOfPark implements simmpi.ParkHooks: the parked call completed, so
+// the rank reclaims its owned cores.
+func (d *DLB) OutOfPark(rank int) {
 	if !d.enabled {
 		return
 	}
@@ -171,10 +186,11 @@ func (d *DLB) OutOfBlockingCall(rank int) {
 // rebalanceLocked recomputes the core assignment of one node: every
 // active (non-blocked) process keeps its owned cores and the owned cores
 // of blocked processes are distributed round-robin among the active ones.
-// The recomputation is idempotent, so it can run on every transition.
+// The recomputation is idempotent, so it can run on every transition,
+// and allocation-free: the active list lives in the node's scratch.
 func (d *DLB) rebalanceLocked(ns *nodeState) {
 	lendPot := 0
-	var active []*procState
+	active := ns.active[:0]
 	for _, p := range ns.procs {
 		if p.blocked {
 			lendPot += p.owned
@@ -182,6 +198,7 @@ func (d *DLB) rebalanceLocked(ns *nodeState) {
 			active = append(active, p)
 		}
 	}
+	ns.active = active
 	if len(active) == 0 {
 		// Everyone blocked: nothing to lend to; restore owners.
 		for _, p := range ns.procs {

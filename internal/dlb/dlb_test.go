@@ -39,6 +39,54 @@ func (f *fakePool) Workers() int {
 
 func (f *fakePool) MaxWorkers() int { return f.max }
 
+// DLB is installed through simmpi's BlockingHooks option and lends
+// through the optional park surface.
+var (
+	_ simmpi.BlockingHooks = (*DLB)(nil)
+	_ simmpi.ParkHooks     = (*DLB)(nil)
+)
+
+// TestBlockingCallHooksLendNothing: entering a blocking call is not
+// idleness yet — the call may be satisfied while spinning — so the PMPI
+// bracket alone moves no core and counts nothing.
+func TestBlockingCallHooksLendNothing(t *testing.T) {
+	d := New(true)
+	pa, pb := newFakePool(2, 8), newFakePool(2, 8)
+	_ = d.Register(0, 0, pa, 2)
+	_ = d.Register(1, 0, pb, 2)
+	d.IntoBlockingCall(0)
+	if pa.Workers() != 2 || pb.Workers() != 2 {
+		t.Fatalf("blocking-call entry resized pools: %d %d", pa.Workers(), pb.Workers())
+	}
+	d.OutOfBlockingCall(0)
+	if s := d.Snapshot(); s.Lends != 0 || s.Reclaims != 0 || len(d.Migrations()) != 0 {
+		t.Fatalf("blocking-call bracket recorded activity: %+v, %d migrations", s, len(d.Migrations()))
+	}
+}
+
+// TestParkPairZeroAlloc pins the rebalance's per-node scratch: a lend
+// and its reclaim on registered pools allocate nothing once the
+// peak-worker map has its keys and the migration log is full (it stops
+// growing at maxMigrations).
+func TestParkPairZeroAlloc(t *testing.T) {
+	d := New(true)
+	for r := 0; r < 4; r++ {
+		if err := d.Register(r, 0, newFakePool(2, 8), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(d.migs) < maxMigrations {
+		d.IntoPark(1)
+		d.OutOfPark(1)
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		d.IntoPark(1)
+		d.OutOfPark(1)
+	}); avg != 0 {
+		t.Fatalf("IntoPark/OutOfPark pair allocates %.2f objects, want 0", avg)
+	}
+}
+
 func TestLendAndReclaim(t *testing.T) {
 	d := New(true)
 	pa := newFakePool(2, 8)
@@ -50,7 +98,7 @@ func TestLendAndReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.IntoBlockingCall(0)
+	d.IntoPark(0)
 	if got := pb.Workers(); got != 4 {
 		t.Fatalf("after lend, rank 1 workers = %d, want 4", got)
 	}
@@ -58,7 +106,7 @@ func TestLendAndReclaim(t *testing.T) {
 		t.Fatalf("blocked rank pool = %d, want idle 1", got)
 	}
 
-	d.OutOfBlockingCall(0)
+	d.OutOfPark(0)
 	if got := pb.Workers(); got != 2 {
 		t.Fatalf("after reclaim, rank 1 workers = %d, want 2", got)
 	}
@@ -85,7 +133,7 @@ func TestLendDistributionWithRemainder(t *testing.T) {
 		}
 	}
 	// Rank 3 blocks: its 3 cores split over ranks 0,1,2 -> 4,4,4.
-	d.IntoBlockingCall(3)
+	d.IntoPark(3)
 	total := 0
 	for i := 0; i < 3; i++ {
 		total += pools[i].Workers()
@@ -94,12 +142,12 @@ func TestLendDistributionWithRemainder(t *testing.T) {
 		t.Fatalf("active workers sum to %d, want 12 (9 owned + 3 lent)", total)
 	}
 	// Rank 2 blocks too: 6 lent cores over ranks 0,1 -> 6,6.
-	d.IntoBlockingCall(2)
+	d.IntoPark(2)
 	if pools[0].Workers()+pools[1].Workers() != 12 {
 		t.Fatalf("after second lend: %d + %d != 12", pools[0].Workers(), pools[1].Workers())
 	}
-	d.OutOfBlockingCall(2)
-	d.OutOfBlockingCall(3)
+	d.OutOfPark(2)
+	d.OutOfPark(3)
 	for i, p := range pools {
 		if p.Workers() != 3 {
 			t.Fatalf("rank %d not restored: %d", i, p.Workers())
@@ -117,7 +165,7 @@ func TestNoCrossNodeLending(t *testing.T) {
 	if err := d.Register(1, 1, p1, 2); err != nil { // different node
 		t.Fatal(err)
 	}
-	d.IntoBlockingCall(0)
+	d.IntoPark(0)
 	if p1.Workers() != 2 {
 		t.Fatalf("cross-node lending occurred: %d", p1.Workers())
 	}
@@ -129,7 +177,7 @@ func TestDisabledDLBIsNoop(t *testing.T) {
 	p1 := newFakePool(2, 8)
 	_ = d.Register(0, 0, p0, 2)
 	_ = d.Register(1, 0, p1, 2)
-	d.IntoBlockingCall(0)
+	d.IntoPark(0)
 	if p1.Workers() != 2 {
 		t.Fatal("disabled DLB must not lend")
 	}
@@ -148,13 +196,13 @@ func TestAllBlockedRestoresOwners(t *testing.T) {
 	p1 := newFakePool(2, 8)
 	_ = d.Register(0, 0, p0, 2)
 	_ = d.Register(1, 0, p1, 2)
-	d.IntoBlockingCall(0)
-	d.IntoBlockingCall(1)
+	d.IntoPark(0)
+	d.IntoPark(1)
 	if p0.Workers() != 2 || p1.Workers() != 2 {
 		t.Fatalf("all-blocked should restore owners: %d %d", p0.Workers(), p1.Workers())
 	}
-	d.OutOfBlockingCall(0)
-	d.OutOfBlockingCall(1)
+	d.OutOfPark(0)
+	d.OutOfPark(1)
 }
 
 func TestRegisterErrors(t *testing.T) {
@@ -180,13 +228,13 @@ func TestIdempotentHooks(t *testing.T) {
 	p1 := newFakePool(2, 8)
 	_ = d.Register(0, 0, p0, 2)
 	_ = d.Register(1, 0, p1, 2)
-	d.IntoBlockingCall(0)
-	d.IntoBlockingCall(0) // double-enter must not double-lend
+	d.IntoPark(0)
+	d.IntoPark(0) // double-enter must not double-lend
 	if p1.Workers() != 4 {
 		t.Fatalf("workers %d, want 4", p1.Workers())
 	}
-	d.OutOfBlockingCall(0)
-	d.OutOfBlockingCall(0)
+	d.OutOfPark(0)
+	d.OutOfPark(0)
 	if p1.Workers() != 2 {
 		t.Fatalf("workers %d, want 2", p1.Workers())
 	}
@@ -197,8 +245,10 @@ func TestIdempotentHooks(t *testing.T) {
 }
 
 // Integration: an imbalanced MPI+tasking run where rank 0 finishes early
-// and blocks in a receive; DLB lends its cores to rank 1, which must
-// observe increased pool concurrency while rank 0 waits.
+// and parks in a receive; DLB lends its cores to rank 1, which must
+// observe increased pool concurrency while rank 0 waits. Rank 1 starts
+// its work only once the lend happened, so the receive is forced past
+// any spin budget at every GOMAXPROCS.
 func TestDLBWithSimMPIAndRealPools(t *testing.T) {
 	d := New(true)
 	world, err := simmpi.NewWorld(2, simmpi.WithRanksPerNode(2), simmpi.WithBlockingHooks(d))
@@ -227,7 +277,9 @@ func TestDLBWithSimMPIAndRealPools(t *testing.T) {
 			r.Comm.Recv(1, 1)
 		case 1:
 			// Heavy workload; record the pool's target while running.
-			time.Sleep(2 * time.Millisecond) // let rank 0 block
+			for d.Snapshot().Lends == 0 { // let rank 0 park
+				time.Sleep(100 * time.Microsecond)
+			}
 			pool.ParallelFor(64, 1, func(lo, hi int) {
 				w := int32(pool.Workers())
 				for {
@@ -263,10 +315,10 @@ func TestMigrationLogRecordsEffectiveResizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(d.Migrations()) != 0 {
-		t.Fatalf("migrations before any blocking call: %v", d.Migrations())
+		t.Fatalf("migrations before any park: %v", d.Migrations())
 	}
 
-	d.IntoBlockingCall(0) // rank 0 lends: rank 1 -> 4 workers, rank 0 -> 1
+	d.IntoPark(0) // rank 0 lends: rank 1 -> 4 workers, rank 0 -> 1
 	migs := d.Migrations()
 	if len(migs) == 0 {
 		t.Fatal("no migrations recorded for an effective resize")
@@ -286,12 +338,12 @@ func TestMigrationLogRecordsEffectiveResizes(t *testing.T) {
 
 	// A redundant rebalance (same targets) must not grow the log.
 	before := len(d.Migrations())
-	d.IntoBlockingCall(0) // idempotent hook: already blocked
+	d.IntoPark(0) // idempotent hook: already blocked
 	if got := len(d.Migrations()); got != before {
 		t.Fatalf("redundant transition grew the log: %d -> %d", before, got)
 	}
 
-	d.OutOfBlockingCall(0) // reclaim: both back to 2... rank 0 1->2, rank 1 4->2
+	d.OutOfPark(0) // reclaim: both back to 2... rank 0 1->2, rank 1 4->2
 	after := d.Migrations()
 	if len(after) <= before {
 		t.Fatal("reclaim recorded no migrations")
@@ -309,8 +361,8 @@ func TestDisabledDLBLogsNoMigrations(t *testing.T) {
 	if err := d.Register(0, 0, p, 2); err != nil {
 		t.Fatal(err)
 	}
-	d.IntoBlockingCall(0)
-	d.OutOfBlockingCall(0)
+	d.IntoPark(0)
+	d.OutOfPark(0)
 	if n := len(d.Migrations()); n != 0 {
 		t.Fatalf("disabled DLB logged %d migrations", n)
 	}

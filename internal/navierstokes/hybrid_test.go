@@ -3,6 +3,7 @@ package navierstokes
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dlb"
 	"repro/internal/mesh"
@@ -79,7 +80,9 @@ func TestHybridMultithreadedMatchesSerial(t *testing.T) {
 }
 
 // TestSolverUnderDLB runs the solver with DLB installed and real lending
-// active; results must stay correct while cores move between ranks.
+// active; results must stay correct while cores move between ranks. DLB
+// lends only when a rank parks, so rank 0 arrives at an opening barrier
+// only once a peer has parked there: at least one lend at any GOMAXPROCS.
 func TestSolverUnderDLB(t *testing.T) {
 	m := testMesh(t)
 	dual := m.DualByNode()
@@ -115,6 +118,12 @@ func TestSolverUnderDLB(t *testing.T) {
 	cfg.Strategy = tasking.StrategyMultidep
 	cfg.SGSStrategy = tasking.StrategyAtomic
 	err = world.Run(func(r *simmpi.Rank) {
+		if r.ID() == 0 {
+			for d.Snapshot().Lends == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		r.Comm.Barrier()
 		s, err := NewSolver(m, rms[r.ID()], r.Comm, pools[r.ID()], cfg, DefaultCostModel(), tr.Ranks[r.ID()])
 		if err != nil {
 			panic(err)

@@ -1,6 +1,7 @@
 package particles
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mesh"
@@ -59,9 +60,31 @@ func TestInjectCollectiveSingleRankMatchesLocal(t *testing.T) {
 	m := airway(t, 0)
 	world, _ := simmpi.NewWorld(1)
 	var collective int
+	var first, again []Particle
+	var allocs float64
+	var kept int
 	err := world.Run(func(r *simmpi.Rank) {
 		tr := NewTracker(m, nil, aerosol(), AirAt20C())
 		collective = InjectAtInletCollective(r.Comm, tr, 200, 4, mesh.Vec3{Z: -1})
+		first = tr.Active.Particles()
+		// Repeated injections reuse the tracker's injection scratch: a
+		// release under another seed and velocity in between must leave
+		// no trace in the next one, and once warm only the allgather's
+		// result allocates (in a one-rank world: the contribution copy
+		// and its boxing, the result table, its one row and its boxing).
+		tr.Active.Clear()
+		InjectAtInletCollective(r.Comm, tr, 300, 5, mesh.Vec3{X: 0.3, Z: -2})
+		tr.Active.Clear()
+		InjectAtInletCollective(r.Comm, tr, 200, 4, mesh.Vec3{Z: -1})
+		again = tr.Active.Particles()
+		allocs = testing.AllocsPerRun(20, func() {
+			tr.Active.Clear()
+			InjectAtInletCollective(r.Comm, tr, 200, 4, mesh.Vec3{Z: -1})
+		})
+		// A one-off bolus past injectKeep must not pin its buffers for
+		// the rest of the run.
+		InjectAtInletCollective(r.Comm, tr, injectKeep+1, 4, mesh.Vec3{Z: -1})
+		kept = cap(tr.inj.cands) + cap(tr.inj.elems) + cap(tr.inj.claims)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,5 +92,15 @@ func TestInjectCollectiveSingleRankMatchesLocal(t *testing.T) {
 	local := NewTracker(m, nil, aerosol(), AirAt20C()).InjectAtInlet(200, 4, mesh.Vec3{Z: -1})
 	if collective != local {
 		t.Fatalf("collective %d != local %d on one rank", collective, local)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatal("a reused injection scratch changed the released particles")
+	}
+	const allgatherAllocs = 5
+	if allocs > allgatherAllocs {
+		t.Fatalf("repeated injection allocates %.0f objects per call, want <= %d (the allgather's own)", allocs, allgatherAllocs)
+	}
+	if kept != 0 {
+		t.Fatalf("a %d-candidate release left %d scratch slots pinned, want 0", injectKeep+1, kept)
 	}
 }

@@ -112,7 +112,8 @@ func NewLegacyTracker(m *mesh.Mesh, elems []int32, species Props, fluid FluidPro
 // same IDs.
 func (t *LegacyTracker) InjectAtInlet(n int, seed int64, vel mesh.Vec3) int {
 	adopted := 0
-	for i, pos := range inletCandidatesFor(t.Mesh, n, seed, vel) {
+	var s injectScratch
+	for i, pos := range s.candidates(t.Mesh, n, seed, vel) {
 		elem, ok := t.Loc.Locate(pos, -1)
 		if !ok {
 			continue

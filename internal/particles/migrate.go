@@ -13,38 +13,40 @@ import (
 // and an allgather resolves ties to the lowest-ranked claimant (subdomain
 // geometries can overlap at junction sleeves and transition rings).
 // All ranks must call it collectively; each returns its own adoption
-// count.
+// count. Working storage comes from the tracker's injection scratch, so
+// for releases up to injectKeep only the allgather's result allocates
+// once warm.
 func InjectAtInletCollective(comm *simmpi.Comm, t *Tracker, n int, seed int64, vel mesh.Vec3) int {
+	s := &t.inj
 	cands := t.inletCandidates(n, seed, vel)
-	elems := make([]int32, len(cands))
-	var claims []int32
+	s.elems = s.elems[:0]
+	s.claims = s.claims[:0]
 	for i, pos := range cands {
-		if e, ok := t.Loc.Locate(pos, -1); ok {
-			claims = append(claims, int32(i))
-			elems[i] = e
+		e, ok := t.Loc.Locate(pos, -1)
+		if ok {
+			s.claims = append(s.claims, int32(i))
 		} else {
-			elems[i] = -1
+			e = -1
+		}
+		s.elems = append(s.elems, e)
+	}
+	// A candidate is this rank's iff it located it and no lower rank
+	// claimed it too: ties go to the lowest claimant.
+	all := comm.AllgatherInt32s(s.claims)
+	for _, lower := range all[:comm.Rank()] {
+		for _, idx := range lower {
+			s.elems[idx] = -1
 		}
 	}
-	all := comm.AllgatherInt32s(claims)
-	winner := make([]int32, len(cands))
-	for i := range winner {
-		winner[i] = -1
-	}
-	for r := len(all) - 1; r >= 0; r-- { // lower ranks overwrite higher
-		for _, idx := range all[r] {
-			winner[idx] = int32(r)
-		}
-	}
-	me := int32(comm.Rank())
 	adopted := 0
 	for i, pos := range cands {
-		if winner[i] == me {
-			t.adopt(i, pos, vel, elems[i], seed)
+		if e := s.elems[i]; e >= 0 {
+			t.adopt(i, pos, vel, e, seed)
 			adopted++
 		}
 	}
 	t.nextID = int64(n) + seed<<20
+	s.trim()
 	return adopted
 }
 

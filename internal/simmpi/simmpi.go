@@ -12,15 +12,19 @@
 //     budget (spinRounds, a few microseconds) and only then parks on a
 //     condvar: ranks in lockstep are rarely more than microseconds apart,
 //     and a futex sleep/wake per exchange costs more than the exchange.
-//     It spins only while every rank of every running world can have a
-//     processor to itself (GOMAXPROCS > 1 and live ranks <= GOMAXPROCS,
-//     see spinOK); oversubscribed, it parks at once, because the core it
-//     would burn is the one its peer needs. This is a scheduling policy
-//     the code decides from what it can observe, not an option: results
-//     never depend on it; and
+//     It spins only while every runnable rank of every running world can
+//     have a processor to itself (GOMAXPROCS > 1 and live minus parked
+//     ranks <= GOMAXPROCS, see spinOK): a parked rank holds no core, so
+//     it does not stop its peers from spinning; with more runnable ranks
+//     than processors a wait parks at once, because the core it would
+//     burn is the one a peer needs. This is a scheduling policy the code
+//     decides from what it can observe, not an option: results never
+//     depend on it; and
 //   - the PMPI interception surface: every blocking call is bracketed by
-//     Enter/Exit hooks, which is how the DLB library observes idleness
-//     without any change to application code.
+//     Enter/Exit hooks, and a call that stops spinning and parks is
+//     additionally bracketed by IntoPark/OutOfPark (ParkHooks). That is
+//     how the DLB library observes idleness without any change to
+//     application code: it lends a rank's cores when the rank parks.
 //
 // Sends use eager (buffered) semantics — they never block — which keeps
 // exchange patterns deadlock-free, like small-message MPI in practice.
@@ -45,16 +49,28 @@ type BlockingHooks interface {
 	OutOfBlockingCall(rank int)
 }
 
+// ParkHooks is the optional park surface of a BlockingHooks value: a
+// blocking call that gives up spinning calls IntoPark before it parks
+// and OutOfPark once it is satisfied (or its watchdog expires), both
+// nested inside the call's IntoBlockingCall/OutOfBlockingCall bracket,
+// at most once per call, and never for a call satisfied while spinning.
+// Both run outside every simmpi lock.
+type ParkHooks interface {
+	IntoPark(rank int)
+	OutOfPark(rank int)
+}
+
 // World is the process set. Create one with NewWorld, then Run rank
 // bodies against it.
 type World struct {
 	size     int
 	perNode  int // ranks per node (block mapping); 0 = all on one node
 	hooks    BlockingHooks
+	park     ParkHooks  // hooks as ParkHooks, nil when it is not one
 	inbox    []*mailbox // one per rank
 	worldCom *commShared
 	bufs     bufPool // freelist of leased transport buffers
-	spinMax  int64   // waits spin while liveRanks <= spinMax (set by Run; 0 = always park)
+	spinMax  int64   // waits spin while runnable ranks <= spinMax (set by Run; 0 = always park)
 
 	// Robustness state (see fault.go). steps, sendSeq and faultHits are
 	// indexed by rank and touched only by that rank's goroutine.
@@ -91,6 +107,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	if w.perNode <= 0 {
 		w.perNode = size
 	}
+	w.park, _ = w.hooks.(ParkHooks)
 	w.inbox = make([]*mailbox, size)
 	for i := range w.inbox {
 		w.inbox[i] = newMailbox()
@@ -315,12 +332,13 @@ func (mb *mailbox) popLocked(key msgKey, q *msgQueue) message {
 }
 
 // take blocks until a message for key arrives, or until the watchdog
-// (zero waits forever) expires; it reports false on expiry. With spin set
-// it first busy-waits on the put counter for the spin budget and only
-// then parks on the condvar — where, and only where, the watchdog timer
-// is armed (see wakeAfter).
-func (mb *mailbox) take(key msgKey, spin bool, watchdog time.Duration) (message, bool) {
-	if spin {
+// (zero waits forever) expires; it reports false on expiry. With wd.spin
+// it first busy-waits on the put counter for the spin budget; then it
+// parks on the condvar, bracketed by wd's park bookkeeping (outside the
+// lock), and arms the watchdog timer there and only there (see
+// wakeAfter).
+func (mb *mailbox) take(key msgKey, wd waitInfo) (message, bool) {
+	if wd.spin {
 		for i, seen := 0, ^uint64(0); i < spinRounds; i++ {
 			if p := mb.puts.Load(); p != seen {
 				seen = p
@@ -331,11 +349,13 @@ func (mb *mailbox) take(key msgKey, spin bool, watchdog time.Duration) (message,
 			runtime.Gosched()
 		}
 	}
+	wd.intoPark()
+	defer wd.outOfPark() // after the unlock on every return below
 	mb.mu.Lock()
 	var deadline time.Time
-	if watchdog > 0 {
-		deadline = time.Now().Add(watchdog)
-		defer wakeAfter(mb.cond, watchdog).Stop()
+	if wd.watchdog > 0 {
+		deadline = time.Now().Add(wd.watchdog)
+		defer wakeAfter(mb.cond, wd.watchdog).Stop()
 	}
 	for {
 		if q := mb.queues[key]; q != nil {
@@ -343,7 +363,7 @@ func (mb *mailbox) take(key msgKey, spin bool, watchdog time.Duration) (message,
 			mb.mu.Unlock()
 			return m, true
 		}
-		if watchdog > 0 && !time.Now().Before(deadline) {
+		if wd.watchdog > 0 && !time.Now().Before(deadline) {
 			mb.mu.Unlock()
 			return message{}, false
 		}
@@ -375,8 +395,10 @@ func (mb *mailbox) tryTake(key msgKey) (message, bool) {
 }
 
 // liveRanks counts the ranks of every world currently inside Run, in
-// this process: the load the spin policy weighs against GOMAXPROCS.
-var liveRanks atomic.Int64
+// this process, and parkedRanks those of them parked in a blocking wait;
+// the difference, the runnable ranks, is the load the spin policy weighs
+// against GOMAXPROCS.
+var liveRanks, parkedRanks atomic.Int64
 
 // spinRounds is the busy-wait budget of a blocking wait, in rounds of one
 // atomic load plus one runtime.Gosched (~125 ns a round, so ~8 us): about
@@ -389,12 +411,41 @@ var liveRanks atomic.Int64
 const spinRounds = 64
 
 // spinOK reports whether a blocking wait may busy-wait before parking:
-// only while every live rank can have a processor to itself (live ranks
-// <= GOMAXPROCS, GOMAXPROCS > 1). Oversubscribed — four ranks on two
-// procs, two concurrent two-rank runs — a spinning rank would hold the
-// very core its peer needs, so it parks at once, as every wait did before
-// the spin existed.
-func (w *World) spinOK() bool { return liveRanks.Load() <= w.spinMax }
+// only while every runnable rank can have a processor to itself
+// (GOMAXPROCS > 1 and live minus parked ranks <= GOMAXPROCS). A parked
+// rank holds no core, so two fluid ranks may spin through their Krylov
+// exchanges while two particle ranks sit parked waiting for velocities.
+// With more runnable ranks than procs a spinning rank would hold the
+// very core a peer needs, so it parks at once.
+func (w *World) spinOK() bool {
+	return w.spinMax > 0 && liveRanks.Load()-parkedRanks.Load() <= w.spinMax
+}
+
+// waitFor returns the wait policy and identity of one blocking call by
+// rank: whether it may spin (decided once, on entry), the watchdog, the
+// step to blame on a stall and the park hooks to bracket a park with.
+func (w *World) waitFor(rank int) waitInfo {
+	return waitInfo{spin: w.spinOK(), watchdog: w.watchdog, rank: rank, step: w.stepOf(rank), park: w.park}
+}
+
+// intoPark is a wait giving up spinning: the rank stops counting as
+// runnable, then its park hook (DLB lends its cores) fires. Called with
+// no simmpi lock held.
+func (wd waitInfo) intoPark() {
+	parkedRanks.Add(1)
+	if wd.park != nil {
+		wd.park.IntoPark(wd.rank)
+	}
+}
+
+// outOfPark undoes intoPark on every exit from a park — satisfied or
+// stalled — in reverse order. Called with no simmpi lock held.
+func (wd waitInfo) outOfPark() {
+	if wd.park != nil {
+		wd.park.OutOfPark(wd.rank)
+	}
+	parkedRanks.Add(-1)
+}
 
 func (w *World) blockEnter(rank int) {
 	if w.hooks != nil {
@@ -514,10 +565,11 @@ func (c *Comm) Recv(src, tag int) any {
 // recvBlocking is the blocking mailbox take bracketed by the PMPI hooks
 // and bounded by the world watchdog.
 func (c *Comm) recvBlocking(mb *mailbox, key msgKey, tag int) message {
+	wd := c.world.waitFor(c.me)
 	c.world.blockEnter(c.me)
-	m, ok := mb.take(key, c.world.spinOK(), c.world.watchdog)
+	m, ok := mb.take(key, wd)
 	if !ok {
-		panic(&ErrRankStalled{Rank: c.me, Tag: tag, Step: c.world.stepOf(c.me)})
+		panic(&ErrRankStalled{Rank: c.me, Tag: tag, Step: wd.step})
 	}
 	c.world.blockExit(c.me)
 	return m
@@ -580,34 +632,38 @@ func newCollective(n int) *collective {
 	return c
 }
 
-// waitInfo carries the wait policy of one collective call — whether it
-// may spin, the watchdog bound (zero waits forever) — and the identity to
-// report if the watchdog expires. Passed by value — no allocation on the
-// collective hot path.
+// waitInfo carries the wait policy of one blocking call — whether it may
+// spin, the watchdog bound (zero waits forever), the park hooks — and the
+// identity to report if the watchdog expires. Passed by value — no
+// allocation on the hot path.
 type waitInfo struct {
 	spin     bool
 	watchdog time.Duration
 	rank     int
 	step     int
+	park     ParkHooks
 }
 
 // waitLocked blocks until the generation advances past gen; the caller
-// holds c.mu and gets it back. With wd.spin it first busy-waits off the
-// lock for the spin budget; then it parks on the condvar, arming the
-// watchdog timer only there. On expiry it releases c.mu first (so every
-// other stalled participant can time out too) and panics with
-// *ErrRankStalled.
+// holds c.mu and gets it back. It drops the lock, busy-waits for the spin
+// budget when wd.spin allows, and only if the generation still has not
+// moved parks: park bookkeeping first (off the lock), then the condvar,
+// arming the watchdog timer only there. On expiry it releases c.mu (so
+// every other stalled participant can time out too), leaves the park and
+// panics with *ErrRankStalled.
 func (c *collective) waitLocked(gen uint64, wd waitInfo) {
+	c.mu.Unlock()
 	if wd.spin {
-		c.mu.Unlock()
 		for i := 0; i < spinRounds && c.gen.Load() == gen; i++ {
 			runtime.Gosched()
 		}
-		c.mu.Lock()
 	}
 	if c.gen.Load() != gen {
+		c.mu.Lock()
 		return
 	}
+	wd.intoPark()
+	c.mu.Lock()
 	var deadline time.Time
 	if wd.watchdog > 0 {
 		deadline = time.Now().Add(wd.watchdog)
@@ -616,10 +672,14 @@ func (c *collective) waitLocked(gen uint64, wd waitInfo) {
 	for c.gen.Load() == gen {
 		if wd.watchdog > 0 && !time.Now().Before(deadline) {
 			c.mu.Unlock()
+			wd.outOfPark()
 			panic(&ErrRankStalled{Rank: wd.rank, Tag: CollectiveTag, Step: wd.step})
 		}
 		c.cond.Wait()
 	}
+	c.mu.Unlock()
+	wd.outOfPark()
+	c.mu.Lock()
 }
 
 // rendezvous deposits this rank's contribution, has the last arriver run
@@ -828,7 +888,7 @@ func (c *Comm) collEnter() waitInfo {
 			}
 		}
 	}
-	return waitInfo{spin: w.spinOK(), watchdog: w.watchdog, rank: c.me, step: w.stepOf(c.me)}
+	return w.waitFor(c.me)
 }
 
 // Barrier blocks until every rank of the communicator arrives.

@@ -1,8 +1,12 @@
 package simmpi
 
 import (
+	"bytes"
 	"errors"
+	"regexp"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,46 +20,68 @@ import (
 // give a processor per rank.
 func oversubscribed() int { return 4 * runtime.GOMAXPROCS(0) }
 
-// TestSpinPolicyFollowsLiveRanks pins the rule itself: a world whose
-// ranks fit the processors spins (never on one processor), and stops
-// spinning for as long as a second world makes the process
-// oversubscribed.
-func TestSpinPolicyFollowsLiveRanks(t *testing.T) {
+// userBarrier is a barrier outside simmpi: the caller busy-yields until
+// n*gen arrivals are counted, so a rank waiting in it stays runnable and
+// never counts as parked.
+func userBarrier(arrived *atomic.Int64, n, gen int) {
+	arrived.Add(1)
+	for arrived.Load() < int64(n*gen) {
+		runtime.Gosched()
+	}
+}
+
+// TestSpinPolicyFollowsRunnableRanks pins the rule itself: runnable
+// ranks — live minus parked — gate the spin, never on one processor. An
+// oversubscribed world whose ranks are all but two parked in a barrier
+// may spin; a second world's runnable ranks stop a fitting world from
+// spinning for as long as they are inside Run.
+func TestSpinPolicyFollowsRunnableRanks(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	fits := procs > 1
-	a, _ := NewWorld(2)
-	b, _ := NewWorld(max(procs-1, 1)) // a+b together exceed procs
-	bIn, bOut := make(chan struct{}), make(chan struct{})
-	bDone := make(chan error, 1)
-	if err := a.Run(func(r *Rank) {
-		if got := r.world.spinOK(); got != fits {
-			t.Errorf("GOMAXPROCS=%d, 2 live ranks: spinOK=%v, want %v", procs, got, fits)
+
+	n := oversubscribed()
+	w, _ := NewWorld(n)
+	if err := w.Run(func(r *Rank) {
+		if r.ID() < 2 {
+			for parkedRanks.Load() < int64(n-2) {
+				time.Sleep(50 * time.Microsecond)
+			}
+			if got := r.world.spinOK(); got != fits {
+				t.Errorf("GOMAXPROCS=%d, %d live / %d parked ranks: spinOK=%v, want %v", procs, liveRanks.Load(), parkedRanks.Load(), got, fits)
+			}
+			peer := 1 - r.ID()
+			r.Comm.SendFloat64s(peer, 1, []float64{float64(r.ID())})
+			if got := r.Comm.RecvFloat64s(peer, 1); got[0] != float64(peer) {
+				t.Errorf("rank %d: got %v from the other runnable rank", r.ID(), got)
+			}
 		}
 		r.Comm.Barrier()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	a, _ := NewWorld(2)
+	bSize := max(procs-1, 1) // a+b together exceed procs
+	b, _ := NewWorld(bSize)
+	bOut := make(chan struct{})
+	bDone := make(chan error, 1)
+	var checked atomic.Int64
+	if err := a.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			go func() {
-				bDone <- b.Run(func(rb *Rank) {
-					if rb.world.spinOK() {
-						t.Errorf("GOMAXPROCS=%d, %d live ranks: second world spins", procs, liveRanks.Load())
-					}
-					rb.Comm.Barrier()
-					if rb.ID() == 0 {
-						close(bIn)
-						<-bOut
-					}
-					rb.Comm.Barrier()
-				})
+				bDone <- b.Run(func(*Rank) { <-bOut }) // inside Run, never parked
 			}()
-			<-bIn
 		}
-		r.Comm.Barrier() // b is inside Run from here until bOut closes
+		for liveRanks.Load() < int64(2+bSize) {
+			time.Sleep(50 * time.Microsecond)
+		}
 		if r.world.spinOK() {
-			t.Errorf("GOMAXPROCS=%d, %d live ranks: first world still spins", procs, liveRanks.Load())
+			t.Errorf("GOMAXPROCS=%d, %d runnable ranks over two worlds: first world spins", procs, liveRanks.Load()-parkedRanks.Load())
 		}
+		userBarrier(&checked, 2, 1)                         // neither rank parks before both checked
 		if got := r.Comm.AllreduceInt(1, OpSum); got != 2 { // the park path still works mid-run
 			t.Errorf("allreduce while oversubscribed = %d, want 2", got)
 		}
-		r.Comm.Barrier()
 		if r.ID() == 0 {
 			close(bOut)
 			if err := <-bDone; err != nil {
@@ -72,18 +98,23 @@ func TestSpinPolicyFollowsLiveRanks(t *testing.T) {
 }
 
 // TestOversubscribedWorldNeverSpins runs the point-to-point and
-// collective paths on 4 x GOMAXPROCS ranks: the world completes, with
-// the right answers, and no wait was ever allowed to spin.
+// collective paths on 4 x GOMAXPROCS ranks: the world completes with the
+// right answers, and whenever all of its ranks are runnable — every one
+// between two user-level barriers, none parked — no wait may spin.
+// Violations are recorded, never returned on: a rank that left the ring
+// would strand its neighbours in their receives.
 func TestOversubscribedWorldNeverSpins(t *testing.T) {
 	n := oversubscribed()
 	w, _ := NewWorld(n)
+	var arrived, violations atomic.Int64
 	if err := w.Run(func(r *Rank) {
 		next, prev := (r.ID()+1)%n, (r.ID()+n-1)%n
 		for round := 0; round < 50; round++ {
+			userBarrier(&arrived, n, 2*round+1)
 			if r.world.spinOK() {
-				t.Errorf("rank %d round %d: spinOK with %d ranks on %d procs", r.ID(), round, n, runtime.GOMAXPROCS(0))
-				return
+				violations.Add(1)
 			}
+			userBarrier(&arrived, n, 2*round+2)
 			r.Comm.SendFloat64s(next, round, []float64{float64(r.ID())})
 			if got := r.Comm.RecvFloat64s(prev, round); got[0] != float64(prev) {
 				t.Errorf("rank %d round %d: got %v from %d", r.ID(), round, got, prev)
@@ -95,26 +126,58 @@ func TestOversubscribedWorldNeverSpins(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if v := violations.Load(); v > 0 {
+		t.Errorf("%d checks with all %d ranks runnable on %d procs allowed a spin", v, n, runtime.GOMAXPROCS(0))
+	}
 }
 
 // TestLiveRanksReturnToZero pins the bookkeeping the policy rests on:
-// the count covers exactly the ranks inside Run, and a rank that panics
-// does not leak its share.
+// liveRanks covers exactly the ranks inside Run and parkedRanks exactly
+// the parked ones, and neither leaks a share on a normal exit, a
+// watchdog stall (receive or collective) or a rank panic.
 func TestLiveRanksReturnToZero(t *testing.T) {
-	if got := liveRanks.Load(); got != 0 {
-		t.Fatalf("liveRanks = %d before any world runs", got)
+	zero := func(when string) {
+		t.Helper()
+		if live, parked := liveRanks.Load(), parkedRanks.Load(); live != 0 || parked != 0 {
+			t.Fatalf("liveRanks = %d, parkedRanks = %d %s", live, parked, when)
+		}
 	}
+	zero("before any world runs")
 	w, _ := NewWorld(3)
 	if err := w.Run(func(r *Rank) {
 		if got := liveRanks.Load(); got != 3 {
 			t.Errorf("liveRanks = %d inside a 3-rank Run", got)
 		}
+		if r.ID() == 0 { // arrive only once both peers are counted parked
+			for parkedRanks.Load() < 2 {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		r.Comm.Barrier()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := liveRanks.Load(); got != 0 {
-		t.Fatalf("liveRanks = %d after Run returned", got)
+	zero("after Run returned")
+
+	for _, op := range []string{"recv", "collective"} {
+		w, _ = NewWorld(2, WithWatchdog(20*time.Millisecond))
+		err := w.Run(func(r *Rank) {
+			if r.ID() == 0 {
+				return // never sends, never arrives
+			}
+			if op == "recv" {
+				r.Comm.Recv(0, 9)
+			} else {
+				r.Comm.Barrier()
+			}
+		})
+		var stall *ErrRankStalled
+		if !errors.As(err, &stall) {
+			t.Fatalf("%s: want ErrRankStalled, got %v", op, err)
+		}
+		zero("after a " + op + " stalled")
 	}
+
 	w, _ = NewWorld(3, WithWatchdog(20*time.Millisecond))
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 1 {
@@ -125,61 +188,126 @@ func TestLiveRanksReturnToZero(t *testing.T) {
 	if err == nil {
 		t.Fatal("want an error from the panicking rank")
 	}
-	if got := liveRanks.Load(); got != 0 {
-		t.Fatalf("liveRanks = %d after a rank panicked", got)
+	zero("after a rank panicked")
+}
+
+// parkRecorder logs each rank's hook events in order: E and X for the
+// PMPI bracket, P and p for a park inside it.
+type parkRecorder struct {
+	mu     sync.Mutex
+	events map[int][]byte
+}
+
+func newParkRecorder() *parkRecorder { return &parkRecorder{events: map[int][]byte{}} }
+
+func (h *parkRecorder) log(rank int, ev byte) {
+	h.mu.Lock()
+	h.events[rank] = append(h.events[rank], ev)
+	h.mu.Unlock()
+}
+
+func (h *parkRecorder) IntoBlockingCall(rank int)  { h.log(rank, 'E') }
+func (h *parkRecorder) OutOfBlockingCall(rank int) { h.log(rank, 'X') }
+func (h *parkRecorder) IntoPark(rank int)          { h.log(rank, 'P') }
+func (h *parkRecorder) OutOfPark(rank int)         { h.log(rank, 'p') }
+
+// parkedIn reports whether rank is parked inside its calls-th blocking
+// call.
+func (h *parkRecorder) parkedIn(rank, calls int) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	ev := h.events[rank]
+	return bytes.Count(ev, []byte{'E'}) == calls && ev[len(ev)-1] == 'P'
+}
+
+// TestSpinSatisfiedWaitNeverParks: a receive whose message lands while it
+// spins, and a collective wait whose generation advances while it spins,
+// return without touching the park bookkeeping or its hooks.
+func TestSpinSatisfiedWaitNeverParks(t *testing.T) {
+	h := newParkRecorder()
+	wd := waitInfo{spin: true, park: h}
+	mb := newMailbox()
+	key := msgKey{src: 1, tag: 3}
+	mb.put(key, message{payload: 7})
+	if m, ok := mb.take(key, wd); !ok || m.payload != 7 {
+		t.Fatalf("take = %v, %v; want the queued message", m, ok)
+	}
+	c := newCollective(2)
+	c.mu.Lock()
+	gen := c.gen.Load()
+	c.gen.Add(1) // the last arriver completed the rendezvous
+	c.waitLocked(gen, wd)
+	c.mu.Unlock()
+	if len(h.events) != 0 || parkedRanks.Load() != 0 {
+		t.Fatalf("spin-satisfied waits parked: events %q, parkedRanks %d", h.events[0], parkedRanks.Load())
 	}
 }
 
-// TestHooksOncePerBlockingCall pins the PMPI bracket on both wait paths:
-// one Into and one Out per collective per rank, whether the wait was
-// satisfied while spinning (lockstep rounds) or had to park (rank 0
-// sleeps past any spin budget first), and whatever the world's size.
+// TestHooksOncePerBlockingCall pins the PMPI bracket and the park
+// surface on both wait paths: one Into and one Out per blocking call per
+// rank, whether the wait was satisfied while spinning (lockstep rounds)
+// or had to park, whatever the world's size, with at most one
+// IntoPark/OutOfPark pair nested inside each bracket — and one wherever
+// the wait was forced past any spin budget: late barriers and a late
+// receive, whose peers arrive only once the waiter is seen parked. A
+// receive that finds its message waiting is no blocking call at all.
 func TestHooksOncePerBlockingCall(t *testing.T) {
+	wellFormed := regexp.MustCompile(`^(E(Pp)?X)*$`)
 	for _, n := range []int{2, oversubscribed()} {
 		const lockstep, late = 200, 5
-		h := &hookRecorder{enters: map[int]int{}, exits: map[int]int{}}
+		h := newParkRecorder()
 		w, _ := NewWorld(n, WithBlockingHooks(h))
 		if err := w.Run(func(r *Rank) {
 			for i := 0; i < lockstep; i++ {
 				r.Comm.AllreduceFloat64(1, OpSum)
 			}
-			for i := 0; i < late; i++ {
+			for i := 1; i <= late; i++ {
 				if r.ID() == 0 {
-					time.Sleep(time.Millisecond)
+					for k := 1; k < n; k++ {
+						for !h.parkedIn(k, lockstep+i) {
+							time.Sleep(50 * time.Microsecond)
+						}
+					}
 				}
 				r.Comm.Barrier()
 			}
-			// A receive that finds its message waiting is not a blocking
-			// call; one that has to wait is exactly one. Rank 0 sends the
-			// late message only once rank 1 is inside that call.
 			if r.ID() == 0 {
 				r.Comm.Send(1, 7, nil)
 				r.Comm.Barrier()
-				for entered := 0; entered < lockstep+late+2; {
-					time.Sleep(100 * time.Microsecond)
-					h.mu.Lock()
-					entered = h.enters[1]
-					h.mu.Unlock()
+				for !h.parkedIn(1, lockstep+late+2) {
+					time.Sleep(50 * time.Microsecond)
 				}
 				r.Comm.Send(1, 8, nil)
 			} else {
 				r.Comm.Barrier()
 				if r.ID() == 1 {
 					r.Comm.Recv(0, 7) // already there: no hook
-					r.Comm.Recv(0, 8) // late: one bracket
+					r.Comm.Recv(0, 8) // late: one bracket, parked
 				}
 			}
 		}); err != nil {
 			t.Fatal(err)
 		}
 		for rank := 0; rank < n; rank++ {
-			want := lockstep + late + 1
-			if rank == 1 {
-				want++ // the late receive
+			ev := h.events[rank]
+			if !wellFormed.Match(ev) {
+				t.Errorf("%d ranks: rank %d hook sequence %q is not (E(Pp)?X)*", n, rank, ev)
+				continue
 			}
-			if h.enters[rank] != want || h.exits[rank] != want {
-				t.Errorf("%d ranks: rank %d enters=%d exits=%d, want %d each", n, rank, h.enters[rank], h.exits[rank], want)
+			calls, parks := bytes.Count(ev, []byte{'E'}), bytes.Count(ev, []byte{'P'})
+			want, forced := lockstep+late+1, late
+			switch rank {
+			case 0:
+				forced = 0
+			case 1:
+				want, forced = want+1, forced+1 // the late receive
 			}
+			if calls != want || parks < forced {
+				t.Errorf("%d ranks: rank %d made %d blocking calls with %d parks, want %d calls and >= %d parks", n, rank, calls, parks, want, forced)
+			}
+		}
+		if got := parkedRanks.Load(); got != 0 {
+			t.Errorf("%d ranks: parkedRanks = %d after Run", n, got)
 		}
 	}
 }

@@ -138,9 +138,10 @@ func (p *Pool) submit(e queueEntry) {
 }
 
 // SetWorkers changes the allowed concurrency, clamped to [1, max].
-// Raising it wakes parked workers immediately; lowering it takes effect
-// as running tasks finish (no wakeup needed — DLB transitions are
-// frequent, so avoiding spurious broadcasts matters).
+// Raising it wakes parked workers immediately when tasks are queued for
+// them; on an empty queue there is nothing to run, and the next submit
+// broadcasts anyway. Lowering it takes effect as running tasks finish.
+// DLB transitions are frequent, so avoiding spurious broadcasts matters.
 func (p *Pool) SetWorkers(n int) {
 	if n < 1 {
 		n = 1
@@ -149,10 +150,10 @@ func (p *Pool) SetWorkers(n int) {
 		n = p.max
 	}
 	p.mu.Lock()
-	raised := n > p.target
+	wake := n > p.target && p.qhead < len(p.queue)
 	p.target = n
 	p.mu.Unlock()
-	if raised {
+	if wake {
 		p.workCond.Broadcast()
 	}
 }

@@ -72,6 +72,54 @@ func TestPoolQueueRewindsBackingOnDrain(t *testing.T) {
 	}
 }
 
+// TestSetWorkersRaiseWakesOnlyForQueuedTasks pins both sides of the
+// raise's wakeup rule on a two-worker pool throttled to one, whose only
+// allowed worker (id 0) is held inside a blocker: a task queued before
+// the raise runs on the newly allowed worker as the raise broadcasts, and
+// after a raise on an empty queue (no broadcast) the next Submit's own
+// broadcast still gets a task there. Either way the task completes while
+// worker 0 is still blocked, so it ran on worker 1.
+func TestSetWorkersRaiseWakesOnlyForQueuedTasks(t *testing.T) {
+	for _, queuedFirst := range []bool{true, false} {
+		pool := NewPool(2)
+		pool.SetWorkers(1)
+		started, release := make(chan struct{}), make(chan struct{})
+		pool.Submit(func() {
+			close(started)
+			<-release
+		})
+		<-started
+		ran := make(chan struct{})
+		task := func() { close(ran) }
+		if queuedFirst {
+			pool.Submit(task)
+			pool.mu.Lock()
+			queued := len(pool.queue) - pool.qhead
+			pool.mu.Unlock()
+			if queued != 1 {
+				t.Fatalf("throttled pool: %d tasks queued, want the 1 worker 1 may not take", queued)
+			}
+			pool.SetWorkers(2)
+		} else {
+			pool.mu.Lock()
+			queued := len(pool.queue) - pool.qhead
+			pool.mu.Unlock()
+			if queued != 0 {
+				t.Fatalf("%d tasks queued before the raise, want an empty queue", queued)
+			}
+			pool.SetWorkers(2)
+			pool.Submit(task)
+		}
+		select {
+		case <-ran:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("queuedFirst=%v: task never ran on the newly allowed worker", queuedFirst)
+		}
+		close(release)
+		pool.Close()
+	}
+}
+
 // TestParallelForZeroAllocSteadyState pins the zero-allocation contract
 // of the loop machinery: after warmup (loop states on the freelist, the
 // queue backing grown), a ParallelFor with a prebuilt body allocates

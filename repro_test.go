@@ -4,8 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/coupling"
+	"repro/internal/simmpi"
 	"repro/internal/tasking"
 )
 
@@ -42,6 +44,12 @@ func TestRunSimulationCoupledWithDLB(t *testing.T) {
 	cfg.Run.WorkersPerRank = 2
 	cfg.Run.NS.Strategy = tasking.StrategySerial
 	cfg.Run.NS.SGSStrategy = tasking.StrategySerial
+	// DLB lends only when a rank parks: hold rank 0 back from the world
+	// Split for far longer than any spin budget, so its peers park there.
+	cfg.Run.FaultPlan = &simmpi.FaultPlan{Rules: []simmpi.FaultRule{{
+		Rank: 0, Op: simmpi.FaultCollective, Tag: -1, Step: 0, Nth: 1,
+		Action: simmpi.FaultDelay, Delay: 50 * time.Millisecond,
+	}}}
 	res, err := RunSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)

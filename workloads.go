@@ -254,11 +254,11 @@ func runPollutant(ctx context.Context, p scenario.Params) (*scenario.Artifact, e
 
 // runCoupledDLB compares synchronous mode against several coupled f+p
 // splits, with and without DLB, using the real lending implementation
-// (pools resized through the PMPI hooks). Expect DLB to be SLOWER here:
-// at this toy scale a phase lasts microseconds while hooks fire on every
-// blocking call, so lending overhead dominates — the same trade-off that
-// makes DLB pay off only when phases are long (the paper's production
-// runs; the cluster-scale shapes are the fig8..fig11 scenarios). Behind
+// (pools resized whenever a rank parks in MPI). Do not expect DLB to win
+// here: at this toy scale phases last microseconds, so a parked rank's
+// cores are free elsewhere only briefly — the same trade-off that makes
+// DLB pay off only when phases are long (the paper's production runs; the
+// cluster-scale shapes are the fig8..fig11 scenarios). Behind
 // examples/coupled_dlb.
 func runCoupledDLB(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
 	type config struct {
