@@ -1,7 +1,7 @@
 // Package warmrt is measurement hygiene for everything in the repo that
 // diffs the process-wide runtime.MemStats.Mallocs around a steady-state
-// window: the zero-allocation pins in the test suites and the
-// allocs_per_op column of `benchfig -benchout`.
+// window: the zero-allocation pins in the test suites and the allocs/op
+// of the multi-rank benchmarks.
 package warmrt
 
 import (
