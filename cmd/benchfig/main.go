@@ -12,7 +12,6 @@
 //	benchfig -exp fig8 -format json    # typed artifact as JSON
 //	benchfig -exp all -format csv      # flat CSV over every artifact
 //	benchfig -exp fig6,fig8 -parallel 2 -progress
-//	benchfig -benchout BENCH_4.json    # A/B micro-benchmarks (ns/op, allocs/op)
 //
 // Unknown -exp names fail with the list of registered scenarios. `-exp
 // all` expands to the scenarios tagged "paper" (the pre-registry
@@ -62,7 +61,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sweepD   = fs.String("sweep-d", "", "comma-separated particle diameters in meters (sweep scenarios)")
 		sweepQ   = fs.String("sweep-q", "", "comma-separated inlet face speeds in m/s (sweep scenarios)")
 		sweepG   = fs.String("sweep-g", "", "comma-separated airway mesh generations (sweep scenarios)")
-		benchout = fs.String("benchout", "", "run the A/B micro-benchmarks and write machine-readable ns/op + allocs/op JSON to this file ('-' for stdout), then exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,23 +74,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Validated before any scenario runs: a typo must not discard a
 		// minutes-long suite.
 		return fmt.Errorf("unknown format %q (want text, json, or csv)", *format)
-	}
-	if *benchout != "" {
-		// -benchout runs the micro-benchmark suite instead of scenarios;
-		// a scenario selection alongside it would be silently ignored, so
-		// reject the combination loudly.
-		var conflict string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "exp", "tags", "parallel", "progress", "platform", "width", "rows",
-				"inflow", "sweep-d", "sweep-q", "sweep-g":
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			return fmt.Errorf("-benchout runs the benchmark suite and ignores scenario selection; drop -%s", conflict)
-		}
-		return runBenchout(*benchout, stdout, stderr)
 	}
 	reg := scenario.Default
 

@@ -219,80 +219,6 @@ func TestCLIMatchesExampleWrapper(t *testing.T) {
 	}
 }
 
-// TestBenchoutWritesValidReport pins the -benchout contract: a valid
-// JSON report with the expected schema, every A/B pair present, sane
-// timings, and zero steady-state allocations on the workspace variants
-// (the tentpole's acceptance criterion, machine-checked).
-func TestBenchoutWritesValidReport(t *testing.T) {
-	benchQuick = true // pin the contracts, skip the full measurement wall-clock
-	defer func() { benchQuick = false }()
-	path := t.TempDir() + "/bench.json"
-	if _, _, err := runCLI(t, "-benchout", path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("benchout wrote invalid JSON: %v", err)
-	}
-	if report.Schema != benchSchema {
-		t.Fatalf("schema = %q, want %q", report.Schema, benchSchema)
-	}
-	got := map[string]benchResult{}
-	for _, r := range report.Benches {
-		if r.NsPerOp <= 0 || r.Iterations <= 0 {
-			t.Errorf("bench %q has non-positive timing: %+v", r.Name, r)
-		}
-		got[r.Name] = r
-	}
-	for _, name := range []string{
-		"pcg/alloc", "pcg/workspace", "bicgstab/alloc", "bicgstab/workspace",
-		"halo/fresh", "halo/persistent", "collective/allreduce-f64", "tracker/step",
-		"assemble-multidep/fresh", "assemble-multidep/compiled",
-		"assemble/atomic", "assemble/coloring",
-		"spmv/l2-resident", "allreduce/2rank-lockstep", "halo/2rank-lockstep",
-		"particles/step-batched",
-	} {
-		if _, ok := got[name]; !ok {
-			t.Errorf("bench %q missing from report", name)
-		}
-	}
-	for _, name := range []string{"pcg/workspace", "bicgstab/workspace", "tracker/step", "particles/step-batched", "assemble-multidep/compiled"} {
-		if r := got[name]; r.AllocsPerOp != 0 {
-			t.Errorf("%s allocates %.3f objects per op in steady state, want 0", name, r.AllocsPerOp)
-		}
-	}
-	// The two-rank lockstep rows count the whole process, where a wait
-	// that has to park can make the runtime refill a sudog cache: bound
-	// them well below the one object per op a leak in this repo's code
-	// (a timer, a buffer, a boxed contribution) would cost.
-	for _, name := range []string{"spmv/l2-resident", "allreduce/2rank-lockstep", "halo/2rank-lockstep"} {
-		if r := got[name]; r.AllocsPerOp >= 0.05 {
-			t.Errorf("%s allocates %.3f objects per op in steady state, want ~0", name, r.AllocsPerOp)
-		}
-	}
-	if a, b := got["halo/fresh"], got["halo/persistent"]; a.AllocsPerOp <= b.AllocsPerOp {
-		t.Errorf("persistent halo (%.3f allocs/op) must beat fresh buffers (%.3f allocs/op)", b.AllocsPerOp, a.AllocsPerOp)
-	}
-	if a, b := got["assemble-multidep/fresh"], got["assemble-multidep/compiled"]; a.AllocsPerOp <= b.AllocsPerOp {
-		t.Errorf("compiled multidep assembly (%.3f allocs/op) must beat the fresh graph (%.3f allocs/op)", b.AllocsPerOp, a.AllocsPerOp)
-	}
-}
-
-// TestBenchoutRejectsScenarioFlags: -benchout replaces the scenario run,
-// so combining it with a scenario selection must fail loudly.
-func TestBenchoutRejectsScenarioFlags(t *testing.T) {
-	if _, _, err := runCLI(t, "-benchout", "-", "-exp", "ipc"); err == nil {
-		t.Fatal("-benchout with -exp must error")
-	}
-	if _, _, err := runCLI(t, "-benchout", "-", "-format", "xml"); err == nil {
-		t.Fatal("-benchout with an invalid -format must error")
-	}
-}
-
 // TestProgressOutput: -progress reports start and finish per scenario on
 // stderr, never on stdout.
 func TestProgressOutput(t *testing.T) {
