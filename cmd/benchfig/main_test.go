@@ -40,7 +40,8 @@ func TestUnknownExpErrors(t *testing.T) {
 	}
 }
 
-// TestListEnumeratesRegistry: 12 paper experiments + 4 example workloads.
+// TestListEnumeratesRegistry: 10 paper experiments, 4 example workloads and
+// the 2 sweep scenarios.
 func TestListEnumeratesRegistry(t *testing.T) {
 	out, _, err := runCLI(t, "-list")
 	if err != nil {
@@ -65,7 +66,7 @@ func TestPaperSuiteSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"table1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-		"ipc", "ablation", "particles", "solver"}
+		"ipc", "ablation"}
 	if len(scs) != len(want) {
 		t.Fatalf("all = %d scenarios, want %d", len(scs), len(want))
 	}

@@ -12,18 +12,16 @@ import (
 // (tag "example"). Registration order is the order `benchfig` runs and
 // lists them in.
 const (
-	ScenarioTable1    = "table1"
-	ScenarioFigure2   = "fig2"
-	ScenarioFigure6   = "fig6"
-	ScenarioFigure7   = "fig7"
-	ScenarioFigure8   = "fig8"
-	ScenarioFigure9   = "fig9"
-	ScenarioFigure10  = "fig10"
-	ScenarioFigure11  = "fig11"
-	ScenarioIPC       = "ipc"
-	ScenarioAblation  = "ablation"
-	ScenarioParticles = "particles"
-	ScenarioSolver    = "solver"
+	ScenarioTable1   = "table1"
+	ScenarioFigure2  = "fig2"
+	ScenarioFigure6  = "fig6"
+	ScenarioFigure7  = "fig7"
+	ScenarioFigure8  = "fig8"
+	ScenarioFigure9  = "fig9"
+	ScenarioFigure10 = "fig10"
+	ScenarioFigure11 = "fig11"
+	ScenarioIPC      = "ipc"
+	ScenarioAblation = "ablation"
 )
 
 func init() {
@@ -224,35 +222,5 @@ func registerPaperScenarios() {
 				return nil, err
 			}
 			return figureArtifact(ScenarioAblation, figs...), nil
-		}))
-
-	reg(scenario.New(ScenarioParticles,
-		"Particle engine: flat-grid locator build and query, SoA tracker step serial and pooled",
-		[]string{"paper", "bench", "report"},
-		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			out, err := ParticleEngineReport()
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Artifact{
-				Scenario: ScenarioParticles, Kind: scenario.KindReport,
-				Title:  "Particle engine",
-				Report: out,
-			}, nil
-		}))
-
-	reg(scenario.New(ScenarioSolver,
-		"Solver kernel A/B: threaded deterministic la kernels (SpMV, Dot, PCG, BiCGSTAB) and the Ganser drag correlation",
-		[]string{"paper", "bench", "report"},
-		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			out, err := SolverKernelReport()
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Artifact{
-				Scenario: ScenarioSolver, Kind: scenario.KindReport,
-				Title:  "Solver kernel A/B",
-				Report: out,
-			}, nil
 		}))
 }

@@ -25,7 +25,7 @@ func smallParams() scenario.Params {
 	)
 }
 
-// TestRegistryHoldsAllWorkloads pins the acceptance shape: the 12 paper
+// TestRegistryHoldsAllWorkloads pins the acceptance shape: the 10 paper
 // experiments in their historical order, plus the 4 example workloads —
 // at least 15 scenarios enumerable by name.
 func TestRegistryHoldsAllWorkloads(t *testing.T) {
@@ -36,7 +36,7 @@ func TestRegistryHoldsAllWorkloads(t *testing.T) {
 	want := []string{
 		ScenarioTable1, ScenarioFigure2, ScenarioFigure6, ScenarioFigure7,
 		ScenarioFigure8, ScenarioFigure9, ScenarioFigure10, ScenarioFigure11,
-		ScenarioIPC, ScenarioAblation, ScenarioParticles, ScenarioSolver,
+		ScenarioIPC, ScenarioAblation,
 		ScenarioQuickstart, ScenarioRespiratory, ScenarioPollutant, ScenarioCoupledDLB,
 	}
 	for i, n := range want {
@@ -45,8 +45,8 @@ func TestRegistryHoldsAllWorkloads(t *testing.T) {
 		}
 	}
 	paper := scenario.Default.WithTag("paper")
-	if len(paper) != 12 {
-		t.Fatalf("paper suite = %d scenarios, want 12", len(paper))
+	if len(paper) != 10 {
+		t.Fatalf("paper suite = %d scenarios, want 10", len(paper))
 	}
 	example := scenario.Default.WithTag("example")
 	if len(example) != 4 {
