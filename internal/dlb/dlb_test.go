@@ -274,7 +274,7 @@ func TestDLBWithSimMPIAndRealPools(t *testing.T) {
 		case 0:
 			// Tiny workload, then block waiting for rank 1.
 			pool.ParallelFor(4, 1, func(lo, hi int) {})
-			r.Comm.Recv(1, 1)
+			r.Comm.RecvFloat64Buf(1, 1).Release()
 		case 1:
 			// Heavy workload; record the pool's target while running.
 			for d.Snapshot().Lends == 0 { // let rank 0 park
@@ -290,7 +290,7 @@ func TestDLBWithSimMPIAndRealPools(t *testing.T) {
 				}
 				time.Sleep(100 * time.Microsecond)
 			})
-			r.Comm.Send(0, 1, nil)
+			r.Comm.SendFloat64s(0, 1, nil)
 		}
 	})
 	if err != nil {

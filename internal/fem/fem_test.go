@@ -192,17 +192,18 @@ func TestMassMatrixTotal(t *testing.T) {
 func TestMomentumReducesToMass(t *testing.T) {
 	// With zero velocity, zero viscosity and no SUPG, the momentum matrix
 	// is (rho/dt) * M; its total equals rho*V/dt and the RHS reproduces
-	// (rho/dt)*M*u_old.
+	// (rho/dt)*M*u_old per velocity component.
 	props := FluidProps{Rho: 2, Mu: 0, Dt: 0.5}
+	uold := mesh.Vec3{X: 1, Y: 2, Z: -3}
 	var s Scratch
 	for _, k := range allKinds {
 		nen := BasisFor(k).NEN
 		copy(s.Coords[:], refCoords(k))
 		for a := 0; a < nen; a++ {
 			s.UConv[a] = mesh.Vec3{}
-			s.UOld[a] = 1
+			s.UOld3[a] = uold
 		}
-		MomentumElement(k, nen, props, &s)
+		MomentumElement3(k, nen, props, &s)
 		total := 0.0
 		for i := 0; i < nen*nen; i++ {
 			total += s.Ke[i]
@@ -211,14 +212,17 @@ func TestMomentumReducesToMass(t *testing.T) {
 		if math.Abs(total-wantTotal) > 1e-9 {
 			t.Errorf("%v momentum total %g, want %g", k, total, wantTotal)
 		}
-		// RHS: with u_old = 1, Fe_a = (rho/dt) sum_b M_ab = row sums.
+		// RHS: with a constant u_old, Fe3[c]_a = (rho/dt) sum_b M_ab u_old[c]
+		// = row sum * u_old[c].
 		for a := 0; a < nen; a++ {
 			row := 0.0
 			for b := 0; b < nen; b++ {
 				row += s.Ke[a*nen+b]
 			}
-			if math.Abs(s.Fe[a]-row) > 1e-9 {
-				t.Errorf("%v RHS[%d] = %g, want row sum %g", k, a, s.Fe[a], row)
+			for c, u := range [3]float64{uold.X, uold.Y, uold.Z} {
+				if math.Abs(s.Fe3[c][a]-row*u) > 1e-9 {
+					t.Errorf("%v RHS[%d][%d] = %g, want row sum x u_old %g", k, c, a, s.Fe3[c][a], row*u)
+				}
 			}
 		}
 	}
@@ -233,7 +237,7 @@ func TestMomentumConvectionSkewEffect(t *testing.T) {
 	for a := 0; a < nen; a++ {
 		s.UConv[a] = mesh.Vec3{X: 1, Y: 0.5, Z: 0}
 	}
-	MomentumElement(mesh.Tet4, nen, props, &s)
+	MomentumElement3(mesh.Tet4, nen, props, &s)
 	asym := 0.0
 	for a := 0; a < nen; a++ {
 		for b := 0; b < nen; b++ {
@@ -330,8 +334,8 @@ func TestSUPGAddsDiagonal(t *testing.T) {
 		u := mesh.Vec3{X: 10}
 		s1.UConv[a], s2.UConv[a] = u, u
 	}
-	MomentumElement(mesh.Tet4, nen, FluidProps{Rho: 1, Mu: 1e-3, Dt: 0.1}, &s1)
-	MomentumElement(mesh.Tet4, nen, FluidProps{Rho: 1, Mu: 1e-3, Dt: 0.1, SUPG: true}, &s2)
+	MomentumElement3(mesh.Tet4, nen, FluidProps{Rho: 1, Mu: 1e-3, Dt: 0.1}, &s1)
+	MomentumElement3(mesh.Tet4, nen, FluidProps{Rho: 1, Mu: 1e-3, Dt: 0.1, SUPG: true}, &s2)
 	diff := 0.0
 	for i := 0; i < nen*nen; i++ {
 		diff += math.Abs(s1.Ke[i] - s2.Ke[i])
@@ -381,7 +385,7 @@ func BenchmarkMomentumElementTet(b *testing.B) {
 	props := FluidProps{Rho: 1, Mu: 1e-3, Dt: 1e-2, SUPG: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MomentumElement(mesh.Tet4, 4, props, &s)
+		MomentumElement3(mesh.Tet4, 4, props, &s)
 	}
 }
 
@@ -391,6 +395,6 @@ func BenchmarkMomentumElementPrism(b *testing.B) {
 	props := FluidProps{Rho: 1, Mu: 1e-3, Dt: 1e-2, SUPG: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MomentumElement(mesh.Prism6, 6, props, &s)
+		MomentumElement3(mesh.Prism6, 6, props, &s)
 	}
 }

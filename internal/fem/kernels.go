@@ -12,7 +12,6 @@ import (
 type Scratch struct {
 	Coords [MaxElemNodes]mesh.Vec3
 	UConv  [MaxElemNodes]mesh.Vec3 // convective velocity at nodes
-	UOld   [MaxElemNodes]float64   // previous-step scalar at nodes
 	UOld3  [MaxElemNodes]mesh.Vec3 // previous-step velocity at nodes
 	GradN  [MaxElemNodes][3]float64
 	Ke     [MaxElemNodes * MaxElemNodes]float64
@@ -30,68 +29,14 @@ type FluidProps struct {
 	SUPG bool // add streamline-upwind stabilization (VMS-style)
 }
 
-// MomentumElement assembles the element matrix and right-hand side of one
-// scalar momentum component:
+// MomentumElement3 assembles the momentum element matrix
 //
 //	(rho/dt) M + rho C(u) + mu K  [+ SUPG stabilization]
 //
-// with RHS (rho/dt) M u_old. Scratch fields Coords, UConv and UOld must
-// be filled for the element's nen nodes before the call; results land in
-// s.Ke (row-major nen x nen) and s.Fe.
-func MomentumElement(kind mesh.Kind, nen int, props FluidProps, s *Scratch) {
-	basis := BasisFor(kind)
-	for i := 0; i < nen*nen; i++ {
-		s.Ke[i] = 0
-	}
-	for i := 0; i < nen; i++ {
-		s.Fe[i] = 0
-	}
-	rhoDt := props.Rho / props.Dt
-	for q := range basis.QP {
-		qp := &basis.QP[q]
-		det := Jacobian(qp, nen, s.Coords[:], &s.GradN)
-		w := qp.W * math.Abs(det)
-		if w == 0 {
-			continue
-		}
-		// Velocity and old scalar at the quadrature point.
-		var uq mesh.Vec3
-		uold := 0.0
-		for a := 0; a < nen; a++ {
-			uq = uq.Add(s.UConv[a].Scale(qp.N[a]))
-			uold += qp.N[a] * s.UOld[a]
-		}
-		// SUPG parameter (algebraic tau as in VMS closures):
-		// tau = (rho/dt + rho |u| / h + mu / h^2)^{-1} with h ~ cbrt(V).
-		tau := 0.0
-		if props.SUPG {
-			h := math.Cbrt(math.Abs(det))
-			if h > 0 {
-				tau = 1 / (rhoDt + props.Rho*uq.Norm()/h + props.Mu/(h*h))
-			}
-		}
-		for a := 0; a < nen; a++ {
-			ga := s.GradN[a]
-			uGa := uq.X*ga[0] + uq.Y*ga[1] + uq.Z*ga[2] // u . gradN_a
-			testA := qp.N[a] + tau*uGa                  // SUPG-weighted test function
-			for b := 0; b < nen; b++ {
-				gb := s.GradN[b]
-				uGb := uq.X*gb[0] + uq.Y*gb[1] + uq.Z*gb[2]
-				diff := props.Mu * (ga[0]*gb[0] + ga[1]*gb[1] + ga[2]*gb[2])
-				mass := rhoDt * testA * qp.N[b]
-				conv := props.Rho * testA * uGb
-				s.Ke[a*nen+b] += w * (mass + conv + diff)
-			}
-			s.Fe[a] += w * rhoDt * testA * uold
-		}
-	}
-}
-
-// MomentumElement3 is the production variant of MomentumElement: it
-// assembles the (component-independent) momentum matrix once and the
-// right-hand sides of all three velocity components in a single
-// quadrature sweep. Scratch Coords, UConv and UOld3 must be filled;
-// results land in s.Ke and s.Fe3.
+// once (it is the same for every velocity component) and the right-hand
+// sides (rho/dt) M u_old of all three components in a single quadrature
+// sweep. Scratch Coords, UConv and UOld3 must be filled for the element's
+// nen nodes; results land in s.Ke (row-major nen x nen) and s.Fe3.
 func MomentumElement3(kind mesh.Kind, nen int, props FluidProps, s *Scratch) {
 	basis := BasisFor(kind)
 	for i := 0; i < nen*nen; i++ {
@@ -110,11 +55,14 @@ func MomentumElement3(kind mesh.Kind, nen int, props FluidProps, s *Scratch) {
 		if w == 0 {
 			continue
 		}
+		// Convective and old velocity at the quadrature point.
 		var uq, uoldq mesh.Vec3
 		for a := 0; a < nen; a++ {
 			uq = uq.Add(s.UConv[a].Scale(qp.N[a]))
 			uoldq = uoldq.Add(s.UOld3[a].Scale(qp.N[a]))
 		}
+		// SUPG parameter (algebraic tau as in VMS closures):
+		// tau = (rho/dt + rho |u| / h + mu / h^2)^{-1} with h ~ cbrt(V).
 		tau := 0.0
 		if props.SUPG {
 			h := math.Cbrt(math.Abs(det))
@@ -124,8 +72,8 @@ func MomentumElement3(kind mesh.Kind, nen int, props FluidProps, s *Scratch) {
 		}
 		for a := 0; a < nen; a++ {
 			ga := s.GradN[a]
-			uGa := uq.X*ga[0] + uq.Y*ga[1] + uq.Z*ga[2]
-			testA := qp.N[a] + tau*uGa
+			uGa := uq.X*ga[0] + uq.Y*ga[1] + uq.Z*ga[2] // u . gradN_a
+			testA := qp.N[a] + tau*uGa                  // SUPG-weighted test function
 			for b := 0; b < nen; b++ {
 				gb := s.GradN[b]
 				uGb := uq.X*gb[0] + uq.Y*gb[1] + uq.Z*gb[2]

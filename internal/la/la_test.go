@@ -151,6 +151,17 @@ func TestVectorKernels(t *testing.T) {
 	}
 }
 
+// jacobi builds a Jacobi preconditioner for diagonal d the way the
+// solvers do: a persistent inverse diagonal behind JacobiApplier.
+func jacobi(d []float64) func(r, z []float64) {
+	inv := make([]float64, len(d))
+	JacobiInvInto(d, inv)
+	return JacobiApplier(inv)
+}
+
+// identity leaves the residual unpreconditioned.
+func identity(r, z []float64) { copy(z, r) }
+
 func TestPCGLaplacian(t *testing.T) {
 	n := 64
 	a := laplacian1D(n)
@@ -163,7 +174,7 @@ func TestPCGLaplacian(t *testing.T) {
 	x := make([]float64, n)
 	d := make([]float64, n)
 	a.Diagonal(d)
-	stats, err := PCG(OpsFromMatrix(a), JacobiPreconditioner(d), b, x, 1e-10, 500)
+	stats, err := PCGWithWorkspace(OpsFromMatrix(a), jacobi(d), b, x, 1e-10, 500, NewKrylovWorkspace(len(x)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,7 @@ func TestPCGExactInNIterations(t *testing.T) {
 	b := make([]float64, n)
 	b[n/2] = 1
 	x := make([]float64, n)
-	stats, err := PCG(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-12, 3*n)
+	stats, err := PCGWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-12, 3*n, NewKrylovWorkspace(len(x)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +219,7 @@ func TestBiCGSTABRandom(t *testing.T) {
 		x := make([]float64, n)
 		d := make([]float64, n)
 		a.Diagonal(d)
-		stats, err := BiCGSTAB(OpsFromMatrix(a), JacobiPreconditioner(d), b, x, 1e-10, 500)
+		stats, err := BiCGSTABWithWorkspace(OpsFromMatrix(a), jacobi(d), b, x, 1e-10, 500, NewKrylovWorkspace(len(x)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -227,11 +238,11 @@ func TestSolversZeroRHS(t *testing.T) {
 	a := laplacian1D(10)
 	b := make([]float64, 10)
 	x := make([]float64, 10)
-	stats, err := PCG(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-10, 100)
+	stats, err := PCGWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-10, 100, NewKrylovWorkspace(len(x)))
 	if err != nil || !stats.Converged {
 		t.Fatalf("PCG zero rhs: %+v %v", stats, err)
 	}
-	stats, err = BiCGSTAB(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-10, 100)
+	stats, err = BiCGSTABWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-10, 100, NewKrylovWorkspace(len(x)))
 	if err != nil || !stats.Converged {
 		t.Fatalf("BiCGSTAB zero rhs: %+v %v", stats, err)
 	}
@@ -252,7 +263,7 @@ func TestPCGResidualQuick(t *testing.T) {
 			b[i] = rng.Float64()
 		}
 		x := make([]float64, n)
-		stats, err := PCG(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-9, 200)
+		stats, err := PCGWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-9, 200, NewKrylovWorkspace(len(x)))
 		if err != nil || !stats.Converged {
 			return false
 		}

@@ -18,7 +18,7 @@ func TestSolversRejectNonFiniteRHS(t *testing.T) {
 		b[0] = 1
 		b[7] = poison
 		x := make([]float64, 16)
-		stats, err := PCG(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-10, 100)
+		stats, err := PCGWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-10, 100, NewKrylovWorkspace(len(x)))
 		if !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("PCG(b[7]=%g): err = %v, want ErrNonFinite", poison, err)
 		}
@@ -26,7 +26,7 @@ func TestSolversRejectNonFiniteRHS(t *testing.T) {
 			t.Fatalf("PCG burned %d iterations on non-finite input", stats.Iterations)
 		}
 		x = make([]float64, 16)
-		if _, err := BiCGSTAB(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-10, 100); !errors.Is(err, ErrNonFinite) {
+		if _, err := BiCGSTABWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-10, 100, NewKrylovWorkspace(len(x))); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("BiCGSTAB(b[7]=%g): err = %v, want ErrNonFinite", poison, err)
 		}
 	}
@@ -41,7 +41,7 @@ func TestSolversRejectNonFiniteInitialGuess(t *testing.T) {
 	b[0] = 1
 	x := make([]float64, 16)
 	x[3] = math.NaN()
-	if _, err := PCG(OpsFromMatrix(a), IdentityPreconditioner, b, x, 1e-10, 100); !errors.Is(err, ErrNonFinite) {
+	if _, err := PCGWithWorkspace(OpsFromMatrix(a), identity, b, x, 1e-10, 100, NewKrylovWorkspace(len(x))); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("PCG NaN x0: err = %v, want ErrNonFinite", err)
 	}
 }

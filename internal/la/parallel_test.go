@@ -128,7 +128,7 @@ func TestPCGBitIdenticalAcrossWorkers(t *testing.T) {
 	var refStats SolveStats
 	withPools(t, func(t *testing.T, w int, par *ParOps) {
 		x := make([]float64, a.N)
-		stats, err := PCG(ParOpsFromMatrix(a, par), JacobiPreconditioner(d), b, x, 1e-10, 120)
+		stats, err := PCGWithWorkspace(ParOpsFromMatrix(a, par), jacobi(d), b, x, 1e-10, 120, NewKrylovWorkspace(len(x)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -156,7 +156,7 @@ func TestBiCGSTABBitIdenticalAcrossWorkers(t *testing.T) {
 	var refStats SolveStats
 	withPools(t, func(t *testing.T, w int, par *ParOps) {
 		x := make([]float64, a.N)
-		stats, err := BiCGSTAB(ParOpsFromMatrix(a, par), JacobiPreconditioner(d), b, x, 1e-10, 200)
+		stats, err := BiCGSTABWithWorkspace(ParOpsFromMatrix(a, par), jacobi(d), b, x, 1e-10, 200, NewKrylovWorkspace(len(x)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -182,14 +182,14 @@ func TestParPCGEqualsSerialOnSmallSystem(t *testing.T) {
 	a := laplacian1D(2000)
 	b := randVec(a.N, 8)
 	want := make([]float64, a.N)
-	wantStats, err := PCG(OpsFromMatrix(a), IdentityPreconditioner, b, want, 1e-10, 500)
+	wantStats, err := PCGWithWorkspace(OpsFromMatrix(a), identity, b, want, 1e-10, 500, NewKrylovWorkspace(len(want)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := tasking.NewPool(4)
 	defer pool.Close()
 	got := make([]float64, a.N)
-	gotStats, err := PCG(ParOpsFromMatrix(a, NewParOps(pool)), IdentityPreconditioner, b, got, 1e-10, 500)
+	gotStats, err := PCGWithWorkspace(ParOpsFromMatrix(a, NewParOps(pool)), identity, b, got, 1e-10, 500, NewKrylovWorkspace(len(got)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func BenchmarkPCG(b *testing.B) {
 				ops = ParOpsFromMatrix(a, par)
 			}
 			Fill(x, 0)
-			if _, err := PCG(ops, JacobiPreconditioner(d), rhs, x, 0, 40); err != nil {
+			if _, err := PCGWithWorkspace(ops, jacobi(d), rhs, x, 0, 40, NewKrylovWorkspace(len(x))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -331,7 +331,7 @@ func BenchmarkBiCGSTAB(b *testing.B) {
 				ops = ParOpsFromMatrix(a, par)
 			}
 			Fill(x, 0)
-			if _, err := BiCGSTAB(ops, JacobiPreconditioner(d), rhs, x, 0, 20); err != nil && err != ErrBreakdown {
+			if _, err := BiCGSTABWithWorkspace(ops, jacobi(d), rhs, x, 0, 20, NewKrylovWorkspace(len(x))); err != nil && err != ErrBreakdown {
 				b.Fatal(err)
 			}
 		}

@@ -63,14 +63,6 @@ func nonFinite(x float64) bool {
 	return x != x || math.IsInf(x, 0)
 }
 
-// JacobiPreconditioner returns a preconditioner closure z = D^{-1} r for
-// the given diagonal; zero diagonal entries pass through unscaled.
-func JacobiPreconditioner(diag []float64) func(r, z []float64) {
-	inv := make([]float64, len(diag))
-	JacobiInvInto(diag, inv)
-	return JacobiApplier(inv)
-}
-
 // JacobiInvInto fills inv with the inverse diagonal the Jacobi
 // preconditioner applies (zero entries pass through unscaled). It lets a
 // solver refresh a persistent preconditioner in place each step instead
@@ -97,21 +89,12 @@ func JacobiApplier(inv []float64) func(r, z []float64) {
 	}
 }
 
-// IdentityPreconditioner copies r into z.
-func IdentityPreconditioner(r, z []float64) { copy(z, r) }
-
-// PCG solves A x = b with preconditioned conjugate gradients; A must be
-// symmetric positive definite. x holds the initial guess on entry and the
-// solution on exit. It allocates a fresh workspace per call; hot paths
-// should hold a KrylovWorkspace and call PCGWithWorkspace.
-func PCG(ops Ops, precond func(r, z []float64), b, x []float64, tol float64, maxIter int) (SolveStats, error) {
-	return PCGWithWorkspace(ops, precond, b, x, tol, maxIter, NewKrylovWorkspace(ops.N))
-}
-
-// PCGWithWorkspace is PCG over caller-owned scratch: with a reused
-// workspace the steady-state solve allocates nothing, and the iterates
-// are bit-identical to PCG's (every scratch vector is fully written
-// before it is read).
+// PCGWithWorkspace solves A x = b with preconditioned conjugate
+// gradients over caller-owned scratch; A must be symmetric positive
+// definite. x holds the initial guess on entry and the solution on exit.
+// With a reused workspace the steady-state solve allocates nothing, and
+// the iterates are bit-identical to a fresh workspace's (every scratch
+// vector is fully written before it is read).
 func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol float64, maxIter int, ws *KrylovWorkspace) (SolveStats, error) {
 	n := ops.N
 	ws.reserve(n)
@@ -163,18 +146,10 @@ func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol
 	return stats, nil
 }
 
-// BiCGSTAB solves A x = b for general (nonsymmetric) A with the
-// stabilized bi-conjugate gradient method and a right preconditioner. It
-// allocates a fresh workspace per call; hot paths should hold a
-// KrylovWorkspace and call BiCGSTABWithWorkspace.
-func BiCGSTAB(ops Ops, precond func(r, z []float64), b, x []float64, tol float64, maxIter int) (SolveStats, error) {
-	return BiCGSTABWithWorkspace(ops, precond, b, x, tol, maxIter, NewKrylovWorkspace(ops.N))
-}
-
-// BiCGSTABWithWorkspace is BiCGSTAB over caller-owned scratch: with a
-// reused workspace the steady-state solve allocates nothing, and the
-// iterates are bit-identical to BiCGSTAB's (every scratch vector is
-// fully written before it is read).
+// BiCGSTABWithWorkspace solves A x = b for general (nonsymmetric) A with
+// the stabilized bi-conjugate gradient method and a right preconditioner,
+// over caller-owned scratch (see PCGWithWorkspace for the allocation and
+// bit-identity contract).
 func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol float64, maxIter int, ws *KrylovWorkspace) (SolveStats, error) {
 	n := ops.N
 	ws.reserve(n)

@@ -7,8 +7,8 @@ package la
 // performs zero heap allocations. The vectors grow on demand and are
 // resliced to the active system size per solve; every vector is fully
 // written before it is read, so reuse cannot change a single bit of the
-// iterates (the allocating PCG/BiCGSTAB wrappers are pinned bit-identical
-// by the equivalence tests).
+// iterates (a reused, dirtied workspace is pinned bit-identical to a
+// fresh one by the equivalence tests).
 //
 // A workspace serves one solve at a time; sharing one between the
 // momentum and pressure solvers of a rank is fine (they run

@@ -52,47 +52,46 @@ func solverRHS(n int, seed int64) []float64 {
 	return b
 }
 
-// TestWorkspaceSolversBitIdenticalToAllocating pins the tentpole's
-// determinism contract: a reused workspace — including one dirtied by a
-// previous solve of the other solver — must reproduce the allocating
-// wrappers' iterates bit for bit.
-func TestWorkspaceSolversBitIdenticalToAllocating(t *testing.T) {
+// TestWorkspaceSolversBitIdenticalFreshVsReused pins the workspace
+// determinism contract: a reused workspace, including one dirtied by a
+// previous solve of the other solver, must reproduce a fresh workspace's
+// iterates bit for bit.
+func TestWorkspaceSolversBitIdenticalFreshVsReused(t *testing.T) {
 	const n = 700
 	spd, skew := chainMatrix(n), skewChainMatrix(n)
-	d := make([]float64, n)
+	dSPD, dSkew := make([]float64, n), make([]float64, n)
+	spd.Diagonal(dSPD)
+	skew.Diagonal(dSkew)
 	b := solverRHS(n, 7)
 
-	spd.Diagonal(d)
 	xRef := make([]float64, n)
-	statsRef, errRef := PCG(OpsFromMatrix(spd), JacobiPreconditioner(d), b, xRef, 1e-10, 300)
+	statsRef, errRef := PCGWithWorkspace(OpsFromMatrix(spd), jacobi(dSPD), b, xRef, 1e-10, 300, NewKrylovWorkspace(n))
+	xbRef := make([]float64, n)
+	bstatsRef, berrRef := BiCGSTABWithWorkspace(OpsFromMatrix(skew), jacobi(dSkew), b, xbRef, 1e-10, 300, NewKrylovWorkspace(n))
 
 	ws := NewKrylovWorkspace(n)
 	for round := 0; round < 3; round++ {
 		x := make([]float64, n)
-		stats, err := PCGWithWorkspace(OpsFromMatrix(spd), JacobiPreconditioner(d), b, x, 1e-10, 300, ws)
+		stats, err := PCGWithWorkspace(OpsFromMatrix(spd), jacobi(dSPD), b, x, 1e-10, 300, ws)
 		if err != errRef || stats != statsRef {
-			t.Fatalf("round %d: PCG workspace stats (%+v, %v) != allocating (%+v, %v)", round, stats, err, statsRef, errRef)
+			t.Fatalf("round %d: PCG reused-workspace stats (%+v, %v) != fresh (%+v, %v)", round, stats, err, statsRef, errRef)
 		}
 		for i := range x {
 			if x[i] != xRef[i] {
-				t.Fatalf("round %d: PCG workspace x[%d] = %g, allocating %g", round, i, x[i], xRef[i])
+				t.Fatalf("round %d: PCG reused-workspace x[%d] = %g, fresh %g", round, i, x[i], xRef[i])
 			}
 		}
-		// Dirty the workspace with a BiCGSTAB solve before the next round.
-		skew.Diagonal(d)
+		// The BiCGSTAB solve dirties the workspace before the next round's PCG.
 		xb := make([]float64, n)
-		bstats, berr := BiCGSTABWithWorkspace(OpsFromMatrix(skew), JacobiPreconditioner(d), b, xb, 1e-10, 300, ws)
-		xbRef := make([]float64, n)
-		bstatsRef, berrRef := BiCGSTAB(OpsFromMatrix(skew), JacobiPreconditioner(d), b, xbRef, 1e-10, 300)
+		bstats, berr := BiCGSTABWithWorkspace(OpsFromMatrix(skew), jacobi(dSkew), b, xb, 1e-10, 300, ws)
 		if berr != berrRef || bstats != bstatsRef {
-			t.Fatalf("round %d: BiCGSTAB workspace stats (%+v, %v) != allocating (%+v, %v)", round, bstats, berr, bstatsRef, berrRef)
+			t.Fatalf("round %d: BiCGSTAB reused-workspace stats (%+v, %v) != fresh (%+v, %v)", round, bstats, berr, bstatsRef, berrRef)
 		}
 		for i := range xb {
 			if xb[i] != xbRef[i] {
-				t.Fatalf("round %d: BiCGSTAB workspace x[%d] = %g, allocating %g", round, i, xb[i], xbRef[i])
+				t.Fatalf("round %d: BiCGSTAB reused-workspace x[%d] = %g, fresh %g", round, i, xb[i], xbRef[i])
 			}
 		}
-		spd.Diagonal(d)
 	}
 }
 

@@ -189,43 +189,27 @@ func (c *Comm) LeaseInt32s(n int) *Int32Buf {
 // Ownership transfers with the message: the receiver Releases (or
 // re-sends) it, and the sender must not touch it after the call.
 func (c *Comm) SendFloat64Buf(dst, tag int, b *Float64Buf) {
-	c.Send(dst, tag, b)
+	c.send(dst, tag, b)
 }
 
-// SendInt32Buf sends a leased buffer (see SendFloat64Buf).
-func (c *Comm) SendInt32Buf(dst, tag int, b *Int32Buf) {
-	c.Send(dst, tag, b)
-}
-
-// RecvFloat64Buf receives a []float64-carrying message as a leased
-// buffer the caller must Release. Raw []float64 payloads (plain Send)
-// are copied into a leased buffer for uniformity.
+// RecvFloat64Buf receives a float64 message as the leased buffer it
+// travelled in; the caller must Release it.
 func (c *Comm) RecvFloat64Buf(src, tag int) *Float64Buf {
-	switch p := c.Recv(src, tag).(type) {
-	case *Float64Buf:
-		return p
-	case []float64:
-		b := c.LeaseFloat64s(len(p))
-		copy(b.Data, p)
-		return b
-	default:
+	p, ok := c.recv(src, tag).(*Float64Buf)
+	if !ok {
 		panic("simmpi: RecvFloat64Buf on non-float64 payload")
 	}
+	return p
 }
 
-// RecvInt32Buf receives a []int32-carrying message as a leased buffer
-// the caller must Release (see RecvFloat64Buf).
+// RecvInt32Buf receives an int32 message as the leased buffer it
+// travelled in; the caller must Release it.
 func (c *Comm) RecvInt32Buf(src, tag int) *Int32Buf {
-	switch p := c.Recv(src, tag).(type) {
-	case *Int32Buf:
-		return p
-	case []int32:
-		b := c.LeaseInt32s(len(p))
-		copy(b.Data, p)
-		return b
-	default:
+	p, ok := c.recv(src, tag).(*Int32Buf)
+	if !ok {
 		panic("simmpi: RecvInt32Buf on non-int32 payload")
 	}
+	return p
 }
 
 // RecvFloat64sInto receives a []float64-carrying message into dst (grown
@@ -233,47 +217,25 @@ func (c *Comm) RecvInt32Buf(src, tag int) *Int32Buf {
 // resliced to the message length. With an adequately sized dst the
 // receive allocates nothing.
 func (c *Comm) RecvFloat64sInto(src, tag int, dst []float64) []float64 {
-	switch p := c.Recv(src, tag).(type) {
-	case *Float64Buf:
-		if cap(dst) < len(p.Data) {
-			dst = make([]float64, len(p.Data))
-		}
-		dst = dst[:len(p.Data)]
-		copy(dst, p.Data)
-		p.Release()
-		return dst
-	case []float64:
-		if cap(dst) < len(p) {
-			dst = make([]float64, len(p))
-		}
-		dst = dst[:len(p)]
-		copy(dst, p)
-		return dst
-	default:
-		panic("simmpi: RecvFloat64sInto on non-float64 payload")
+	p := c.RecvFloat64Buf(src, tag)
+	if cap(dst) < len(p.Data) {
+		dst = make([]float64, len(p.Data))
 	}
+	dst = dst[:len(p.Data)]
+	copy(dst, p.Data)
+	p.Release()
+	return dst
 }
 
 // RecvInt32sInto receives a []int32-carrying message into dst (see
 // RecvFloat64sInto).
 func (c *Comm) RecvInt32sInto(src, tag int, dst []int32) []int32 {
-	switch p := c.Recv(src, tag).(type) {
-	case *Int32Buf:
-		if cap(dst) < len(p.Data) {
-			dst = make([]int32, len(p.Data))
-		}
-		dst = dst[:len(p.Data)]
-		copy(dst, p.Data)
-		p.Release()
-		return dst
-	case []int32:
-		if cap(dst) < len(p) {
-			dst = make([]int32, len(p))
-		}
-		dst = dst[:len(p)]
-		copy(dst, p)
-		return dst
-	default:
-		panic("simmpi: RecvInt32sInto on non-int32 payload")
+	p := c.RecvInt32Buf(src, tag)
+	if cap(dst) < len(p.Data) {
+		dst = make([]int32, len(p.Data))
 	}
+	dst = dst[:len(p.Data)]
+	copy(dst, p.Data)
+	p.Release()
+	return dst
 }

@@ -60,13 +60,13 @@ func TestSplitCommTagIsolationFromWorld(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		sub := r.Comm.Split(0, r.ID())
 		if r.ID() == 0 {
-			r.Comm.Send(1, 5, "world")
-			sub.Send(1, 6, "sub")
+			sendInt(r.Comm, 1, 5, 5)
+			sendInt(sub, 1, 6, 6)
 		} else {
-			if sub.Recv(0, 6).(string) != "sub" {
+			if recvInt(sub, 0, 6) != 6 {
 				panic("sub message wrong")
 			}
-			if r.Comm.Recv(0, 5).(string) != "world" {
+			if recvInt(r.Comm, 0, 5) != 5 {
 				panic("world message wrong")
 			}
 		}

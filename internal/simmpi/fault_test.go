@@ -17,7 +17,7 @@ func TestWatchdogRecvStall(t *testing.T) {
 	err = w.Run(func(r *Rank) {
 		r.SetStep(3)
 		if r.ID() == 1 {
-			r.Comm.Recv(0, 42) // never sent
+			recvInt(r.Comm, 0, 42) // never sent
 		}
 	})
 	elapsed := time.Since(start)
@@ -45,10 +45,10 @@ func TestFaultDropSend(t *testing.T) {
 	}
 	err = w.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			r.Comm.Send(1, 7, []float64{1})
+			r.Comm.SendFloat64s(1, 7, []float64{1})
 			r.Comm.Barrier()
 		} else {
-			r.Comm.Recv(0, 7)
+			recvInt(r.Comm, 0, 7)
 			r.Comm.Barrier()
 		}
 	})
@@ -78,9 +78,9 @@ func TestFaultDropRecv(t *testing.T) {
 			r.SetStep(step)
 			tag := 100 + step
 			if r.ID() == 0 {
-				r.Comm.Send(1, tag, step)
+				sendInt(r.Comm, 1, tag, step)
 			} else {
-				got := r.Comm.Recv(0, tag).(int)
+				got := recvInt(r.Comm, 0, tag)
 				if got != step {
 					t.Errorf("step %d: got %d", step, got)
 				}
@@ -107,7 +107,8 @@ func TestFaultDelayCompletes(t *testing.T) {
 	}
 	err = w.Run(func(r *Rank) {
 		peer := 1 - r.ID()
-		got := r.Comm.SendRecv(peer, 3, r.ID(), peer).(int)
+		sendInt(r.Comm, peer, 3, r.ID())
+		got := recvInt(r.Comm, peer, 3)
 		if got != peer {
 			t.Errorf("rank %d: got %d, want %d", r.ID(), got, peer)
 		}
@@ -177,9 +178,9 @@ func TestDropRateDeterministic(t *testing.T) {
 			for step := 0; step < 8; step++ {
 				r.SetStep(step)
 				if r.ID() == 0 {
-					r.Comm.Send(1, 5, step)
+					sendInt(r.Comm, 1, 5, step)
 				} else {
-					r.Comm.Recv(0, 5)
+					recvInt(r.Comm, 0, 5)
 				}
 			}
 		})
@@ -215,9 +216,9 @@ func TestFaultNthOccurrence(t *testing.T) {
 	err = w.Run(func(r *Rank) {
 		for i := 0; i < 4; i++ {
 			if r.ID() == 0 {
-				r.Comm.Send(1, 4, i)
+				sendInt(r.Comm, 1, 4, i)
 			} else {
-				got = append(got, r.Comm.Recv(0, 4).(int))
+				got = append(got, recvInt(r.Comm, 0, 4))
 			}
 		}
 	})

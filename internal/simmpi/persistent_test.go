@@ -172,22 +172,19 @@ func TestOneWayShipmentZeroAlloc(t *testing.T) {
 
 // TestCollectivesZeroAlloc asserts that the typed collectives — the
 // per-phase clock alignment, the solver's per-dot allreduce, and the
-// Into variants with caller-owned destinations — neither box their
+// gather into a caller-owned destination — neither box their
 // contributions nor allocate results.
 func TestCollectivesZeroAlloc(t *testing.T) {
 	const ranks = 4
 	gathers := make([][]float64, ranks)
-	vecs := make([][]float64, ranks)
 	for i := range gathers {
 		gathers[i] = make([]float64, ranks)
-		vecs[i] = make([]float64, 16)
 	}
 	allocs := measureWorldAllocs(t, ranks, 10, 100, func(r *Rank, round int) {
 		_ = r.Comm.AllreduceFloat64(float64(r.ID()+round), OpMax)
 		_ = r.Comm.AllreduceInt(r.ID(), OpSum)
 		id := r.ID()
 		gathers[id] = r.Comm.AllgatherFloat64Into(float64(round), gathers[id])
-		vecs[id] = r.Comm.AllreduceFloat64sInto(vecs[id], OpMax, vecs[id])
 		r.Comm.Barrier()
 	})
 	if allocs > 2 {
@@ -195,30 +192,11 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIntoCollectivesMatchAllocating pins the Into variants against the
-// allocating collectives for every op.
+// TestIntoCollectivesMatchAllocating pins the gather into a caller-owned
+// destination against the allocating gather.
 func TestIntoCollectivesMatchAllocating(t *testing.T) {
 	w, _ := NewWorld(3)
 	if err := w.Run(func(r *Rank) {
-		v := []float64{float64(r.ID()), -float64(r.ID()), 2.5 * float64(r.ID()+1)}
-		for _, op := range []ReduceOp{OpSum, OpMax, OpMin} {
-			want := r.Comm.AllreduceFloat64s(v, op)
-			got := r.Comm.AllreduceFloat64sInto(v, op, make([]float64, 3))
-			for i := range want {
-				if got[i] != want[i] {
-					panic(fmt.Sprintf("op %d: Into[%d] = %g, want %g", op, i, got[i], want[i]))
-				}
-			}
-		}
-		// In-place: dst aliasing the contribution.
-		inPlace := []float64{float64(r.ID()), 1, 2}
-		sum := r.Comm.AllreduceFloat64s(inPlace, OpSum)
-		got := r.Comm.AllreduceFloat64sInto(inPlace, OpSum, inPlace)
-		for i := range sum {
-			if got[i] != sum[i] {
-				panic(fmt.Sprintf("aliased Into[%d] = %g, want %g", i, got[i], sum[i]))
-			}
-		}
 		wantG := r.Comm.AllgatherFloat64(float64(r.ID() * 10))
 		gotG := r.Comm.AllgatherFloat64Into(float64(r.ID()*10), make([]float64, 0, 3))
 		for i := range wantG {
@@ -261,8 +239,8 @@ func BenchmarkHaloExchange(b *testing.B) {
 					} else {
 						buf := make([]float64, n)
 						copy(buf, x)
-						r.Comm.Send(peer, 1, buf)
-						got := r.Comm.RecvFloat64s(peer, 1)
+						r.Comm.SendFloat64s(peer, 1, buf)
+						got := r.Comm.RecvFloat64sInto(peer, 1, nil)
 						for j := range x {
 							x[j] += got[j]
 						}
@@ -273,29 +251,5 @@ func BenchmarkHaloExchange(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestRawSendLegacyInterop keeps the raw Send path working with the
-// buffer-aware receive helpers.
-func TestRawSendLegacyInterop(t *testing.T) {
-	w, _ := NewWorld(2)
-	if err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Comm.Send(1, 1, []float64{1, 2})
-			r.Comm.Send(1, 2, []int32{3, 4})
-		} else {
-			f := r.Comm.RecvFloat64s(0, 1)
-			if f[0] != 1 || f[1] != 2 {
-				panic("raw float payload mangled")
-			}
-			fb := r.Comm.RecvInt32Buf(0, 2)
-			if fb.Data[0] != 3 || fb.Data[1] != 4 {
-				panic("raw int payload mangled")
-			}
-			fb.Release()
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package simmpi is a simulated MPI runtime: ranks are goroutines inside
 // one process, point-to-point messages are matched by (source, tag) with
-// FIFO ordering, and the usual collectives (barrier, allreduce, bcast,
-// gather, split) are provided per communicator.
+// FIFO ordering, and the usual collectives (barrier, allreduce,
+// allgather, split) are provided per communicator.
 //
 // It reproduces the two properties of real MPI the paper's techniques
 // rely on:
@@ -28,6 +28,7 @@
 //
 // Sends use eager (buffered) semantics — they never block — which keeps
 // exchange patterns deadlock-free, like small-message MPI in practice.
+// Every payload travels in a buffer leased from the world freelist.
 package simmpi
 
 import (
@@ -494,10 +495,9 @@ func (c *Comm) Size() int { return len(c.shared.group) }
 // GlobalRank translates a communicator rank to a world rank.
 func (c *Comm) GlobalRank(commRank int) int { return c.shared.group[commRank] }
 
-// Send delivers payload to dst (comm rank) under tag. Eager semantics:
-// it never blocks. Slice payloads are shared, not copied; senders must
-// not mutate them afterwards (use the typed helpers to copy).
-func (c *Comm) Send(dst, tag int, payload any) {
+// send delivers a leased buffer to dst (comm rank) under tag. Eager
+// semantics: it never blocks.
+func (c *Comm) send(dst, tag int, payload any) {
 	if c.world.faults != nil {
 		if act, d, ok := c.world.faultFor(FaultSend, c.me, tag); ok {
 			switch act {
@@ -522,7 +522,7 @@ func (c *Comm) Send(dst, tag int, payload any) {
 func (c *Comm) SendFloat64s(dst, tag int, data []float64) {
 	b := c.LeaseFloat64s(len(data))
 	copy(b.Data, data)
-	c.Send(dst, tag, b)
+	c.send(dst, tag, b)
 }
 
 // SendInt32s copies the slice into a leased transport buffer and sends
@@ -530,14 +530,14 @@ func (c *Comm) SendFloat64s(dst, tag int, data []float64) {
 func (c *Comm) SendInt32s(dst, tag int, data []int32) {
 	b := c.LeaseInt32s(len(data))
 	copy(b.Data, data)
-	c.Send(dst, tag, b)
+	c.send(dst, tag, b)
 }
 
-// Recv blocks until a message from src (comm rank) with tag arrives and
+// recv blocks until a message from src (comm rank) with tag arrives and
 // returns its payload. With a watchdog installed (WithWatchdog) a wait
 // past the deadline panics with *ErrRankStalled, which World.Run returns
 // as a typed error.
-func (c *Comm) Recv(src, tag int) any {
+func (c *Comm) recv(src, tag int) any {
 	g := c.shared.group[src]
 	key := msgKey{src: g, tag: tag}
 	mb := c.world.inbox[c.me]
@@ -575,31 +575,12 @@ func (c *Comm) recvBlocking(mb *mailbox, key msgKey, tag int) message {
 	return m
 }
 
-// RecvFloat64s receives a []float64 payload into a fresh slice; hot
-// paths should use RecvFloat64sInto or RecvFloat64Buf instead.
-func (c *Comm) RecvFloat64s(src, tag int) []float64 {
-	return c.RecvFloat64sInto(src, tag, nil)
-}
-
-// RecvInt32s receives a []int32 payload into a fresh slice; hot paths
-// should use RecvInt32sInto or RecvInt32Buf instead.
-func (c *Comm) RecvInt32s(src, tag int) []int32 {
-	return c.RecvInt32sInto(src, tag, nil)
-}
-
-// SendRecv sends to dst and receives from src (both comm ranks) under the
-// same tag, the deadlock-free exchange idiom.
-func (c *Comm) SendRecv(dst, tag int, payload any, src int) any {
-	c.Send(dst, tag, payload)
-	return c.Recv(src, tag)
-}
-
 // --- collectives ---
 
 // collective implements generation-counted rendezvous for the collective
 // operations of one communicator. Besides the generic any-typed slots it
-// carries typed slot arrays and result cells for the scalar and slice
-// operations the step loop issues every iteration: contributing through
+// carries typed slot arrays and result cells for the scalar allreduces
+// and the gather the step loop issues every iteration: contributing through
 // them avoids the interface boxing (one heap allocation per call per
 // rank) the generic path pays, making steady-state allreduces
 // allocation-free.
@@ -612,12 +593,11 @@ type collective struct {
 	slots   []any
 	result  any
 
-	fslots []float64   // scalar float64 contributions
-	islots []int       // scalar int contributions
-	sslots [][]float64 // slice contributions (headers only; cleared after reduce)
+	fslots []float64 // scalar float64 contributions
+	islots []int     // scalar int contributions
 	resF   float64
 	resI   int
-	resBuf []float64 // reduced/gathered slice, copied out under the lock
+	resBuf []float64 // gathered slice, copied out under the lock
 }
 
 func newCollective(n int) *collective {
@@ -626,7 +606,6 @@ func newCollective(n int) *collective {
 		slots:  make([]any, n),
 		fslots: make([]float64, n),
 		islots: make([]int, n),
-		sslots: make([][]float64, n),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -800,47 +779,10 @@ func (c *collective) copyOutLocked(dst []float64) []float64 {
 	return dst
 }
 
-// rendezvousSliceReduce combines the ranks' slices elementwise into dst.
-// Contributions are slice headers in a typed slot array (no boxing); the
-// last arriver reduces into the collective's persistent buffer and every
-// rank copies it out under the lock, so with pre-sized dst the call
-// allocates nothing. Contribution slots are cleared after the reduce so
-// caller vectors are not retained across steps.
-func (c *collective) rendezvousSliceReduce(idx int, v []float64, op ReduceOp, dst []float64, wd waitInfo) []float64 {
-	c.mu.Lock()
-	gen := c.gen.Load()
-	c.sslots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		first := c.sslots[0]
-		if cap(c.resBuf) < len(first) {
-			c.resBuf = make([]float64, len(first))
-		}
-		c.resBuf = c.resBuf[:len(first)]
-		copy(c.resBuf, first)
-		for _, x := range c.sslots[1:] {
-			for i := range c.resBuf {
-				c.resBuf[i] = reduceF64(c.resBuf[i], x[i], op)
-			}
-		}
-		for i := range c.sslots {
-			c.sslots[i] = nil
-		}
-		c.arrived = 0
-		c.gen.Add(1)
-		dst = c.copyOutLocked(dst)
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return dst
-	}
-	c.waitLocked(gen, wd)
-	dst = c.copyOutLocked(dst)
-	c.mu.Unlock()
-	return dst
-}
-
 // rendezvousGatherF64 gathers one float64 per rank into dst, indexed by
-// comm rank (see rendezvousSliceReduce for the allocation contract).
+// comm rank. The last arriver gathers into the collective's persistent
+// buffer and every rank copies it out under the lock, so with a
+// pre-sized dst the call allocates nothing.
 func (c *collective) rendezvousGatherF64(idx int, v float64, dst []float64, wd waitInfo) []float64 {
 	c.mu.Lock()
 	gen := c.gen.Load()
@@ -919,25 +861,6 @@ func (c *Comm) AllreduceFloat64(v float64, op ReduceOp) float64 {
 	return res
 }
 
-// AllreduceFloat64s combines slices elementwise (all slices must share a
-// length); the result is a fresh slice per rank. Hot paths should use
-// AllreduceFloat64sInto.
-func (c *Comm) AllreduceFloat64s(v []float64, op ReduceOp) []float64 {
-	return c.AllreduceFloat64sInto(v, op, nil)
-}
-
-// AllreduceFloat64sInto combines slices elementwise (all ranks must pass
-// the same length) into dst, which is grown only if too small and may
-// alias v; it returns dst resliced to the result length. With a
-// pre-sized dst the call allocates nothing.
-func (c *Comm) AllreduceFloat64sInto(v []float64, op ReduceOp, dst []float64) []float64 {
-	wd := c.collEnter()
-	c.world.blockEnter(c.me)
-	dst = c.shared.coll.rendezvousSliceReduce(c.Rank(), v, op, dst, wd)
-	c.world.blockExit(c.me)
-	return dst
-}
-
 // AllreduceInt combines one int from every rank through typed slots (no
 // steady-state allocation).
 func (c *Comm) AllreduceInt(v int, op ReduceOp) int {
@@ -986,42 +909,6 @@ func (c *Comm) AllgatherInt32s(v []int32) [][]int32 {
 	})
 	c.world.blockExit(c.me)
 	return res.([][]int32)
-}
-
-// AllgatherInt collects one int per rank.
-func (c *Comm) AllgatherInt(v int) []int {
-	wd := c.collEnter()
-	c.world.blockEnter(c.me)
-	res := c.shared.coll.rendezvous(c.Rank(), v, wd, func(slots []any) any {
-		out := make([]int, len(slots))
-		for i, s := range slots {
-			out[i] = s.(int)
-		}
-		return out
-	})
-	c.world.blockExit(c.me)
-	return res.([]int)
-}
-
-// BcastFloat64s broadcasts root's slice to every rank (fresh copy each).
-func (c *Comm) BcastFloat64s(root int, data []float64) []float64 {
-	var contrib any
-	if c.Rank() == root {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		contrib = cp
-	}
-	wd := c.collEnter()
-	c.world.blockEnter(c.me)
-	rootIdx := root
-	res := c.shared.coll.rendezvous(c.Rank(), contrib, wd, func(slots []any) any {
-		return slots[rootIdx]
-	})
-	c.world.blockExit(c.me)
-	src := res.([]float64)
-	out := make([]float64, len(src))
-	copy(out, src)
-	return out
 }
 
 // Split partitions the communicator by color, ordering ranks by (key,

@@ -3,7 +3,6 @@ package simmpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +31,16 @@ func TestNodeTopology(t *testing.T) {
 	}
 }
 
+// sendInt and recvInt carry one int as a one-value float64 message, the
+// leased-buffer path every payload takes.
+func sendInt(c *Comm, dst, tag, v int) { c.SendFloat64s(dst, tag, []float64{float64(v)}) }
+
+func recvInt(c *Comm, src, tag int) int {
+	b := c.RecvFloat64Buf(src, tag)
+	defer b.Release()
+	return int(b.Data[0])
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(r *Rank) {
@@ -39,7 +48,7 @@ func TestSendRecvBasic(t *testing.T) {
 		case 0:
 			r.Comm.SendFloat64s(1, 7, []float64{1, 2, 3})
 		case 1:
-			got := r.Comm.RecvFloat64s(0, 7)
+			got := r.Comm.RecvFloat64sInto(0, 7, nil)
 			if len(got) != 3 || got[2] != 3 {
 				panic("bad payload")
 			}
@@ -56,11 +65,11 @@ func TestSendRecvFIFOOrdering(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
-				r.Comm.Send(1, 1, i)
+				sendInt(r.Comm, 1, 1, i)
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				if got := r.Comm.Recv(0, 1).(int); got != i {
+				if got := recvInt(r.Comm, 0, 1); got != i {
 					panic("out of order")
 				}
 			}
@@ -75,13 +84,13 @@ func TestTagIsolation(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
-			r.Comm.Send(1, 2, "tag2")
-			r.Comm.Send(1, 1, "tag1")
+			sendInt(r.Comm, 1, 2, 2)
+			sendInt(r.Comm, 1, 1, 1)
 		} else {
-			if got := r.Comm.Recv(0, 1).(string); got != "tag1" {
+			if got := recvInt(r.Comm, 0, 1); got != 1 {
 				panic("tag mismatch")
 			}
-			if got := r.Comm.Recv(0, 2).(string); got != "tag2" {
+			if got := recvInt(r.Comm, 0, 2); got != 2 {
 				panic("tag mismatch")
 			}
 		}
@@ -100,7 +109,7 @@ func TestSendCopiesData(t *testing.T) {
 			buf[0] = -1 // mutate after send; receiver must see 42
 		} else {
 			time.Sleep(time.Millisecond)
-			if got := r.Comm.RecvFloat64s(0, 0); got[0] != 42 {
+			if got := r.Comm.RecvFloat64sInto(0, 0, nil); got[0] != 42 {
 				panic("send did not copy")
 			}
 		}
@@ -114,7 +123,8 @@ func TestSendRecvExchange(t *testing.T) {
 	w, _ := NewWorld(2)
 	err := w.Run(func(r *Rank) {
 		peer := 1 - r.ID()
-		got := r.Comm.SendRecv(peer, 3, r.ID()*10, peer).(int)
+		sendInt(r.Comm, peer, 3, r.ID()*10)
+		got := recvInt(r.Comm, peer, 3)
 		if got != peer*10 {
 			panic("exchange value wrong")
 		}
@@ -172,27 +182,6 @@ func TestAllreduceOps(t *testing.T) {
 	}
 }
 
-func TestAllreduceSlices(t *testing.T) {
-	w, _ := NewWorld(4)
-	err := w.Run(func(r *Rank) {
-		v := []float64{float64(r.ID()), 1}
-		got := r.Comm.AllreduceFloat64s(v, OpSum)
-		if got[0] != 6 || got[1] != 4 {
-			panic("slice sum wrong")
-		}
-		// Repeated use must keep working (generation reuse).
-		for i := 0; i < 10; i++ {
-			got = r.Comm.AllreduceFloat64s([]float64{1}, OpMax)
-			if got[0] != 1 {
-				panic("repeat allreduce")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	w, _ := NewWorld(5)
 	err := w.Run(func(r *Rank) {
@@ -201,36 +190,6 @@ func TestAllgather(t *testing.T) {
 			if v != float64(i*2) {
 				panic("allgather float")
 			}
-		}
-		ints := r.Comm.AllgatherInt(r.ID() + 100)
-		for i, v := range ints {
-			if v != i+100 {
-				panic("allgather int")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	w, _ := NewWorld(4)
-	err := w.Run(func(r *Rank) {
-		var data []float64
-		if r.Comm.Rank() == 2 {
-			data = []float64{3.14, 2.71}
-		}
-		got := r.Comm.BcastFloat64s(2, data)
-		if math.Abs(got[0]-3.14) > 1e-15 || len(got) != 2 {
-			panic("bcast payload")
-		}
-		// Mutating the received copy must not affect other ranks.
-		got[0] = float64(r.ID())
-		r.Comm.Barrier()
-		got2 := r.Comm.BcastFloat64s(2, got)
-		if r.Comm.Rank() != 2 && got2[0] != 2 {
-			panic("bcast aliasing")
 		}
 	})
 	if err != nil {
@@ -261,10 +220,10 @@ func TestSplit(t *testing.T) {
 		}
 		// P2P inside split comm.
 		if sub.Rank() == 0 {
-			sub.Send(1, 9, "hi")
+			sendInt(sub, 1, 9, 42)
 		}
 		if sub.Rank() == 1 {
-			if sub.Recv(0, 9).(string) != "hi" {
+			if recvInt(sub, 0, 9) != 42 {
 				panic("split p2p")
 			}
 		}
@@ -324,10 +283,10 @@ func TestBlockingHooksFire(t *testing.T) {
 		r.Comm.Barrier()
 		if r.ID() == 1 {
 			// This receive blocks until rank 0 sends.
-			r.Comm.Recv(0, 5)
+			recvInt(r.Comm, 0, 5)
 		} else {
 			time.Sleep(2 * time.Millisecond)
-			r.Comm.Send(1, 5, nil)
+			sendInt(r.Comm, 1, 5, 0)
 		}
 		r.Comm.Barrier()
 	})
@@ -354,7 +313,8 @@ func TestManyRanksStress(t *testing.T) {
 		for round := 0; round < 5; round++ {
 			next := (r.Comm.Rank() + 1) % r.Size()
 			prev := (r.Comm.Rank() + r.Size() - 1) % r.Size()
-			got := r.Comm.SendRecv(next, round, r.ID(), prev).(int)
+			sendInt(r.Comm, next, round, r.ID())
+			got := recvInt(r.Comm, prev, round)
 			if got != r.World().RanksOnNode(0)[0]+prev {
 				// prev's global id == prev since world comm.
 				if got != prev {

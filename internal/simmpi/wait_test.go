@@ -51,7 +51,7 @@ func TestSpinPolicyFollowsRunnableRanks(t *testing.T) {
 			}
 			peer := 1 - r.ID()
 			r.Comm.SendFloat64s(peer, 1, []float64{float64(r.ID())})
-			if got := r.Comm.RecvFloat64s(peer, 1); got[0] != float64(peer) {
+			if got := r.Comm.RecvFloat64sInto(peer, 1, nil); got[0] != float64(peer) {
 				t.Errorf("rank %d: got %v from the other runnable rank", r.ID(), got)
 			}
 		}
@@ -116,7 +116,7 @@ func TestOversubscribedWorldNeverSpins(t *testing.T) {
 			}
 			userBarrier(&arrived, n, 2*round+2)
 			r.Comm.SendFloat64s(next, round, []float64{float64(r.ID())})
-			if got := r.Comm.RecvFloat64s(prev, round); got[0] != float64(prev) {
+			if got := r.Comm.RecvFloat64sInto(prev, round, nil); got[0] != float64(prev) {
 				t.Errorf("rank %d round %d: got %v from %d", r.ID(), round, got, prev)
 			}
 			if got := r.Comm.AllreduceInt(r.ID(), OpSum); got != n*(n-1)/2 {
@@ -166,7 +166,7 @@ func TestLiveRanksReturnToZero(t *testing.T) {
 				return // never sends, never arrives
 			}
 			if op == "recv" {
-				r.Comm.Recv(0, 9)
+				recvInt(r.Comm, 0, 9)
 			} else {
 				r.Comm.Barrier()
 			}
@@ -272,17 +272,17 @@ func TestHooksOncePerBlockingCall(t *testing.T) {
 				r.Comm.Barrier()
 			}
 			if r.ID() == 0 {
-				r.Comm.Send(1, 7, nil)
+				sendInt(r.Comm, 1, 7, 0)
 				r.Comm.Barrier()
 				for !h.parkedIn(1, lockstep+late+2) {
 					time.Sleep(50 * time.Microsecond)
 				}
-				r.Comm.Send(1, 8, nil)
+				sendInt(r.Comm, 1, 8, 0)
 			} else {
 				r.Comm.Barrier()
 				if r.ID() == 1 {
-					r.Comm.Recv(0, 7) // already there: no hook
-					r.Comm.Recv(0, 8) // late: one bracket, parked
+					recvInt(r.Comm, 0, 7) // already there: no hook
+					recvInt(r.Comm, 0, 8) // late: one bracket, parked
 				}
 			}
 		}); err != nil {
@@ -327,7 +327,7 @@ func TestWatchdogBoundsSpinAndPark(t *testing.T) {
 					return // never sends, never arrives
 				}
 				if op == "recv" {
-					r.Comm.Recv(0, 9)
+					recvInt(r.Comm, 0, 9)
 				} else {
 					r.Comm.Barrier()
 				}

@@ -232,26 +232,6 @@ func Assemble(pool *Pool, plan *AssemblyPlan, kernel Kernel, plain, atomicS *Sca
 // path pays for the string.
 func subdomainName(i int) string { return fmt.Sprintf("subdomain-%d", i) }
 
-// TaskGraph builds the uncompiled task-graph front-end for a multidep
-// plan: one task per subdomain whose mutexinoutset dependences come from
-// the runtime iterator over the subdomain adjacency, capturing kernel
-// and scatter directly. Every call builds a fresh graph — this is the
-// allocating path that Compiled replaces in the step loop; it remains
-// the reference for the compiled-vs-fresh equivalence tests and A/B
-// benchmarks.
-func (plan *AssemblyPlan) TaskGraph(kernel Kernel, plain *Scatter) *TaskGraph {
-	tg := &TaskGraph{NameFn: subdomainName}
-	for s := 0; s < plan.NumSub; s++ {
-		elems := plan.subElems[s]
-		tg.Add("", plan.mutexDeps(s), func() {
-			for _, e := range elems {
-				kernel(int(e), plain)
-			}
-		})
-	}
-	return tg
-}
-
 // Compiled returns the plan's compiled multidep task graph, building it
 // on first use. Only meaningful for StrategyMultidep plans.
 func (plan *AssemblyPlan) Compiled() *CompiledGraph {

@@ -1,9 +1,6 @@
 package tasking
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // DepType classifies a task dependence, mirroring OpenMP's depend clause.
 type DepType uint8
@@ -59,15 +56,13 @@ type task struct {
 	preds     int     // unresolved ordering predecessors
 	succs     []int32 // ordering successors
 	mutexKeys []any   // keys this task must hold exclusively while running
-	state     int     // 0 pending, 1 running, 2 done
 	id        int32
 }
 
 // TaskGraph accumulates tasks with dependences and executes them on a
 // Pool respecting ordering (in/out/inout) and mutual exclusion
-// (mutexinoutset) semantics. It is the flexible allocating front-end;
-// graphs that run repeatedly over the same structure should be frozen
-// once with Compile and then reuse the CompiledGraph.
+// (mutexinoutset) semantics once frozen with Compile; the CompiledGraph
+// is what runs, and reruns, over the same structure.
 type TaskGraph struct {
 	tasks []*task
 
@@ -77,19 +72,6 @@ type TaskGraph struct {
 	NameFn func(i int) string
 
 	edgesBuilt bool
-}
-
-// taskName resolves the display name of task i: the eager name if one
-// was given, then NameFn, then a positional fallback. Called only on
-// error paths.
-func (tg *TaskGraph) taskName(i int) string {
-	if n := tg.tasks[i].name; n != "" {
-		return n
-	}
-	if tg.NameFn != nil {
-		return tg.NameFn(i)
-	}
-	return fmt.Sprintf("task-%d", i)
 }
 
 // keyState tracks, per key, the tasks relevant for edge construction.
@@ -182,106 +164,4 @@ func (tg *TaskGraph) buildEdges() {
 			}
 		}
 	}
-}
-
-// Run executes the graph on pool and blocks until every task completed.
-// It returns an error if a task panicked or if the dependences are
-// unsatisfiable (which cannot happen for graphs built through Add, whose
-// edges always point forward in submission order).
-func (tg *TaskGraph) Run(pool *Pool) error {
-	n := len(tg.tasks)
-	if n == 0 {
-		return nil
-	}
-	tg.buildEdges()
-
-	var (
-		mu        sync.Mutex
-		keyBusy   = make(map[any]int32) // key -> running holder (+1 offset)
-		doneCount int
-		firstErr  error
-		done      = make(chan struct{})
-		blocked   []int32
-	)
-
-	canAcquire := func(t *task) bool {
-		for _, k := range t.mutexKeys {
-			if keyBusy[k] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	acquire := func(t *task) {
-		for _, k := range t.mutexKeys {
-			keyBusy[k] = t.id + 1
-		}
-	}
-	release := func(t *task) {
-		for _, k := range t.mutexKeys {
-			delete(keyBusy, k)
-		}
-	}
-
-	var launch func(t *task) // forward declaration; submits t to the pool
-	// tryStart must be called with mu held; it starts every startable
-	// blocked task.
-	tryStart := func() {
-		for i := 0; i < len(blocked); {
-			t := tg.tasks[blocked[i]]
-			if t.preds == 0 && canAcquire(t) {
-				acquire(t)
-				t.state = 1
-				blocked[i] = blocked[len(blocked)-1]
-				blocked = blocked[:len(blocked)-1]
-				launch(t)
-				continue
-			}
-			i++
-		}
-	}
-
-	launch = func(t *task) {
-		pool.Submit(func() {
-			panicked := true
-			defer func() {
-				if panicked {
-					r := recover()
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("tasking: task %q panicked: %v", tg.taskName(int(t.id)), r)
-					}
-					mu.Unlock()
-				}
-				mu.Lock()
-				t.state = 2
-				release(t)
-				for _, s := range t.succs {
-					tg.tasks[s].preds--
-				}
-				doneCount++
-				finished := doneCount == n
-				tryStart()
-				mu.Unlock()
-				if finished {
-					close(done)
-				}
-			}()
-			t.fn()
-			panicked = false
-		})
-	}
-
-	mu.Lock()
-	for _, t := range tg.tasks {
-		blocked = append(blocked, t.id)
-	}
-	tryStart()
-	mu.Unlock()
-
-	<-done
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	return err
 }
