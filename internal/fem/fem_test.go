@@ -398,3 +398,43 @@ func BenchmarkMomentumElementPrism(b *testing.B) {
 		MomentumElement3(mesh.Prism6, 6, props, &s)
 	}
 }
+
+// TestGeneratedMeshesHaveNoTangledElements checks every quadrature
+// point of every element GenerateAirway builds, over the generations the
+// dosage sweep and the examples run and the jitter amplitudes the mesh
+// tests use (up to the validated maximum), with and without the inlet
+// funnel: det J never vanishes and keeps one sign across an element. The
+// kernels weight by |det J|, so a tangled element (a sign change inside
+// it) would otherwise be integrated silently. The sign itself is not
+// pinned: the generator emits some pyramids and prisms with left-handed
+// node order, which |det J| integrates correctly.
+func TestGeneratedMeshesHaveNoTangledElements(t *testing.T) {
+	var s Scratch
+	for gens := 0; gens <= 4; gens++ {
+		for _, jitter := range []float64{0, 0.01, 0.05} {
+			for _, funnel := range []bool{true, false} {
+				cfg := mesh.DefaultAirwayConfig()
+				cfg.Generations, cfg.Jitter, cfg.WithInletFunnel = gens, jitter, funnel
+				m, err := mesh.GenerateAirway(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < m.NumElems(); e++ {
+					nen := LoadCoords(m, e, &s)
+					basis := BasisFor(m.Kinds[e])
+					sign := 0.0
+					for q := range basis.QP {
+						det := Jacobian(&basis.QP[q], nen, s.Coords[:], &s.GradN)
+						if q == 0 {
+							sign = math.Copysign(1, det)
+						}
+						if !(det*sign > 0) {
+							t.Fatalf("gens=%d jitter=%g funnel=%v: element %d (%v) has det J = %g at quadrature point %d, sign %g at point 0",
+								gens, jitter, funnel, e, m.Kinds[e], det, q, sign)
+						}
+					}
+				}
+			}
+		}
+	}
+}
