@@ -8,11 +8,11 @@
 // the encoder writes <path>.tmp, fsyncs it, renames it over <path>, and
 // fsyncs the parent directory, so a reader only ever observes a
 // complete snapshot that survives power loss. The format is versioned
-// and checksummed: v2 appends a CRC32C after the header section and
+// and checksummed: version 2 appends a CRC32C after the header section and
 // after each rank section, so a flipped bit anywhere in the file is
 // reported as a typed *ErrCorrupt naming the section and offset rather
-// than silently decoding garbage. v1 files (pre-checksum) still load,
-// marked Legacy, since nothing in them can be verified.
+// than silently decoding garbage. Any other version, including the
+// pre-checksum v1, is rejected as corrupt.
 package checkpoint
 
 import (
@@ -28,7 +28,7 @@ import (
 
 // Format constants. The magic gates decoding; the footer detects
 // truncation of a file that was not atomically renamed into place; the
-// per-section CRC32C words (v2) catch everything subtler.
+// per-section CRC32C words catch everything subtler.
 const (
 	magic   = "RSPCKPT1"
 	footer  = "END!"
@@ -108,10 +108,6 @@ type Snapshot struct {
 	SimTime     float64
 	StepClocks  []float64 // rank 0's per-step virtual clocks, if recorded
 	Ranks       []RankState
-
-	// Legacy marks a snapshot decoded from a v1 (pre-checksum) file:
-	// it loaded structurally but nothing in it could be verified.
-	Legacy bool
 }
 
 // New creates an empty snapshot with slots for the given rank count.
@@ -165,7 +161,7 @@ func (e *enc) crc(start int) {
 	e.u32(crc32.Checksum(e.buf[start:], castagnoli))
 }
 
-// Encode renders the snapshot into its binary form (always v2).
+// Encode renders the snapshot into its binary form.
 func (s *Snapshot) Encode() []byte {
 	e := &enc{buf: make([]byte, 0, 1<<16)}
 	e.buf = append(e.buf, magic...)
@@ -345,7 +341,7 @@ func (d *dec) u8s() []uint8 {
 }
 
 // checksum verifies the CRC32C word sealing the section that started
-// at byte offset start (v2 files only).
+// at byte offset start.
 func (d *dec) checksum(start int) {
 	if d.err != nil {
 		return
@@ -364,11 +360,10 @@ func (d *dec) checksum(start int) {
 	}
 }
 
-// Decode parses a snapshot from its binary form. It accepts the current
-// v2 (checksummed) layout and the legacy v1 layout, marking the latter
-// with Snapshot.Legacy. Any failure — bad magic, truncation, a clamped
-// length field, a CRC mismatch — returns an *ErrCorrupt; Decode never
-// panics on arbitrary input.
+// Decode parses a snapshot from its binary form, the current checksummed
+// layout only. Any failure — bad magic, truncation, another version, a
+// clamped length field, a CRC mismatch — returns an *ErrCorrupt; Decode
+// never panics on arbitrary input.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+4 || string(data[:len(magic)]) != magic {
 		return nil, &ErrCorrupt{Section: "magic", Detail: "bad magic"}
@@ -377,23 +372,17 @@ func Decode(data []byte) (*Snapshot, error) {
 		return nil, &ErrCorrupt{Section: "footer", Offset: int64(len(data)), Detail: "missing footer (truncated write)"}
 	}
 	d := &dec{buf: data[:len(data)-len(footer)], off: len(magic), section: "header"}
-	v := d.u32()
-	switch v {
-	case 1, version:
-	default:
+	if v := d.u32(); v != version {
 		return nil, &ErrCorrupt{Section: "version", Offset: int64(len(magic)), Detail: fmt.Sprintf("unsupported version %d", v)}
 	}
-	withCRC := v == version
-	s := &Snapshot{Legacy: v == 1}
+	s := &Snapshot{}
 	start := d.off
 	s.Fingerprint = d.str()
 	s.Step = d.i64()
 	s.SimTime = d.f64()
 	s.StepClocks = d.f64s()
 	nr := d.length(1)
-	if withCRC {
-		d.checksum(start)
-	}
+	d.checksum(start)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -430,9 +419,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		r.Trace.Phases = d.u8s()
 		r.Trace.Starts = d.f64s()
 		r.Trace.Ends = d.f64s()
-		if withCRC {
-			d.checksum(start)
-		}
+		d.checksum(start)
 		if d.err != nil {
 			return nil, d.err
 		}

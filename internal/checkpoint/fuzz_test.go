@@ -32,7 +32,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// A successful decode must round-trip structurally: re-encoding
-		// and re-decoding cannot fail (Legacy v1 re-encodes as v2).
+		// and re-decoding cannot fail.
 		if _, err := Decode(s.Encode()); err != nil {
 			t.Fatalf("re-decode of accepted input failed: %v", err)
 		}

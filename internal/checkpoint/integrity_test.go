@@ -4,14 +4,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// encodeV1 renders the legacy pre-checksum layout: same field order as
-// v2 but version word 1 and no CRC32C after the header or rank
-// sections. Kept in-test so the production encoder stays v2-only.
+// encodeV1 renders the retired pre-checksum layout: same field order as
+// version 2 but version word 1 and no CRC32C after the header or rank
+// sections.
 func encodeV1(s *Snapshot) []byte {
 	e := &enc{}
 	e.buf = append(e.buf, magic...)
@@ -61,18 +60,13 @@ func encodeV1(s *Snapshot) []byte {
 	return e.buf
 }
 
+// TestDecodeLegacyV1 pins that a v1 file no longer loads: nothing in it
+// can be verified, so Decode rejects it as corrupt at the version word.
 func TestDecodeLegacyV1(t *testing.T) {
-	want := sampleSnapshot()
-	got, err := Decode(encodeV1(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Legacy {
-		t.Fatal("v1 snapshot not marked Legacy")
-	}
-	want.Legacy = true
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("v1 round trip mismatch:\n got %+v\nwant %+v", got, want)
+	_, err := Decode(encodeV1(sampleSnapshot()))
+	var ce *ErrCorrupt
+	if !errors.As(err, &ce) || ce.Section != "version" || ce.Offset != int64(len(magic)) {
+		t.Fatalf("v1 file: err = %#v, want *ErrCorrupt in section \"version\" at offset %d", err, len(magic))
 	}
 }
 

@@ -5,7 +5,6 @@
 // (offline), so an operator sees one vocabulary everywhere:
 //
 //	ok          — decoded and every checksum matched
-//	legacy      — a v1 (pre-checksum) checkpoint: loads, unverifiable
 //	unsealed    — a telemetry chunk without a seal footer (live or
 //	              crashed writer): serves, unverifiable
 //	corrupt     — checksum or structural validation failed
@@ -75,7 +74,7 @@ func ScanCheckpointDir(dir string) ([]Verdict, error) {
 			out = append(out, v)
 			continue
 		}
-		s, err := checkpoint.Load(filepath.Join(dir, name))
+		_, err := checkpoint.Load(filepath.Join(dir, name))
 		var ce *checkpoint.ErrCorrupt
 		switch {
 		case errors.As(err, &ce):
@@ -84,8 +83,6 @@ func ScanCheckpointDir(dir string) ([]Verdict, error) {
 		case err != nil:
 			v.Status = "corrupt"
 			v.Detail = err.Error()
-		case s.Legacy:
-			v.Status = "legacy"
 		default:
 			v.Status = "ok"
 		}

@@ -94,7 +94,7 @@ type integrityJSON struct {
 // handleIntegrity scrubs the server's persisted state on demand: every
 // checkpoint generation under CheckpointDir and every chunk of every
 // telemetry run. ok is false when anything is corrupt or quarantined —
-// legacy checkpoints and unsealed chunks are unverifiable, not bad.
+// unsealed chunks are unverifiable, not bad.
 func (s *Server) handleIntegrity(w http.ResponseWriter, r *http.Request) {
 	out := integrityJSON{OK: true}
 	if s.ckptDir != "" {
