@@ -29,9 +29,6 @@ func (g *CSR) NumVertices() int {
 	return len(g.Ptr) - 1
 }
 
-// NumEdges reports the number of undirected edges (each stored twice).
-func (g *CSR) NumEdges() int { return len(g.Adj) / 2 }
-
 // Degree reports the degree of vertex v.
 func (g *CSR) Degree(v int) int { return int(g.Ptr[v+1] - g.Ptr[v]) }
 

@@ -53,7 +53,7 @@ func randomGraph(n, m int, seed int64) *CSR {
 
 func TestEmptyGraph(t *testing.T) {
 	var g CSR
-	if g.NumVertices() != 0 || g.NumEdges() != 0 {
+	if g.NumVertices() != 0 || len(g.Adj) != 0 {
 		t.Fatalf("empty graph should have 0 vertices and edges")
 	}
 }
@@ -63,8 +63,8 @@ func TestFromEdgesBasic(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("got %d edges, want 2 (dupes and self loops dropped)", g.NumEdges())
+	if len(g.Adj) != 4 { // each undirected edge is stored twice
+		t.Fatalf("got %d directed entries, want 4: 2 edges (dupes and self loops dropped)", len(g.Adj))
 	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) || !g.HasEdge(1, 2) {
 		t.Fatalf("missing expected edges")

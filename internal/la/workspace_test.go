@@ -52,11 +52,11 @@ func solverRHS(n int, seed int64) []float64 {
 	return b
 }
 
-// TestWorkspaceSolversBitIdenticalFreshVsReused pins the workspace
+// TestWorkspaceSolversBitIdenticalToAllocating pins the workspace
 // determinism contract: a reused workspace, including one dirtied by a
-// previous solve of the other solver, must reproduce a fresh workspace's
-// iterates bit for bit.
-func TestWorkspaceSolversBitIdenticalFreshVsReused(t *testing.T) {
+// previous solve of the other solver, must reproduce the iterates of a
+// solve that allocates a fresh workspace, bit for bit.
+func TestWorkspaceSolversBitIdenticalToAllocating(t *testing.T) {
 	const n = 700
 	spd, skew := chainMatrix(n), skewChainMatrix(n)
 	dSPD, dSkew := make([]float64, n), make([]float64, n)

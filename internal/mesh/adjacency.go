@@ -58,25 +58,6 @@ func (m *Mesh) DualByNode() *graph.CSR {
 	return graph.FromAdjacency(lists)
 }
 
-// NodeGraph builds the node-to-node adjacency: two nodes are adjacent iff
-// they appear in a common element. This is the sparsity pattern of the
-// assembled FEM matrices.
-func (m *Mesh) NodeGraph() *graph.CSR {
-	nn := m.NumNodes()
-	lists := make([][]int32, nn)
-	for e := 0; e < m.NumElems(); e++ {
-		nodes := m.ElemNodes(e)
-		for _, a := range nodes {
-			for _, b := range nodes {
-				if a != b {
-					lists[a] = append(lists[a], b)
-				}
-			}
-		}
-	}
-	return graph.FromAdjacency(lists)
-}
-
 // Face is a mesh face identified by its sorted node ids (triangles use
 // N[3] = -1).
 type Face struct {

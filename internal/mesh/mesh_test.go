@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/graph"
 )
 
 // unitTet returns a single-tet mesh with volume 1/6.
@@ -130,7 +132,7 @@ func TestGenerateAirwayValid(t *testing.T) {
 
 func TestAirwayConnected(t *testing.T) {
 	m := smallAirway(t)
-	ng := m.NodeGraph()
+	ng := nodeGraph(m)
 	_, count := ng.Components()
 	// Junction hub nodes whose sleeve tets all degenerate could orphan a
 	// node; the mesh itself (all nodes referenced by elements) must form
@@ -272,9 +274,26 @@ func TestDualByNodeConflicts(t *testing.T) {
 	}
 }
 
+// nodeGraph builds the node-to-node adjacency: two nodes are adjacent iff
+// they appear in a common element. TestAirwayConnected walks it.
+func nodeGraph(m *Mesh) *graph.CSR {
+	lists := make([][]int32, m.NumNodes())
+	for e := 0; e < m.NumElems(); e++ {
+		nodes := m.ElemNodes(e)
+		for _, a := range nodes {
+			for _, b := range nodes {
+				if a != b {
+					lists[a] = append(lists[a], b)
+				}
+			}
+		}
+	}
+	return graph.FromAdjacency(lists)
+}
+
 func TestNodeGraphMatchesElements(t *testing.T) {
 	m := smallAirway(t)
-	ng := m.NodeGraph()
+	ng := nodeGraph(m)
 	if err := ng.Validate(); err != nil {
 		t.Fatal(err)
 	}

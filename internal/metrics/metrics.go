@@ -75,16 +75,6 @@ func PhaseTable(names []string, perPhaseTimes [][]float64) []PhaseRow {
 	return rows
 }
 
-// FormatPhaseTable renders rows like the paper's Table 1.
-func FormatPhaseTable(rows []PhaseRow) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-18s %8s %9s\n", "Phase", "L_n", "% Time")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-18s %8.2f %8.2f%%\n", r.Name, r.Ln, r.Percent)
-	}
-	return sb.String()
-}
-
 // Series is a named sequence of (label, value) points — one bar group of
 // a figure.
 type Series struct {

@@ -113,33 +113,3 @@ func (dm *DepositionMap) Format() string {
 	}
 	return sb.String()
 }
-
-// DepositionTracker wraps a Tracker and bins its finalized particles.
-type DepositionTracker struct {
-	*Tracker
-	Map *DepositionMap
-}
-
-// NewDepositionTracker builds a tracker that also accumulates a
-// deposition map with nBins depth bins.
-func NewDepositionTracker(m *mesh.Mesh, elems []int32, species Props, fluid FluidProps, nBins int) *DepositionTracker {
-	return &DepositionTracker{
-		Tracker: NewTracker(m, elems, species, fluid),
-		Map:     NewDepositionMap(m, nBins),
-	}
-}
-
-// Finalize classifies unclaimed particles like Tracker.Finalize and
-// additionally bins deposits by depth.
-func (dt *DepositionTracker) Finalize(unclaimed []Particle) {
-	for _, p := range unclaimed {
-		if p.Pos.Z <= dt.outletZ {
-			dt.ExitedCount++
-			dt.Map.Exited++
-		} else {
-			dt.DepositedCount++
-			dt.Map.RecordDeposit(p.Pos)
-		}
-	}
-	dt.Map.Airborne = dt.Active.Len()
-}

@@ -67,24 +67,35 @@ func TestDepositionMapEmptyFraction(t *testing.T) {
 	}
 }
 
+// TestDepositionTrackerBinsWallHits bins the particles a tracker
+// finalizes as deposited (below the outlet plane they exited instead).
 func TestDepositionTrackerBinsWallHits(t *testing.T) {
 	m := airway(t, 0)
-	dt := NewDepositionTracker(m, nil, aerosol(), AirAt20C(), 6)
-	dt.InjectAtInlet(80, 5, mesh.Vec3{Z: -1})
-	injected := dt.Active.Len()
+	tr := NewTracker(m, nil, aerosol(), AirAt20C())
+	dm := NewDepositionMap(m, 6)
+	tr.InjectAtInlet(80, 5, mesh.Vec3{Z: -1})
+	injected := tr.Active.Len()
 	side := func(node int32) mesh.Vec3 { return mesh.Vec3{X: 50} }
-	for i := 0; i < 300 && dt.Active.Len() > 0; i++ {
-		dt.Tracker.Step(1e-3, side)
-		dt.Finalize(dt.TakeLost())
+	for i := 0; i < 300 && tr.Active.Len() > 0; i++ {
+		tr.Step(1e-3, side)
+		lost := tr.TakeLost()
+		tr.Finalize(lost)
+		for _, p := range lost {
+			if p.Pos.Z <= tr.outletZ {
+				dm.Exited++
+			} else {
+				dm.RecordDeposit(p.Pos)
+			}
+		}
 	}
-	if dt.Map.TotalDeposited() != dt.DepositedCount {
-		t.Fatalf("map deposits %d != tracker %d", dt.Map.TotalDeposited(), dt.DepositedCount)
+	if dm.TotalDeposited() != tr.DepositedCount || dm.Exited != tr.ExitedCount {
+		t.Fatalf("map deposits/exits %d/%d != tracker %d/%d", dm.TotalDeposited(), dm.Exited, tr.DepositedCount, tr.ExitedCount)
 	}
-	if dt.Map.TotalDeposited()+dt.Map.Exited+dt.Active.Len() != injected {
+	if dm.TotalDeposited()+dm.Exited+tr.Active.Len() != injected {
 		t.Fatal("deposition bookkeeping")
 	}
 	// Blown sideways near the inlet: deposits concentrate proximally.
-	if dt.Map.TotalDeposited() > 0 && dt.Map.Deposited[len(dt.Map.Deposited)-1] > dt.Map.Deposited[0] {
-		t.Fatalf("deposits should be proximal: %v", dt.Map.Deposited)
+	if dm.TotalDeposited() > 0 && dm.Deposited[len(dm.Deposited)-1] > dm.Deposited[0] {
+		t.Fatalf("deposits should be proximal: %v", dm.Deposited)
 	}
 }

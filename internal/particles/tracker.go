@@ -241,7 +241,7 @@ func (t *Tracker) InjectAtInlet(n int, seed int64, vel mesh.Vec3) int {
 
 // Step advances every active particle by dt through the nodal velocity
 // field (global node id -> fluid velocity). Particles that leave the
-// subdomain move to the lost list; call TakeLost / Absorb (or Migrate)
+// subdomain move to the lost list; call TakeLost (or Migrate)
 // afterwards.
 //
 // With a pool attached the population is sharded into fixed-size index
@@ -302,25 +302,12 @@ func (t *Tracker) TakeLost() []Particle {
 	return l
 }
 
-// Absorb tries to adopt foreign particles into this subdomain; it returns
-// how many were adopted. Unlocatable particles are ignored (the sender
-// keeps responsibility for their fate).
-func (t *Tracker) Absorb(ps []Particle) int {
-	adopted := 0
-	for _, p := range ps {
-		if elem, ok := t.Loc.Locate(p.Pos, -1); ok {
-			p.Elem = elem
-			t.Active.Append(p)
-			adopted++
-		}
-	}
-	return adopted
-}
-
-// absorbEncoded is Absorb over the wire encoding, decoding each
-// particle straight out of the transport buffer — no intermediate
-// []Particle is materialized, so adoption allocates nothing beyond the
-// store's amortized growth.
+// absorbEncoded adopts foreign particles into this subdomain, decoding
+// each straight out of the transport buffer — no intermediate []Particle
+// is materialized, so adoption allocates nothing beyond the store's
+// amortized growth. It returns how many were adopted; unlocatable
+// particles are ignored (the sender keeps responsibility for their
+// fate).
 func (t *Tracker) absorbEncoded(data []float64) int {
 	adopted := 0
 	for i := 0; i+particleWireLen <= len(data); i += particleWireLen {

@@ -74,15 +74,6 @@ func (p *Partition) Validate(weights []float64) error {
 	return nil
 }
 
-// UniformWeights returns a weight vector of all ones.
-func UniformWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // KWay partitions the n vertices of dual into k parts, balancing the given
 // per-vertex weights. weights may be nil for uniform weights. It is the
 // one-shot form of Scratch.KWay (identical results); repeated callers —

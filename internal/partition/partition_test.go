@@ -9,6 +9,15 @@ import (
 	"repro/internal/mesh"
 )
 
+// uniformWeights returns a weight vector of all ones.
+func uniformWeights(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	return w
+}
+
 func gridDual(w, h int) *graph.CSR {
 	var edges []graph.Edge
 	id := func(x, y int) int32 { return int32(y*w + x) }
@@ -44,7 +53,7 @@ func TestKWayBasicBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(UniformWeights(400)); err != nil {
+	if err := p.Validate(uniformWeights(400)); err != nil {
 		t.Fatal(err)
 	}
 	if ib := p.Imbalance(); ib > 1.10 {
@@ -87,7 +96,7 @@ func TestKWayMorePartsThanVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(UniformWeights(4)); err != nil {
+	if err := p.Validate(uniformWeights(4)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,7 +168,7 @@ func TestKWayOnAirwayDual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(UniformWeights(m.NumElems())); err != nil {
+	if err := p.Validate(uniformWeights(m.NumElems())); err != nil {
 		t.Fatal(err)
 	}
 	if ib := p.Imbalance(); ib > 1.3 {
@@ -277,7 +286,7 @@ func TestKWayQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return p.Validate(UniformWeights(w*h)) == nil
+		return p.Validate(uniformWeights(w*h)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
