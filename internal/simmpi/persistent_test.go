@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/warmrt"
 )
@@ -189,6 +190,17 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("steady-state collectives allocated %d objects over 100 rounds, want ~0", allocs)
+	}
+}
+
+// TestCollectiveFillsWholeCacheLines pins the padding that keeps two
+// communicators' collectives off a shared cache line.
+func TestCollectiveFillsWholeCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit words")
+	}
+	if size := unsafe.Sizeof(collective{}); size%64 != 0 {
+		t.Fatalf("collective is %d bytes, not a whole number of 64-byte lines; adjust its padding", size)
 	}
 }
 

@@ -598,6 +598,12 @@ type collective struct {
 	resF   float64
 	resI   int
 	resBuf []float64 // gathered slice, copied out under the lock
+
+	// Keep the struct a whole number of cache lines (192 bytes). Split
+	// allocates the new communicators' collectives back to back, and
+	// waiters spin on gen: an object that straddled a line would share
+	// it with its neighbour's hot fields.
+	_ [24]byte
 }
 
 func newCollective(n int) *collective {
