@@ -22,12 +22,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 
 	_ "repro" // populate the default scenario registry
@@ -39,6 +39,9 @@ func main() {
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "benchfig:", err)
+		if errors.Is(err, scenario.ErrBadParams) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -47,6 +50,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var spec scenario.ParamsSpec
 	var (
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
 		exp      = fs.String("exp", "all", "comma-separated scenario names, or 'all' for the paper suite")
@@ -54,14 +58,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		format   = fs.String("format", "text", "output format: text, json, or csv")
 		parallel = fs.Int("parallel", 1, "number of scenarios to run concurrently")
 		progress = fs.Bool("progress", false, "report per-scenario progress on stderr")
-		platform = fs.String("platform", "", "restrict per-platform figures to one platform (MareNostrum4 or Thunder)")
-		width    = fs.Int("width", 100, "timeline width (trace scenarios)")
-		rows     = fs.Int("rows", 24, "timeline max rows (trace scenarios)")
-		inflow   = fs.String("inflow", "", "inlet waveform for measured scenarios: steady, breathing:<period>, or table:<t>=<s>,...")
-		sweepD   = fs.String("sweep-d", "", "comma-separated particle diameters in meters (sweep scenarios)")
-		sweepQ   = fs.String("sweep-q", "", "comma-separated inlet face speeds in m/s (sweep scenarios)")
-		sweepG   = fs.String("sweep-g", "", "comma-separated airway mesh generations (sweep scenarios)")
 	)
+	// Overrides bind to the POST /jobs option fields: an unset flag keeps
+	// each scenario's own default (quickstart renders 90x8, fig2 100x24).
+	fs.Var(spec.Flag("platforms"), "platform", "restrict per-platform figures to one platform (MareNostrum4 or Thunder)")
+	fs.Var(spec.Flag("width"), "width", "timeline width (trace scenarios)")
+	fs.Var(spec.Flag("rows"), "rows", "timeline max rows (trace scenarios)")
+	fs.Var(spec.Flag("inflow"), "inflow", "inlet waveform for measured scenarios: steady, breathing:<period>, or table:<t>=<s>,...")
+	fs.Var(spec.Flag("sweepDiameters"), "sweep-d", "comma-separated particle diameters in meters (sweep scenarios)")
+	fs.Var(spec.Flag("sweepFlows"), "sweep-q", "comma-separated inlet face speeds in m/s (sweep scenarios)")
+	fs.Var(spec.Flag("sweepGens"), "sweep-g", "comma-separated airway mesh generations (sweep scenarios)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -74,6 +80,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Validated before any scenario runs: a typo must not discard a
 		// minutes-long suite.
 		return fmt.Errorf("unknown format %q (want text, json, or csv)", *format)
+	}
+	params, err := spec.Params()
+	if err != nil {
+		return err
 	}
 	reg := scenario.Default
 
@@ -88,50 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	scs, err := selectScenarios(reg, *exp, *tags)
 	if err != nil {
 		return err
-	}
-
-	// Flag defaults must not override a scenario's own timeline defaults
-	// (quickstart renders 90x8; fig2 100x24): only pass explicitly set
-	// flags through.
-	var params scenario.Params
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "width":
-			params.Width = *width
-		case "rows":
-			params.Rows = *rows
-		}
-	})
-	if *platform != "" {
-		params.Platforms = []string{*platform}
-	}
-	if *inflow != "" {
-		w, err := scenario.ParseWaveform(*inflow)
-		if err != nil {
-			return err
-		}
-		params.Inflow = w
-	}
-	if *sweepD != "" {
-		ds, err := parseFloatList("sweep-d", *sweepD)
-		if err != nil {
-			return err
-		}
-		params.SweepDiameters = ds
-	}
-	if *sweepQ != "" {
-		qs, err := parseFloatList("sweep-q", *sweepQ)
-		if err != nil {
-			return err
-		}
-		params.SweepFlows = qs
-	}
-	if *sweepG != "" {
-		gs, err := parseIntList("sweep-g", *sweepG)
-		if err != nil {
-			return err
-		}
-		params.SweepGens = gs
 	}
 
 	runner := scenario.Runner{Parallel: *parallel}
@@ -183,48 +149,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("%d of %d scenarios failed (first: %w)", len(results)-len(arts), len(results), firstErr)
 	}
 	return ctxErr
-}
-
-// parseFloatList parses a comma-separated list of positive floats for a
-// sweep-axis flag.
-func parseFloatList(name, s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || !(v > 0) {
-			return nil, fmt.Errorf("-%s: want positive numbers, got %q", name, f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s: empty list", name)
-	}
-	return out, nil
-}
-
-// parseIntList parses a comma-separated list of positive ints for a
-// sweep-axis flag.
-func parseIntList(name, s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("-%s: want positive integers, got %q", name, f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-%s: empty list", name)
-	}
-	return out, nil
 }
 
 // selectScenarios resolves the -exp / -tags selection against the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -185,6 +186,30 @@ func TestBadFormatAndArgs(t *testing.T) {
 	}
 	if _, _, err := runCLI(t, "table1"); err == nil {
 		t.Fatal("positional arguments must error")
+	}
+}
+
+// TestBadOverridesAreTyped: every override is validated by
+// ParamsSpec.Params before any scenario runs, so a bad value is the
+// typed ErrBadParams main exits 2 on (a 400 in POST /jobs), never a
+// silent fall-back to the scenario default.
+func TestBadOverridesAreTyped(t *testing.T) {
+	for _, args := range [][]string{
+		{"-width", "0"},
+		{"-rows", "-3"},
+		{"-inflow", "whoosh"},
+		{"-sweep-d", "2.5e-6,-1"},
+		{"-sweep-q", "0"},
+		{"-sweep-g", "2,0"},
+	} {
+		start := time.Now()
+		_, _, err := runCLI(t, append([]string{"-exp", "table1"}, args...)...)
+		if !errors.Is(err, scenario.ErrBadParams) {
+			t.Errorf("%v: err = %v, want ErrBadParams", args, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%v: validation ran the scenarios first (%v)", args, d)
+		}
 	}
 }
 

@@ -18,191 +18,163 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro"
 	"repro/internal/checkpoint"
 	"repro/internal/coupling"
 	"repro/internal/integrity"
+	"repro/internal/tasking"
 	"repro/scenario"
 )
 
 func main() {
-	mode := flag.String("mode", "sync", "execution mode: sync or coupled")
-	ranks := flag.Int("ranks", 4, "MPI ranks (sync mode)")
-	fluid := flag.Int("fluid", 3, "fluid ranks (coupled mode)")
-	parts := flag.Int("parts", 1, "particle ranks (coupled mode)")
-	steps := flag.Int("steps", 3, "time steps")
-	particles := flag.Int("particles", 1000, "particles injected at step 1")
-	strategy := flag.String("strategy", "multidep", "assembly strategy: serial, atomics, coloring, multidep")
-	threads := flag.Int("threads", 1, "OpenMP-like threads per rank")
-	gens := flag.Int("gens", 2, "bronchial generations of the airway mesh")
-	useDLB := flag.Bool("dlb", false, "enable dynamic load balancing")
-	ranksPerNode := flag.Int("ranks-per-node", 0, "ranks per node (0 = all on one node)")
-	showTrace := flag.Bool("trace", false, "print the phase timeline")
-	inflow := flag.String("inflow", "", "inlet waveform: steady, breathing:<period>, or table:<t>=<s>,... (empty = constant inflow)")
-	injectEvery := flag.Int("inject-every", 0, "re-release particles every k steps (0 = single step-0 bolus)")
-	sweep := flag.Bool("sweep", false, "run a dosage sweep (one simulation per grid point) instead of a single run")
-	sweepD := flag.String("sweep-d", "", "sweep axis: comma-separated particle diameters in meters (implies -sweep)")
-	sweepQ := flag.String("sweep-q", "", "sweep axis: comma-separated inlet face speeds in m/s (implies -sweep)")
-	sweepG := flag.String("sweep-g", "", "sweep axis: comma-separated mesh generations (implies -sweep)")
-	ckptPath := flag.String("checkpoint", "", "checkpoint the run into this file and resume from it when present (single-run mode)")
-	ckptEvery := flag.Int("checkpoint-every", 10, "checkpoint capture period in steps (with -checkpoint)")
-	ckptKeep := flag.Int("checkpoint-keep", 2, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
-	verify := flag.String("verify", "", "offline integrity scrub: verify every checkpoint and telemetry chunk under this directory, print per-file verdicts, and exit (1 if anything is corrupt or quarantined)")
-	watchdog := flag.Duration("watchdog", 0, "stall bound per blocking exchange; a stuck rank fails the run with a typed error (0 = off)")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI, separated from main for testing. It returns the
+// exit status: 2 for a bad flag, 1 for a failed run.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("respira", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// The simulation overrides bind to the POST /jobs option fields and
+	// so share its validation; unset ones take the defaults below.
+	var spec scenario.ParamsSpec
+	fs.Var(spec.Flag("mode"), "mode", "execution mode: sync or coupled (default sync)")
+	fs.Var(spec.Flag("ranks"), "ranks", "MPI ranks, sync mode (default 4)")
+	fs.Var(spec.Flag("steps"), "steps", "time steps (default 3)")
+	fs.Var(spec.Flag("particles"), "particles", "particles injected at step 1 (default 1000)")
+	fs.Var(spec.Flag("strategy"), "strategy", "assembly strategy: serial, atomics, coloring, multidep (default multidep)")
+	fs.Var(spec.Flag("workers"), "threads", "OpenMP-like threads per rank (default 1)")
+	fs.Var(spec.Flag("meshGenerations"), "gens", "bronchial generations of the airway mesh (default 2)")
+	fs.Var(spec.Flag("dlb"), "dlb", "enable dynamic load balancing")
+	fs.Var(spec.Flag("inflow"), "inflow", "inlet waveform: steady, breathing:<period>, or table:<t>=<s>,... (default constant inflow)")
+	fs.Var(spec.Flag("sweepDiameters"), "sweep-d", "sweep axis: comma-separated particle diameters in meters (implies -sweep)")
+	fs.Var(spec.Flag("sweepFlows"), "sweep-q", "sweep axis: comma-separated inlet face speeds in m/s (implies -sweep)")
+	fs.Var(spec.Flag("sweepGens"), "sweep-g", "sweep axis: comma-separated mesh generations (implies -sweep)")
+	var (
+		fluid        = fs.Int("fluid", 3, "fluid ranks (coupled mode)")
+		parts        = fs.Int("parts", 1, "particle ranks (coupled mode)")
+		ranksPerNode = fs.Int("ranks-per-node", 0, "ranks per node (0 = 48, one MareNostrum4 node; larger runs span several nodes)")
+		showTrace    = fs.Bool("trace", false, "print the phase timeline")
+		injectEvery  = fs.Int("inject-every", 0, "re-release particles every k steps (0 = single step-0 bolus)")
+		sweep        = fs.Bool("sweep", false, "run a dosage sweep (one simulation per grid point) instead of a single run")
+		ckptPath     = fs.String("checkpoint", "", "checkpoint the run into this file and resume from it when present (single-run mode)")
+		ckptEvery    = fs.Int("checkpoint-every", 10, "checkpoint capture period in steps (with -checkpoint)")
+		ckptKeep     = fs.Int("checkpoint-keep", 2, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
+		verify       = fs.String("verify", "", "offline integrity scrub: verify every checkpoint and telemetry chunk under this directory, print per-file verdicts, and exit (1 if anything is corrupt or quarantined)")
+		watchdog     = fs.Duration("watchdog", 0, "stall bound per blocking exchange; a stuck rank fails the run with a typed error (0 = off)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *verify != "" {
-		os.Exit(runVerify(*verify))
+		return runVerify(*verify, stdout, stderr)
 	}
 
 	// Validate every flag before any simulation work: nonsensical counts
 	// (-steps -1, -gens 0, ...) exit 2 with a usage message, the same
 	// rules the respirad service applies to POST /jobs options (400).
-	usage := func(err error) {
-		fmt.Fprintln(os.Stderr, "respira:", err)
-		flag.Usage()
-		os.Exit(2)
+	usage := func(err error) int {
+		fmt.Fprintln(stderr, "respira:", err)
+		fs.Usage()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage(fmt.Errorf("unexpected arguments %q", fs.Args()))
+	}
+	p, err := spec.Params()
+	if err != nil {
+		return usage(err)
 	}
 	for _, c := range []struct {
 		name string
 		v    int
 		fn   func(string, int) error
 	}{
-		{"ranks", *ranks, scenario.CheckPositive},
 		{"fluid", *fluid, scenario.CheckPositive},
 		{"parts", *parts, scenario.CheckPositive},
-		{"steps", *steps, scenario.CheckPositive},
-		{"particles", *particles, scenario.CheckNonNegative},
-		{"threads", *threads, scenario.CheckPositive},
-		{"gens", *gens, scenario.CheckPositive},
 		{"ranks-per-node", *ranksPerNode, scenario.CheckNonNegative},
 		{"inject-every", *injectEvery, scenario.CheckNonNegative},
 		{"checkpoint-every", *ckptEvery, scenario.CheckPositive},
 		{"checkpoint-keep", *ckptKeep, scenario.CheckPositive},
 	} {
 		if err := c.fn(c.name, c.v); err != nil {
-			usage(err)
+			return usage(err)
 		}
-	}
-	runMode, err := scenario.ParseMode(*mode)
-	if err != nil {
-		usage(err)
-	}
-	runStrategy, err := scenario.ParseStrategy(*strategy)
-	if err != nil {
-		usage(err)
 	}
 	if *watchdog < 0 {
-		usage(fmt.Errorf("watchdog must be nonnegative, got %v", *watchdog))
-	}
-	var waveform scenario.Params
-	if *inflow != "" {
-		w, err := scenario.ParseWaveform(*inflow)
-		if err != nil {
-			usage(err)
-		}
-		waveform.Inflow = w
+		return usage(fmt.Errorf("watchdog must be nonnegative, got %v", *watchdog))
 	}
 
-	if *sweep || *sweepD != "" || *sweepQ != "" || *sweepG != "" {
+	if *sweep || len(p.SweepDiameters)+len(p.SweepFlows)+len(p.SweepGens) > 0 {
 		// Sweep mode runs the registered "sweep" scenario: a grid of
 		// full simulations with per-point mesh/partition arena reuse.
 		// Only explicitly set flags override the sweep's per-point
 		// defaults (2 ranks, 2 steps, 400 particles per point).
-		p := waveform
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "ranks":
-				p.Ranks = *ranks
-			case "steps":
-				p.Steps = *steps
-			case "particles":
-				p.Particles = *particles
-			case "threads":
-				p.Workers = *threads
-			}
-		})
-		if *sweepD != "" {
-			p.SweepDiameters = parseAxisFloats("sweep-d", *sweepD, usage)
+		sp := scenario.Params{
+			Ranks: p.Ranks, Steps: p.Steps, Particles: p.Particles, Workers: p.Workers, Inflow: p.Inflow,
+			SweepDiameters: p.SweepDiameters, SweepFlows: p.SweepFlows, SweepGens: p.SweepGens,
 		}
-		if *sweepQ != "" {
-			p.SweepFlows = parseAxisFloats("sweep-q", *sweepQ, usage)
+		if err := runDosageSweep(ctx, sp, stdout); err != nil {
+			fmt.Fprintln(stderr, "respira:", err)
+			return 1
 		}
-		if *sweepG != "" {
-			p.SweepGens = parseAxisInts("sweep-g", *sweepG, usage)
-		}
-		if err := runDosageSweep(p); err != nil {
-			fmt.Fprintln(os.Stderr, "respira:", err)
-			os.Exit(1)
-		}
-		return
+		return 0
 	}
 
 	cfg := repro.DefaultSimulationConfig()
-	cfg.Mesh.Generations = *gens
-	cfg.Run.Steps = *steps
-	cfg.Run.NumParticles = *particles
-	cfg.Run.UseDLB = *useDLB
-	cfg.Run.WorkersPerRank = *threads
+	cfg.Mesh.Generations = 2
+	rc := &cfg.Run
+	rc.Mode, rc.FluidRanks, rc.ParticleRanks = coupling.Synchronous, 4, 0
+	rc.Steps, rc.NumParticles, rc.WorkersPerRank = 3, 1000, 1
+	rc.NS.Strategy = tasking.StrategyMultidep
+	p.ApplyRun(rc)
+	p.ApplyMesh(&cfg.Mesh)
+	if rc.Mode == coupling.Coupled {
+		rc.FluidRanks, rc.ParticleRanks = *fluid, *parts
+	}
 	if *ranksPerNode > 0 {
-		cfg.Run.RanksPerNode = *ranksPerNode
+		rc.RanksPerNode = *ranksPerNode
 	}
-
-	cfg.Run.Mode = runMode
-	switch runMode {
-	case coupling.Synchronous:
-		cfg.Run.FluidRanks = *ranks
-		cfg.Run.ParticleRanks = 0
-		if cfg.Run.RanksPerNode == 0 {
-			cfg.Run.RanksPerNode = *ranks
-		}
-	case coupling.Coupled:
-		cfg.Run.FluidRanks = *fluid
-		cfg.Run.ParticleRanks = *parts
-		if cfg.Run.RanksPerNode == 0 {
-			cfg.Run.RanksPerNode = *fluid + *parts
-		}
-	}
-	cfg.Run.NS.Strategy = runStrategy
-	if waveform.Inflow != nil {
-		cfg.Run.NS.Inflow = waveform.Inflow
-	}
-	cfg.Run.InjectEvery = *injectEvery
-	cfg.Run.Watchdog = *watchdog
+	rc.InjectEvery = *injectEvery
+	rc.Watchdog = *watchdog
 	if *ckptPath != "" {
-		cfg.Run.Checkpoint = &checkpoint.Plan{
+		rc.Checkpoint = &checkpoint.Plan{
 			Path: *ckptPath, Every: *ckptEvery, Resume: true, Keep: *ckptKeep,
-			OnError: func(err error) { fmt.Fprintln(os.Stderr, "respira: checkpoint:", err) },
+			OnError: func(err error) { fmt.Fprintln(stderr, "respira: checkpoint:", err) },
 		}
 	}
 
-	res, err := repro.RunSimulation(cfg)
+	res, err := repro.RunSimulationContext(ctx, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "respira:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "respira:", err)
+		return 1
 	}
-	fmt.Print(res.Summary())
+	fmt.Fprint(stdout, res.Summary())
 	if *showTrace {
-		fmt.Println()
-		fmt.Print(res.Result.Trace.Render(100, 24))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.Result.Trace.Render(100, 24))
 	}
+	return 0
 }
 
 // runVerify is the -verify DIR offline scrub: per-file verdicts on
 // stdout, exit 1 when anything is corrupt or quarantined (the same
 // criterion as respirad's GET /admin/integrity ok field).
-func runVerify(dir string) int {
+func runVerify(dir string, stdout, stderr io.Writer) int {
 	vs, err := integrity.ScanDir(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "respira: verify:", err)
+		fmt.Fprintln(stderr, "respira: verify:", err)
 		return 1
 	}
 	if len(vs) == 0 {
-		fmt.Printf("%s: no checkpoints or telemetry runs found\n", dir)
+		fmt.Fprintf(stdout, "%s: no checkpoints or telemetry runs found\n", dir)
 		return 0
 	}
 	for _, v := range vs {
@@ -210,7 +182,7 @@ func runVerify(dir string) int {
 		if v.Detail != "" {
 			line += "  (" + v.Detail + ")"
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	if integrity.AnyBad(vs) {
 		return 1
@@ -220,61 +192,19 @@ func runVerify(dir string) int {
 
 // runDosageSweep executes the registered "sweep" scenario with p and
 // prints its table.
-func runDosageSweep(p scenario.Params) error {
+func runDosageSweep(ctx context.Context, p scenario.Params, stdout io.Writer) error {
 	scs, err := scenario.Default.Select([]string{repro.ScenarioSweep})
 	if err != nil {
 		return err
 	}
 	r := &scenario.Runner{}
-	results, err := r.Run(context.Background(), scs, p)
+	results, err := r.Run(ctx, scs, p)
 	if err != nil {
 		return err
 	}
 	if results[0].Err != nil {
 		return results[0].Err
 	}
-	fmt.Println(results[0].Artifact.Text())
+	fmt.Fprintln(stdout, results[0].Artifact.Text())
 	return nil
-}
-
-// parseAxisFloats parses a comma-separated sweep axis of positive floats,
-// exiting through usage on a bad value.
-func parseAxisFloats(name, s string, usage func(error)) []float64 {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || !(v > 0) {
-			usage(fmt.Errorf("-%s: want positive numbers, got %q", name, f))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		usage(fmt.Errorf("-%s: empty list", name))
-	}
-	return out
-}
-
-// parseAxisInts parses a comma-separated sweep axis of positive ints,
-// exiting through usage on a bad value.
-func parseAxisInts(name, s string, usage func(error)) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil || v < 1 {
-			usage(fmt.Errorf("-%s: want positive integers, got %q", name, f))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		usage(fmt.Errorf("-%s: empty list", name))
-	}
-	return out
 }

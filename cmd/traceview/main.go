@@ -27,6 +27,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,6 +38,7 @@ import (
 	"time"
 
 	_ "repro" // populate the default scenario registry
+	"repro/internal/coupling"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -48,6 +50,9 @@ func main() {
 	defer stop()
 	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "traceview:", err)
+		if errors.Is(err, scenario.ErrBadParams) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -56,20 +61,22 @@ func main() {
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var spec scenario.ParamsSpec
 	var (
 		store = fs.String("store", "", "telemetry store directory to render from (or record into with -scenario)")
 		url   = fs.String("url", "", "base URL of a live respirad server to query instead of a store directory")
 		list  = fs.Bool("list", false, "list recorded runs and exit (-store or -url mode)")
 		runID = fs.String("run", "", "run ID to render (default: the newest recorded run)")
 		scen  = fs.String("scenario", "fig2", "registry scenario to run fresh (ignored with -url or a bare -store)")
-
-		ranks     = fs.Int("ranks", 32, "MPI ranks (fresh runs)")
-		steps     = fs.Int("steps", 2, "time steps (fresh runs)")
-		particles = fs.Int("particles", 5000, "particles injected (fresh runs)")
-		mesh      = fs.Int("mesh", 3, "airway mesh generations (fresh runs)")
-		width     = fs.Int("width", 110, "timeline width (chars)")
-		rows      = fs.Int("rows", 32, "max rank rows shown")
 	)
+	// Fresh-run overrides bind to the POST /jobs option fields: an unset
+	// flag keeps the scenario's own default.
+	fs.Var(spec.Flag("ranks"), "ranks", "MPI ranks (fresh runs)")
+	fs.Var(spec.Flag("steps"), "steps", "time steps (fresh runs)")
+	fs.Var(spec.Flag("particles"), "particles", "particles injected (fresh runs)")
+	fs.Var(spec.Flag("meshGenerations"), "mesh", "airway mesh generations (fresh runs)")
+	fs.Var(spec.Flag("width"), "width", "timeline width in chars (default 110; fresh runs: the scenario's)")
+	fs.Var(spec.Flag("rows"), "rows", "max rank rows shown (default 32; fresh runs: the scenario's)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -79,6 +86,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *url != "" && *store != "" {
 		return fmt.Errorf("-store and -url are mutually exclusive")
 	}
+	params, err := spec.Params()
+	if err != nil {
+		return err
+	}
 	// A scenario run happens only when the user asked for one (or gave
 	// neither source); a bare -store/-url is a pure reader.
 	scenarioSet := false
@@ -87,48 +98,32 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			scenarioSet = true
 		}
 	})
+	width, rows := 110, 32
+	if params.Width > 0 {
+		width = params.Width
+	}
+	if params.Rows > 0 {
+		rows = params.Rows
+	}
 
 	switch {
 	case *url != "":
 		if scenarioSet {
 			return fmt.Errorf("-scenario runs locally; drop it when querying a server with -url")
 		}
-		return runRemote(*url, *list, *runID, *width, *rows, stdout)
+		return runRemote(*url, *list, *runID, width, rows, stdout)
 	case *store != "" && !scenarioSet:
 		st, err := telemetry.OpenDir(*store)
 		if err != nil {
 			return err
 		}
-		return runStored(st, *list, *runID, *width, *rows, stdout)
+		return runStored(st, *list, *runID, width, rows, stdout)
 	default:
 		if *list || *runID != "" {
 			return fmt.Errorf("-list and -run need a source: -store DIR or -url URL")
 		}
-		params := freshParams(fs, *ranks, *steps, *particles, *mesh, *width, *rows)
 		return runFresh(ctx, *scen, *store, params, stdout, stderr)
 	}
-}
-
-// freshParams passes only explicitly set flags through, so flag
-// defaults do not override a scenario's own defaults (matching
-// benchfig).
-func freshParams(fs *flag.FlagSet, ranks, steps, particles, mesh, width, rows int) scenario.Params {
-	var p scenario.Params
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "ranks":
-			p.Ranks = ranks
-		case "steps":
-			p.Steps = steps
-		case "particles":
-			p.Particles = particles
-		case "mesh":
-			p.MeshGenerations = mesh
-		case "width", "rows":
-			p.Width, p.Rows = width, rows
-		}
-	})
-	return p
 }
 
 // namedSink stamps the scenario name onto runs the simulation records,
@@ -147,7 +142,7 @@ func (s namedSink) BeginRun(meta telemetry.RunMeta) (*telemetry.RunWriter, error
 
 // runFresh executes one registry scenario and prints its artifact. With
 // a store directory the executed simulations are also recorded there
-// (the store rides the context down to coupling.RunContext).
+// (the store rides the context's coupling.Env down to RunContext).
 func runFresh(ctx context.Context, name, storeDir string, params scenario.Params, stdout, stderr io.Writer) error {
 	sc, err := scenario.Default.Get(name) // unknown names list the registry
 	if err != nil {
@@ -159,7 +154,7 @@ func runFresh(ctx context.Context, name, storeDir string, params scenario.Params
 			return err
 		}
 		before := st.RunCount()
-		ctx = telemetry.ContextWithSink(ctx, namedSink{st: st, scenario: name})
+		ctx = coupling.WithEnv(ctx, coupling.Env{Telemetry: namedSink{st: st, scenario: name}})
 		defer func() {
 			if n := st.RunCount() - before; n > 0 {
 				fmt.Fprintf(stderr, "traceview: recorded %d run(s) into %s\n", n, storeDir)

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -54,6 +56,59 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if _, _, err := runCLI(t, "stray"); err == nil {
 		t.Fatal("positional arguments must error")
+	}
+}
+
+// timelineRows returns the bar of every rank row of a rendered timeline.
+func timelineRows(out string) []string {
+	var bars []string
+	for _, m := range regexp.MustCompile(`(?m)^ *\d+ \|(.*)\|$`).FindAllStringSubmatch(out, -1) {
+		bars = append(bars, m[1])
+	}
+	return bars
+}
+
+// Each timeline flag overrides only its own dimension on a fresh run;
+// the other keeps the scenario's (quickstart renders 90x8).
+func TestWidthAndRowsBindSeparately(t *testing.T) {
+	out, _, err := runCLI(t, "-scenario", "quickstart", "-ranks", "10", "-steps", "1", "-particles", "100", "-width", "40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bars := timelineRows(out)
+	if len(bars) == 0 || len(bars) > 8 {
+		t.Fatalf("-width alone: %d rank rows of 10 ranks, want quickstart's cap of 8:\n%s", len(bars), out)
+	}
+	for _, b := range bars {
+		if len(b) != 40 {
+			t.Fatalf("-width 40 rendered a %d-column row %q", len(b), b)
+		}
+	}
+	out, _, err = runCLI(t, "-scenario", "quickstart", "-steps", "1", "-particles", "100", "-rows", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bars = timelineRows(out)
+	if len(bars) != 2 {
+		t.Fatalf("-rows 2 rendered %d rank rows:\n%s", len(bars), out)
+	}
+	for _, b := range bars {
+		if len(b) != 90 {
+			t.Fatalf("-rows alone rendered a %d-column row, want quickstart's 90", len(b))
+		}
+	}
+}
+
+// A bad override is the POST /jobs rejection, not a silent default.
+func TestBadOverrideIsTyped(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "quickstart", "-ranks", "0"},
+		{"-scenario", "quickstart", "-width", "0"},
+		{"-store", t.TempDir(), "-rows", "-1"},
+	} {
+		if _, _, err := runCLI(t, args...); !errors.Is(err, scenario.ErrBadParams) {
+			t.Errorf("%v: err = %v, want ErrBadParams", args, err)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -139,16 +138,5 @@ func TestDirProviderNumbering(t *testing.T) {
 	}
 	if first.Every != 5 || !first.Resume {
 		t.Fatalf("plan %+v", first)
-	}
-}
-
-func TestContextProvider(t *testing.T) {
-	if ProviderFromContext(context.Background()) != nil {
-		t.Fatal("empty context must have no provider")
-	}
-	p := &DirProvider{Dir: "d", Base: "b"}
-	ctx := ContextWithProvider(context.Background(), p)
-	if ProviderFromContext(ctx) != Provider(p) {
-		t.Fatal("provider did not round-trip")
 	}
 }

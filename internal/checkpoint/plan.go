@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,9 +11,9 @@ import (
 )
 
 // Plan tells a run whether and where to checkpoint. It travels on
-// coupling.RunConfig or, for service-submitted jobs, through the
-// context (see ContextWithProvider), mirroring how telemetry sinks are
-// threaded.
+// coupling.RunConfig or, for service-submitted jobs, comes from the
+// Provider in the context's coupling.Env, next to the telemetry sink
+// and the watchdog.
 type Plan struct {
 	// Every checkpoints after each multiple of Every completed steps
 	// (at the step boundary, off the hot path). <= 0 disables capture.
@@ -133,24 +132,6 @@ func (p *Plan) Report(err error) {
 // so a resumed job re-requests the same sequence.
 type Provider interface {
 	NextPlan() *Plan
-}
-
-type providerCtxKey struct{}
-
-// ContextWithProvider attaches a checkpoint plan provider to the
-// context; coupling.RunContext consults it when RunConfig.Checkpoint is
-// nil, exactly as telemetry.SinkFromContext backs RunConfig.Telemetry.
-func ContextWithProvider(ctx context.Context, p Provider) context.Context {
-	if p == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, providerCtxKey{}, p)
-}
-
-// ProviderFromContext extracts the provider, or nil.
-func ProviderFromContext(ctx context.Context) Provider {
-	p, _ := ctx.Value(providerCtxKey{}).(Provider)
-	return p
 }
 
 // DirProvider numbers checkpoint files under a directory, naming them

@@ -1,14 +1,11 @@
-// Checkpoint capture and resume for the two run modes, plus the context
-// plumbing for watchdog deadlines and checkpoint plans. Capture happens
+// Checkpoint capture and resume for the two run modes. Capture happens
 // at step boundaries only — rank-0 writes the file between two world
 // barriers while every other rank is parked, strictly off the step
 // loop's hot path (the same discipline as telemetry recording).
 package coupling
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dlb"
@@ -17,25 +14,6 @@ import (
 	"repro/internal/particles"
 	"repro/internal/trace"
 )
-
-type watchdogCtxKey struct{}
-
-// ContextWithWatchdog attaches a default watchdog deadline for blocking
-// MPI operations; RunContext consults it when RunConfig.Watchdog is
-// zero. The service layer uses it to bound every job's runs without
-// touching scenario code.
-func ContextWithWatchdog(ctx context.Context, d time.Duration) context.Context {
-	if d <= 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, watchdogCtxKey{}, d)
-}
-
-// WatchdogFromContext extracts the watchdog deadline, or zero.
-func WatchdogFromContext(ctx context.Context) time.Duration {
-	d, _ := ctx.Value(watchdogCtxKey{}).(time.Duration)
-	return d
-}
 
 // fingerprint identifies the deterministic inputs of a run. A snapshot
 // resumes only under an identical fingerprint; anything that changes the

@@ -174,12 +174,13 @@ func TestResumeSkipsMismatchedSnapshot(t *testing.T) {
 	}
 }
 
-// TestCheckpointProviderFromContext: with no plan on the config, the run
-// must pick one up from the context provider — the service layer's path.
-func TestCheckpointProviderFromContext(t *testing.T) {
+// TestCheckpointProviderFromEnv: with no plan on the config, the run
+// must pick one up from the context Env's provider — the service layer's
+// path — and an explicit plan on the config wins over the provider.
+func TestCheckpointProviderFromEnv(t *testing.T) {
 	dir := t.TempDir()
 	prov := &checkpoint.DirProvider{Dir: dir, Base: "job", Every: 1}
-	ctx := checkpoint.ContextWithProvider(context.Background(), prov)
+	ctx := WithEnv(context.Background(), Env{Checkpoints: prov})
 	cfg := fastCfg()
 	cfg.FluidRanks = 4
 	cfg.Steps = 3
@@ -188,6 +189,18 @@ func TestCheckpointProviderFromContext(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "job.ckpt")); err != nil {
 		t.Fatalf("provider-driven checkpoint missing: %v", err)
+	}
+
+	explicit := filepath.Join(t.TempDir(), "explicit.ckpt")
+	cfg.Checkpoint = &checkpoint.Plan{Path: explicit, Every: 1}
+	if _, err := RunContext(ctx, testMesh(t), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(explicit); err != nil {
+		t.Fatalf("config plan lost to the Env provider: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job.2.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("Env provider handed out a plan despite the config's: %v", err)
 	}
 }
 
@@ -209,5 +222,39 @@ func TestFaultPlanSurfacesStall(t *testing.T) {
 	}
 	if stall.Step != 2 {
 		t.Fatalf("stall at step %d, want 2", stall.Step)
+	}
+}
+
+// TestEnvWatchdogReachesRun: a run with no watchdog of its own takes
+// the Env's, so a dropped collective fails with the typed stall error
+// instead of hanging; a set RunConfig.Watchdog wins over the Env's hour.
+func TestEnvWatchdogReachesRun(t *testing.T) {
+	for _, c := range []struct{ cfg, env time.Duration }{
+		{0, 200 * time.Millisecond},
+		{200 * time.Millisecond, time.Hour},
+	} {
+		cfg := fastCfg()
+		cfg.FluidRanks = 4
+		cfg.Steps = 4
+		cfg.Watchdog = c.cfg
+		cfg.FaultPlan = &simmpi.FaultPlan{Rules: []simmpi.FaultRule{
+			{Rank: 1, Op: simmpi.FaultCollective, Tag: -1, Step: 2, Nth: 1, Action: simmpi.FaultDrop},
+		}}
+		ctx := WithEnv(context.Background(), Env{Watchdog: c.env})
+		m := testMesh(t)
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunContext(ctx, m, cfg)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var stall *simmpi.ErrRankStalled
+			if !errors.As(err, &stall) {
+				t.Fatalf("cfg %v env %v: err = %v, want *simmpi.ErrRankStalled", c.cfg, c.env, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("cfg %v env %v: the dropped collective hung the run", c.cfg, c.env)
+		}
 	}
 }

@@ -104,15 +104,15 @@ type RunConfig struct {
 	// Telemetry, when set, receives a successful run's event rows —
 	// whole rank timelines plus step and DLB-migration markers, drained
 	// after the last rank goroutine joins, strictly off the step loop's
-	// hot path. RunContext falls back to the sink attached to its
-	// context (telemetry.ContextWithSink); nil records nothing.
+	// hot path. RunContext falls back to the context's Env.Telemetry;
+	// nil records nothing.
 	// Telemetry never fails a run: sink errors are dropped.
 	Telemetry telemetry.Sink
 
 	// Watchdog bounds every blocking MPI operation: a rank still
 	// waiting after this long fails the run with a typed
 	// *simmpi.ErrRankStalled instead of hanging the world. Zero
-	// disables it; RunContext falls back to ContextWithWatchdog.
+	// disables it; RunContext falls back to the context's Env.Watchdog.
 	Watchdog time.Duration
 
 	// FaultPlan injects deterministic communication faults (delay,
@@ -125,7 +125,7 @@ type RunConfig struct {
 	// Plan.Path) and — with Plan.Resume — restoring from an existing
 	// snapshot so the finished run's trace render and artifact are
 	// byte-identical to an uninterrupted run. RunContext falls back to
-	// a checkpoint.Provider attached to the context. Nil disables.
+	// a plan from the context's Env.Checkpoints. Nil disables.
 	Checkpoint *checkpoint.Plan
 }
 
@@ -190,18 +190,44 @@ func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, e
 	if cfg.WorkersPerRank < 1 {
 		cfg.WorkersPerRank = 1
 	}
+	env := EnvFrom(ctx)
 	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.SinkFromContext(ctx)
+		cfg.Telemetry = env.Telemetry
 	}
-	if cfg.Checkpoint == nil {
-		if p := checkpoint.ProviderFromContext(ctx); p != nil {
-			cfg.Checkpoint = p.NextPlan()
-		}
+	if cfg.Checkpoint == nil && env.Checkpoints != nil {
+		cfg.Checkpoint = env.Checkpoints.NextPlan()
 	}
 	if cfg.Watchdog <= 0 {
-		cfg.Watchdog = WatchdogFromContext(ctx)
+		cfg.Watchdog = env.Watchdog
 	}
 	return run(ctx, m, cfg)
+}
+
+// Env carries the run services a caller hands every simulation below it
+// without threading them through scenario options: the job service
+// attaches one per job attempt, traceview one per fresh run. RunContext
+// reads it once; a set RunConfig field wins over its Env counterpart.
+type Env struct {
+	// Telemetry backs RunConfig.Telemetry.
+	Telemetry telemetry.Sink
+	// Checkpoints backs RunConfig.Checkpoint: each run takes the next
+	// plan, so a job's runs checkpoint to distinct files in order.
+	Checkpoints checkpoint.Provider
+	// Watchdog backs RunConfig.Watchdog (zero = off).
+	Watchdog time.Duration
+}
+
+type envKey struct{}
+
+// WithEnv returns ctx carrying env.
+func WithEnv(ctx context.Context, env Env) context.Context {
+	return context.WithValue(ctx, envKey{}, env)
+}
+
+// EnvFrom returns the Env attached by WithEnv, or the zero Env.
+func EnvFrom(ctx context.Context) Env {
+	env, _ := ctx.Value(envKey{}).(Env)
+	return env
 }
 
 // stepCanceller decides, once per time step, whether the whole world

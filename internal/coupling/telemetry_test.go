@@ -162,7 +162,7 @@ func TestContextSinkIsPickedUp(t *testing.T) {
 	st := telemetry.NewMemStore()
 	cfg := fastCfg()
 	cfg.FluidRanks = 2
-	ctx := telemetry.ContextWithSink(context.Background(), st)
+	ctx := WithEnv(context.Background(), Env{Telemetry: st})
 	if _, err := RunContext(ctx, testMesh(t), cfg); err != nil {
 		t.Fatal(err)
 	}

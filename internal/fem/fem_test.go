@@ -438,3 +438,75 @@ func TestGeneratedMeshesHaveNoTangledElements(t *testing.T) {
 		}
 	}
 }
+
+// TestDivergenceRHSExactOnLinearField: for a linear velocity u = u0 + G·x
+// the isoparametric interpolation is exact, so every kind's divergence
+// RHS must be Fe_a = -(rho/dt)·tr(G)·∫N_a — on the reference element and
+// on a distorted one (affine map plus a per-node perturbation). The
+// integral ∫N_a is the kind's own quadrature; for Tet4 it is also
+// checked against the closed form V/4.
+func TestDivergenceRHSExactOnLinearField(t *testing.T) {
+	props := FluidProps{Rho: 1.2, Mu: 0, Dt: 0.01}
+	u0 := mesh.Vec3{X: 0.3, Y: -1.1, Z: 2}
+	g := [3][3]float64{{1.5, -0.4, 0.7}, {0.2, -2.5, 0.9}, {-0.6, 1.1, 0.4}}
+	div := g[0][0] + g[1][1] + g[2][2]
+	linear := func(x mesh.Vec3) mesh.Vec3 {
+		return mesh.Vec3{
+			X: u0.X + g[0][0]*x.X + g[0][1]*x.Y + g[0][2]*x.Z,
+			Y: u0.Y + g[1][0]*x.X + g[1][1]*x.Y + g[1][2]*x.Z,
+			Z: u0.Z + g[2][0]*x.X + g[2][1]*x.Y + g[2][2]*x.Z,
+		}
+	}
+	distort := func(k mesh.Kind) []mesh.Vec3 {
+		rng := rand.New(rand.NewSource(int64(k) + 7))
+		ref := refCoords(k)
+		out := make([]mesh.Vec3, len(ref))
+		for a, x := range ref {
+			out[a] = mesh.Vec3{
+				X: 0.02 + 1.3*x.X + 0.2*x.Y - 0.1*x.Z + 0.05*(rng.Float64()-0.5),
+				Y: -0.01 + 0.1*x.X + 0.8*x.Y + 0.15*x.Z + 0.05*(rng.Float64()-0.5),
+				Z: 0.03 - 0.2*x.X + 0.1*x.Y + 1.1*x.Z + 0.05*(rng.Float64()-0.5),
+			}
+		}
+		return out
+	}
+	var s Scratch
+	for _, k := range allKinds {
+		b := BasisFor(k)
+		for _, shape := range []string{"reference", "distorted"} {
+			coords := refCoords(k)
+			if shape == "distorted" {
+				coords = distort(k)
+			}
+			copy(s.Coords[:], coords)
+			for a := 0; a < b.NEN; a++ {
+				s.UConv[a] = linear(coords[a])
+			}
+			DivergenceRHS(k, b.NEN, props, &s)
+			var intN [MaxElemNodes]float64
+			var grad [MaxElemNodes][3]float64
+			for q := range b.QP {
+				qp := &b.QP[q]
+				det := Jacobian(qp, b.NEN, coords, &grad)
+				for a := 0; a < b.NEN; a++ {
+					intN[a] += qp.W * math.Abs(det) * qp.N[a]
+				}
+			}
+			if k == mesh.Tet4 {
+				e1, e2, e3 := coords[1].Sub(coords[0]), coords[2].Sub(coords[0]), coords[3].Sub(coords[0])
+				vol := math.Abs(e1.Dot(e2.Cross(e3))) / 6
+				for a := 0; a < 4; a++ {
+					if math.Abs(intN[a]-vol/4) > 1e-14 {
+						t.Fatalf("%s tet: ∫N_%d = %g, want V/4 = %g", shape, a, intN[a], vol/4)
+					}
+				}
+			}
+			for a := 0; a < b.NEN; a++ {
+				want := -props.Rho / props.Dt * div * intN[a]
+				if math.Abs(s.Fe[a]-want) > 1e-12*math.Abs(props.Rho/props.Dt*div) {
+					t.Errorf("%v %s: Fe[%d] = %.17g, want %.17g", k, shape, a, s.Fe[a], want)
+				}
+			}
+		}
+	}
+}

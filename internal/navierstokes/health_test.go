@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/la"
+	"repro/internal/mesh"
 	"repro/internal/partition"
 	"repro/internal/simmpi"
 	"repro/internal/tasking"
@@ -98,5 +100,56 @@ func TestNonFiniteAlwaysCaught(t *testing.T) {
 	}
 	if div.Phase == "" {
 		t.Fatalf("diverged without a phase: %+v", div)
+	}
+}
+
+// TestPressureLaplacianBitSymmetric: the assembled pressure matrix L of
+// a one-rank solver (no halo shares) is symmetric to the bit — pattern
+// and values — on a single tube and on the default airway tree, so PCG
+// sees the symmetric operator it assumes.
+func TestPressureLaplacianBitSymmetric(t *testing.T) {
+	tube := mesh.DefaultAirwayConfig()
+	tube.Generations = 0
+	tube.NTheta = 8
+	tube.NAxial = 3
+	tube.WithInletFunnel = false
+	for name, mc := range map[string]mesh.AirwayConfig{"tube": tube, "airway": mesh.DefaultAirwayConfig()} {
+		m, err := mesh.GenerateAirway(mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rms, err := partition.BuildRankMeshes(m, make([]int32, m.NumElems()), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		world, err := simmpi.NewWorld(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var L *la.CSRMatrix
+		err = world.Run(func(r *simmpi.Rank) {
+			pool := tasking.NewPool(1)
+			defer pool.Close()
+			s, err := NewSolver(m, rms[0], r.Comm, pool, serialCfg(), DefaultCostModel(), trace.NewTrace(1).Ranks[0])
+			if err != nil {
+				panic(err)
+			}
+			L = s.L
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int32(0); i < int32(L.N); i++ {
+			for k := L.Ptr[i]; k < L.Ptr[i+1]; k++ {
+				j := L.Col[k]
+				kt := L.Find(j, i)
+				if kt < 0 {
+					t.Fatalf("%s: L(%d,%d) stored but L(%d,%d) is not", name, i, j, j, i)
+				}
+				if math.Float64bits(L.Val[k]) != math.Float64bits(L.Val[kt]) {
+					t.Fatalf("%s: L(%d,%d) = %x, L(%d,%d) = %x", name, i, j, math.Float64bits(L.Val[k]), j, i, math.Float64bits(L.Val[kt]))
+				}
+			}
+		}
 	}
 }

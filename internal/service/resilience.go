@@ -21,7 +21,6 @@ import (
 	"repro/internal/coupling"
 	"repro/internal/la"
 	"repro/internal/navierstokes"
-	"repro/internal/telemetry"
 	"repro/scenario"
 )
 
@@ -115,13 +114,14 @@ func (s *Server) lead(ctx context.Context, job *Job, sc scenario.Scenario, ticke
 
 // attemptOnce acquires run capacity and executes the scenario once,
 // with the job's telemetry sink, checkpoint plans and watchdog deadline
-// on the context.
+// on the context as one coupling.Env.
 func (s *Server) attemptOnce(ctx context.Context, job *Job, sc scenario.Scenario, ticket *Ticket) (*scenario.Artifact, error) {
 	if err := ticket.Acquire(ctx); err != nil {
 		return nil, err
 	}
 	job.setRunning()
 	s.logf("job %s: running", job.id)
+	env := coupling.Env{Watchdog: s.watchdog}
 	if s.tstore != nil {
 		// One sink for the job's whole life: run numbering continues
 		// across retries, so no attempt can collide with a run an
@@ -131,23 +131,19 @@ func (s *Server) attemptOnce(ctx context.Context, job *Job, sc scenario.Scenario
 			job.sink = &jobSink{store: s.tstore, job: job.id, scenario: job.scenario}
 			job.sink.admitted(time.Since(job.created))
 		}
-		sink := job.sink
+		env.Telemetry = job.sink
 		job.mu.Unlock()
-		ctx = telemetry.ContextWithSink(ctx, sink)
 	}
 	if s.ckptDir != "" && s.ckptEvery > 0 {
 		// A fresh provider per attempt restarts the path sequence at
 		// <job>.ckpt, so run k of this attempt resumes exactly the file
 		// run k of the previous attempt was writing.
-		prov := &checkpoint.DirProvider{
+		env.Checkpoints = &checkpoint.DirProvider{
 			Dir: s.ckptDir, Base: job.id, Every: s.ckptEvery, Keep: s.ckptKeep,
 			OnError: func(err error) { s.logf("job %s: checkpoint: %v", job.id, err) },
 		}
-		ctx = checkpoint.ContextWithProvider(ctx, prov)
 	}
-	if s.watchdog > 0 {
-		ctx = coupling.ContextWithWatchdog(ctx, s.watchdog)
-	}
+	ctx = coupling.WithEnv(ctx, env)
 	r := &scenario.Runner{Pool: s.pool, Progress: job.record}
 	results, err := r.Run(ctx, []scenario.Scenario{sc}, job.params)
 	if err != nil && (len(results) == 0 || results[0].Err == nil) {

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/coupling"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/scenario"
@@ -27,7 +28,7 @@ func newTelemetryEnv(t *testing.T) (*testEnv, *telemetry.Store) {
 	reg := scenario.NewRegistry()
 	reg.MustRegister(scenario.New("sim", "records two runs", []string{"test"},
 		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			sink := telemetry.SinkFromContext(ctx)
+			sink := coupling.EnvFrom(ctx).Telemetry
 			if sink == nil {
 				return nil, fmt.Errorf("no telemetry sink on the job context")
 			}
@@ -227,7 +228,7 @@ func TestTelemetryRetention(t *testing.T) {
 	reg := scenario.NewRegistry()
 	reg.MustRegister(scenario.New("rec", "records one run", []string{"test"},
 		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			sink := telemetry.SinkFromContext(ctx)
+			sink := coupling.EnvFrom(ctx).Telemetry
 			if sink == nil {
 				return nil, fmt.Errorf("no telemetry sink on the job context")
 			}

@@ -487,17 +487,3 @@ func TestTraceRoundTripRendersByteIdentically(t *testing.T) {
 		t.Fatalf("reloaded render differs:\n--- want\n%s--- got\n%s", want, rendered)
 	}
 }
-
-func TestContextSinkRoundTrip(t *testing.T) {
-	st := NewMemStore()
-	ctx := ContextWithSink(t.Context(), st)
-	if got := SinkFromContext(ctx); got != Sink(st) {
-		t.Fatalf("SinkFromContext = %v", got)
-	}
-	if got := SinkFromContext(t.Context()); got != nil {
-		t.Fatalf("empty context sink = %v", got)
-	}
-	if ctx2 := ContextWithSink(t.Context(), nil); SinkFromContext(ctx2) != nil {
-		t.Fatal("nil sink attached")
-	}
-}

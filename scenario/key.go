@@ -38,7 +38,9 @@ func (p Params) CanonicalKey() string {
 		add("dlb", strconv.FormatBool(*p.DLB))
 	}
 	num("gens", p.MeshGenerations)
-	num("particles", p.Particles)
+	if p.Particles != nil {
+		add("particles", strconv.Itoa(*p.Particles))
+	}
 	num("steps", p.Steps)
 	num("workers", p.Workers)
 	if len(p.Platforms) > 0 {

@@ -38,7 +38,8 @@ func TestCanonicalKeyDistinguishes(t *testing.T) {
 		{Ranks: 9},
 		{ParticleRanks: 8},
 		{Steps: 8},
-		{Particles: 8},
+		NewParams(WithParticles(8)),
+		NewParams(WithParticles(0)),
 		{MeshGenerations: 8},
 		{Workers: 8},
 		{Width: 8},
@@ -74,7 +75,7 @@ func TestCanonicalKeyPlatformsSetLike(t *testing.T) {
 // two equivalent waveforms (parsed vs constructed) share a key, distinct
 // waveforms do not, and an unset Inflow adds nothing.
 func TestCanonicalKeyWaveform(t *testing.T) {
-	parsed, err := ParseWaveform("breathing:0.5")
+	parsed, err := navierstokes.ParseWaveform("breathing:0.5")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,9 @@ type Params struct {
 	// MeshGenerations overrides the bronchial-generation depth of the
 	// airway mesh behind measured runs.
 	MeshGenerations int
-	// Particles overrides the injected particle count.
-	Particles int
+	// Particles overrides the injected particle count (nil = scenario
+	// default; 0 = a fluid-only run).
+	Particles *int
 	// Steps overrides the number of time steps.
 	Steps int
 	// Workers overrides the worker threads per rank.
@@ -108,7 +109,7 @@ func WithDLB(on bool) Option { return func(p *Params) { p.DLB = &on } }
 func WithMesh(generations int) Option { return func(p *Params) { p.MeshGenerations = generations } }
 
 // WithParticles sets the injected particle count.
-func WithParticles(n int) Option { return func(p *Params) { p.Particles = n } }
+func WithParticles(n int) Option { return func(p *Params) { p.Particles = &n } }
 
 // WithSteps sets the time-step count.
 func WithSteps(n int) Option { return func(p *Params) { p.Steps = n } }
@@ -159,8 +160,8 @@ func (p Params) ApplyRun(rc *coupling.RunConfig) {
 	if p.DLB != nil {
 		rc.UseDLB = *p.DLB
 	}
-	if p.Particles > 0 {
-		rc.NumParticles = p.Particles
+	if p.Particles != nil {
+		rc.NumParticles = *p.Particles
 	}
 	if p.Steps > 0 {
 		rc.Steps = p.Steps

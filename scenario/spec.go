@@ -42,14 +42,6 @@ func ParseStrategy(name string) (tasking.Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy %q (want serial, atomics, coloring, or multidep)", name)
 }
 
-// ParseWaveform resolves a CLI/API inflow-waveform description
-// ("steady", "breathing:<period>", "table:<t>=<s>,...") to a
-// navierstokes.Waveform, with the same vocabulary in respira flags and
-// POST /jobs options.
-func ParseWaveform(s string) (navierstokes.Waveform, error) {
-	return navierstokes.ParseWaveform(s)
-}
-
 // CheckPositive rejects a count that must be at least 1 (steps, ranks,
 // mesh generations, worker threads). It is the shared validation both
 // the respira CLI (exit 2) and the service's job decoding (HTTP 400)
@@ -72,9 +64,10 @@ func CheckNonNegative(name string, v int) error {
 
 // ParamsSpec is the wire form of Params: every field optional (nil =
 // keep the scenario's default), modes and strategies by name. It is what
-// the service's POST /jobs body carries under "options"; Params()
-// validates and resolves it, so a bad value is rejected before a job is
-// admitted, with the same rules the respira CLI enforces.
+// the service's POST /jobs body carries under "options" and what the
+// CLIs bind their override flags to (see Flag); Params() validates and
+// resolves it, so a bad value is rejected before any work starts, with
+// the same rules on every front end.
 type ParamsSpec struct {
 	Ranks           *int     `json:"ranks,omitempty"`
 	ParticleRanks   *int     `json:"particleRanks,omitempty"`
@@ -100,8 +93,8 @@ type ParamsSpec struct {
 }
 
 // Params validates the spec and resolves it into a Params value. The
-// first offending field fails the whole spec; nothing is partially
-// applied.
+// first offending field fails the whole spec with an error wrapping
+// ErrBadParams; nothing is partially applied.
 func (s ParamsSpec) Params() (Params, error) {
 	var p Params
 	checks := []struct {
@@ -113,7 +106,6 @@ func (s ParamsSpec) Params() (Params, error) {
 		{"ranks", s.Ranks, CheckPositive, &p.Ranks},
 		{"particleRanks", s.ParticleRanks, CheckNonNegative, &p.ParticleRanks},
 		{"meshGenerations", s.MeshGenerations, CheckPositive, &p.MeshGenerations},
-		{"particles", s.Particles, CheckNonNegative, &p.Particles},
 		{"steps", s.Steps, CheckPositive, &p.Steps},
 		{"workers", s.Workers, CheckPositive, &p.Workers},
 		{"width", s.Width, CheckPositive, &p.Width},
@@ -128,24 +120,32 @@ func (s ParamsSpec) Params() (Params, error) {
 		}
 		*c.dst = *c.v
 	}
+	if s.Particles != nil {
+		if err := CheckNonNegative("particles", *s.Particles); err != nil {
+			return Params{}, err
+		}
+		n := *s.Particles
+		p.Particles = &n
+	}
+	bad := func(err error) (Params, error) { return Params{}, fmt.Errorf("%w: %v", ErrBadParams, err) }
 	if s.Mode != nil {
 		m, err := ParseMode(*s.Mode)
 		if err != nil {
-			return Params{}, err
+			return bad(err)
 		}
 		p.Mode = &m
 	}
 	if s.Strategy != nil {
 		st, err := ParseStrategy(*s.Strategy)
 		if err != nil {
-			return Params{}, err
+			return bad(err)
 		}
 		p.Strategy = &st
 	}
 	if s.SGSStrategy != nil {
 		st, err := ParseStrategy(*s.SGSStrategy)
 		if err != nil {
-			return Params{}, err
+			return bad(fmt.Errorf("sgsStrategy: %w", err))
 		}
 		p.SGSStrategy = &st
 	}
@@ -159,20 +159,20 @@ func (s ParamsSpec) Params() (Params, error) {
 		p.Seed = *s.Seed
 	}
 	if s.Inflow != nil {
-		w, err := ParseWaveform(*s.Inflow)
+		w, err := navierstokes.ParseWaveform(*s.Inflow)
 		if err != nil {
-			return Params{}, err
+			return bad(err)
 		}
 		p.Inflow = w
 	}
 	for _, d := range s.SweepDiameters {
 		if !(d > 0) {
-			return Params{}, fmt.Errorf("sweepDiameters must be positive, got %g", d)
+			return bad(fmt.Errorf("sweepDiameters must be positive, got %g", d))
 		}
 	}
 	for _, q := range s.SweepFlows {
 		if !(q > 0) {
-			return Params{}, fmt.Errorf("sweepFlows must be positive, got %g", q)
+			return bad(fmt.Errorf("sweepFlows must be positive, got %g", q))
 		}
 	}
 	for _, g := range s.SweepGens {

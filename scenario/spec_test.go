@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,7 +31,7 @@ func TestParamsSpecResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.Ranks != 8 || p.ParticleRanks != 2 || p.MeshGenerations != 3 ||
-		p.Particles != 1000 || p.Steps != 4 || p.Workers != 2 ||
+		p.Particles == nil || *p.Particles != 1000 || p.Steps != 4 || p.Workers != 2 ||
 		p.Width != 90 || p.Rows != 10 || p.Seed != 42 {
 		t.Fatalf("resolved params = %+v", p)
 	}
@@ -75,13 +78,14 @@ func TestParamsSpecRejects(t *testing.T) {
 		"unknown mode":     {Mode: sptr("warp")},
 	}
 	for name, spec := range cases {
-		if _, err := spec.Params(); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := spec.Params(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: err = %v, want ErrBadParams", name, err)
 		}
 	}
-	// Zero particles is legal (a fluid-only run).
-	if _, err := (ParamsSpec{Particles: iptr(0)}).Params(); err != nil {
-		t.Errorf("particles 0 rejected: %v", err)
+	// Zero particles is legal (a fluid-only run) and stays set.
+	p, err := (ParamsSpec{Particles: iptr(0)}).Params()
+	if err != nil || p.Particles == nil || *p.Particles != 0 {
+		t.Errorf("particles 0: params %+v, err %v", p, err)
 	}
 }
 
@@ -164,8 +168,8 @@ func TestParamsSpecWaveformAndSweep(t *testing.T) {
 		{SweepFlows: []float64{0}},
 		{SweepGens: []int{2, 0}},
 	} {
-		if _, err := bad.Params(); err == nil {
-			t.Errorf("spec %+v: want error, got nil", bad)
+		if _, err := bad.Params(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("spec %+v: err = %v, want ErrBadParams", bad, err)
 		}
 	}
 }
@@ -188,4 +192,175 @@ func TestParamsSpecWaveformJSON(t *testing.T) {
 	if p.SweepGens[0] != 2 {
 		t.Fatalf("sweepGens = %v", p.SweepGens)
 	}
+}
+
+// specKeys lists the JSON key of every ParamsSpec field.
+func specKeys() []string {
+	var keys []string
+	t := reflect.TypeOf(ParamsSpec{})
+	for i := 0; i < t.NumField(); i++ {
+		keys = append(keys, strings.Split(t.Field(i).Tag.Get("json"), ",")[0])
+	}
+	return keys
+}
+
+// TestParamsSpecRejectionsTyped: one bad value per validated field, each
+// rejected with an error wrapping ErrBadParams (the service's fail-fast
+// classification and the CLIs' exit 2). The table must name every
+// field: a new one is either validated here or listed as free.
+func TestParamsSpecRejectionsTyped(t *testing.T) {
+	bad := map[string]string{
+		"ranks":           `{"ranks":0}`,
+		"particleRanks":   `{"particleRanks":-1}`,
+		"mode":            `{"mode":"warp"}`,
+		"strategy":        `{"strategy":"speculative"}`,
+		"sgsStrategy":     `{"sgsStrategy":"speculative"}`,
+		"meshGenerations": `{"meshGenerations":0}`,
+		"particles":       `{"particles":-1}`,
+		"steps":           `{"steps":0}`,
+		"workers":         `{"workers":0}`,
+		"width":           `{"width":0}`,
+		"rows":            `{"rows":0}`,
+		"inflow":          `{"inflow":"whoosh"}`,
+		"sweepDiameters":  `{"sweepDiameters":[1e-6,0]}`,
+		"sweepFlows":      `{"sweepFlows":[-1]}`,
+		"sweepGens":       `{"sweepGens":[2,0]}`,
+	}
+	free := map[string]bool{"dlb": true, "platforms": true, "seed": true}
+	for _, key := range specKeys() {
+		body, ok := bad[key]
+		if !ok {
+			if !free[key] {
+				t.Errorf("field %q has no rejection case and is not listed as free", key)
+			}
+			continue
+		}
+		var spec ParamsSpec
+		if err := json.Unmarshal([]byte(body), &spec); err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if _, err := spec.Params(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("%s: err = %v, want ErrBadParams", key, err)
+		}
+	}
+}
+
+// TestFlagBindsEveryKey: every ParamsSpec JSON key binds to a flag, an
+// unset flag leaves its field nil, and the bound values resolve to the
+// same Params as the same options in a POST /jobs body.
+func TestFlagBindsEveryKey(t *testing.T) {
+	values := map[string]string{
+		"ranks": "8", "particleRanks": "2", "mode": "coupled", "strategy": "coloring",
+		"sgsStrategy": "serial", "dlb": "true", "meshGenerations": "3", "particles": "0",
+		"steps": "4", "workers": "2", "platforms": "Thunder, MareNostrum4", "width": "60",
+		"rows": "5", "seed": "42", "inflow": "breathing:0.5",
+		"sweepDiameters": "2.5e-6,10e-6", "sweepFlows": "0.9,", "sweepGens": "2,3",
+	}
+	body := `{"ranks":8,"particleRanks":2,"mode":"coupled","strategy":"coloring",
+		"sgsStrategy":"serial","dlb":true,"meshGenerations":3,"particles":0,
+		"steps":4,"workers":2,"platforms":["Thunder","MareNostrum4"],"width":60,
+		"rows":5,"seed":42,"inflow":"breathing:0.5",
+		"sweepDiameters":[2.5e-6,10e-6],"sweepFlows":[0.9],"sweepGens":[2,3]}`
+	var spec ParamsSpec
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	var args []string
+	for _, key := range specKeys() {
+		v, ok := values[key]
+		if !ok {
+			t.Fatalf("no flag value for key %q", key)
+		}
+		fs.Var(spec.Flag(key), key, "")
+		args = append(args, "-"+key+"="+v)
+	}
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if spec.Ranks != nil || spec.Particles != nil || spec.SweepGens != nil {
+		t.Fatalf("unset flags populated the spec: %+v", spec)
+	}
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	got, err := spec.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire ParamsSpec
+	if err := json.Unmarshal([]byte(body), &wire); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(spec, wire) {
+		t.Fatalf("flag-bound spec differs from the wire spec:\nflags %+v\nwire  %+v", spec, wire)
+	}
+	want, err := wire.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CanonicalKey() != want.CanonicalKey() {
+		t.Fatalf("flag key %q, wire key %q", got.CanonicalKey(), want.CanonicalKey())
+	}
+
+	// A bool binds as a bare flag; syntax errors fail the parse.
+	var bare ParamsSpec
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(new(strings.Builder))
+	fs.Var(bare.Flag("dlb"), "dlb", "")
+	fs.Var(bare.Flag("ranks"), "ranks", "")
+	if err := fs.Parse([]string{"-dlb"}); err != nil || bare.DLB == nil || !*bare.DLB {
+		t.Fatalf("bare -dlb: %v, %v", bare.DLB, err)
+	}
+	if err := fs.Parse([]string{"-ranks", "x"}); err == nil {
+		t.Fatal("-ranks x parsed")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown key did not panic")
+		}
+	}()
+	bare.Flag("nosuch")
+}
+
+// FuzzParamsSpec: arbitrary JSON never panics the decode-and-validate
+// path, and an accepted spec's CanonicalKey survives a marshal
+// round-trip of the spec (what a persisted job manifest relies on).
+func FuzzParamsSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"ranks":24,"steps":2,"strategy":"atomics","dlb":false,"platforms":["MareNostrum4"]}`,
+		`{"particles":0,"mode":"sync","sgsStrategy":"multidep","seed":-3}`,
+		`{"inflow":"table:0=0,0.1=1","sweepDiameters":[1e-6,1e-6],"sweepFlows":[1.2],"sweepGens":[3,2]}`,
+		`{"inflow":"breathing:0.0008","width":60,"rows":4,"meshGenerations":2}`,
+		`{"steps":-1}`,
+		`[1,2]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec ParamsSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		p, err := spec.Params()
+		if err != nil {
+			if !errors.Is(err, ErrBadParams) {
+				t.Fatalf("untyped rejection: %v", err)
+			}
+			return
+		}
+		out, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back ParamsSpec
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-decode %s: %v", out, err)
+		}
+		q, err := back.Params()
+		if err != nil {
+			t.Fatalf("round-tripped spec %s rejected: %v", out, err)
+		}
+		if p.CanonicalKey() != q.CanonicalKey() {
+			t.Fatalf("key %q became %q after a round-trip through %s", p.CanonicalKey(), q.CanonicalKey(), out)
+		}
+	})
 }

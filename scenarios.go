@@ -39,8 +39,8 @@ func table1Opts(p scenario.Params) Table1Options {
 	if p.Steps > 0 {
 		opts.Steps = p.Steps
 	}
-	if p.Particles > 0 {
-		opts.Particles = p.Particles
+	if p.Particles != nil {
+		opts.Particles = *p.Particles
 	}
 	if p.MeshGenerations > 0 {
 		opts.MeshGen = p.MeshGenerations

@@ -211,3 +211,27 @@ func TestScenarioCancellationThreadsDown(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestQuickstartZeroParticles: "particles": 0 is a fluid-only run, not
+// "use the default count" — the option injects nothing.
+func TestQuickstartZeroParticles(t *testing.T) {
+	var spec scenario.ParamsSpec
+	if err := json.Unmarshal([]byte(`{"particles":0,"steps":1}`), &spec); err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.Params()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Default.Get(ScenarioQuickstart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := sc.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(a.Report, "injected=0 deposited=0 exited=0 active=0") {
+		t.Fatalf("particles 0 still injected:\n%s", a.Report)
+	}
+}

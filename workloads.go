@@ -136,8 +136,8 @@ func runPollutant(ctx context.Context, p scenario.Params) (*scenario.Artifact, e
 	if p.Steps > 0 {
 		steps = p.Steps
 	}
-	if p.Particles > 0 {
-		perStepShots = p.Particles
+	if p.Particles != nil {
+		perStepShots = *p.Particles
 	}
 	if p.Workers > 0 {
 		workers = p.Workers
@@ -293,8 +293,8 @@ func runCoupledDLB(ctx context.Context, p scenario.Params) (*scenario.Artifact, 
 			if p.Steps > 0 {
 				cfg.Run.Steps = p.Steps
 			}
-			if p.Particles > 0 {
-				cfg.Run.NumParticles = p.Particles
+			if p.Particles != nil {
+				cfg.Run.NumParticles = *p.Particles
 			}
 			if p.Workers > 0 {
 				cfg.Run.WorkersPerRank = p.Workers
