@@ -45,9 +45,16 @@ type BreathingWaveform struct {
 	Period float64
 }
 
-// At returns sin(2*pi*t/Period).
+// At returns sin(2*pi*t/Period). Where the phase overflows (t far beyond
+// any simulated time, or a vanishing Period) it is taken from t's
+// remainder modulo Period instead, so every finite t gives a finite
+// scale.
 func (w BreathingWaveform) At(t float64) float64 {
-	return math.Sin(2 * math.Pi * t / w.Period)
+	x := 2 * math.Pi * t / w.Period
+	if math.IsInf(x, 0) {
+		x = 2 * math.Pi * (math.Mod(t, w.Period) / w.Period)
+	}
+	return math.Sin(x)
 }
 
 func (w BreathingWaveform) String() string {
@@ -57,6 +64,8 @@ func (w BreathingWaveform) String() string {
 // TabulatedWaveform linearly interpolates scale factors over sample
 // times (a digitized subject-specific flow curve). Times must be
 // strictly increasing; evaluation clamps outside the table.
+// ParseWaveform accepts only finite tables whose interpolation cannot
+// overflow (maxTableScale).
 type TabulatedWaveform struct {
 	Times  []float64
 	Scales []float64
@@ -97,6 +106,11 @@ func (w TabulatedWaveform) String() string {
 	return b.String()
 }
 
+// maxTableScale bounds a table's scale magnitudes: with both ends of a
+// segment within it, a segment's rise is finite and an interpolated scale
+// never exceeds the larger end by more than rounding.
+const maxTableScale = math.MaxFloat64 / 4
+
 // ParseWaveform parses the textual waveform forms used by the CLIs and
 // the service wire format — the inverse of each implementation's
 // String():
@@ -126,6 +140,9 @@ func ParseWaveform(s string) (Waveform, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("waveform %q: entry %q is not numeric", s, pair)
 			}
+			if math.IsNaN(tv) || math.IsInf(tv, 0) || !(math.Abs(sv) <= maxTableScale) {
+				return nil, fmt.Errorf("waveform %q: entry %q needs a finite time and a scale within ±%g", s, pair, maxTableScale)
+			}
 			w.Times = append(w.Times, tv)
 			w.Scales = append(w.Scales, sv)
 		}
@@ -135,6 +152,12 @@ func ParseWaveform(s string) (Waveform, error) {
 		for i := 1; i < len(w.Times); i++ {
 			if w.Times[i] <= w.Times[i-1] {
 				return nil, fmt.Errorf("waveform %q: times must be strictly increasing", s)
+			}
+			// At computes s0 + (s1-s0)*(t-t0)/(t1-t0) inside a segment,
+			// where t-t0 < t1-t0: a finite span and product keep it finite.
+			span := w.Times[i] - w.Times[i-1]
+			if math.IsInf(span, 0) || math.IsInf((w.Scales[i]-w.Scales[i-1])*span, 0) {
+				return nil, fmt.Errorf("waveform %q: segment %d is too wide or too steep to interpolate", s, i)
 			}
 		}
 		return w, nil

@@ -240,7 +240,7 @@ func TestBatchTrackerStepMatchesScalarSweep(t *testing.T) {
 				tr.SetPool(pool)
 			}
 			rng := rand.New(rand.NewSource(int64(n)))
-			for i, pos := range tr.inj.candidates(m, 2*n+64, 9, mesh.Vec3{Z: -1}) {
+			for i, pos := range releaseCandidates(m, 2*n+64, 9, mesh.Vec3{Z: -1}) {
 				if elem, ok := tr.Loc.Locate(pos, -1); ok && tr.Active.Len() < n {
 					// Scattered initial velocities: slip, and so the
 					// iteration count, differs from lane to lane.

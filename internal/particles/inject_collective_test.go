@@ -71,7 +71,7 @@ func TestInjectCollectiveSingleRankMatchesLocal(t *testing.T) {
 		// release under another seed and velocity in between must leave
 		// no trace in the next one, and once warm only the allgather's
 		// result allocates (in a one-rank world: the contribution copy
-		// and its boxing, the result table, its one row and its boxing).
+		// and its boxing, the result table and its boxing).
 		tr.Active.Clear()
 		InjectAtInletCollective(r.Comm, tr, 300, 5, mesh.Vec3{X: 0.3, Z: -2})
 		tr.Active.Clear()
@@ -84,7 +84,7 @@ func TestInjectCollectiveSingleRankMatchesLocal(t *testing.T) {
 		// A one-off bolus past injectKeep must not pin its buffers for
 		// the rest of the run.
 		InjectAtInletCollective(r.Comm, tr, injectKeep+1, 4, mesh.Vec3{Z: -1})
-		kept = cap(tr.inj.cands) + cap(tr.inj.elems) + cap(tr.inj.claims)
+		kept = cap(tr.inj.idx) + cap(tr.inj.elems) + cap(tr.inj.chunk) + cap(tr.inj.chunkElems)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestInjectCollectiveSingleRankMatchesLocal(t *testing.T) {
 	if !reflect.DeepEqual(first, again) {
 		t.Fatal("a reused injection scratch changed the released particles")
 	}
-	const allgatherAllocs = 5
+	const allgatherAllocs = 4
 	if allocs > allgatherAllocs {
 		t.Fatalf("repeated injection allocates %.0f objects per call, want <= %d (the allgather's own)", allocs, allgatherAllocs)
 	}

@@ -5,6 +5,7 @@ package particles
 // these; the A/B benchmarks below time it against them.
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/mesh"
@@ -108,13 +109,43 @@ func NewLegacyTracker(m *mesh.Mesh, elems []int32, species Props, fluid FluidPro
 	}
 }
 
+// legacyCandidates is the seed's release generator, a copy of its own so
+// that a change to the tracker's streamed generator cannot pass on both
+// sides of the equivalence suite.
+func legacyCandidates(m *mesh.Mesh, n int, seed int64, vel mesh.Vec3) []mesh.Vec3 {
+	inlet := m.InletNodes
+	if len(inlet) == 0 {
+		return nil
+	}
+	var centroid mesh.Vec3
+	for _, nd := range inlet {
+		centroid = centroid.Add(m.Coords[nd])
+	}
+	centroid = centroid.Scale(1 / float64(len(inlet)))
+	rng := rand.New(rand.NewSource(seed))
+	var push mesh.Vec3
+	if vn := vel.Norm(); vn > 0 {
+		push = vel.Scale(1e-6 / vn)
+	}
+	out := make([]mesh.Vec3, 0, n)
+	for i := 0; i < n; i++ {
+		nd := inlet[rng.Intn(len(inlet))]
+		a := 0.15 + 0.7*rng.Float64()
+		pos := m.Coords[nd].Scale(1 - a).Add(centroid.Scale(a))
+		if push != (mesh.Vec3{}) {
+			pos = pos.Add(push)
+		}
+		out = append(out, pos)
+	}
+	return out
+}
+
 // InjectAtInlet seeds n particles exactly like Tracker.InjectAtInlet:
 // both draw from the same deterministic candidate sequence and assign the
 // same IDs.
 func (t *LegacyTracker) InjectAtInlet(n int, seed int64, vel mesh.Vec3) int {
 	adopted := 0
-	var s injectScratch
-	for i, pos := range s.candidates(t.Mesh, n, seed, vel) {
+	for i, pos := range legacyCandidates(t.Mesh, n, seed, vel) {
 		elem, ok := t.Loc.Locate(pos, -1)
 		if !ok {
 			continue
@@ -221,8 +252,7 @@ func releaseLookups(b *testing.B) (locs [2]*Locator, hits, misses [2][]mesh.Vec3
 	for e, part := range p.Parts {
 		parts[part] = append(parts[part], int32(e))
 	}
-	var s injectScratch
-	cands := s.candidates(m, 4096, 1, mesh.Vec3{Z: -1})
+	cands := releaseCandidates(m, 4096, 1, mesh.Vec3{Z: -1})
 	for r, elems := range parts {
 		locs[r] = NewLocator(m, elems, 32)
 		for _, c := range cands {

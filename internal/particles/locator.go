@@ -64,6 +64,21 @@ func (b *elemBox) has(p mesh.Vec3) bool {
 		p.Z >= b.lo.Z && p.Z <= b.hi.Z
 }
 
+// boxesMeet reports whether any own padded element box meets the closed
+// box [lo, hi]. Locate accepts only points inside such a box, so when none
+// meets it, no point of [lo, hi] can be located in this subdomain.
+func (l *Locator) boxesMeet(lo, hi mesh.Vec3) bool {
+	for i := range l.boxes {
+		b := &l.boxes[i]
+		if b.lo.X <= hi.X && b.hi.X >= lo.X &&
+			b.lo.Y <= hi.Y && b.hi.Y >= lo.Y &&
+			b.lo.Z <= hi.Z && b.hi.Z >= lo.Z {
+			return true
+		}
+	}
+	return false
+}
+
 // boxPad is the padding of the element boxes, in units of the locator's
 // tol (1e-9 x the grid span): 1e-6 x the span. pointInTet accepts p only
 // when every barycentric coordinate is >= -1e-9, and p is their weighted

@@ -1,7 +1,6 @@
 package particles
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/mesh"
@@ -9,30 +8,20 @@ import (
 )
 
 // InjectAtInletCollective injects n particles across all the ranks of
-// comm, each adopted by exactly one rank: every rank generates the same
-// deterministic candidate sequence, claims the candidates it can locate,
-// and an allgather resolves ties to the lowest-ranked claimant (subdomain
-// geometries can overlap at junction sleeves and transition rings).
+// comm, each adopted by exactly one rank: every rank that can host the
+// release streams the same deterministic candidate sequence and claims
+// the candidates it can locate, and an allgather of the claim indices
+// resolves ties to the lowest-ranked claimant (subdomain geometries can
+// overlap at junction sleeves and transition rings). A rank whose
+// subdomain cannot meet the inlet generates nothing and claims nothing.
 // All ranks must call it collectively; each returns its own adoption
 // count. Working storage comes from the tracker's injection scratch, so
-// for releases up to injectKeep only the allgather's result allocates
-// once warm.
+// for releases up to injectKeep only the allgather allocates once warm.
 func InjectAtInletCollective(comm *simmpi.Comm, t *Tracker, n int, seed int64, vel mesh.Vec3) int {
-	s := &t.inj
-	located := t.locateRelease(n, seed, vel)
-	s.claims = slices.Grow(s.claims[:0], located)
-	for i, e := range s.elems {
-		if e >= 0 {
-			s.claims = append(s.claims, int32(i))
-		}
-	}
-	// A candidate is this rank's iff it located it and no lower rank
-	// claimed it too: ties go to the lowest claimant.
-	all := comm.AllgatherInt32s(s.claims)
+	t.locateRelease(n, seed, vel)
+	all := comm.AllgatherInt32s(t.inj.idx)
 	for _, lower := range all[:comm.Rank()] {
-		for _, idx := range lower {
-			s.elems[idx] = -1
-		}
+		t.inj.dropClaimed(lower)
 	}
 	return t.adoptRelease(n, seed, vel)
 }

@@ -82,76 +82,114 @@ type Tracker struct {
 	// three-phase protocol (claim/candidate/transfer scratch), so
 	// heavy-migration steps stop churning the heap.
 	mig migrateScratch
-	// inj is the same for injection (candidate generation and the
-	// collective claim resolution), which runs every step under
-	// continuous dosing.
+	// inj is the same for injection (the streamed candidate generator,
+	// the claims and the collective claim resolution), which runs every
+	// step under continuous dosing.
 	inj injectScratch
+	// locateBody locates inj.chunk[lo:hi] into inj.chunkElems[lo:hi]; it
+	// is built once in NewTracker for the same reason as stepBody.
+	locateBody func(lo, hi int)
 }
 
-// injectScratch is the per-tracker working storage of an injection. Every
-// slice is resliced in place, and the candidate generator is reseeded
+// injectScratch is the per-tracker working storage of an injection. A
+// release is streamed: its candidates are generated injectChunk at a time
+// into one reused chunk, and only the ones this rank locates are kept, as
+// (index, element) pairs ascending by index. The generator is reseeded
 // rather than remade (rand.Rand.Seed restarts the exact sequence
 // rand.NewSource would), so repeated injections allocate nothing once the
 // slices reach the release size.
 type injectScratch struct {
-	rng    *rand.Rand
-	cands  []mesh.Vec3
-	elems  []int32 // per candidate: located element, -1 none (or lost to a lower rank)
-	claims []int32 // indices of the candidates this rank located
+	rng      *rand.Rand
+	centroid mesh.Vec3 // of the inlet nodes
+	push     mesh.Vec3 // inward nudge along the release velocity
+
+	chunk      []mesh.Vec3 // the candidates being located
+	chunkElems []int32     // per chunk candidate: located element, -1 none
+
+	idx   []int32 // ascending indices of the candidates this rank claims
+	elems []int32 // elems[k]: the element holding candidate idx[k]
+
+	host int8 // whether this subdomain can host a release: 0 unknown, 1 yes, -1 no
 }
+
+// injectChunk is how many candidates a release generates and locates at
+// a time; injectShard is the index-range width of one parallel locate.
+const (
+	injectChunk = 4096
+	injectShard = 256
+)
 
 // injectKeep is the largest release whose buffers the scratch keeps for
 // the next one: repeated releases (continuous dosing, thousands per step)
-// reuse them, while a larger one-off bolus drops them after use — kept,
-// they would pin 28-32 B per candidate for the rest of the run (a 300 000
-// particle bolus: ~9 MB per rank; on particle_bolus the median peak RSS of
-// one simulation reads 52.8 MB with the drop and 59.9 MB without, +13 %).
+// reuse them, while a larger one-off bolus drops them after use. The
+// lists a rank that can host the release presizes cost 8 B per candidate,
+// so keeping them would pin ~2.4 MB on that rank for the rest of a
+// 300 000-particle bolus run; every other rank holds nothing.
 const injectKeep = 1 << 16
 
 // trim ends an injection: buffers grown past injectKeep are released.
 func (s *injectScratch) trim() {
-	if cap(s.cands) > injectKeep {
-		s.cands, s.elems, s.claims = nil, nil, nil
+	if cap(s.idx) > injectKeep {
+		s.idx, s.elems, s.chunk, s.chunkElems = nil, nil, nil, nil
 	}
 }
 
-// candidates generates the deterministic injection positions for a given
-// (n, seed) into the scratch: the same sequence on every rank and for
-// every tracker implementation. The result is valid until the next call.
-func (s *injectScratch) candidates(m *mesh.Mesh, n int, seed int64, vel mesh.Vec3) []mesh.Vec3 {
-	s.cands = s.cands[:0]
+// begin restarts the deterministic candidate sequence of the (seed, vel)
+// release on m: the same sequence on every rank and for every tracker
+// implementation. It reports false when m has no inlet, whose releases
+// are empty.
+func (s *injectScratch) begin(m *mesh.Mesh, seed int64, vel mesh.Vec3) bool {
 	inlet := m.InletNodes
 	if len(inlet) == 0 {
-		return s.cands
+		return false
 	}
 	var centroid mesh.Vec3
 	for _, nd := range inlet {
 		centroid = centroid.Add(m.Coords[nd])
 	}
-	centroid = centroid.Scale(1 / float64(len(inlet)))
+	s.centroid = centroid.Scale(1 / float64(len(inlet)))
 	if s.rng == nil {
 		s.rng = rand.New(rand.NewSource(seed))
 	} else {
 		s.rng.Seed(seed)
 	}
 	// Candidates are pushed slightly inward along the initial velocity.
-	var push mesh.Vec3
+	s.push = mesh.Vec3{}
 	if vn := vel.Norm(); vn > 0 {
-		push = vel.Scale(1e-6 / vn)
+		s.push = vel.Scale(1e-6 / vn)
 	}
-	s.cands = slices.Grow(s.cands, n)
-	for i := 0; i < n; i++ {
-		// Random convex combination of a random inlet node and the
-		// centroid.
-		nd := inlet[s.rng.Intn(len(inlet))]
-		a := 0.15 + 0.7*s.rng.Float64()
-		pos := m.Coords[nd].Scale(1 - a).Add(centroid.Scale(a))
-		if push != (mesh.Vec3{}) {
-			pos = pos.Add(push)
+	return true
+}
+
+// next returns the sequence's next candidate: a random convex combination
+// of a random inlet node and the centroid.
+func (s *injectScratch) next(m *mesh.Mesh) mesh.Vec3 {
+	inlet := m.InletNodes
+	nd := inlet[s.rng.Intn(len(inlet))]
+	a := 0.15 + 0.7*s.rng.Float64()
+	pos := m.Coords[nd].Scale(1 - a).Add(s.centroid.Scale(a))
+	if s.push != (mesh.Vec3{}) {
+		pos = pos.Add(s.push)
+	}
+	return pos
+}
+
+// dropClaimed removes from the claims every index a lower rank also
+// claimed (ties go to the lowest claimant). Both lists ascend, so one
+// merge walk does it.
+func (s *injectScratch) dropClaimed(lower []int32) {
+	kept, j := 0, 0
+	for k, i := range s.idx {
+		for j < len(lower) && lower[j] < i {
+			j++
 		}
-		s.cands = append(s.cands, pos)
+		if j < len(lower) && lower[j] == i {
+			continue
+		}
+		s.idx[kept], s.elems[kept] = i, s.elems[k]
+		kept++
 	}
-	return s.cands
+	s.idx, s.elems = s.idx[:kept], s.elems[:kept]
 }
 
 // NewTracker builds a tracker over the given element subset of m
@@ -190,6 +228,16 @@ func NewTracker(m *mesh.Mesh, elems []int32, species Props, fluid FluidProps) *T
 			}
 		}
 	}
+	t.locateBody = func(lo, hi int) {
+		s := &t.inj
+		for i := lo; i < hi; i++ {
+			e, ok := t.Loc.Locate(s.chunk[i], -1)
+			if !ok {
+				e = -1
+			}
+			s.chunkElems[i] = e
+		}
+	}
 	return t
 }
 
@@ -218,43 +266,95 @@ func (t *Tracker) adopt(i int, pos mesh.Vec3, vel mesh.Vec3, elem int32, seed in
 	})
 }
 
-// locateRelease is the first half of every injection: it generates the
-// release's deterministic candidates into the injection scratch and
-// locates each one in this subdomain, leaving t.inj.elems[i] the element
-// of candidate i (-1 when this rank cannot host it). It returns how many
-// it located.
-func (t *Tracker) locateRelease(n int, seed int64, vel mesh.Vec3) int {
+// mayHostRelease reports whether a candidate of any release can land in
+// this subdomain; it is computed once per tracker. Every candidate lies in
+// the inlet nodes' box widened by the 1e-6 m push (the locator's tol
+// covers the rounding of the combination), and Locate accepts a point
+// only inside an own padded element box, so a subdomain none of whose
+// boxes meets that release box locates no candidate of any release.
+func (t *Tracker) mayHostRelease() bool {
 	s := &t.inj
-	cands := s.candidates(t.Mesh, n, seed, vel)
-	s.elems = slices.Grow(s.elems[:0], len(cands))
-	located := 0
-	for _, pos := range cands {
-		e, ok := t.Loc.Locate(pos, -1)
-		if ok {
-			located++
-		} else {
-			e = -1
+	if s.host == 0 {
+		s.host = -1
+		if inlet := t.Mesh.InletNodes; len(inlet) > 0 {
+			lo := t.Mesh.Coords[inlet[0]]
+			hi := lo
+			for _, nd := range inlet[1:] {
+				c := t.Mesh.Coords[nd]
+				lo = mesh.Vec3{X: min(lo.X, c.X), Y: min(lo.Y, c.Y), Z: min(lo.Z, c.Z)}
+				hi = mesh.Vec3{X: max(hi.X, c.X), Y: max(hi.Y, c.Y), Z: max(hi.Z, c.Z)}
+			}
+			w := 1e-6 + t.Loc.tol
+			pad := mesh.Vec3{X: w, Y: w, Z: w}
+			if t.Loc.boxesMeet(lo.Sub(pad), hi.Add(pad)) {
+				s.host = 1
+			}
 		}
-		s.elems = append(s.elems, e)
 	}
-	return located
+	return s.host > 0
 }
 
-// adoptRelease is the second half: it adopts every candidate whose
-// t.inj.elems entry is still an element, growing the store once for all
-// of them, and returns the count.
-func (t *Tracker) adoptRelease(n int, seed int64, vel mesh.Vec3) int {
+// locateRelease is the first half of every injection: it streams the
+// release's deterministic candidates through this subdomain's locator a
+// chunk at a time and keeps the located ones as ascending (index,
+// element) pairs in t.inj.idx and t.inj.elems. A subdomain that cannot
+// host the release generates nothing. It returns how many it located.
+func (t *Tracker) locateRelease(n int, seed int64, vel mesh.Vec3) int {
+	if !t.mayHostRelease() {
+		n = 0
+	}
+	return t.locateAll(n, seed, vel)
+}
+
+// locateAll is locateRelease without the host test. The claim lists are
+// presized to the release once: growing them by appends would copy a
+// bolus's lists several times over.
+func (t *Tracker) locateAll(n int, seed int64, vel mesh.Vec3) int {
 	s := &t.inj
-	adopted := 0
-	for _, e := range s.elems {
-		if e >= 0 {
-			adopted++
+	s.idx, s.elems = s.idx[:0], s.elems[:0]
+	if n <= 0 || !s.begin(t.Mesh, seed, vel) {
+		return 0
+	}
+	s.idx, s.elems = slices.Grow(s.idx, n), slices.Grow(s.elems, n)
+	if c := min(n, injectChunk); cap(s.chunk) < c {
+		s.chunk, s.chunkElems = make([]mesh.Vec3, c), make([]int32, c)
+	}
+	for lo := 0; lo < n; lo += injectChunk {
+		c := min(injectChunk, n-lo)
+		for i := range s.chunk[:c] {
+			s.chunk[i] = s.next(t.Mesh)
+		}
+		if t.pool != nil && c > injectShard {
+			t.pool.ParallelFor(c, injectShard, t.locateBody)
+		} else {
+			t.locateBody(0, c)
+		}
+		for i, e := range s.chunkElems[:c] {
+			if e >= 0 {
+				s.idx = append(s.idx, int32(lo+i))
+				s.elems = append(s.elems, e)
+			}
 		}
 	}
-	t.Active.reserve(adopted)
-	for i, e := range s.elems {
-		if e >= 0 {
-			t.adopt(i, s.cands[i], vel, e, seed)
+	return len(s.idx)
+}
+
+// adoptRelease is the second half: it adopts the candidates left in
+// t.inj.idx, growing the store once for all of them, and returns the
+// count. Only their indices were kept, so it regenerates the sequence up
+// to the last one.
+func (t *Tracker) adoptRelease(n int, seed int64, vel mesh.Vec3) int {
+	s := &t.inj
+	adopted := len(s.idx)
+	if adopted > 0 {
+		t.Active.reserve(adopted)
+		s.begin(t.Mesh, seed, vel)
+		for i, k := 0, 0; k < adopted; i++ {
+			pos := s.next(t.Mesh)
+			if int(s.idx[k]) == i {
+				t.adopt(i, pos, vel, s.elems[k], seed)
+				k++
+			}
 		}
 	}
 	t.nextID = int64(n) + seed<<20

@@ -895,7 +895,9 @@ func (c *Comm) AllgatherFloat64Into(v float64, dst []float64) []float64 {
 }
 
 // AllgatherInt32s collects one []int32 per rank, indexed by comm rank.
-// The result slices are copies.
+// Each row is a private copy of that rank's contribution, made before the
+// rendezvous, and every rank receives the same table: the result is
+// read-only.
 func (c *Comm) AllgatherInt32s(v []int32) [][]int32 {
 	cp := make([]int32, len(v))
 	copy(cp, v)
@@ -904,12 +906,7 @@ func (c *Comm) AllgatherInt32s(v []int32) [][]int32 {
 	res := c.shared.coll.rendezvous(c.Rank(), cp, wd, func(slots []any) any {
 		out := make([][]int32, len(slots))
 		for i, s := range slots {
-			if s == nil {
-				continue
-			}
-			src := s.([]int32)
-			out[i] = make([]int32, len(src))
-			copy(out[i], src)
+			out[i], _ = s.([]int32)
 		}
 		return out
 	})

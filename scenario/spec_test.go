@@ -243,6 +243,14 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadParams", key, err)
 		}
 	}
+	// Tables with a non-finite time or scale: table:NaN=1 used to pass
+	// and then panic in At.
+	for _, inflow := range []string{"table:0=NaN", "table:0=Inf", "table:NaN=1", "table:0=1,Inf=2"} {
+		spec := ParamsSpec{Inflow: &inflow}
+		if _, err := spec.Params(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("inflow %q: err = %v, want ErrBadParams", inflow, err)
+		}
+	}
 }
 
 // TestFlagBindsEveryKey: every ParamsSpec JSON key binds to a flag, an
