@@ -59,6 +59,22 @@ func TestListEnumeratesRegistry(t *testing.T) {
 	}
 }
 
+// TestListGolden pins -list byte for byte: names, tags and descriptions
+// in registration order.
+func TestListGolden(t *testing.T) {
+	out, _, err := runCLI(t, "-list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/list.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Fatalf("-list drifted:\n--- got ---\n%s--- want ---\n%s", out, want)
+	}
+}
+
 // TestPaperSuiteSelection: -exp all is exactly the pre-registry benchfig
 // suite, in its historical order.
 func TestPaperSuiteSelection(t *testing.T) {
