@@ -370,6 +370,28 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestPlatformNameCannotSpellAnotherKey: a platform name that spells
+// another spec's memo key (`Thunder;seed=5` against Thunder at seed 5,
+// `MareNostrum4+Thunder` against both machines) is rejected with 400
+// instead of being served the other job's cached artifact.
+func TestPlatformNameCannotSpellAnotherKey(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	close(env.gate)
+	for _, opts := range []string{`{"platforms":["Thunder"],"seed":5}`, `{"platforms":["MareNostrum4","Thunder"]}`} {
+		if j := env.await(t, env.submit(t, `{"scenario":"gated","options":`+opts+`}`)); j.State != StateDone {
+			t.Fatalf("%s: job = %s (%s)", opts, j.State, j.Error)
+		}
+	}
+	for _, opts := range []string{`{"platforms":["Thunder;seed=5"]}`, `{"platforms":["MareNostrum4+Thunder"]}`} {
+		if code, out := env.do(t, "POST", "/jobs", `{"scenario":"gated","options":`+opts+`}`); code != http.StatusBadRequest {
+			t.Fatalf("%s: POST = %d, want 400: %s", opts, code, out)
+		}
+	}
+	if got := env.runs.Load(); got != 2 {
+		t.Fatalf("underlying runs = %d, want 2", got)
+	}
+}
+
 // TestCancelledLeaderDoesNotPoisonFollowers: cancelling the job that
 // leads a deduplicated run fails only that job; a follower with a live
 // context retries and completes.

@@ -1,6 +1,10 @@
 package scenario
 
 import (
+	"cmp"
+	"encoding/json"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/coupling"
@@ -131,4 +135,63 @@ func TestCanonicalKeySweepAxesSetLike(t *testing.T) {
 		}
 		seen[k] = i
 	}
+}
+
+// setNormalized returns p with its set-like fields (Platforms and the
+// sweep axes) sorted and deduplicated, so two Params that select the same
+// sets compare equal.
+func setNormalized(p Params) Params {
+	p.Platforms = sortedUniq(p.Platforms)
+	p.SweepDiameters = sortedUniq(p.SweepDiameters)
+	p.SweepFlows = sortedUniq(p.SweepFlows)
+	p.SweepGens = sortedUniq(p.SweepGens)
+	return p
+}
+
+func sortedUniq[T cmp.Ordered](vs []T) []T {
+	if len(vs) == 0 {
+		return nil
+	}
+	out := slices.Clone(vs)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// FuzzCanonicalKey: two specs that both resolve may share a key only if
+// they configure the same Params up to the order and repeats of their
+// set-like fields. The job memo serves one spec's cached artifact to the
+// other when their keys match.
+func FuzzCanonicalKey(f *testing.F) {
+	for _, pair := range [][2]string{
+		{`{"platforms":["Thunder;seed=5"]}`, `{"platforms":["Thunder"],"seed":5}`},
+		{`{"platforms":["MareNostrum4+Thunder"]}`, `{"platforms":["MareNostrum4","Thunder"]}`},
+		{`{"platforms":["Thunder","MareNostrum4","Thunder"]}`, `{"platforms":["MareNostrum4","Thunder"]}`},
+		{`{"sweepGens":[3,2,3],"sweepDiameters":[1e-5,2.5e-6]}`, `{"sweepGens":[2,3],"sweepDiameters":[2.5e-6,1e-5]}`},
+		{`{"inflow":"breathing:1"}`, `{"inflow":"breathing:1.0"}`},
+		{`{"inflow":"table:0=1,1=2"}`, `{"inflow":"table:0=1,1=2","seed":0}`},
+		{`{"particles":0}`, `{}`},
+		{`{"ranks":8,"mode":"coupled"}`, `{"mode":"coupled","ranks":8,"particleRanks":0}`},
+	} {
+		f.Add([]byte(pair[0]), []byte(pair[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var sa, sb ParamsSpec
+		if json.Unmarshal(a, &sa) != nil || json.Unmarshal(b, &sb) != nil {
+			return
+		}
+		pa, err := sa.Params()
+		if err != nil {
+			return
+		}
+		pb, err := sb.Params()
+		if err != nil {
+			return
+		}
+		if pa.CanonicalKey() != pb.CanonicalKey() {
+			return
+		}
+		if !reflect.DeepEqual(setNormalized(pa), setNormalized(pb)) {
+			t.Fatalf("specs %s and %s resolve to different Params but share the key %q", a, b, pa.CanonicalKey())
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/internal/coupling"
 	"repro/internal/navierstokes"
 	"repro/internal/tasking"
@@ -152,6 +153,11 @@ func (s ParamsSpec) Params() (Params, error) {
 	if s.DLB != nil {
 		p.DLB = s.DLB
 	}
+	for _, name := range s.Platforms {
+		if !knownPlatform(name) {
+			return bad(fmt.Errorf("unknown platform %q (want MareNostrum4 or Thunder)", name))
+		}
+	}
 	if len(s.Platforms) > 0 {
 		p.Platforms = append([]string(nil), s.Platforms...)
 	}
@@ -190,4 +196,16 @@ func (s ParamsSpec) Params() (Params, error) {
 		p.SweepGens = append([]int(nil), s.SweepGens...)
 	}
 	return p, nil
+}
+
+// knownPlatform reports whether name is one of the paper's machines.
+// CanonicalKey joins platform names with '+' among ';'-separated
+// fields, so a free-form name could spell another Params' key.
+func knownPlatform(name string) bool {
+	for _, p := range arch.Platforms() {
+		if p.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -225,8 +225,9 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 		"sweepDiameters":  `{"sweepDiameters":[1e-6,0]}`,
 		"sweepFlows":      `{"sweepFlows":[-1]}`,
 		"sweepGens":       `{"sweepGens":[2,0]}`,
+		"platforms":       `{"platforms":["NoSuchMachine"]}`,
 	}
-	free := map[string]bool{"dlb": true, "platforms": true, "seed": true}
+	free := map[string]bool{"dlb": true, "seed": true}
 	for _, key := range specKeys() {
 		body, ok := bad[key]
 		if !ok {
@@ -241,6 +242,16 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 		}
 		if _, err := spec.Params(); !errors.Is(err, ErrBadParams) {
 			t.Errorf("%s: err = %v, want ErrBadParams", key, err)
+		}
+	}
+	// Platform names that spelled another spec's CanonicalKey, and names
+	// that differ from a machine only in case or spacing.
+	for _, names := range [][]string{
+		{"Thunder;seed=5"}, {"MareNostrum4+Thunder"}, {"Thunder", ""}, {"thunder"}, {" Thunder"},
+	} {
+		spec := ParamsSpec{Platforms: names}
+		if _, err := spec.Params(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("platforms %q: err = %v, want ErrBadParams", names, err)
 		}
 	}
 	// Tables with a non-finite time or scale: table:NaN=1 used to pass
