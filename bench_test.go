@@ -19,27 +19,28 @@ import (
 	"repro/internal/simmpi"
 	"repro/internal/tasking"
 	"repro/internal/trace"
+	"repro/scenario"
 )
 
 // --- Table 1 / Figure 2: the real scaled-down respiratory run ---
 
 func BenchmarkTable1(b *testing.B) {
-	// table1Run, not Table1: the public entry memoizes per option set
-	// (shared with Figure2), which would turn iterations 2..N into cache
-	// hits and make the numbers meaningless.
+	// table1Run, not the table1 scenario: the scenario memoizes per
+	// option set (shared with fig2), which would turn iterations 2..N
+	// into cache hits and make the numbers meaningless.
 	for i := 0; i < b.N; i++ {
-		res, err := table1Run(context.Background(), DefaultTable1Options())
+		res, err := table1Run(context.Background(), defaultTable1Options())
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Log("\n" + res.Format())
+			b.Log("\n" + table1Artifact(res).Text())
 		}
 	}
 }
 
 func BenchmarkFigure2(b *testing.B) {
-	opts := DefaultTable1Options()
+	opts := defaultTable1Options()
 	opts.Ranks = 48
 	opts.MeshGen = 3
 	for i := 0; i < b.N; i++ {
@@ -55,52 +56,52 @@ func BenchmarkFigure2(b *testing.B) {
 
 // --- Figures 6-7: modeled hybrid phase speedups per platform ---
 
-func benchFigure(b *testing.B, fn func() (*FigureResult, error)) {
+// benchScenario runs one modeled scenario per iteration and logs its
+// rendering once.
+func benchScenario(b *testing.B, name string, opts ...scenario.Option) {
 	b.Helper()
+	s, err := scenario.Default.Get(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := scenario.NewParams(opts...)
 	for i := 0; i < b.N; i++ {
-		f, err := fn()
+		a, err := s.Run(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Log("\n" + f.Format())
+			b.Log("\n" + a.Text())
 		}
 	}
 }
 
 func BenchmarkFigure6MareNostrum4(b *testing.B) {
-	benchFigure(b, func() (*FigureResult, error) { return Figure6("MareNostrum4") })
+	benchScenario(b, ScenarioFigure6, scenario.WithPlatforms("MareNostrum4"))
 }
 
 func BenchmarkFigure6Thunder(b *testing.B) {
-	benchFigure(b, func() (*FigureResult, error) { return Figure6("Thunder") })
+	benchScenario(b, ScenarioFigure6, scenario.WithPlatforms("Thunder"))
 }
 
 func BenchmarkFigure7MareNostrum4(b *testing.B) {
-	benchFigure(b, func() (*FigureResult, error) { return Figure7("MareNostrum4") })
+	benchScenario(b, ScenarioFigure7, scenario.WithPlatforms("MareNostrum4"))
 }
 
 func BenchmarkFigure7Thunder(b *testing.B) {
-	benchFigure(b, func() (*FigureResult, error) { return Figure7("Thunder") })
+	benchScenario(b, ScenarioFigure7, scenario.WithPlatforms("Thunder"))
 }
 
 // --- Figures 8-11: modeled DLB scenarios ---
 
-func BenchmarkFigure8(b *testing.B)  { benchFigure(b, Figure8) }
-func BenchmarkFigure9(b *testing.B)  { benchFigure(b, Figure9) }
-func BenchmarkFigure10(b *testing.B) { benchFigure(b, Figure10) }
-func BenchmarkFigure11(b *testing.B) { benchFigure(b, Figure11) }
+func BenchmarkFigure8(b *testing.B)  { benchScenario(b, ScenarioFigure8) }
+func BenchmarkFigure9(b *testing.B)  { benchScenario(b, ScenarioFigure9) }
+func BenchmarkFigure10(b *testing.B) { benchScenario(b, ScenarioFigure10) }
+func BenchmarkFigure11(b *testing.B) { benchScenario(b, ScenarioFigure11) }
 
 // --- Section 4.3 IPC numbers ---
 
-func BenchmarkIPC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := IPCReport()
-		if i == 0 {
-			b.Log("\n" + r)
-		}
-	}
-}
+func BenchmarkIPC(b *testing.B) { benchScenario(b, ScenarioIPC) }
 
 // --- host-native strategy race: real goroutines, real CAS atomics ---
 
@@ -215,15 +216,7 @@ func BenchmarkSolverStepWorkers(b *testing.B) {
 // BenchmarkAblationKeying compares the paper's neighbor mutexinoutset
 // keying against exact edge keying in the cluster model.
 func BenchmarkAblationKeying(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		f, err := MultidepKeyingAblation("MareNostrum4")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + f.Format())
-		}
-	}
+	benchScenario(b, ScenarioAblation, scenario.WithPlatforms("MareNostrum4"))
 }
 
 // BenchmarkAblationColoringBalance compares greedy and balanced coloring

@@ -94,11 +94,11 @@ const table1TTL = 15 * time.Minute
 // cancelled) computations are evicted, waiters with a live context retry
 // after a failed leader, and entries expire after table1TTL — the
 // single-flight contract lives in internal/memo.
-var table1Memo = memo.New[Table1Options, *Table1Result](table1TTL)
+var table1Memo = memo.New[table1Options, *table1Result](table1TTL)
 
 // table1Shared returns the memoized Table-1 run for opts.
-func table1Shared(ctx context.Context, opts Table1Options) (*Table1Result, error) {
-	return table1Memo.Do(ctx, opts, func(ctx context.Context) (*Table1Result, error) {
+func table1Shared(ctx context.Context, opts table1Options) (*table1Result, error) {
+	return table1Memo.Do(ctx, opts, func(ctx context.Context) (*table1Result, error) {
 		return table1Run(ctx, opts)
 	})
 }

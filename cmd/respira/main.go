@@ -44,7 +44,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.Var(spec.Flag("mode"), "mode", "execution mode: sync or coupled (default sync)")
 	fs.Var(spec.Flag("ranks"), "ranks", "MPI ranks, sync mode (default 4)")
 	fs.Var(spec.Flag("steps"), "steps", "time steps (default 3)")
-	fs.Var(spec.Flag("particles"), "particles", "particles injected at step 1 (default 1000)")
+	fs.Var(spec.Flag("particles"), "particles", "particles injected at step 0 (default 1000)")
 	fs.Var(spec.Flag("strategy"), "strategy", "assembly strategy: serial, atomics, coloring, multidep (default multidep)")
 	fs.Var(spec.Flag("workers"), "threads", "OpenMP-like threads per rank (default 1)")
 	fs.Var(spec.Flag("meshGenerations"), "gens", "bronchial generations of the airway mesh (default 2)")

@@ -1,8 +1,8 @@
 // Pollutant-inhalation scenario: unlike a single drug bolus, breathing
 // polluted air injects particles continuously ("inject particles several
 // times during the simulation", as the paper's Section 2.2 motivates for
-// production runs). The workload — which drives the lower-level packages
-// directly to inject every step — is the registered "pollutant"
+// production runs). The workload — a synchronous coupling run that
+// re-releases the dose every step — is the registered "pollutant"
 // scenario (`benchfig -exp pollutant` runs the same code).
 package main
 

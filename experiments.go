@@ -13,34 +13,35 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/tasking"
 	"repro/internal/trace"
+	"repro/scenario"
 )
 
-// Table1Result is the reproduction of the paper's Table 1 plus the trace
+// table1Result is the reproduction of the paper's Table 1 plus the trace
 // behind it (which also renders Figure 2).
-type Table1Result struct {
+type table1Result struct {
 	Rows  []metrics.PhaseRow
 	Paper []metrics.PhaseRow
 	Trace *trace.Trace
 	Ranks int
 }
 
-// Table1Options sizes the real run behind Table 1 / Figure 2.
-type Table1Options struct {
+// table1Options sizes the real run behind Table 1 / Figure 2.
+type table1Options struct {
 	Ranks     int // paper: 96 (one Thunder node)
 	Steps     int
 	Particles int
 	MeshGen   int
 }
 
-// DefaultTable1Options returns the default scaled-down configuration: the
+// defaultTable1Options returns the default scaled-down configuration: the
 // paper's 96 ranks on one node, a generation-4 airway, and enough
 // particles to exhibit the injection pathology.
-func DefaultTable1Options() Table1Options {
-	return Table1Options{Ranks: 96, Steps: 2, Particles: 20000, MeshGen: 4}
+func defaultTable1Options() table1Options {
+	return table1Options{Ranks: 96, Steps: 2, Particles: 20000, MeshGen: 4}
 }
 
-// Table1 runs the real synchronous simulation at the paper's rank count
-// and measures per-phase load balance Ln (eq. 9) and time shares.
+// table1Run runs the real synchronous simulation at the paper's rank
+// count and measures per-phase load balance Ln (eq. 9) and time shares.
 //
 // The Ln column and the phase structure are measured from the real work
 // distribution of this reproduction (partition cost imbalance, particle
@@ -48,20 +49,10 @@ func DefaultTable1Options() Table1Options {
 // CalibratePhaseUnits against the paper's Table-1 shares, so a pure-MPI
 // step reproduces the paper's assembly/solver/SGS/particle magnitudes;
 // Ln is independent of the units. See DESIGN.md (Experiments
-// methodology). The run is memoized per option set and shared with
-// Figure2's trace rendering: regenerating both costs one probe +
-// measured coupling.Run pair, not two.
-func Table1(opts Table1Options) (*Table1Result, error) {
-	return Table1Context(context.Background(), opts)
-}
-
-// Table1Context is Table1 with cooperative cancellation between steps.
-func Table1Context(ctx context.Context, opts Table1Options) (*Table1Result, error) {
-	return table1Shared(ctx, opts)
-}
-
-// table1Run performs the actual (uncached) probe + measured pair.
-func table1Run(ctx context.Context, opts Table1Options) (*Table1Result, error) {
+// methodology). Callers go through table1Shared, which memoizes the
+// probe + measured pair per option set for the table1 and fig2
+// scenarios.
+func table1Run(ctx context.Context, opts table1Options) (*table1Result, error) {
 	mc := mesh.DefaultAirwayConfig()
 	mc.Generations = opts.MeshGen
 	mc.NTheta = 10
@@ -111,180 +102,81 @@ func table1Run(ctx context.Context, opts Table1Options) (*Table1Result, error) {
 	for i := range rows {
 		rows[i].Percent *= accounted / 100
 	}
-	return &Table1Result{Rows: rows, Paper: PaperTable1, Trace: res.Trace, Ranks: opts.Ranks}, nil
-}
-
-// Format renders measured-vs-paper Table 1.
-func (t *Table1Result) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Table 1 — load balance and time share per phase (%d MPI ranks)\n", t.Ranks)
-	fmt.Fprintf(&sb, "%-18s %10s %10s %12s %12s\n", "Phase", "Ln meas", "Ln paper", "%T meas", "%T paper")
-	for i, r := range t.Rows {
-		fmt.Fprintf(&sb, "%-18s %10.2f %10.2f %11.2f%% %11.2f%%\n",
-			r.Name, r.Ln, t.Paper[i].Ln, r.Percent, t.Paper[i].Percent)
-	}
-	return sb.String()
-}
-
-// Figure2 renders the Paraver-style timeline of the Table 1 run. The
-// underlying calibrated run is shared with Table1: rendering both for
-// the same options executes the simulation once.
-func Figure2(opts Table1Options, width, maxRows int) (string, error) {
-	return Figure2Context(context.Background(), opts, width, maxRows)
-}
-
-// Figure2Context is Figure2 with cooperative cancellation between steps.
-func Figure2Context(ctx context.Context, opts Table1Options, width, maxRows int) (string, error) {
-	t, err := table1Shared(ctx, opts)
-	if err != nil {
-		return "", err
-	}
-	return t.Trace.Render(width, maxRows), nil
+	return &table1Result{Rows: rows, Paper: PaperTable1, Trace: res.Trace, Ranks: opts.Ranks}, nil
 }
 
 // --- modeled figures ---
 
-var (
-	workloadOnce sync.Once
-	workloadInst *perfmodel.Workload
-	workloadErr  error
-)
-
 // sharedWorkload builds the figure workload mesh once per process.
-func sharedWorkload() (*perfmodel.Workload, error) {
-	workloadOnce.Do(func() {
-		workloadInst, workloadErr = perfmodel.NewWorkload(perfmodel.DefaultWorkloadMesh())
-	})
-	return workloadInst, workloadErr
-}
+var sharedWorkload = sync.OnceValues(func() (*perfmodel.Workload, error) {
+	return perfmodel.NewWorkload(perfmodel.DefaultWorkloadMesh())
+})
 
-// FigureResult is a modeled figure: named series over labeled points.
-type FigureResult struct {
-	ID     string
-	Title  string
-	Unit   string
-	Series []metrics.Series
-	Notes  []string
-}
-
-// Format renders the figure as a text bar chart.
-func (f *FigureResult) Format() string {
-	out := metrics.FormatBarChart(fmt.Sprintf("%s — %s", f.ID, f.Title), f.Unit, f.Series, 0)
-	for _, n := range f.Notes {
-		out += "note: " + n + "\n"
-	}
-	return out
-}
-
-func platformByName(name string) (arch.Profile, error) {
-	for _, p := range arch.Platforms() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return arch.Profile{}, fmt.Errorf("repro: unknown platform %q", name)
-}
-
-// Figure6 models the hybrid assembly speedups for one platform
-// ("MareNostrum4" or "Thunder").
-func Figure6(platform string) (*FigureResult, error) {
-	p, err := platformByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sharedWorkload()
-	if err != nil {
-		return nil, err
-	}
-	series, err := perfmodel.AssemblySpeedups(p, w, tasking.KeyNeighbors)
-	if err != nil {
-		return nil, err
-	}
-	f := &FigureResult{
-		ID:    "Figure 6 (" + p.Name + ")",
-		Title: "speedup of hybrid matrix assembly wrt the MPI-only code",
-		Unit:  "x",
-	}
-	for _, s := range series {
-		f.Series = append(f.Series, metrics.Series{
-			Name: s.Strategy.String(), Labels: s.Labels, Values: s.Speedups,
+// figure6 models the hybrid assembly speedups for one platform.
+func figure6(p arch.Profile) (scenario.Figure, error) {
+	return strategyFigure(p, "Figure 6", "speedup of hybrid matrix assembly wrt the MPI-only code",
+		func(w *perfmodel.Workload) ([]perfmodel.StrategySeries, error) {
+			return perfmodel.AssemblySpeedups(p, w, tasking.KeyNeighbors)
 		})
-	}
-	return f, nil
 }
 
-// Figure7 models the hybrid SGS speedups for one platform.
-func Figure7(platform string) (*FigureResult, error) {
-	p, err := platformByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sharedWorkload()
-	if err != nil {
-		return nil, err
-	}
-	series, err := perfmodel.SGSSpeedups(p, w)
-	if err != nil {
-		return nil, err
-	}
-	f := &FigureResult{
-		ID:    "Figure 7 (" + p.Name + ")",
-		Title: "speedup of hybrid SGS wrt the MPI-only code",
-		Unit:  "x",
-	}
-	for _, s := range series {
-		f.Series = append(f.Series, metrics.Series{
-			Name: s.Strategy.String(), Labels: s.Labels, Values: s.Speedups,
+// figure7 models the hybrid SGS speedups for one platform.
+func figure7(p arch.Profile) (scenario.Figure, error) {
+	f, err := strategyFigure(p, "Figure 7", "speedup of hybrid SGS wrt the MPI-only code",
+		func(w *perfmodel.Workload) ([]perfmodel.StrategySeries, error) {
+			return perfmodel.SGSSpeedups(p, w)
 		})
-	}
 	f.Notes = append(f.Notes, "the SGS phase updates no shared structure: the 'Atomics' version executes no atomic operations")
+	return f, err
+}
+
+// strategyFigure draws one series per tasking strategy from a modeled
+// speedup curve of the shared workload.
+func strategyFigure(p arch.Profile, id, title string, model func(*perfmodel.Workload) ([]perfmodel.StrategySeries, error)) (scenario.Figure, error) {
+	f := scenario.Figure{ID: id + " (" + p.Name + ")", Title: title, Unit: "x"}
+	w, err := sharedWorkload()
+	if err != nil {
+		return f, err
+	}
+	series, err := model(w)
+	if err != nil {
+		return f, err
+	}
+	for _, s := range series {
+		f.Series = append(f.Series, scenario.Series{Name: s.Strategy.String(), Labels: s.Labels, Values: s.Speedups})
+	}
 	return f, nil
 }
 
 // dlbFigure models one of Figures 8-11.
-func dlbFigure(id, platform string, particles float64) (*FigureResult, error) {
-	p, err := platformByName(platform)
-	if err != nil {
-		return nil, err
+func dlbFigure(id string, p arch.Profile, particles float64) (scenario.Figure, error) {
+	f := scenario.Figure{
+		ID:    id,
+		Title: fmt.Sprintf("simulation of %.0g particles on %s (time per step, work units)", particles, p.Name),
+		Unit:  "wu",
 	}
 	w, err := sharedWorkload()
 	if err != nil {
-		return nil, err
+		return f, err
 	}
 	res, err := perfmodel.DLBScenario(p, w, particles)
 	if err != nil {
-		return nil, err
+		return f, err
 	}
-	orig := metrics.Series{Name: "Original"}
-	withDLB := metrics.Series{Name: "DLB"}
+	orig := scenario.Series{Name: "Original"}
+	withDLB := scenario.Series{Name: "DLB"}
 	for _, r := range res {
 		orig.Labels = append(orig.Labels, r.Label)
 		orig.Values = append(orig.Values, r.Original)
 		withDLB.Labels = append(withDLB.Labels, r.Label)
 		withDLB.Values = append(withDLB.Values, r.DLB)
 	}
-	return &FigureResult{
-		ID:     id,
-		Title:  fmt.Sprintf("simulation of %.0g particles on %s (time per step, work units)", particles, p.Name),
-		Unit:   "wu",
-		Series: []metrics.Series{orig, withDLB},
-	}, nil
+	f.Series = []scenario.Series{orig, withDLB}
+	return f, nil
 }
 
-// Figure8 models the 4e5-particle DLB experiment on MareNostrum4.
-func Figure8() (*FigureResult, error) { return dlbFigure("Figure 8", "MareNostrum4", 4e5) }
-
-// Figure9 models the 4e5-particle DLB experiment on Thunder.
-func Figure9() (*FigureResult, error) { return dlbFigure("Figure 9", "Thunder", 4e5) }
-
-// Figure10 models the 7e6-particle DLB experiment on MareNostrum4.
-func Figure10() (*FigureResult, error) { return dlbFigure("Figure 10", "MareNostrum4", 7e6) }
-
-// Figure11 models the 7e6-particle DLB experiment on Thunder.
-func Figure11() (*FigureResult, error) { return dlbFigure("Figure 11", "Thunder", 7e6) }
-
-// IPCReport reproduces the Section 4.3 IPC discussion for both platforms.
-func IPCReport() string {
+// ipcReport reproduces the Section 4.3 IPC discussion for both platforms.
+func ipcReport() string {
 	var sb strings.Builder
 	sb.WriteString("Assembly-phase IPC (Section 4.3): paper-measured values drive the model\n")
 	for _, p := range arch.Platforms() {
@@ -298,28 +190,24 @@ func IPCReport() string {
 	return sb.String()
 }
 
-// MultidepKeyingAblation compares the paper's neighbor-list mutexinoutset
-// keying against exact edge keying on the assembly phase (a design choice
+// keyingAblation compares the paper's neighbor-list mutexinoutset keying
+// against exact edge keying on the assembly phase (a design choice
 // DESIGN.md calls out: neighbor keys over-serialize distance-2 subdomain
 // pairs).
-func MultidepKeyingAblation(platform string) (*FigureResult, error) {
-	p, err := platformByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sharedWorkload()
-	if err != nil {
-		return nil, err
-	}
-	f := &FigureResult{
+func keyingAblation(p arch.Profile) (scenario.Figure, error) {
+	f := scenario.Figure{
 		ID:    "Ablation (" + p.Name + ")",
 		Title: "multidependences keying: neighbor keys (paper) vs exact edge keys",
 		Unit:  "x",
 	}
+	w, err := sharedWorkload()
+	if err != nil {
+		return f, err
+	}
 	for _, keying := range []tasking.MutexKeying{tasking.KeyNeighbors, tasking.KeyEdges} {
 		series, err := perfmodel.AssemblySpeedups(p, w, keying)
 		if err != nil {
-			return nil, err
+			return f, err
 		}
 		name := "neighbor keys"
 		if keying == tasking.KeyEdges {
@@ -327,9 +215,7 @@ func MultidepKeyingAblation(platform string) (*FigureResult, error) {
 		}
 		for _, s := range series {
 			if s.Strategy == tasking.StrategyMultidep {
-				f.Series = append(f.Series, metrics.Series{
-					Name: name, Labels: s.Labels, Values: s.Speedups,
-				})
+				f.Series = append(f.Series, scenario.Series{Name: name, Labels: s.Labels, Values: s.Speedups})
 			}
 		}
 	}

@@ -1,13 +1,7 @@
 // Package metrics implements the performance metrics the paper reports:
 // the load-balance coefficient Ln (eq. 9) and phase time-share tables
-// (Table 1), plus plain-text bar rendering for the benchmark harness.
+// (Table 1).
 package metrics
-
-import (
-	"fmt"
-	"math"
-	"strings"
-)
 
 // LoadBalance computes the paper's Ln metric (eq. 9) over per-process
 // elapsed times: sum(t_i) / (n * max(t_i)). 1 means perfectly balanced;
@@ -63,47 +57,4 @@ func PhaseTable(names []string, perPhaseTimes [][]float64) []PhaseRow {
 		rows = append(rows, PhaseRow{Name: name, Ln: LoadBalance(perPhaseTimes[p]), Percent: pct})
 	}
 	return rows
-}
-
-// Series is a named sequence of (label, value) points — one bar group of
-// a figure.
-type Series struct {
-	Name   string
-	Labels []string
-	Values []float64
-}
-
-// FormatBarChart renders series as aligned text bars, for the benchmark
-// harness's figure reproduction. scale is the value mapped to the full
-// bar width (pass 0 to use the max value).
-func FormatBarChart(title, unit string, series []Series, scale float64) string {
-	const barWidth = 40
-	if scale <= 0 {
-		for _, s := range series {
-			for _, v := range s.Values {
-				if v > scale {
-					scale = v
-				}
-			}
-		}
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	for _, s := range series {
-		fmt.Fprintf(&sb, "  %s\n", s.Name)
-		for i, v := range s.Values {
-			n := int(math.Round(v / scale * barWidth))
-			if n > barWidth {
-				n = barWidth
-			}
-			if n < 0 {
-				n = 0
-			}
-			fmt.Fprintf(&sb, "    %-12s %8.3f %s |%s\n", s.Labels[i], v, unit, strings.Repeat("#", n))
-		}
-	}
-	return sb.String()
 }

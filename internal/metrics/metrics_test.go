@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -76,22 +75,5 @@ func TestPhaseTable(t *testing.T) {
 	}
 	if math.Abs(rows[0].Percent-25) > 1e-9 || math.Abs(rows[1].Percent-75) > 1e-9 {
 		t.Fatalf("percents %g %g", rows[0].Percent, rows[1].Percent)
-	}
-}
-
-func TestFormatBarChart(t *testing.T) {
-	s := []Series{{
-		Name:   "MareNostrum4",
-		Labels: []string{"96x1", "48x2"},
-		Values: []float64{1.0, 1.4},
-	}}
-	out := FormatBarChart("Fig 6", "x", s, 0)
-	if !strings.Contains(out, "MareNostrum4") || !strings.Contains(out, "48x2") || !strings.Contains(out, "#") {
-		t.Fatalf("chart:\n%s", out)
-	}
-	// Explicit scale caps bars.
-	out = FormatBarChart("Fig", "s", s, 0.5)
-	if !strings.Contains(out, "#") {
-		t.Fatalf("chart with scale:\n%s", out)
 	}
 }

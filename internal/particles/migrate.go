@@ -29,9 +29,8 @@ func InjectAtInletCollective(comm *simmpi.Comm, t *Tracker, n int, seed int64, v
 // InjectAtInletCollectiveAt is the time-aware form of
 // InjectAtInletCollective for runs that re-release particles during the
 // simulation (breathing cycles, continuous dosing): the injection at
-// step k draws a fresh deterministic candidate sequence seeded seed+k —
-// the same per-step convention the pollutant workload uses — and vel
-// should be the waveform-scaled inlet velocity at that step's time.
+// step k draws a fresh deterministic candidate sequence seeded seed+k,
+// and vel should be the waveform-scaled inlet velocity at that step's time.
 // Step 0 is bit-identical to InjectAtInletCollective(seed).
 func InjectAtInletCollectiveAt(comm *simmpi.Comm, t *Tracker, n int, seed int64, step int, vel mesh.Vec3) int {
 	return InjectAtInletCollective(comm, t, n, seed+int64(step), vel)

@@ -362,13 +362,13 @@ func (t *Tracker) adoptRelease(n int, seed int64, vel mesh.Vec3) int {
 	return adopted
 }
 
-// InjectAtInlet seeds n particles on the inlet cross-section with the
-// given initial velocity, jittered deterministically by seed. Particles
-// that cannot be located in this tracker's subdomain are discarded (they
-// belong to another rank); the number actually adopted is returned.
-// In distributed runs use InjectAtInletCollective, which guarantees each
-// particle is adopted by exactly one rank even where subdomain geometry
-// overlaps.
+// InjectAtInlet is the single-tracker release: it seeds n particles on
+// the inlet cross-section with the given initial velocity, jittered
+// deterministically by seed, adopts those this tracker's elements can
+// locate and discards the rest, returning the number adopted. It
+// coordinates with nothing, so two trackers sharing an inlet would both
+// adopt a candidate on their common boundary; every ranked run releases
+// through InjectAtInletCollective instead.
 func (t *Tracker) InjectAtInlet(n int, seed int64, vel mesh.Vec3) int {
 	t.locateRelease(n, seed, vel)
 	return t.adoptRelease(n, seed, vel)

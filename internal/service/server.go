@@ -85,7 +85,7 @@ type Config struct {
 	Watchdog time.Duration
 }
 
-// Cost of one default-sized measured run (DefaultTable1Options: 96 ranks
+// Cost of one default-sized measured run (the table1 defaults: 96 ranks
 // x 2 steps x 4 mesh generations); modeled/report scenarios cost a
 // nominal unit. See EstimateCost.
 const (

@@ -122,7 +122,7 @@ func TestCollectiveReuseManyRounds(t *testing.T) {
 					panic("max wrong")
 				}
 			case 2:
-				v := r.Comm.AllgatherFloat64(float64(r.ID()))
+				v := r.Comm.AllgatherFloat64Into(float64(r.ID()), nil)
 				if v[3] != 3 {
 					panic("gather wrong")
 				}

@@ -209,7 +209,7 @@ func TestCollectiveFillsWholeCacheLines(t *testing.T) {
 func TestIntoCollectivesMatchAllocating(t *testing.T) {
 	w, _ := NewWorld(3)
 	if err := w.Run(func(r *Rank) {
-		wantG := r.Comm.AllgatherFloat64(float64(r.ID() * 10))
+		wantG := r.Comm.AllgatherFloat64Into(float64(r.ID()*10), nil)
 		gotG := r.Comm.AllgatherFloat64Into(float64(r.ID()*10), make([]float64, 0, 3))
 		for i := range wantG {
 			if gotG[i] != wantG[i] {

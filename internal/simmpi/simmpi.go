@@ -877,15 +877,9 @@ func (c *Comm) AllreduceInt(v int, op ReduceOp) int {
 	return res
 }
 
-// AllgatherFloat64 collects one value per rank, indexed by comm rank,
-// into a fresh slice per rank. Hot paths should use
-// AllgatherFloat64Into.
-func (c *Comm) AllgatherFloat64(v float64) []float64 {
-	return c.AllgatherFloat64Into(v, nil)
-}
-
-// AllgatherFloat64Into collects one value per rank into dst (grown only
-// if too small); with a pre-sized dst the call allocates nothing.
+// AllgatherFloat64Into collects one value per rank, indexed by comm
+// rank, into dst (grown only if too small); with a pre-sized dst the
+// call allocates nothing, with a nil dst each rank gets a fresh slice.
 func (c *Comm) AllgatherFloat64Into(v float64, dst []float64) []float64 {
 	wd := c.collEnter()
 	c.world.blockEnter(c.me)

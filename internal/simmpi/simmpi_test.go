@@ -185,7 +185,7 @@ func TestAllreduceOps(t *testing.T) {
 func TestAllgather(t *testing.T) {
 	w, _ := NewWorld(5)
 	err := w.Run(func(r *Rank) {
-		vals := r.Comm.AllgatherFloat64(float64(r.ID() * 2))
+		vals := r.Comm.AllgatherFloat64Into(float64(r.ID()*2), nil)
 		for i, v := range vals {
 			if v != float64(i*2) {
 				panic("allgather float")

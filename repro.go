@@ -10,21 +10,21 @@
 // balancing by node-local core lending), evaluated on an Intel cluster
 // (MareNostrum4) and an Arm cluster (Thunder, Cavium ThunderX).
 //
-// This package exposes the two layers of the reproduction:
+// The reproduction has two layers:
 //
 //   - Real execution (RunSimulation): an actual distributed CFPD
 //     simulation — hybrid airway mesh, FEM Navier-Stokes solver,
 //     Lagrangian particle tracking — on simulated MPI ranks with the real
 //     tasking strategies and the real DLB library, at laptop scale.
 //
-//   - Performance model (Table1, Figure2, Figure6..Figure11, IPC): the
-//     paper's evaluation regenerated at cluster scale by combining real
-//     work distributions with architecture profiles calibrated from the
-//     measurements the paper itself reports.
+//   - Performance model (the table1, fig2, fig6..fig11, ipc and ablation
+//     scenarios): the paper's evaluation regenerated at cluster scale by
+//     combining real work distributions with architecture profiles
+//     calibrated from the measurements the paper itself reports.
 //
-// Every experiment and example workload is also registered as a named
-// scenario in the repro/scenario registry (importing this package
-// populates scenario.Default): scenarios take functional-option
+// Every experiment and example workload is reached through one surface:
+// a named scenario in the repro/scenario registry (importing this
+// package populates scenario.Default). Scenarios take functional-option
 // parameters, honor context cancellation, and return typed artifacts
 // that render uniformly to text, JSON and CSV. cmd/benchfig is a thin
 // CLI over that registry; see README.md for the scenario API.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/coupling"
 	"repro/internal/simmpi"
 	"repro/internal/tasking"
+	"repro/scenario"
 )
 
 func TestRunSimulationDefault(t *testing.T) {
@@ -62,24 +64,46 @@ func TestRunSimulationCoupledWithDLB(t *testing.T) {
 	}
 }
 
-func smallTable1Opts() Table1Options {
-	return Table1Options{Ranks: 24, Steps: 1, Particles: 3000, MeshGen: 2}
+func smallTable1Opts() table1Options {
+	return table1Options{Ranks: 24, Steps: 1, Particles: 3000, MeshGen: 2}
 }
 
-func TestTable1SmallShapes(t *testing.T) {
-	res, err := Table1(smallTable1Opts())
+// smallTable1Params selects smallTable1Opts through the scenario options.
+func smallTable1Params(opts ...scenario.Option) scenario.Params {
+	o := smallTable1Opts()
+	return scenario.NewParams(append([]scenario.Option{scenario.WithRanks(o.Ranks), scenario.WithSteps(o.Steps),
+		scenario.WithParticles(o.Particles), scenario.WithMesh(o.MeshGen)}, opts...)...)
+}
+
+// runScenario runs one registered scenario and fails the test on error.
+func runScenario(t testing.TB, name string, p scenario.Params) *scenario.Artifact {
+	t.Helper()
+	s, err := scenario.Default.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Fatalf("got %d rows", len(res.Rows))
+	a, err := s.Run(context.Background(), p)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
+	return a
+}
+
+func TestTable1SmallShapes(t *testing.T) {
+	a := runScenario(t, ScenarioTable1, smallTable1Params())
+	if len(a.Tables) != 1 || len(a.Tables[0].Rows) != 5 {
+		t.Fatalf("got %d tables, want one of 5 rows", len(a.Tables))
+	}
+	// Columns: Ln meas, Ln paper, %T meas, %T paper.
 	byName := map[string]float64{}
-	for _, r := range res.Rows {
-		if r.Ln <= 0 || r.Ln > 1 {
-			t.Fatalf("%s Ln=%g out of range", r.Name, r.Ln)
+	sum := 0.0
+	for _, r := range a.Tables[0].Rows {
+		ln := r.Values[0]
+		if ln <= 0 || ln > 1 {
+			t.Fatalf("%s Ln=%g out of range", r.Label, ln)
 		}
-		byName[r.Name] = r.Ln
+		byName[r.Label] = ln
+		sum += r.Values[2]
 	}
 	// The paper's qualitative ordering: particles pathological, assembly
 	// and SGS notably imbalanced, everything far from perfect.
@@ -90,64 +114,56 @@ func TestTable1SmallShapes(t *testing.T) {
 		t.Fatal("particles must be the least balanced phase")
 	}
 	// Shares sum to the accounted fraction (~86%).
-	sum := 0.0
-	for _, r := range res.Rows {
-		sum += r.Percent
-	}
 	if math.Abs(sum-85.97) > 1.0 {
 		t.Fatalf("share sum %.2f, want ~85.97", sum)
 	}
-	if !strings.Contains(res.Format(), "Ln paper") {
+	if !strings.Contains(a.Text(), "Ln paper") {
 		t.Fatal("format")
 	}
 }
 
 func TestFigure2Renders(t *testing.T) {
-	out, err := Figure2(smallTable1Opts(), 60, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "A") || !strings.Contains(out, "timeline") {
+	a := runScenario(t, ScenarioFigure2, smallTable1Params(scenario.WithTimeline(60, 8)))
+	if out := a.Text(); !strings.Contains(out, "A") || !strings.Contains(out, "timeline") {
 		t.Fatalf("figure 2 output:\n%s", out)
 	}
 }
 
 func TestFigure6And7BothPlatforms(t *testing.T) {
 	for _, platform := range []string{"MareNostrum4", "Thunder"} {
-		f6, err := Figure6(platform)
-		if err != nil {
-			t.Fatal(err)
+		a6 := runScenario(t, ScenarioFigure6, scenario.NewParams(scenario.WithPlatforms(platform)))
+		if len(a6.Figures) != 1 || len(a6.Figures[0].Series) != 3 {
+			t.Fatalf("fig6 %s: want one figure of 3 series", platform)
 		}
-		if len(f6.Series) != 3 {
-			t.Fatalf("fig6 %s: %d series", platform, len(f6.Series))
-		}
-		for _, s := range f6.Series {
+		for _, s := range a6.Figures[0].Series {
 			if len(s.Values) != 3 {
 				t.Fatalf("fig6 %s %s: %d configs", platform, s.Name, len(s.Values))
 			}
 		}
-		if !strings.Contains(f6.Format(), "Multidep") {
+		if !strings.Contains(a6.Text(), "Multidep") {
 			t.Fatal("fig6 format")
 		}
-		f7, err := Figure7(platform)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f7.Series) != 3 || len(f7.Notes) == 0 {
+		a7 := runScenario(t, ScenarioFigure7, scenario.NewParams(scenario.WithPlatforms(platform)))
+		if len(a7.Figures) != 1 || len(a7.Figures[0].Series) != 3 || len(a7.Figures[0].Notes) == 0 {
 			t.Fatalf("fig7 %s shape", platform)
 		}
 	}
-	if _, err := Figure6("NoSuchMachine"); err == nil {
+	s, err := scenario.Default.Get(ScenarioFigure6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background(), scenario.NewParams(scenario.WithPlatforms("NoSuchMachine"))); err == nil {
 		t.Fatal("unknown platform must error")
 	}
 }
 
 func TestFigures8To11(t *testing.T) {
-	for _, fn := range []func() (*FigureResult, error){Figure8, Figure9, Figure10, Figure11} {
-		f, err := fn()
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range []string{ScenarioFigure8, ScenarioFigure9, ScenarioFigure10, ScenarioFigure11} {
+		a := runScenario(t, name, scenario.Params{})
+		if len(a.Figures) != 1 {
+			t.Fatalf("%s: %d figures", name, len(a.Figures))
 		}
+		f := a.Figures[0]
 		if len(f.Series) != 2 {
 			t.Fatalf("%s: %d series, want Original+DLB", f.ID, len(f.Series))
 		}
@@ -162,7 +178,7 @@ func TestFigures8To11(t *testing.T) {
 }
 
 func TestIPCReport(t *testing.T) {
-	r := IPCReport()
+	r := runScenario(t, ScenarioIPC, scenario.Params{}).Report
 	for _, want := range []string{"2.25", "1.15", "0.49", "0.42", "MareNostrum4", "Thunder"} {
 		if !strings.Contains(r, want) {
 			t.Fatalf("IPC report missing %q:\n%s", want, r)
@@ -171,15 +187,12 @@ func TestIPCReport(t *testing.T) {
 }
 
 func TestMultidepKeyingAblation(t *testing.T) {
-	f, err := MultidepKeyingAblation("MareNostrum4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 2 {
-		t.Fatalf("%d series", len(f.Series))
+	a := runScenario(t, ScenarioAblation, scenario.NewParams(scenario.WithPlatforms("MareNostrum4")))
+	if len(a.Figures) != 1 || len(a.Figures[0].Series) != 2 {
+		t.Fatalf("want one figure of 2 series, got %d figures", len(a.Figures))
 	}
 	// Exact edge keys never serialize more than neighbor keys.
-	nb, eg := f.Series[0], f.Series[1]
+	nb, eg := a.Figures[0].Series[0], a.Figures[0].Series[1]
 	for i := range nb.Values {
 		if eg.Values[i] < nb.Values[i]*0.999 {
 			t.Fatalf("edge keys slower than neighbor keys at %s: %g vs %g",

@@ -5,10 +5,9 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/metrics"
 )
 
 // Kind classifies an Artifact's payload.
@@ -212,20 +211,37 @@ func renderTable(t Table) string {
 	return sb.String()
 }
 
-// renderFigure reuses the metrics bar-chart renderer (the format the
-// paper figures have always been printed in) and appends the notes.
+// renderFigure prints the title line, then one aligned row per point:
+// label, value, unit, and a bar of '#' scaled so the largest value in
+// the figure fills barWidth (negative values draw no bar). The notes
+// follow.
 func renderFigure(f Figure) string {
-	series := make([]metrics.Series, len(f.Series))
-	for i, s := range f.Series {
-		series[i] = metrics.Series{Name: s.Name, Labels: s.Labels, Values: s.Values}
+	const barWidth = 40
+	scale := 0.0
+	for _, s := range f.Series {
+		for _, v := range s.Values {
+			if v > scale {
+				scale = v
+			}
+		}
 	}
-	title := f.Title
+	if scale == 0 {
+		scale = 1
+	}
+	var sb strings.Builder
 	if f.ID != "" {
-		title = f.ID + " — " + f.Title
+		sb.WriteString(f.ID + " — ")
 	}
-	out := metrics.FormatBarChart(title, f.Unit, series, 0)
+	sb.WriteString(f.Title + "\n")
+	for _, s := range f.Series {
+		fmt.Fprintf(&sb, "  %s\n", s.Name)
+		for i, v := range s.Values {
+			n := max(0, min(barWidth, int(math.Round(v/scale*barWidth))))
+			fmt.Fprintf(&sb, "    %-12s %8.3f %s |%s\n", s.Labels[i], v, f.Unit, strings.Repeat("#", n))
+		}
+	}
 	for _, n := range f.Notes {
-		out += "note: " + n + "\n"
+		sb.WriteString("note: " + n + "\n")
 	}
-	return out
+	return sb.String()
 }

@@ -58,6 +58,30 @@ func TestFigureTextGolden(t *testing.T) {
 	}
 }
 
+// TestRenderFigureBars: the longest bar belongs to the largest value
+// across all series, negative values draw none, an all-zero figure
+// renders without dividing by zero, and a figure without an ID prints
+// its bare title.
+func TestRenderFigureBars(t *testing.T) {
+	f := Figure{Title: "bars", Unit: "s", Series: []Series{
+		{Name: "A", Labels: []string{"neg", "half"}, Values: []float64{-1, 2}},
+		{Name: "B", Labels: []string{"full"}, Values: []float64{4}},
+	}}
+	want := "bars\n" +
+		"  A\n" +
+		"    neg            -1.000 s |\n" +
+		"    half            2.000 s |####################\n" +
+		"  B\n" +
+		"    full            4.000 s |########################################\n"
+	if got := renderFigure(f); got != want {
+		t.Fatalf("bars:\n%q\nwant:\n%q", got, want)
+	}
+	zero := Figure{ID: "Z", Title: "zero", Unit: "x", Series: []Series{{Name: "A", Labels: []string{"p"}, Values: []float64{0}}}}
+	if got, want := renderFigure(zero), "Z — zero\n  A\n    p               0.000 x |\n"; got != want {
+		t.Fatalf("all-zero figure:\n%q\nwant:\n%q", got, want)
+	}
+}
+
 func TestTraceAndReportText(t *testing.T) {
 	a := &Artifact{
 		Scenario: "tr", Kind: KindTrace, Title: "trace title",

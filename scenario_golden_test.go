@@ -77,7 +77,6 @@ func renderArtifact(t *testing.T, a *scenario.Artifact, format string) []byte {
 // intended output change.
 func TestScenarioGoldens(t *testing.T) {
 	for _, g := range scenarioGoldens {
-		g := g
 		t.Run(g.scenario+"/"+g.file, func(t *testing.T) {
 			s, err := scenario.Default.Get(g.scenario)
 			if err != nil {
@@ -89,6 +88,8 @@ func TestScenarioGoldens(t *testing.T) {
 			}
 			got := renderArtifact(t, a, g.format)
 			path := filepath.Join("testdata", "golden", g.file)
+			// A row that reuses another row's file (the coupled pollutant
+			// request) only ever compares, even under -update.
 			if *updateGolden && g.params.Mode == nil {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)

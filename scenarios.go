@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/arch"
 	"repro/scenario"
 )
 
@@ -31,8 +32,8 @@ func init() {
 }
 
 // table1Opts maps scenario params onto Table-1 run options.
-func table1Opts(p scenario.Params) Table1Options {
-	opts := DefaultTable1Options()
+func table1Opts(p scenario.Params) table1Options {
+	opts := defaultTable1Options()
 	if p.Ranks > 0 {
 		opts.Ranks = p.Ranks
 	}
@@ -60,43 +61,56 @@ func timeline(p scenario.Params, width, rows int) (int, int) {
 	return width, rows
 }
 
-// figureArtifact converts modeled FigureResults into one figure artifact.
-func figureArtifact(name string, figs ...*FigureResult) *scenario.Artifact {
-	a := &scenario.Artifact{Scenario: name, Kind: scenario.KindFigure}
-	for _, f := range figs {
-		fig := scenario.Figure{ID: f.ID, Title: f.Title, Unit: f.Unit, Notes: f.Notes}
-		for _, s := range f.Series {
-			fig.Series = append(fig.Series, scenario.Series{Name: s.Name, Labels: s.Labels, Values: s.Values})
+// perPlatform is the run function of a modeled figure drawn once per
+// selected platform, in paper order.
+func perPlatform(name string, fn func(arch.Profile) (scenario.Figure, error)) func(context.Context, scenario.Params) (*scenario.Artifact, error) {
+	return func(_ context.Context, p scenario.Params) (*scenario.Artifact, error) {
+		a := &scenario.Artifact{Scenario: name, Kind: scenario.KindFigure}
+		for _, platform := range arch.Platforms() {
+			if !p.PlatformSelected(platform.Name) {
+				continue
+			}
+			f, err := fn(platform)
+			if err != nil {
+				return nil, err
+			}
+			a.Figures = append(a.Figures, f)
 		}
-		a.Figures = append(a.Figures, fig)
+		if len(a.Figures) == 0 {
+			return nil, fmt.Errorf("repro: no platform selected from %v (have MareNostrum4, Thunder)", p.Platforms)
+		}
+		return a, nil
 	}
-	return a
 }
 
-// platformFigures runs fn once per selected platform, in paper order.
-func platformFigures(p scenario.Params, fn func(platform string) (*FigureResult, error)) ([]*FigureResult, error) {
-	var out []*FigureResult
-	selected := false
-	for _, platform := range []string{"MareNostrum4", "Thunder"} {
-		if !p.PlatformSelected(platform) {
-			continue
-		}
-		selected = true
-		f, err := fn(platform)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
+// table1Artifact renders a Table-1 run as measured-vs-paper rows.
+func table1Artifact(t *table1Result) *scenario.Artifact {
+	tab := scenario.Table{
+		Title:    fmt.Sprintf("Table 1 — load balance and time share per phase (%d MPI ranks)", t.Ranks),
+		LabelCol: scenario.Column{Name: "Phase", HeaderFmt: "%-18s", CellFmt: "%-18s"},
+		Columns: []scenario.Column{
+			{Name: "Ln meas", HeaderFmt: "%10s", CellFmt: "%10.2f"},
+			{Name: "Ln paper", HeaderFmt: "%10s", CellFmt: "%10.2f"},
+			{Name: "%T meas", HeaderFmt: "%12s", CellFmt: "%11.2f%%"},
+			{Name: "%T paper", HeaderFmt: "%12s", CellFmt: "%11.2f%%"},
+		},
 	}
-	if !selected {
-		return nil, fmt.Errorf("repro: no platform selected from %v (have MareNostrum4, Thunder)", p.Platforms)
+	for i, r := range t.Rows {
+		tab.Rows = append(tab.Rows, scenario.TableRow{
+			Label:  r.Name,
+			Values: []float64{r.Ln, t.Paper[i].Ln, r.Percent, t.Paper[i].Percent},
+		})
 	}
-	return out, nil
+	return &scenario.Artifact{
+		Scenario: ScenarioTable1, Kind: scenario.KindTable,
+		Title:  tab.Title,
+		Tables: []scenario.Table{tab},
+	}
 }
 
 // traceArtifact builds the Figure-2 style trace artifact from a
 // calibrated Table-1 run.
-func traceArtifact(name, title string, t *Table1Result, width, rows int) *scenario.Artifact {
+func traceArtifact(name, title string, t *table1Result, width, rows int) *scenario.Artifact {
 	phaseTimes := t.Trace.PhaseTimes()
 	td := &scenario.TraceData{Ranks: t.Ranks, Rendered: t.Trace.Render(width, rows)}
 	for i, ph := range phaseOrder {
@@ -115,39 +129,18 @@ func registerPaperScenarios() {
 		"Table 1: per-phase load balance Ln and time shares of the real synchronous run at the paper's rank count",
 		[]string{"paper", "measured", "table"},
 		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			t, err := Table1Context(ctx, table1Opts(p))
+			t, err := table1Shared(ctx, table1Opts(p))
 			if err != nil {
 				return nil, err
 			}
-			tab := scenario.Table{
-				Title:    fmt.Sprintf("Table 1 — load balance and time share per phase (%d MPI ranks)", t.Ranks),
-				LabelCol: scenario.Column{Name: "Phase", HeaderFmt: "%-18s", CellFmt: "%-18s"},
-				Columns: []scenario.Column{
-					{Name: "Ln meas", HeaderFmt: "%10s", CellFmt: "%10.2f"},
-					{Name: "Ln paper", HeaderFmt: "%10s", CellFmt: "%10.2f"},
-					{Name: "%T meas", HeaderFmt: "%12s", CellFmt: "%11.2f%%"},
-					{Name: "%T paper", HeaderFmt: "%12s", CellFmt: "%11.2f%%"},
-				},
-			}
-			for i, r := range t.Rows {
-				tab.Rows = append(tab.Rows, scenario.TableRow{
-					Label:  r.Name,
-					Values: []float64{r.Ln, t.Paper[i].Ln, r.Percent, t.Paper[i].Percent},
-				})
-			}
-			return &scenario.Artifact{
-				Scenario: ScenarioTable1, Kind: scenario.KindTable,
-				Title:  tab.Title,
-				Tables: []scenario.Table{tab},
-			}, nil
+			return table1Artifact(t), nil
 		}))
 
 	reg(scenario.New(ScenarioFigure2,
 		"Figure 2: Paraver-style timeline of the Table-1 run (shares Table 1's calibrated simulation)",
 		[]string{"paper", "measured", "trace"},
 		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			opts := table1Opts(p)
-			t, err := Table1Context(ctx, opts)
+			t, err := table1Shared(ctx, table1Opts(p))
 			if err != nil {
 				return nil, err
 			}
@@ -159,46 +152,33 @@ func registerPaperScenarios() {
 	reg(scenario.New(ScenarioFigure6,
 		"Figure 6: modeled speedup of hybrid matrix assembly over the MPI-only code, per platform",
 		[]string{"paper", "model", "figure"},
-		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			figs, err := platformFigures(p, Figure6)
-			if err != nil {
-				return nil, err
-			}
-			return figureArtifact(ScenarioFigure6, figs...), nil
-		}))
+		perPlatform(ScenarioFigure6, figure6)))
 
 	reg(scenario.New(ScenarioFigure7,
 		"Figure 7: modeled speedup of hybrid SGS over the MPI-only code, per platform",
 		[]string{"paper", "model", "figure"},
-		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			figs, err := platformFigures(p, Figure7)
-			if err != nil {
-				return nil, err
-			}
-			return figureArtifact(ScenarioFigure7, figs...), nil
-		}))
+		perPlatform(ScenarioFigure7, figure7)))
 
 	dlbFigs := []struct {
-		name string
-		desc string
-		fn   func() (*FigureResult, error)
+		name, id  string
+		platform  arch.Profile
+		particles float64
+		desc      string
 	}{
-		{ScenarioFigure8, "Figure 8: modeled 4e5-particle coupled runs with and without DLB on MareNostrum4", Figure8},
-		{ScenarioFigure9, "Figure 9: modeled 4e5-particle coupled runs with and without DLB on Thunder", Figure9},
-		{ScenarioFigure10, "Figure 10: modeled 7e6-particle coupled runs with and without DLB on MareNostrum4", Figure10},
-		{ScenarioFigure11, "Figure 11: modeled 7e6-particle coupled runs with and without DLB on Thunder", Figure11},
+		{ScenarioFigure8, "Figure 8", arch.MareNostrum4(), 4e5, "Figure 8: modeled 4e5-particle coupled runs with and without DLB on MareNostrum4"},
+		{ScenarioFigure9, "Figure 9", arch.ThunderX(), 4e5, "Figure 9: modeled 4e5-particle coupled runs with and without DLB on Thunder"},
+		{ScenarioFigure10, "Figure 10", arch.MareNostrum4(), 7e6, "Figure 10: modeled 7e6-particle coupled runs with and without DLB on MareNostrum4"},
+		{ScenarioFigure11, "Figure 11", arch.ThunderX(), 7e6, "Figure 11: modeled 7e6-particle coupled runs with and without DLB on Thunder"},
 	}
 	for _, fg := range dlbFigs {
-		fn := fg.fn
-		name := fg.name
-		reg(scenario.New(name, fg.desc,
+		reg(scenario.New(fg.name, fg.desc,
 			[]string{"paper", "model", "figure", "dlb"},
 			func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-				f, err := fn()
+				f, err := dlbFigure(fg.id, fg.platform, fg.particles)
 				if err != nil {
 					return nil, err
 				}
-				return figureArtifact(name, f), nil
+				return &scenario.Artifact{Scenario: fg.name, Kind: scenario.KindFigure, Figures: []scenario.Figure{f}}, nil
 			}))
 	}
 
@@ -209,18 +189,12 @@ func registerPaperScenarios() {
 			return &scenario.Artifact{
 				Scenario: ScenarioIPC, Kind: scenario.KindReport,
 				Title:  "Assembly-phase IPC (Section 4.3)",
-				Report: IPCReport(),
+				Report: ipcReport(),
 			}, nil
 		}))
 
 	reg(scenario.New(ScenarioAblation,
 		"Ablation: multidependences neighbor-list keying (paper) vs exact edge keying, per platform",
 		[]string{"paper", "model", "figure"},
-		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-			figs, err := platformFigures(p, MultidepKeyingAblation)
-			if err != nil {
-				return nil, err
-			}
-			return figureArtifact(ScenarioAblation, figs...), nil
-		}))
+		perPlatform(ScenarioAblation, keyingAblation)))
 }

@@ -106,12 +106,17 @@ func TestEveryScenarioRunsAndRoundTripsJSON(t *testing.T) {
 // Figure-2 trace rendering share one memoized probe + measured run pair
 // per option set (the seed recomputed everything).
 func TestFigure2SharesTable1Run(t *testing.T) {
-	opts := smallTable1Opts()
-	a, err := Table1(opts)
+	p := smallTable1Params()
+	runScenario(t, ScenarioTable1, p)
+	// The table1 run is now what fig2 reads for the same params: served
+	// from the memo even to a dead context, the same result every time.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := table1Shared(dead, table1Opts(p))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("table1 scenario left no shared run for fig2: %v", err)
 	}
-	b, err := table1Shared(context.Background(), opts)
+	b, err := table1Shared(context.Background(), table1Opts(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestFigure2SharesTable1Run(t *testing.T) {
 		t.Fatal("Table1 results not memoized: Figure2 would re-run the simulation")
 	}
 	// Different options are distinct cache entries.
-	opts2 := opts
+	opts2 := table1Opts(p)
 	opts2.Ranks++
 	c, err := table1Shared(context.Background(), opts2)
 	if err != nil {
@@ -133,15 +138,19 @@ func TestFigure2SharesTable1Run(t *testing.T) {
 // TestTable1ContextCancelled: a pre-cancelled context stops the
 // calibration probe before any step and does not poison the cache.
 func TestTable1ContextCancelled(t *testing.T) {
-	opts := smallTable1Opts()
-	opts.Ranks = 6 // private option set: miss the shared cache on purpose
+	// Private option set (6 ranks): miss the shared cache on purpose.
+	p := smallTable1Params(scenario.WithRanks(6))
+	s, err := scenario.Default.Get(ScenarioTable1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Table1Context(ctx, opts); !errors.Is(err, context.Canceled) {
+	if _, err := s.Run(ctx, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// The failed computation must not be cached: a live context succeeds.
-	if _, err := Table1Context(context.Background(), opts); err != nil {
+	if _, err := s.Run(context.Background(), p); err != nil {
 		t.Fatalf("cache poisoned by cancelled run: %v", err)
 	}
 }
@@ -201,14 +210,16 @@ func TestCalibrateRejectsNonPositiveShares(t *testing.T) {
 // TestScenarioCancellationThreadsDown: cancelling mid-run stops a
 // measured scenario at the next step boundary with ctx.Err().
 func TestScenarioCancellationThreadsDown(t *testing.T) {
-	s, err := scenario.Default.Get(ScenarioQuickstart)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Run(ctx, smallParams()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, name := range []string{ScenarioQuickstart, ScenarioPollutant} {
+		s, err := scenario.Default.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(ctx, smallParams()); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 }
 

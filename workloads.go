@@ -3,6 +3,8 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -10,11 +12,9 @@ import (
 	"repro/internal/coupling"
 	"repro/internal/mesh"
 	"repro/internal/metrics"
-	"repro/internal/navierstokes"
 	"repro/internal/particles"
-	"repro/internal/partition"
-	"repro/internal/simmpi"
 	"repro/internal/tasking"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/scenario"
 )
@@ -119,112 +119,41 @@ func runRespiratory(ctx context.Context, p scenario.Params) (*scenario.Artifact,
 	}, nil
 }
 
-// runPollutant drives the lower-level packages directly — distributed
-// solver, tracker, migration — to inject particles EVERY step ("inject
-// particles several times during the simulation", Section 2.2) and
-// reports how the particle load and its imbalance build up over time.
-// Behind examples/pollutant.
+// runPollutant re-releases a PM2.5 dose at the inlet every step
+// ("inject particles several times during the simulation", Section 2.2)
+// and reports how the particle load and its imbalance build up over
+// time, read back from the run's telemetry. Behind examples/pollutant.
 func runPollutant(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
-	ranks := 8
-	steps := 6
-	perStepShots := 400 // particles inhaled every step
-	workers := 2
-	seedBase := int64(1)
-	if p.Ranks > 0 {
-		ranks = p.Ranks
-	}
-	if p.Steps > 0 {
-		steps = p.Steps
-	}
-	if p.Particles != nil {
-		perStepShots = *p.Particles
-	}
-	if p.Workers > 0 {
-		workers = p.Workers
-	}
-	if p.Seed != 0 {
-		seedBase = p.Seed
-	}
 	mc := mesh.DefaultAirwayConfig()
 	mc.Generations = 2
 	p.ApplyMesh(&mc)
+	rc := coupling.DefaultRunConfig()
+	rc.FluidRanks = 8
+	rc.Steps = 6
+	rc.NumParticles = 400 // inhaled every step
+	rc.InjectEvery = 1
+	rc.WorkersPerRank = 2
+	rc.Species = particles.Props{Diameter: 2.5e-6, Density: 1800} // PM2.5-like
+	rc.NS.Strategy = tasking.StrategyMultidep
+	p.ApplyRun(&rc)
+	// The per-step windows below need world-aligned step markers, which
+	// only a synchronous run records: every rank solves and tracks, on
+	// one node.
+	rc.Mode = coupling.Synchronous
+	rc.ParticleRanks = 0
+	rc.RanksPerNode = rc.FluidRanks
+	store := telemetry.NewMemStore()
+	rc.Telemetry = store
+
 	m, err := mesh.GenerateAirway(mc)
 	if err != nil {
 		return nil, err
 	}
-	dual := m.DualByNode()
-	part, err := partition.KWay(dual, nil, ranks)
-	if err != nil {
+	if _, err := coupling.RunContext(ctx, m, rc); err != nil {
 		return nil, err
 	}
-	rms, err := partition.BuildRankMeshes(m, part.Parts, ranks)
+	work, err := particleWorkPerStep(store, rc.ParticleUnit)
 	if err != nil {
-		return nil, err
-	}
-	world, err := simmpi.NewWorld(ranks, simmpi.WithRanksPerNode(ranks))
-	if err != nil {
-		return nil, err
-	}
-	tr := trace.NewTrace(ranks)
-	perStepLn := make([]float64, steps)
-	perStepCount := make([]int, steps)
-	ranSteps := 0
-
-	soot := particles.Props{Diameter: 2.5e-6, Density: 1800} // PM2.5-like
-	err = world.Run(func(r *simmpi.Rank) {
-		pool := tasking.NewPool(workers)
-		defer pool.Close()
-		cfg := navierstokes.DefaultConfig()
-		cfg.Strategy = tasking.StrategyMultidep
-		if p.Strategy != nil {
-			cfg.Strategy = *p.Strategy
-		}
-		ns, err := navierstokes.NewSolver(m, rms[r.ID()], r.Comm, pool, cfg,
-			navierstokes.DefaultCostModel(), tr.Ranks[r.ID()])
-		if err != nil {
-			panic(err)
-		}
-		tk := particles.NewTracker(m, rms[r.ID()].Elems, soot, particles.AirAt20C())
-		var peers []int
-		for _, h := range rms[r.ID()].Halos {
-			peers = append(peers, h.Peer)
-		}
-		for step := 0; step < steps; step++ {
-			// Same between-steps cancellation contract as coupling.Run:
-			// every rank agrees through a collective before breaking.
-			flag := 0
-			if ctx.Err() != nil {
-				flag = 1
-			}
-			if r.Comm.AllreduceInt(flag, simmpi.OpMax) > 0 {
-				break
-			}
-			if _, err := ns.Step(); err != nil {
-				panic(err)
-			}
-			// Continuous pollutant exposure: inject EVERY step.
-			tk.InjectAtInlet(perStepShots, seedBase+int64(step), cfg.InletVelocity)
-			w0 := tk.WorkUnits
-			tk.Step(cfg.Props.Dt, ns.VelocityAt)
-			particles.Migrate(r.Comm, tk, peers, 1<<30)
-			stepWork := float64(tk.WorkUnits - w0)
-			// Gather per-rank particle work to measure imbalance.
-			works := r.Comm.AllgatherFloat64(stepWork)
-			if r.ID() == 0 {
-				perStepLn[step] = metrics.LoadBalance(works)
-				total := 0
-				for _, w := range works {
-					total += int(w)
-				}
-				perStepCount[step] = total
-				ranSteps = step + 1
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); ranSteps < steps && err != nil {
 		return nil, err
 	}
 
@@ -236,10 +165,14 @@ func runPollutant(ctx context.Context, p scenario.Params) (*scenario.Artifact, e
 			{Name: "particle-phase Ln", HeaderFmt: "%22s", CellFmt: "%22.3f"},
 		},
 	}
-	for s := 0; s < steps; s++ {
+	for s, works := range work {
+		total := 0.0
+		for _, w := range works {
+			total += w
+		}
 		tab.Rows = append(tab.Rows, scenario.TableRow{
 			Label:  strconv.Itoa(s),
-			Values: []float64{float64(perStepCount[s]), perStepLn[s]},
+			Values: []float64{total, metrics.LoadBalance(works)},
 		})
 	}
 	return &scenario.Artifact{
@@ -250,6 +183,45 @@ func runPollutant(ctx context.Context, p scenario.Params) (*scenario.Artifact, e
 			"the tracked population grows every step while the work stays near the injection subdomains — exactly the growing imbalance the paper's DLB absorbs",
 		},
 	}, nil
+}
+
+// particleWorkPerStep reads a recorded synchronous run back into
+// per-step, per-rank particle work (particle-steps advanced): the
+// KindStep markers close each step, and a rank's particle-phase row
+// belongs to the first step whose marker is not before its end. Row
+// durations are work times unit, so dividing and rounding recovers the
+// integral counts.
+func particleWorkPerStep(store *telemetry.Store, unit float64) ([][]float64, error) {
+	runs := store.Runs()
+	if len(runs) != 1 {
+		return nil, fmt.Errorf("repro: expected one recorded run, found %d", len(runs))
+	}
+	rows, err := store.Query(runs[0].Run, telemetry.Query{})
+	if err != nil {
+		return nil, err
+	}
+	var ends []float64
+	for _, r := range rows {
+		if r.Kind == telemetry.KindStep {
+			ends = append(ends, r.End)
+		}
+	}
+	sort.Float64s(ends) // step markers are monotone: sorted is step order
+	work := make([][]float64, len(ends))
+	for s := range work {
+		work[s] = make([]float64, runs[0].Ranks)
+	}
+	for _, r := range rows {
+		if r.Kind != telemetry.KindPhase || r.Phase != trace.PhaseParticles {
+			continue
+		}
+		s := sort.SearchFloat64s(ends, r.End)
+		if s == len(ends) {
+			return nil, fmt.Errorf("repro: rank %d particle work ends at %g, after the last step marker", r.Rank, r.End)
+		}
+		work[s][r.Rank] += math.Round((r.End - r.Start) / unit)
+	}
+	return work, nil
 }
 
 // runCoupledDLB compares synchronous mode against several coupled f+p
