@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/coupling"
@@ -153,8 +154,11 @@ func (s ParamsSpec) Params() (Params, error) {
 	if s.DLB != nil {
 		p.DLB = s.DLB
 	}
+	// Only exact machine names: CanonicalKey joins platform names with
+	// '+' among ';'-separated fields, so a free-form name could spell
+	// another spec's key.
 	for _, name := range s.Platforms {
-		if !knownPlatform(name) {
+		if !slices.ContainsFunc(arch.Platforms(), func(p arch.Profile) bool { return p.Name == name }) {
 			return bad(fmt.Errorf("unknown platform %q (want MareNostrum4 or Thunder)", name))
 		}
 	}
@@ -196,16 +200,4 @@ func (s ParamsSpec) Params() (Params, error) {
 		p.SweepGens = append([]int(nil), s.SweepGens...)
 	}
 	return p, nil
-}
-
-// knownPlatform reports whether name is one of the paper's machines.
-// CanonicalKey joins platform names with '+' among ';'-separated
-// fields, so a free-form name could spell another Params' key.
-func knownPlatform(name string) bool {
-	for _, p := range arch.Platforms() {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
 }

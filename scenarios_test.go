@@ -108,8 +108,8 @@ func TestEveryScenarioRunsAndRoundTripsJSON(t *testing.T) {
 func TestFigure2SharesTable1Run(t *testing.T) {
 	p := smallTable1Params()
 	runScenario(t, ScenarioTable1, p)
-	// The table1 run is now what fig2 reads for the same params: served
-	// from the memo even to a dead context, the same result every time.
+	// fig2 reads the memo entry the table1 scenario filled for these
+	// params: it serves even a dead context, the same result every time.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	a, err := table1Shared(dead, table1Opts(p))
