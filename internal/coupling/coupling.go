@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/dlb"
+	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/navierstokes"
 	"repro/internal/particles"
@@ -265,14 +266,13 @@ func (sc *stepCanceller) err() error {
 	return nil
 }
 
-// buildPartition partitions m into k rank meshes, reusing scr's buffers
-// when the caller provided one (nil = fresh allocations, the one-shot
-// path).
-func buildPartition(m *mesh.Mesh, k int, scr *partition.Scratch) ([]*partition.RankMesh, error) {
+// buildPartition partitions the dual graph of m into k rank meshes,
+// reusing scr's buffers when the caller provided one (nil = fresh
+// allocations, the one-shot path).
+func buildPartition(m *mesh.Mesh, dual *graph.CSR, k int, scr *partition.Scratch) ([]*partition.RankMesh, error) {
 	if scr == nil {
 		scr = partition.NewScratch()
 	}
-	dual := m.DualByNode()
 	p, err := scr.KWay(dual, nil, k)
 	if err != nil {
 		return nil, err
@@ -442,15 +442,20 @@ func (vt *velocityTransfer) receive(world *simmpi.Comm, pid int, rm *partition.R
 func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	f, p := cfg.FluidRanks, cfg.ParticleRanks
 	total, split := f+p, p > 0
-	fluidRMs, err := buildPartition(m, f, cfg.PartitionScratch)
+	dual := m.DualByNode()
+	fluidRMs, err := buildPartition(m, dual, f, cfg.PartitionScratch)
 	if err != nil {
 		return nil, err
 	}
+	// Rank meshes are read-only once built, so when both halves have as
+	// many ranks (the same deterministic partition) they share them.
 	partRMs := fluidRMs
 	var vt *velocityTransfer
 	if split {
-		if partRMs, err = buildPartition(m, p, cfg.PartitionScratch); err != nil {
-			return nil, err
+		if p != f {
+			if partRMs, err = buildPartition(m, dual, p, cfg.PartitionScratch); err != nil {
+				return nil, err
+			}
 		}
 		vt = buildTransfer(fluidRMs, partRMs)
 	}

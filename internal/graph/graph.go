@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -93,13 +94,92 @@ func FromAdjacency(lists [][]int32) *CSR {
 		ptr[i+1] = int32(total)
 	}
 	adj := make([]int32, 0, total)
-	for i, l := range lists {
+	for _, l := range lists {
 		adj = append(adj, l...)
-		_ = i
 	}
 	g := &CSR{Ptr: ptr, Adj: adj}
 	g.dedupe()
 	return g
+}
+
+// Transpose returns the transpose of the incidence inc, whose entries
+// are columns in [0, ncols): row c of the result lists, in ascending
+// order, every row of inc holding c, once per occurrence. Applied to the
+// element->node connectivity it gives the node->element incidence. The
+// result is an incidence, not an undirected graph, so Validate does not
+// apply to it.
+func Transpose(inc *CSR, ncols int) *CSR {
+	n := inc.NumVertices()
+	ptr := make([]int32, ncols+1)
+	for v := 0; v < n; v++ {
+		for _, c := range inc.Neighbors(v) {
+			ptr[c+1]++
+		}
+	}
+	for c := 0; c < ncols; c++ {
+		ptr[c+1] += ptr[c]
+	}
+	adj := make([]int32, ptr[ncols])
+	next := slices.Clone(ptr[:ncols])
+	for v := 0; v < n; v++ {
+		for _, c := range inc.Neighbors(v) {
+			adj[next[c]] = int32(v)
+			next[c]++
+		}
+	}
+	return &CSR{Ptr: ptr, Adj: adj}
+}
+
+// Shared returns the graph on the rows of inc in which two rows are
+// adjacent iff they share a column; incT must be Transpose(inc, ncols).
+// It is the graph FromAdjacency builds from the explicit pair lists
+// (sorted rows, no duplicates, no self loops) without materializing
+// them. With the arguments swapped it gives the graph on the columns, two
+// columns adjacent iff some row holds both: mesh duals and FEM node
+// graphs are both built this way.
+func Shared(inc, incT *CSR) *CSR {
+	n := inc.NumVertices()
+	// Two walks over every row v's neighbors w, where a stamp per vertex
+	// (stamp[v] = v skips the self loop) keeps each w once. The first
+	// counts row degrees. The second writes v into row w: rows fill in
+	// increasing v, so each comes out sorted without a sort, and because
+	// the relation is symmetric row w receives exactly its counted degree.
+	ptr := make([]int32, n+1)
+	stamp := make([]int32, n)
+	for v := range stamp {
+		stamp[v] = -1
+	}
+	for v := 0; v < n; v++ {
+		stamp[v] = int32(v)
+		deg := int32(0)
+		for _, c := range inc.Neighbors(v) {
+			for _, w := range incT.Neighbors(int(c)) {
+				if stamp[w] != int32(v) {
+					stamp[w] = int32(v)
+					deg++
+				}
+			}
+		}
+		ptr[v+1] = ptr[v] + deg
+	}
+	for v := range stamp {
+		stamp[v] = -1
+	}
+	adj := make([]int32, ptr[n])
+	next := slices.Clone(ptr[:n])
+	for v := 0; v < n; v++ {
+		stamp[v] = int32(v)
+		for _, c := range inc.Neighbors(v) {
+			for _, w := range incT.Neighbors(int(c)) {
+				if stamp[w] != int32(v) {
+					stamp[w] = int32(v)
+					adj[next[w]] = int32(v)
+					next[w]++
+				}
+			}
+		}
+	}
+	return &CSR{Ptr: ptr, Adj: adj}
 }
 
 // dedupe sorts each adjacency list, removing duplicates and self loops,
@@ -114,7 +194,7 @@ func (g *CSR) dedupe() {
 		end := g.Ptr[v+1]
 		list := g.Adj[start:end]
 		read = end
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(list)
 		writeStart := len(newAdj)
 		var prev int32 = -1
 		for _, w := range list {
@@ -127,7 +207,6 @@ func (g *CSR) dedupe() {
 		newPtr[v] = int32(writeStart)
 	}
 	newPtr[n] = int32(len(newAdj))
-	// newPtr currently holds starts; convert in place (already starts).
 	g.Adj = newAdj
 	g.Ptr = newPtr
 }

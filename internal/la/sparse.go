@@ -10,7 +10,7 @@ package la
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -87,7 +87,7 @@ func newCSRFromUnsortedGraph(g *graph.CSR) *CSRMatrix {
 	rows := make([][]int32, n)
 	for v := 0; v < n; v++ {
 		row := append([]int32{int32(v)}, g.Neighbors(v)...)
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 		dst := row[:1]
 		for _, u := range row[1:] {
 			if u != dst[len(dst)-1] {

@@ -7,32 +7,15 @@ import (
 )
 
 // NodeToElem builds the node-to-element incidence in CSR form: the
-// elements touching node n are Adj[Ptr[n]:Ptr[n+1]]. This is the inverse
-// of the connectivity and drives dual-graph construction, assembly
-// conflict detection and particle element search.
+// elements touching node n are Adj[Ptr[n]:Ptr[n+1]], ascending. This is
+// the inverse of the connectivity and drives dual-graph construction,
+// assembly conflict detection and particle element search.
 func (m *Mesh) NodeToElem() *graph.CSR {
-	n := m.NumNodes()
-	deg := make([]int32, n)
-	for e := 0; e < m.NumElems(); e++ {
-		for _, nd := range m.ElemNodes(e) {
-			deg[nd]++
-		}
-	}
-	ptr := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		ptr[i+1] = ptr[i] + deg[i]
-	}
-	adj := make([]int32, ptr[n])
-	next := make([]int32, n)
-	copy(next, ptr[:n])
-	for e := 0; e < m.NumElems(); e++ {
-		for _, nd := range m.ElemNodes(e) {
-			adj[next[nd]] = int32(e)
-			next[nd]++
-		}
-	}
-	return &graph.CSR{Ptr: ptr, Adj: adj}
+	return graph.Transpose(m.elemToNode(), m.NumNodes())
 }
+
+// elemToNode views the connectivity as an element->node incidence.
+func (m *Mesh) elemToNode() *graph.CSR { return &graph.CSR{Ptr: m.Ptr, Adj: m.Conn} }
 
 // DualByNode builds the element dual graph in which two elements are
 // adjacent iff they share at least one mesh node. This is exactly the
@@ -41,21 +24,7 @@ func (m *Mesh) NodeToElem() *graph.CSR {
 // strategies resolve), and the adjacency relation Metis reports for the
 // multidependences subdomains.
 func (m *Mesh) DualByNode() *graph.CSR {
-	n2e := m.NodeToElem()
-	ne := m.NumElems()
-	lists := make([][]int32, ne)
-	// For each node, all element pairs touching it conflict.
-	for nd := 0; nd < m.NumNodes(); nd++ {
-		elems := n2e.Neighbors(nd)
-		for i, e := range elems {
-			for j, f := range elems {
-				if i != j {
-					lists[e] = append(lists[e], f)
-				}
-			}
-		}
-	}
-	return graph.FromAdjacency(lists)
+	return graph.Shared(m.elemToNode(), m.NodeToElem())
 }
 
 // Face is a mesh face identified by its sorted node ids (triangles use

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,6 +291,67 @@ func nodeGraph(m *Mesh) *graph.CSR {
 		}
 	}
 	return graph.FromAdjacency(lists)
+}
+
+// dualOracle builds the node->element lists and the element dual the way
+// NodeToElem and DualByNode did before graph.Transpose and graph.Shared:
+// per-node append lists, then every pair of elements meeting at a node
+// appended explicitly and graph.FromAdjacency.
+func dualOracle(m *Mesh) (n2e [][]int32, dual *graph.CSR) {
+	n2e = make([][]int32, m.NumNodes())
+	for e := 0; e < m.NumElems(); e++ {
+		for _, nd := range m.ElemNodes(e) {
+			n2e[nd] = append(n2e[nd], int32(e))
+		}
+	}
+	lists := make([][]int32, m.NumElems())
+	for _, elems := range n2e {
+		for _, e := range elems {
+			lists[e] = append(lists[e], elems...)
+		}
+	}
+	return n2e, graph.FromAdjacency(lists)
+}
+
+func csrEqual(a, b *graph.CSR) bool {
+	return slices.Equal(a.Ptr, b.Ptr) && slices.Equal(a.Adj, b.Adj)
+}
+
+// TestSharedGraphsMatchPairLists: on the airway at generations 0-4, with
+// and without the inlet funnel, unjittered and jittered, the dual, the
+// node->element incidence and the node graph built by graph.Transpose
+// and graph.Shared equal the pair-list oracles exactly.
+func TestSharedGraphsMatchPairLists(t *testing.T) {
+	for gens := 0; gens <= 4; gens++ {
+		for _, funnel := range []bool{false, true} {
+			for _, jitter := range []float64{0, 0.05} {
+				cfg := DefaultAirwayConfig()
+				cfg.Generations, cfg.WithInletFunnel, cfg.Jitter = gens, funnel, jitter
+				m, err := GenerateAirway(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("gens=%d funnel=%v jitter=%g", gens, funnel, jitter)
+				wantN2E, wantDual := dualOracle(m)
+				if !csrEqual(m.DualByNode(), wantDual) {
+					t.Errorf("%s: DualByNode differs from the pair-list oracle", name)
+				}
+				n2e := m.NodeToElem()
+				if n2e.NumVertices() != len(wantN2E) {
+					t.Fatalf("%s: NodeToElem has %d rows, want %d", name, n2e.NumVertices(), len(wantN2E))
+				}
+				for nd := range wantN2E {
+					if !slices.Equal(n2e.Neighbors(nd), wantN2E[nd]) {
+						t.Fatalf("%s: NodeToElem row %d = %v, want %v", name, nd, n2e.Neighbors(nd), wantN2E[nd])
+					}
+				}
+				ng := graph.Shared(n2e, &graph.CSR{Ptr: m.Ptr, Adj: m.Conn})
+				if !csrEqual(ng, nodeGraph(m)) {
+					t.Errorf("%s: node graph differs from the pair-list oracle", name)
+				}
+			}
+		}
+	}
 }
 
 func TestNodeGraphMatchesElements(t *testing.T) {

@@ -267,3 +267,43 @@ func TestStepStatsSane(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkNewSolver times the per-rank set-up on one rank of the
+// generation-2 airway with the multidependences strategy: node graph,
+// matrix patterns, local dual, sub-partition and assembly plans.
+func BenchmarkNewSolver(b *testing.B) {
+	mcfg := mesh.DefaultAirwayConfig()
+	mcfg.Generations = 2
+	m, err := mesh.GenerateAirway(mcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := partition.KWay(m.DualByNode(), nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rms, err := partition.BuildRankMeshes(m, p.Parts, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	world, err := simmpi.NewWorld(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Strategy = tasking.StrategyMultidep
+	err = world.Run(func(r *simmpi.Rank) {
+		pool := tasking.NewPool(1)
+		defer pool.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewSolver(m, rms[0], r.Comm, pool, cfg, DefaultCostModel(), nil); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

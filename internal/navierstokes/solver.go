@@ -222,22 +222,14 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	s.elemFe = make([]float64, rm.NumElems()*fem.MaxElemNodes)
 	s.elemCorr = make([]float64, rm.NumElems()*fem.MaxElemNodes*4)
 
-	// Local node graph -> matrix patterns.
-	lists := make([][]int32, n)
 	for e := 0; e < rm.NumElems(); e++ {
-		nodes := rm.ElemNodesLocal(e)
-		for _, a := range nodes {
-			for _, b := range nodes {
-				if a != b {
-					lists[a] = append(lists[a], b)
-				}
-			}
-		}
 		s.numWeight += fem.CostWeight(rm.Kinds[e])
 	}
-	ng := graph.FromAdjacency(lists)
-	s.A = la.NewCSRFromGraph(ng)
-	s.L = la.NewCSRFromGraph(ng)
+	// Local node graph -> one matrix pattern, shared by A and L (the
+	// solver only ever writes Val).
+	inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
+	s.A = la.NewCSRFromGraph(graph.Shared(graph.Transpose(inc, n), inc))
+	s.L = &la.CSRMatrix{N: s.A.N, Ptr: s.A.Ptr, Col: s.A.Col, Val: make([]float64, len(s.A.Val))}
 	s.atomicMat = tasking.NewAtomicFloat64Slice(s.A.NNZ())
 	s.atomicVec = tasking.NewAtomicFloat64Slice(3 * n)
 
@@ -376,23 +368,8 @@ func (s *Solver) buildPlan(strategy tasking.Strategy) (*tasking.AssemblyPlan, er
 // conflict iff they share a local node (they may write the same matrix
 // rows).
 func localConflicts(rm *partition.RankMesh) *graph.CSR {
-	n2e := make([][]int32, rm.NumLocalNodes())
-	for e := 0; e < rm.NumElems(); e++ {
-		for _, nd := range rm.ElemNodesLocal(e) {
-			n2e[nd] = append(n2e[nd], int32(e))
-		}
-	}
-	lists := make([][]int32, rm.NumElems())
-	for _, elems := range n2e {
-		for _, e := range elems {
-			for _, f := range elems {
-				if e != f {
-					lists[e] = append(lists[e], f)
-				}
-			}
-		}
-	}
-	return graph.FromAdjacency(lists)
+	inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
+	return graph.Shared(inc, graph.Transpose(inc, rm.NumLocalNodes()))
 }
 
 // --- distributed vector primitives ---

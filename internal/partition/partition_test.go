@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -270,6 +271,74 @@ func TestSubPartition(t *testing.T) {
 				if a != b && !adj.HasEdge(int(a), int(b)) {
 					t.Fatalf("subdomains %d,%d share node %d but are not adjacent", a, b, nd)
 				}
+			}
+		}
+	}
+}
+
+// localPairGraphs builds a rank's local element dual and local node
+// graph the slow way: every sharing pair appended explicitly, then
+// graph.FromAdjacency. They are the oracles for graph.Shared.
+func localPairGraphs(rm *RankMesh) (dual, nodes *graph.CSR) {
+	n2e := make([][]int32, rm.NumLocalNodes())
+	nodeLists := make([][]int32, rm.NumLocalNodes())
+	for e := 0; e < rm.NumElems(); e++ {
+		local := rm.ElemNodesLocal(e)
+		for _, nd := range local {
+			n2e[nd] = append(n2e[nd], int32(e))
+			nodeLists[nd] = append(nodeLists[nd], local...)
+		}
+	}
+	elemLists := make([][]int32, rm.NumElems())
+	for _, elems := range n2e {
+		for _, e := range elems {
+			elemLists[e] = append(elemLists[e], elems...)
+		}
+	}
+	return graph.FromAdjacency(elemLists), graph.FromAdjacency(nodeLists)
+}
+
+// TestLocalSharedGraphsMatchPairLists: on every rank mesh at 1-4 ranks,
+// the local dual and node graph built by graph.Shared equal the
+// pair-list oracles, and SubPartition cuts exactly what KWay cuts on the
+// oracle dual.
+func TestLocalSharedGraphsMatchPairLists(t *testing.T) {
+	m := testAirway(t)
+	dual := m.DualByNode()
+	for k := 1; k <= 4; k++ {
+		p, err := KWay(dual, nil, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rms, err := BuildRankMeshes(m, p.Parts, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rm := range rms {
+			wantDual, wantNodes := localPairGraphs(rm)
+			inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
+			incT := graph.Transpose(inc, rm.NumLocalNodes())
+			for _, c := range []struct {
+				name      string
+				got, want *graph.CSR
+			}{
+				{"dual", graph.Shared(inc, incT), wantDual},
+				{"node graph", graph.Shared(incT, inc), wantNodes},
+			} {
+				if !slices.Equal(c.got.Ptr, c.want.Ptr) || !slices.Equal(c.got.Adj, c.want.Adj) {
+					t.Errorf("k=%d rank %d: local %s differs from the pair-list oracle", k, rm.Rank, c.name)
+				}
+			}
+			subs, _, err := SubPartition(rm, nil, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := KWay(wantDual, nil, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(subs, want.Parts) {
+				t.Errorf("k=%d rank %d: SubPartition labels differ from KWay on the oracle dual", k, rm.Rank)
 			}
 		}
 	}

@@ -113,28 +113,12 @@ func ValidateRankMeshes(rms []*RankMesh, numGlobalNodes int) error {
 // the subdomain adjacency graph ("share at least one local node") that
 // drives the multidependences mutual-exclusion constraints.
 func SubPartition(rm *RankMesh, weights []float64, nsub int) ([]int32, *graph.CSR, error) {
-	ne := rm.NumElems()
 	if nsub <= 0 {
 		return nil, nil, fmt.Errorf("partition: nsub must be positive")
 	}
 	// Local dual graph by shared local node.
-	n2e := make([][]int32, rm.NumLocalNodes())
-	for e := 0; e < ne; e++ {
-		for _, nd := range rm.ElemNodesLocal(e) {
-			n2e[nd] = append(n2e[nd], int32(e))
-		}
-	}
-	lists := make([][]int32, ne)
-	for _, elems := range n2e {
-		for _, e := range elems {
-			for _, f := range elems {
-				if e != f {
-					lists[e] = append(lists[e], f)
-				}
-			}
-		}
-	}
-	dual := graph.FromAdjacency(lists)
+	inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
+	dual := graph.Shared(inc, graph.Transpose(inc, rm.NumLocalNodes()))
 	p, err := KWay(dual, weights, nsub)
 	if err != nil {
 		return nil, nil, err

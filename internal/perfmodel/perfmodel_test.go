@@ -2,6 +2,8 @@ package perfmodel
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,6 +97,38 @@ func TestConflictPairsKeyings(t *testing.T) {
 	}
 	if closed.HasEdge(0, 3) {
 		t.Fatal("KeyNeighbors must not conflict distance-3 pairs")
+	}
+}
+
+// TestConflictPairsMatchesPairLists: the KeyNeighbors graph equals the
+// explicit neighbor and distance-2 pair lists on task grids of several
+// sizes and a random graph.
+func TestConflictPairsMatchesPairLists(t *testing.T) {
+	graphs := []*graph.CSR{
+		syntheticTaskGrid(1, 1, 1).Adj,
+		syntheticTaskGrid(1, 27, 2).Adj,
+		syntheticTaskGrid(1, 64, 3).Adj,
+		graph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 0, V: 2}}),
+	}
+	rng := rand.New(rand.NewSource(5))
+	var edges []graph.Edge
+	for i := 0; i < 120; i++ {
+		edges = append(edges, graph.Edge{U: int32(rng.Intn(50)), V: int32(rng.Intn(50))})
+	}
+	graphs = append(graphs, graph.FromEdges(50, edges))
+	for i, adj := range graphs {
+		lists := make([][]int32, adj.NumVertices())
+		for v := range lists {
+			for _, u := range adj.Neighbors(v) {
+				lists[v] = append(lists[v], u)
+				lists[v] = append(lists[v], adj.Neighbors(int(u))...)
+			}
+		}
+		want := graph.FromAdjacency(lists)
+		got := ConflictPairs(adj, tasking.KeyNeighbors)
+		if !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Adj, want.Adj) {
+			t.Fatalf("graph %d: ConflictPairs differs from the pair-list oracle", i)
+		}
 	}
 }
 

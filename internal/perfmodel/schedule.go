@@ -17,23 +17,12 @@ func ConflictPairs(adj *graph.CSR, keying tasking.MutexKeying) *graph.CSR {
 	if keying == tasking.KeyEdges {
 		return adj
 	}
-	lists := make([][]int32, n)
+	keys := &graph.CSR{Ptr: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
-		seen := map[int32]bool{}
-		for _, u := range adj.Neighbors(v) {
-			if !seen[u] {
-				seen[u] = true
-				lists[v] = append(lists[v], u)
-			}
-			for _, w := range adj.Neighbors(int(u)) {
-				if w != int32(v) && !seen[w] {
-					seen[w] = true
-					lists[v] = append(lists[v], w)
-				}
-			}
-		}
+		keys.Adj = append(append(keys.Adj, int32(v)), adj.Neighbors(v)...)
+		keys.Ptr[v+1] = int32(len(keys.Adj))
 	}
-	return graph.FromAdjacency(lists)
+	return graph.Shared(keys, graph.Transpose(keys, n))
 }
 
 // eventHeap orders (time, task) completion events.

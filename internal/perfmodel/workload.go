@@ -176,8 +176,8 @@ func (w *Workload) Ranks(k, tasksPerRank int) (*RankWork, error) {
 		for e := 0; e < rm.NumElems(); e++ {
 			weights[e] = fem.CostWeight(rm.Kinds[e]) * w.scale
 		}
-		conflicts := localConflicts(rm)
-		col := graph.BalancedColoring(conflicts)
+		inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
+		col := graph.BalancedColoring(graph.Shared(inc, graph.Transpose(inc, rm.NumLocalNodes())))
 		nc := col.NumColors
 		if nc == 0 {
 			nc = 1
@@ -190,26 +190,6 @@ func (w *Workload) Ranks(k, tasksPerRank int) (*RankWork, error) {
 	}
 	w.cache[key] = rw
 	return rw, nil
-}
-
-func localConflicts(rm *partition.RankMesh) *graph.CSR {
-	n2e := make([][]int32, rm.NumLocalNodes())
-	for e := 0; e < rm.NumElems(); e++ {
-		for _, nd := range rm.ElemNodesLocal(e) {
-			n2e[nd] = append(n2e[nd], int32(e))
-		}
-	}
-	lists := make([][]int32, rm.NumElems())
-	for _, elems := range n2e {
-		for _, e := range elems {
-			for _, f := range elems {
-				if e != f {
-					lists[e] = append(lists[e], f)
-				}
-			}
-		}
-	}
-	return graph.FromAdjacency(lists)
 }
 
 // syntheticTaskGrid builds the subdomain task structure of one rank: a

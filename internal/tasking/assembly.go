@@ -150,10 +150,7 @@ func NewMultidepPlan(subLabels []int32, subAdj *graph.CSR, keying MutexKeying) *
 	numSub := subAdj.NumVertices()
 	subElems := make([][]int32, numSub)
 	for e, s := range subLabels {
-		subElems[s] = append(subElems[s], int32(e))
-	}
-	for _, list := range subElems {
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		subElems[s] = append(subElems[s], int32(e)) // ascending by construction
 	}
 	return &AssemblyPlan{
 		Strategy:  StrategyMultidep,
