@@ -64,7 +64,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		ckptEvery    = fs.Int("checkpoint-every", 10, "checkpoint capture period in steps (with -checkpoint)")
 		ckptKeep     = fs.Int("checkpoint-keep", 2, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
 		verify       = fs.String("verify", "", "offline integrity scrub: verify every checkpoint and telemetry chunk under this directory, print per-file verdicts, and exit (1 if anything is corrupt or quarantined)")
-		watchdog     = fs.Duration("watchdog", 0, "stall bound per blocking exchange; a stuck rank fails the run with a typed error (0 = off)")
+		watchdog     = fs.Duration("watchdog", 0, "bound on a blocking exchange whose message is lost; a rank error needs none, it aborts the run at once (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

@@ -37,9 +37,10 @@
 // and their simulations checkpoint every -checkpoint-every steps, so a
 // killed process resumes on restart — manifests are resubmitted under
 // their original IDs and interrupted runs continue mid-simulation.
-// -watchdog bounds every blocking exchange of every simulation; a
-// stalled rank surfaces as a typed error, and -retries N retries such
-// transient failures with capped exponential backoff. On SIGTERM the
+// A failing rank aborts its simulation at once; -watchdog only bounds a
+// blocking exchange whose message is truly lost, surfacing it as a typed
+// stall, and -retries N retries such transient failures with capped
+// exponential backoff. On SIGTERM the
 // server drains: new submissions get 503 + Retry-After while running
 // jobs finish (bounded by -drain-timeout), checkpointing what doesn't.
 //
@@ -81,7 +82,7 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint capture period in simulation steps (0 = default 25)")
 	ckptKeep := flag.Int("checkpoint-keep", 0, "snapshot generations retained per run; resume falls back past corrupt ones (0 = default 2)")
 	tverify := flag.Bool("telemetry-verify", false, "verify chunk checksums on every telemetry read; corrupt chunks surface as errors instead of bad rows")
-	watchdog := flag.Duration("watchdog", 0, "per-operation stall bound for simulation exchanges; stalled ranks fail fast with a typed error (0 = off)")
+	watchdog := flag.Duration("watchdog", 0, "bound on a simulation exchange whose message is lost; a rank error needs none, it aborts the run at once (0 = off)")
 	retries := flag.Int("retries", 0, "retry a job's transient failures (stalls, injected faults) up to N times with capped exponential backoff")
 	deadline := flag.Duration("deadline", 0, "default per-job deadline for jobs that send no deadlineMs (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for running jobs before shutting down")

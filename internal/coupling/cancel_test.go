@@ -79,7 +79,8 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // TestRunContextBackgroundUnchanged pins that an uncancellable context
 // takes the zero-overhead path and produces the exact same virtual-time
-// result as Run.
+// result as Run — and so does a live cancellable context that is never
+// cancelled: both kinds share one step loop and one set of collectives.
 func TestRunContextBackgroundUnchanged(t *testing.T) {
 	m := testMesh(t)
 	cfg := fastCfg()
@@ -88,15 +89,19 @@ func TestRunContextBackgroundUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Makespan != b.Makespan || a.Injected != b.Injected {
-		t.Fatalf("RunContext(Background) diverged: makespan %g vs %g", a.Makespan, b.Makespan)
-	}
-	if a.Trace.MaxClock() != b.Trace.MaxClock() {
-		t.Fatal("trace clocks diverged")
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"Background": context.Background(), "WithCancel": live} {
+		b, err := RunContext(ctx, m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Makespan != b.Makespan || a.Injected != b.Injected {
+			t.Fatalf("RunContext(%s) diverged: makespan %g vs %g", name, a.Makespan, b.Makespan)
+		}
+		if a.Trace.MaxClock() != b.Trace.MaxClock() {
+			t.Fatalf("RunContext(%s): trace clocks diverged", name)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ package coupling
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -169,12 +168,12 @@ func Run(m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	return RunContext(context.Background(), m, cfg)
 }
 
-// RunContext is Run with cooperative cancellation: between time steps
-// every rank agrees (through a world-level collective) on whether ctx has
-// been cancelled, so all ranks stop at the same step boundary and the run
-// returns ctx.Err() with no dangling sends or receives. A context that
-// can never be cancelled (ctx.Done() == nil, e.g. context.Background())
-// adds no collective and no overhead.
+// RunContext is Run with cooperative cancellation: every rank checks ctx
+// at the top of each time step, and the first to see it cancelled panics
+// with ctx.Err(), which aborts the world like any rank error — its peers
+// unwind from their next blocking wait — and the run returns an error
+// wrapping ctx.Err(). A step in flight on that rank always completes.
+// Cancellable and uncancellable contexts share one step loop.
 func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	if cfg.Mode > Coupled {
 		return nil, fmt.Errorf("coupling: unknown mode %d", cfg.Mode)
@@ -229,41 +228,6 @@ func WithEnv(ctx context.Context, env Env) context.Context {
 func EnvFrom(ctx context.Context) Env {
 	env, _ := ctx.Value(envKey{}).(Env)
 	return env
-}
-
-// stepCanceller decides, once per time step, whether the whole world
-// stops. Every rank must call next() the same number of times: the
-// decision is a world-level max-allreduce, which is what guarantees all
-// ranks break at the same step boundary (a lone rank observing the cancel
-// first cannot abandon peers blocked in a halo exchange). Cancellation is
-// only observed between steps — a step in flight always completes.
-type stepCanceller struct {
-	ctx       context.Context
-	cancelled atomic.Bool
-}
-
-// next reports whether the world agreed to stop before this step.
-func (sc *stepCanceller) next(c *simmpi.Comm) bool {
-	if sc.ctx.Done() == nil {
-		return false
-	}
-	flag := 0
-	if sc.ctx.Err() != nil {
-		flag = 1
-	}
-	if c.AllreduceInt(flag, simmpi.OpMax) > 0 {
-		sc.cancelled.Store(true)
-		return true
-	}
-	return false
-}
-
-// err returns ctx.Err() if the run was stopped by cancellation.
-func (sc *stepCanceller) err() error {
-	if sc.cancelled.Load() {
-		return sc.ctx.Err()
-	}
-	return nil
 }
 
 // buildPartition partitions the dual graph of m into k rank meshes,
@@ -478,7 +442,6 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	deposited := make([]int, total)
 	exited := make([]int, total)
 	activeEnd := make([]int, total)
-	cancel := &stepCanceller{ctx: ctx}
 	// Step-boundary clocks for telemetry, recorded by rank 0 only and
 	// read after world.Run joins every rank goroutine. Preallocated so
 	// the step loop stays allocation-free. On resume the completed steps'
@@ -549,11 +512,8 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 
 		for step := startStep; step < cfg.Steps; step++ {
 			r.SetStep(step)
-			// The cancel collective spans the WHOLE world (not a
-			// sub-communicator), so both codes agree on the stopping
-			// step and no shipped velocity goes unconsumed.
-			if cancel.next(r.Comm) {
-				break
+			if err := ctx.Err(); err != nil {
+				panic(err) // aborts the world, both codes at once
 			}
 			if ns != nil {
 				if _, err := ns.Step(); err != nil {
@@ -613,9 +573,6 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	})
 	res.Wall = time.Since(start)
 	if err != nil {
-		return nil, err
-	}
-	if err := cancel.err(); err != nil {
 		return nil, err
 	}
 	for i := 0; i < total; i++ {

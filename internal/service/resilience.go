@@ -175,9 +175,6 @@ func (s *Server) BeginDrain() {
 	}
 }
 
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ActiveJobs counts jobs not yet in a terminal state.
 func (s *Server) ActiveJobs() int {
 	s.mu.Lock()

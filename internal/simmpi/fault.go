@@ -4,17 +4,17 @@
 // — delay, drop, or error a specific rank's send/recv/collective at a
 // specific step — installed on a World through the same Option seam the
 // DLB hooks use. It exists so the failure paths of everything built on
-// simmpi can be exercised on purpose: a dropped message is
+// simmpi can be exercised on purpose. An injected error aborts the world
+// like any rank error (see World.Run); a dropped message is
 // indistinguishable from a lost rank, and without a watchdog the peer
 // blocks forever exactly as a real MPI process would.
 //
 // The watchdog (WithWatchdog) puts a deadline on every blocking
-// operation. A rank that waits past the deadline panics with a typed
-// *ErrRankStalled carrying its rank, the tag it was waiting on, and the
-// application step (see Rank.SetStep); World.Run recovers the panic and
-// returns the typed error, preferring a root-cause error (an injected
-// FaultError or an application panic) over the collateral stalls it
-// causes in peer ranks.
+// operation, so it only bounds a message that is truly lost. A rank that
+// waits past the deadline panics with a typed *ErrRankStalled carrying
+// its rank, the tag it was waiting on, and the application step (see
+// Rank.SetStep). A point-to-point stall aborts the world and is its
+// cause; a collective stall is usually collateral and does not abort.
 package simmpi
 
 import "time"
@@ -147,8 +147,14 @@ func WithWatchdog(d time.Duration) Option {
 
 // SetStep records the application's current step for this rank; fault
 // rules match against it and stall errors report it. Coupling's step
-// loops call it once per iteration.
-func (r *Rank) SetStep(step int) { r.world.steps[r.rank] = step }
+// loops call it once per iteration. Once the world has aborted it panics
+// with abortEcho instead: a rank still computing stops there.
+func (r *Rank) SetStep(step int) {
+	if r.world.aborted.Load() {
+		panic(abortEcho{})
+	}
+	r.world.steps[r.rank] = step
+}
 
 // stepOf reports the last step set by the rank's own goroutine.
 func (w *World) stepOf(rank int) int { return w.steps[rank] }

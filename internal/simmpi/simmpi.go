@@ -32,7 +32,6 @@
 package simmpi
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -52,10 +51,10 @@ type BlockingHooks interface {
 
 // ParkHooks is the optional park surface of a BlockingHooks value: a
 // blocking call that gives up spinning calls IntoPark before it parks
-// and OutOfPark once it is satisfied (or its watchdog expires), both
-// nested inside the call's IntoBlockingCall/OutOfBlockingCall bracket,
-// at most once per call, and never for a call satisfied while spinning.
-// Both run outside every simmpi lock.
+// and OutOfPark once it is satisfied (or its watchdog expires, or the
+// world aborts), both nested inside the call's IntoBlockingCall/
+// OutOfBlockingCall bracket, at most once per call, and never for a call
+// satisfied while spinning. Both run outside every simmpi lock.
 type ParkHooks interface {
 	IntoPark(rank int)
 	OutOfPark(rank int)
@@ -80,6 +79,13 @@ type World struct {
 	steps     []int
 	sendSeq   []int64
 	faultHits [][]int // [rule][rank] match counts
+
+	// Abort state (see abort): mu guards cause and conds, the condvar of
+	// every mailbox and communicator, Split's included.
+	mu      sync.Mutex
+	cause   error
+	conds   []*sync.Cond
+	aborted atomic.Bool
 }
 
 // Option configures a World.
@@ -112,6 +118,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	w.inbox = make([]*mailbox, size)
 	for i := range w.inbox {
 		w.inbox[i] = newMailbox()
+		w.conds = append(w.conds, w.inbox[i].cond)
 	}
 	w.steps = make([]int, size)
 	if w.faults != nil {
@@ -125,7 +132,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	for i := range group {
 		group[i] = i
 	}
-	w.worldCom = newCommShared(group)
+	w.worldCom = w.newCommShared(group)
 	return w, nil
 }
 
@@ -153,12 +160,13 @@ func (w *World) RanksOnNode(node int) []int {
 }
 
 // Run spawns one goroutine per rank executing body and waits for all of
-// them. A panic in any rank is recovered and returned as an error after
-// the remaining ranks finish or the panic cascades (callers should treat
-// an error as fatal for the whole world). Typed robustness panics —
-// *ErrRankStalled from the watchdog, *FaultError from an injected fault
-// — are returned as-is so errors.As works on them; a root-cause error is
-// preferred over the collateral stalls it leaves in peer ranks.
+// them. As in MPI, the first rank error aborts the world: a rank panic
+// (an application error, an injected *FaultError, a point-to-point
+// *ErrRankStalled) is recorded once as the cause, every other rank
+// unwinds at its next blocking wait or SetStep, and Run returns the
+// cause, never the echoes. A collective stall is usually collateral and
+// every participant times out on its own, so it does not abort; without
+// a cause Run returns the lowest rank's collective stall, if any.
 func (w *World) Run(body func(r *Rank)) error {
 	w.spinMax = 0
 	if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -167,26 +175,29 @@ func (w *World) Run(body func(r *Rank)) error {
 	liveRanks.Add(int64(w.size))
 	defer liveRanks.Add(-int64(w.size))
 	var wg sync.WaitGroup
-	errs := make([]error, w.size)
+	stalls := make([]*ErrRankStalled, w.size)
 	for rank := 0; rank < w.size; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
-				if p := recover(); p != nil {
-					switch e := p.(type) {
-					case *ErrRankStalled:
-						errs[rank] = e
-					case *FaultError:
-						errs[rank] = e
-					case error:
-						// Rank bodies panic(err) on step failures; wrap so
-						// typed causes (la.ErrBreakdown, *ErrDiverged, ...)
-						// stay reachable through errors.Is/As.
-						errs[rank] = fmt.Errorf("simmpi: rank %d panicked: %w", rank, e)
-					default:
-						errs[rank] = fmt.Errorf("simmpi: rank %d panicked: %v", rank, p)
+				switch e := recover().(type) {
+				case nil, abortEcho:
+				case *ErrRankStalled:
+					if e.Tag == CollectiveTag {
+						stalls[rank] = e
+					} else {
+						w.abort(e)
 					}
+				case *FaultError:
+					w.abort(e)
+				case error:
+					// Rank bodies panic(err) on step failures; wrap so
+					// typed causes (la.ErrBreakdown, *ErrDiverged, ...)
+					// stay reachable through errors.Is/As.
+					w.abort(fmt.Errorf("simmpi: rank %d panicked: %w", rank, e))
+				default:
+					w.abort(fmt.Errorf("simmpi: rank %d panicked: %v", rank, e))
 				}
 			}()
 			r := &Rank{world: w, rank: rank}
@@ -195,28 +206,36 @@ func (w *World) Run(body func(r *Rank)) error {
 		}(rank)
 	}
 	wg.Wait()
-	// Prefer root causes: any non-stall error first, then a
-	// point-to-point stall (it names the missing message), and only
-	// last a collective stall, which is usually collateral from a peer
-	// that died or stalled elsewhere.
-	var stall *ErrRankStalled
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		var rs *ErrRankStalled
-		if errors.As(err, &rs) {
-			if stall == nil || (stall.Tag == CollectiveTag && rs.Tag != CollectiveTag) {
-				stall = rs
-			}
-			continue
-		}
-		return err
+	if w.cause != nil {
+		return w.cause
 	}
-	if stall != nil {
-		return stall
+	for _, s := range stalls {
+		if s != nil {
+			return s
+		}
 	}
 	return nil
+}
+
+// abortEcho is the panic of a rank's blocking wait or SetStep once
+// another rank's error has aborted the world; Run drops it.
+type abortEcho struct{}
+
+// abort records err as the world's cause unless one is already recorded,
+// then wakes every parked wait so it sees the flag and panics with
+// abortEcho. The condvars are woken after mu is released: Split
+// registers new ones while holding its parent's collective lock.
+func (w *World) abort(err error) {
+	w.mu.Lock()
+	if w.cause == nil {
+		w.cause = err
+	}
+	w.aborted.Store(true)
+	conds := w.conds
+	w.mu.Unlock()
+	for _, c := range conds {
+		wake(c)
+	}
 }
 
 // Rank is the per-goroutine handle: its identity plus the world
@@ -332,12 +351,11 @@ func (mb *mailbox) popLocked(key msgKey, q *msgQueue) message {
 	return m
 }
 
-// take blocks until a message for key arrives, or until the watchdog
-// (zero waits forever) expires; it reports false on expiry. With wd.spin
-// it first busy-waits on the put counter for the spin budget; then it
-// parks on the condvar, bracketed by wd's park bookkeeping (outside the
-// lock), and arms the watchdog timer there and only there (see
-// wakeAfter).
+// take blocks until a message for key arrives; it reports false if the
+// watchdog (zero waits forever) expires or the world aborts first. With
+// wd.spin it first busy-waits on the put counter for the spin budget;
+// then it parks on the condvar, bracketed by wd's park bookkeeping
+// (outside the lock), and arms the watchdog timer there and only there.
 func (mb *mailbox) take(key msgKey, wd waitInfo) (message, bool) {
 	if wd.spin {
 		for i, seen := 0, ^uint64(0); i < spinRounds; i++ {
@@ -364,7 +382,7 @@ func (mb *mailbox) take(key msgKey, wd waitInfo) (message, bool) {
 			mb.mu.Unlock()
 			return m, true
 		}
-		if wd.watchdog > 0 && !time.Now().Before(deadline) {
+		if wd.isAborted() || (wd.watchdog > 0 && !time.Now().Before(deadline)) {
 			mb.mu.Unlock()
 			return message{}, false
 		}
@@ -372,17 +390,19 @@ func (mb *mailbox) take(key msgKey, wd waitInfo) (message, bool) {
 	}
 }
 
-// wakeAfter arms the watchdog of a wait about to park on cond: after d
-// it broadcasts, following an empty lock/unlock of cond.L, which orders
-// the wakeup after any waiter that checked its deadline has entered Wait
-// — without it the broadcast could land between check and Wait and be
-// lost. The caller stops the timer when its wait ends.
+// wake broadcasts on cond after an empty lock/unlock of cond.L, which
+// orders the wakeup after any waiter that checked its deadline or the
+// abort flag has entered Wait — without it the broadcast could land
+// between check and Wait and be lost.
+func wake(cond *sync.Cond) {
+	cond.L.Lock()
+	cond.L.Unlock() //nolint:staticcheck // empty critical section is the ordering point
+	cond.Broadcast()
+}
+
+// wakeAfter arms a parked wait's watchdog; the caller stops the timer.
 func wakeAfter(cond *sync.Cond, d time.Duration) *time.Timer {
-	return time.AfterFunc(d, func() {
-		cond.L.Lock()
-		cond.L.Unlock() //nolint:staticcheck // empty critical section is the ordering point
-		cond.Broadcast()
-	})
+	return time.AfterFunc(d, func() { wake(cond) })
 }
 
 func (mb *mailbox) tryTake(key msgKey) (message, bool) {
@@ -423,10 +443,24 @@ func (w *World) spinOK() bool {
 }
 
 // waitFor returns the wait policy and identity of one blocking call by
-// rank: whether it may spin (decided once, on entry), the watchdog, the
-// step to blame on a stall and the park hooks to bracket a park with.
+// rank: whether it may spin (decided once, on entry), the watchdog and
+// abort flag a park watches, the step to blame on a stall and the park
+// hooks to bracket a park with.
 func (w *World) waitFor(rank int) waitInfo {
-	return waitInfo{spin: w.spinOK(), watchdog: w.watchdog, rank: rank, step: w.stepOf(rank), park: w.park}
+	return waitInfo{spin: w.spinOK(), watchdog: w.watchdog, rank: rank, step: w.stepOf(rank), park: w.park, aborted: &w.aborted}
+}
+
+// isAborted reports whether the wait's world has aborted; a waitInfo
+// built without a world never has.
+func (wd waitInfo) isAborted() bool { return wd.aborted != nil && wd.aborted.Load() }
+
+// giveUp ends a parked wait that did not complete: with abortEcho if its
+// world aborted, else as a watchdog stall on tag.
+func (wd waitInfo) giveUp(tag int) {
+	if wd.isAborted() {
+		panic(abortEcho{})
+	}
+	panic(&ErrRankStalled{Rank: wd.rank, Tag: tag, Step: wd.step})
 }
 
 // intoPark is a wait giving up spinning: the rank stops counting as
@@ -477,12 +511,16 @@ type commShared struct {
 	coll    *collective
 }
 
-func newCommShared(group []int) *commShared {
+// newCommShared registers the new communicator's condvar for abort.
+func (w *World) newCommShared(group []int) *commShared {
 	cs := &commShared{group: group, indexOf: make(map[int]int, len(group))}
 	for i, g := range group {
 		cs.indexOf[g] = i
 	}
 	cs.coll = newCollective(len(group))
+	w.mu.Lock()
+	w.conds = append(w.conds, cs.coll.cond)
+	w.mu.Unlock()
 	return cs
 }
 
@@ -569,7 +607,7 @@ func (c *Comm) recvBlocking(mb *mailbox, key msgKey, tag int) message {
 	c.world.blockEnter(c.me)
 	m, ok := mb.take(key, wd)
 	if !ok {
-		panic(&ErrRankStalled{Rank: c.me, Tag: tag, Step: wd.step})
+		wd.giveUp(tag)
 	}
 	c.world.blockExit(c.me)
 	return m
@@ -618,15 +656,16 @@ func newCollective(n int) *collective {
 }
 
 // waitInfo carries the wait policy of one blocking call — whether it may
-// spin, the watchdog bound (zero waits forever), the park hooks — and the
-// identity to report if the watchdog expires. Passed by value — no
-// allocation on the hot path.
+// spin, the watchdog bound (zero waits forever), the park hooks, the
+// world's abort flag (nil: never aborts) — and the identity to report if
+// the watchdog expires. Passed by value — no allocation on the hot path.
 type waitInfo struct {
 	spin     bool
 	watchdog time.Duration
 	rank     int
 	step     int
 	park     ParkHooks
+	aborted  *atomic.Bool
 }
 
 // waitLocked blocks until the generation advances past gen; the caller
@@ -635,7 +674,7 @@ type waitInfo struct {
 // moved parks: park bookkeeping first (off the lock), then the condvar,
 // arming the watchdog timer only there. On expiry it releases c.mu (so
 // every other stalled participant can time out too), leaves the park and
-// panics with *ErrRankStalled.
+// gives up (see giveUp); a world abort ends the wait the same way.
 func (c *collective) waitLocked(gen uint64, wd waitInfo) {
 	c.mu.Unlock()
 	if wd.spin {
@@ -655,10 +694,10 @@ func (c *collective) waitLocked(gen uint64, wd waitInfo) {
 		defer wakeAfter(c.cond, wd.watchdog).Stop()
 	}
 	for c.gen.Load() == gen {
-		if wd.watchdog > 0 && !time.Now().Before(deadline) {
+		if wd.isAborted() || (wd.watchdog > 0 && !time.Now().Before(deadline)) {
 			c.mu.Unlock()
 			wd.outOfPark()
-			panic(&ErrRankStalled{Rank: wd.rank, Tag: CollectiveTag, Step: wd.step})
+			wd.giveUp(CollectiveTag)
 		}
 		c.cond.Wait()
 	}
@@ -933,7 +972,7 @@ func (c *Comm) Split(color, key int) *Comm {
 			for i, e := range entries {
 				group[i] = c.shared.group[e.commRank]
 			}
-			shared[col] = newCommShared(group)
+			shared[col] = c.world.newCommShared(group)
 		}
 		return shared
 	})

@@ -72,8 +72,8 @@ func RunSimulation(cfg SimulationConfig) (*SimulationResult, error) {
 }
 
 // RunSimulationContext is RunSimulation with cooperative cancellation: a
-// ctx cancel stops the run at the next time-step boundary on every rank
-// and returns ctx.Err().
+// ctx cancel stops the run at the next time-step boundary of the first
+// rank to see it and returns an error wrapping ctx.Err().
 func RunSimulationContext(ctx context.Context, cfg SimulationConfig) (*SimulationResult, error) {
 	m, err := mesh.GenerateAirway(cfg.Mesh)
 	if err != nil {
