@@ -31,6 +31,12 @@ type Basis struct {
 	Kind mesh.Kind
 	NEN  int // nodes per element
 	QP   []QuadPoint
+	// records is the number of geometry records per element: 1 when
+	// every point has the same weight and reference gradients (so the
+	// same W, H and physical gradients), else len(QP). recStep is the
+	// offset in floats from one point's record to the next's: 0 when
+	// one record serves every point.
+	records, recStep int
 }
 
 var bases [3]*Basis
@@ -39,6 +45,16 @@ func init() {
 	bases[mesh.Tet4] = buildTetBasis()
 	bases[mesh.Prism6] = buildPrismBasis()
 	bases[mesh.Pyramid5] = buildPyramidBasis()
+	for _, b := range bases {
+		b.records = 1
+		for _, qp := range b.QP[1:] {
+			if qp.W != b.QP[0].W || qp.DN != b.QP[0].DN {
+				b.records = len(b.QP)
+				b.recStep = recordLen(b.NEN)
+				break
+			}
+		}
+	}
 }
 
 // BasisFor returns the shared reference basis of an element kind. The
@@ -135,7 +151,8 @@ func buildPyramidBasis() *Basis {
 
 // Jacobian computes the 3x3 reference->physical Jacobian at a quadrature
 // point from nodal coordinates, returning its determinant and writing the
-// physical shape gradients into gradN.
+// physical shape gradients into gradN. A singular Jacobian (det == 0)
+// has no inverse; its gradients are written as zeros.
 func Jacobian(qp *QuadPoint, nen int, coords []mesh.Vec3, gradN *[MaxElemNodes][3]float64) float64 {
 	var j [3][3]float64
 	for a := 0; a < nen; a++ {
@@ -155,6 +172,9 @@ func Jacobian(qp *QuadPoint, nen int, coords []mesh.Vec3, gradN *[MaxElemNodes][
 		j[0][1]*(j[1][0]*j[2][2]-j[1][2]*j[2][0]) +
 		j[0][2]*(j[1][0]*j[2][1]-j[1][1]*j[2][0])
 	if det == 0 {
+		for a := 0; a < nen; a++ {
+			gradN[a] = [3]float64{}
+		}
 		return 0
 	}
 	inv := 1 / det

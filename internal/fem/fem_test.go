@@ -65,13 +65,14 @@ func TestPartitionOfUnity(t *testing.T) {
 
 func TestQuadratureIntegratesVolume(t *testing.T) {
 	var s Scratch
+	var gradN [MaxElemNodes][3]float64
 	for _, k := range allKinds {
 		b := BasisFor(k)
 		coords := refCoords(k)
 		copy(s.Coords[:], coords)
 		vol := 0.0
 		for q := range b.QP {
-			det := Jacobian(&b.QP[q], b.NEN, s.Coords[:], &s.GradN)
+			det := Jacobian(&b.QP[q], b.NEN, s.Coords[:], &gradN)
 			vol += b.QP[q].W * math.Abs(det)
 		}
 		if math.Abs(vol-exactVolume(k)) > 1e-10 {
@@ -85,17 +86,18 @@ func TestGradientsReproduceLinearField(t *testing.T) {
 	// (2,-3,5) at every quadrature point, for every kind.
 	f := func(p mesh.Vec3) float64 { return 2*p.X - 3*p.Y + 5*p.Z }
 	var s Scratch
+	var gradN [MaxElemNodes][3]float64
 	for _, k := range allKinds {
 		b := BasisFor(k)
 		coords := refCoords(k)
 		copy(s.Coords[:], coords)
 		for q := range b.QP {
-			Jacobian(&b.QP[q], b.NEN, s.Coords[:], &s.GradN)
+			Jacobian(&b.QP[q], b.NEN, s.Coords[:], &gradN)
 			var g [3]float64
 			for a := 0; a < b.NEN; a++ {
 				fa := f(coords[a])
 				for c := 0; c < 3; c++ {
-					g[c] += s.GradN[a][c] * fa
+					g[c] += gradN[a][c] * fa
 				}
 			}
 			want := [3]float64{2, -3, 5}
@@ -113,6 +115,7 @@ func TestGradientsOnDistortedElement(t *testing.T) {
 	// tets: affine invariance of the linear basis.
 	rng := rand.New(rand.NewSource(4))
 	var s Scratch
+	var gradN [MaxElemNodes][3]float64
 	f := func(p mesh.Vec3) float64 { return -p.X + 4*p.Y + 2*p.Z }
 	for trial := 0; trial < 20; trial++ {
 		coords := refCoords(mesh.Tet4)
@@ -124,12 +127,12 @@ func TestGradientsOnDistortedElement(t *testing.T) {
 		copy(s.Coords[:], coords)
 		b := BasisFor(mesh.Tet4)
 		for q := range b.QP {
-			Jacobian(&b.QP[q], b.NEN, s.Coords[:], &s.GradN)
+			Jacobian(&b.QP[q], b.NEN, s.Coords[:], &gradN)
 			var g [3]float64
 			for a := 0; a < b.NEN; a++ {
 				fa := f(coords[a])
 				for c := 0; c < 3; c++ {
-					g[c] += s.GradN[a][c] * fa
+					g[c] += gradN[a][c] * fa
 				}
 			}
 			if math.Abs(g[0]+1) > 1e-9 || math.Abs(g[1]-4) > 1e-9 || math.Abs(g[2]-2) > 1e-9 {
@@ -167,6 +170,26 @@ func TestLaplacianRowSumsZero(t *testing.T) {
 		for a := 0; a < nen; a++ {
 			if s.Ke[a*nen+a] <= 0 {
 				t.Errorf("%v diagonal %d = %g", k, a, s.Ke[a*nen+a])
+			}
+		}
+	}
+}
+
+// MassElement assembles the consistent mass matrix M_ab = integral
+// N_a N_b from s.Coords into s.Ke.
+func MassElement(kind mesh.Kind, nen int, s *Scratch) {
+	basis := BasisFor(kind)
+	var gradN [MaxElemNodes][3]float64
+	for i := 0; i < nen*nen; i++ {
+		s.Ke[i] = 0
+	}
+	for q := range basis.QP {
+		qp := &basis.QP[q]
+		det := Jacobian(qp, nen, s.Coords[:], &gradN)
+		w := qp.W * math.Abs(det)
+		for a := 0; a < nen; a++ {
+			for b := 0; b < nen; b++ {
+				s.Ke[a*nen+b] += w * qp.N[a] * qp.N[b]
 			}
 		}
 	}
@@ -410,6 +433,7 @@ func BenchmarkMomentumElementPrism(b *testing.B) {
 // node order, which |det J| integrates correctly.
 func TestGeneratedMeshesHaveNoTangledElements(t *testing.T) {
 	var s Scratch
+	var gradN [MaxElemNodes][3]float64
 	for gens := 0; gens <= 4; gens++ {
 		for _, jitter := range []float64{0, 0.01, 0.05} {
 			for _, funnel := range []bool{true, false} {
@@ -424,7 +448,7 @@ func TestGeneratedMeshesHaveNoTangledElements(t *testing.T) {
 					basis := BasisFor(m.Kinds[e])
 					sign := 0.0
 					for q := range basis.QP {
-						det := Jacobian(&basis.QP[q], nen, s.Coords[:], &s.GradN)
+						det := Jacobian(&basis.QP[q], nen, s.Coords[:], &gradN)
 						if q == 0 {
 							sign = math.Copysign(1, det)
 						}

@@ -156,22 +156,31 @@ type Solver struct {
 	scratch   sync.Pool
 	plan      *tasking.AssemblyPlan
 	sgsPlan   *tasking.AssemblyPlan
+	// atomicMat/atomicVec are the atomics strategy's accumulators (nil
+	// under the other strategies).
 	atomicMat *tasking.AtomicFloat64Slice
 	atomicVec *tasking.AtomicFloat64Slice
 	rhs       [3][]float64
 	prhs      []float64
 	gradScr   [3][]float64
-	lumped    []float64
+	// geom holds the static geometry records of the rank's elements;
+	// every element loop reads them instead of recomputing Jacobians.
+	geom *fem.Geometry
+	// lumped is the halo-summed lumped mass of each local node; the mesh
+	// never moves, so it is built once.
+	lumped []float64
 
 	// par runs the per-rank la kernels (SpMV, reductions, vector
 	// updates) on this rank's pool with the deterministic fixed-chunk
 	// contract — the Solver1/Solver2 threading the paper's Table 1
 	// motivates.
 	par *la.ParOps
-	// Per-element staging for the compute-parallel/scatter-serial
-	// loops: elemFe holds assemblePressureRHS's per-element RHS rows,
-	// elemCorr holds correctVelocity's per-(element,node) lumped weight
-	// and gradient contributions (4 floats per slot).
+	// Per-(element,node) staging for the compute-parallel/scatter-serial
+	// loops, packed like RM.LocalConn: elemFe holds
+	// assemblePressureRHS's RHS entries (element e's at LocalPtr[e]),
+	// elemCorr correctVelocity's gradient contributions (3 floats per
+	// slot, at 3*LocalPtr[e]). The two are never live at once, so elemFe
+	// aliases the front of elemCorr.
 	elemFe   []float64
 	elemCorr []float64
 
@@ -212,15 +221,14 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 		s.rhs[c] = make([]float64, n)
 		s.gradScr[c] = make([]float64, n)
 	}
-	s.lumped = make([]float64, n)
 	s.scratch.New = func() any { return new(fem.Scratch) }
 	if pool != nil {
 		s.par = la.NewParOps(pool)
 	} else {
 		s.par = la.NewParOps(nil)
 	}
-	s.elemFe = make([]float64, rm.NumElems()*fem.MaxElemNodes)
-	s.elemCorr = make([]float64, rm.NumElems()*fem.MaxElemNodes*4)
+	s.elemCorr = make([]float64, 3*len(rm.LocalConn))
+	s.elemFe = s.elemCorr[:len(rm.LocalConn)]
 
 	for e := 0; e < rm.NumElems(); e++ {
 		s.numWeight += fem.CostWeight(rm.Kinds[e])
@@ -230,8 +238,10 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
 	s.A = la.NewCSRFromGraph(graph.Shared(graph.Transpose(inc, n), inc))
 	s.L = &la.CSRMatrix{N: s.A.N, Ptr: s.A.Ptr, Col: s.A.Col, Val: make([]float64, len(s.A.Val))}
-	s.atomicMat = tasking.NewAtomicFloat64Slice(s.A.NNZ())
-	s.atomicVec = tasking.NewAtomicFloat64Slice(3 * n)
+	if cfg.Strategy == tasking.StrategyAtomic {
+		s.atomicMat = tasking.NewAtomicFloat64Slice(s.A.NNZ())
+		s.atomicVec = tasking.NewAtomicFloat64Slice(3 * n)
+	}
 
 	// Per-node rank share 1/m, m = number of ranks holding the node
 	// (used for Dirichlet diagonals under halo summation).
@@ -299,8 +309,9 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	s.plan.Compile()
 	s.sgsPlan.Compile()
 
-	// Constant pressure Laplacian with symmetric zero-Dirichlet rows.
-	s.assembleLaplacian()
+	// The static element geometry and what is built from it alone: the
+	// constant pressure Laplacian and the lumped mass.
+	s.assembleStatic()
 
 	// One-time construction of everything the step loop reuses (the
 	// zero-allocation steady state). L never changes after this point,

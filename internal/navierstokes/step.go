@@ -11,9 +11,15 @@ import (
 	"repro/internal/trace"
 )
 
-// assembleLaplacian builds the constant pressure matrix with symmetric
-// zero-Dirichlet treatment at the outlet nodes (serial; runs once).
-func (s *Solver) assembleLaplacian() {
+// assembleStatic fills the element geometry records and, in the same
+// element pass while each element's records are in cache, builds from
+// them the constant pressure matrix — with symmetric zero-Dirichlet
+// treatment at the outlet nodes — and the halo-summed lumped mass the
+// velocity correction divides by (serial; runs once, and its haloSum is
+// part of NewSolver's collective construction contract).
+func (s *Solver) assembleStatic() {
+	s.geom = fem.NewGeometry(s.RM.Kinds)
+	s.lumped = make([]float64, s.RM.NumLocalNodes())
 	s.L.Zero()
 	scr := s.scratch.Get().(*fem.Scratch)
 	defer s.scratch.Put(scr)
@@ -24,13 +30,20 @@ func (s *Solver) assembleLaplacian() {
 		for i, ln := range nodes {
 			scr.Coords[i] = s.M.Coords[s.RM.GlobalNode[ln]]
 		}
-		fem.LaplacianElement(kind, nen, scr)
+		g := s.geom.Elem(e)
+		fem.FillGeom(kind, scr.Coords[:nen], g)
+		fem.LaplacianGeom(kind, nen, g, scr)
 		for a := 0; a < nen; a++ {
 			for b := 0; b < nen; b++ {
 				s.L.Add(nodes[a], nodes[b], scr.Ke[a*nen+b])
 			}
 		}
+		fem.LumpedGeom(kind, nen, g, scr)
+		for a, ln := range nodes {
+			s.lumped[ln] += scr.Fe[a]
+		}
 	}
+	s.haloSum(s.lumped)
 	// Symmetric zero-Dirichlet: zero rows and columns of outlet nodes,
 	// then set each diagonal to this rank's share invMult = 1/m, so the
 	// halo sum over the m sharing ranks restores a unit diagonal.
@@ -63,13 +76,12 @@ func (s *Solver) buildStepClosures() {
 		nen := kind.NodesPerElem()
 		nodes := s.RM.ElemNodesLocal(e)
 		for i, ln := range nodes {
-			scr.Coords[i] = s.M.Coords[s.RM.GlobalNode[ln]]
 			uc := mesh.Vec3{X: s.Uold[0][ln], Y: s.Uold[1][ln], Z: s.Uold[2][ln]}
 			scr.UOld3[i] = uc
 			// VMS convection: resolved velocity + element subgrid part.
 			scr.UConv[i] = uc.Add(s.SGS[e])
 		}
-		fem.MomentumElement3(kind, nen, s.Cfg.Props, scr)
+		fem.MomentumGeom(kind, nen, s.geom.Elem(e), s.Cfg.Props, scr)
 		for a := 0; a < nen; a++ {
 			ra := nodes[a]
 			for b := 0; b < nen; b++ {
@@ -101,10 +113,9 @@ func (s *Solver) buildStepClosures() {
 		nen := kind.NodesPerElem()
 		nodes := s.RM.ElemNodesLocal(e)
 		for i, ln := range nodes {
-			scr.Coords[i] = s.M.Coords[s.RM.GlobalNode[ln]]
 			scr.UConv[i] = mesh.Vec3{X: s.U[0][ln], Y: s.U[1][ln], Z: s.U[2][ln]}
 		}
-		s.SGS[e] = fem.SGSElement(kind, nen, s.Cfg.Props, scr)
+		s.SGS[e] = fem.SGSGeom(kind, nen, s.geom.Elem(e), s.Cfg.Props, scr)
 		s.scratch.Put(scr)
 	}
 	s.noopScatter = &tasking.Scatter{AddMat: func(int32, int32, float64) {}, AddVec: func(int32, float64) {}}
@@ -115,11 +126,10 @@ func (s *Solver) buildStepClosures() {
 			nen := kind.NodesPerElem()
 			nodes := s.RM.ElemNodesLocal(e)
 			for i, ln := range nodes {
-				scr.Coords[i] = s.M.Coords[s.RM.GlobalNode[ln]]
 				scr.UConv[i] = mesh.Vec3{X: s.U[0][ln], Y: s.U[1][ln], Z: s.U[2][ln]}
 			}
-			fem.DivergenceRHS(kind, nen, s.Cfg.Props, scr)
-			copy(s.elemFe[e*fem.MaxElemNodes:(e+1)*fem.MaxElemNodes], scr.Fe[:])
+			fem.DivergenceGeom(kind, nen, s.geom.Elem(e), s.Cfg.Props, scr)
+			copy(s.elemFe[s.RM.LocalPtr[e]:], scr.Fe[:nen])
 		}
 		s.scratch.Put(scr)
 	}
@@ -130,29 +140,13 @@ func (s *Solver) buildStepClosures() {
 			nen := kind.NodesPerElem()
 			nodes := s.RM.ElemNodesLocal(e)
 			for i, ln := range nodes {
-				scr.Coords[i] = s.M.Coords[s.RM.GlobalNode[ln]]
+				scr.P[i] = s.P[ln]
 			}
-			slot := s.elemCorr[e*fem.MaxElemNodes*4 : (e+1)*fem.MaxElemNodes*4]
-			for i := range slot {
-				slot[i] = 0
-			}
-			basis := fem.BasisFor(kind)
-			for q := range basis.QP {
-				qp := &basis.QP[q]
-				det := fem.Jacobian(qp, nen, scr.Coords[:], &scr.GradN)
-				w := qp.W * abs(det)
-				var gp [3]float64
-				for a, ln := range nodes {
-					for c := 0; c < 3; c++ {
-						gp[c] += scr.GradN[a][c] * s.P[ln]
-					}
-				}
-				for a := range nodes {
-					wa := w * qp.N[a]
-					slot[a*4] += wa
-					for c := 0; c < 3; c++ {
-						slot[a*4+1+c] += wa * gp[c]
-					}
+			fem.GradientGeom(kind, nen, s.geom.Elem(e), scr)
+			slot := s.elemCorr[3*s.RM.LocalPtr[e]:]
+			for a := 0; a < nen; a++ {
+				for c := 0; c < 3; c++ {
+					slot[a*3+c] = scr.Fe3[c][a]
 				}
 			}
 		}
@@ -322,7 +316,7 @@ func (s *Solver) assemblePressureRHS() {
 	la.Fill(s.prhs, 0)
 	s.par.Range(s.RM.NumElems(), s.prhsBody)
 	for e := 0; e < s.RM.NumElems(); e++ {
-		fe := s.elemFe[e*fem.MaxElemNodes:]
+		fe := s.elemFe[s.RM.LocalPtr[e]:]
 		for a, ln := range s.RM.ElemNodesLocal(e) {
 			s.prhs[ln] += fe[a]
 		}
@@ -334,31 +328,29 @@ func (s *Solver) assemblePressureRHS() {
 }
 
 // correctVelocity projects the velocity with the nodal pressure gradient:
-// u <- u - (dt/rho) grad p, using a lumped-volume nodal gradient. Like
-// assemblePressureRHS it is compute-parallel/scatter-serial: quadrature
-// accumulates into disjoint per-(element,node) slots on the pool, the
-// in-order serial scatter reproduces the serial bits, and the final
-// per-node correction is element-wise parallel (disjoint writes).
+// u <- u - (dt/rho) grad p, using a lumped-volume nodal gradient (the
+// lumped mass is static, built in NewSolver). Like assemblePressureRHS
+// it is compute-parallel/scatter-serial: quadrature accumulates into
+// disjoint per-(element,node) slots on the pool, the in-order serial
+// scatter reproduces the serial bits, and the final per-node correction
+// is element-wise parallel (disjoint writes).
 func (s *Solver) correctVelocity() {
 	n := s.RM.NumLocalNodes()
 	for c := 0; c < 3; c++ {
 		la.Fill(s.gradScr[c], 0)
 	}
-	la.Fill(s.lumped, 0)
 	s.par.Range(s.RM.NumElems(), s.corrBody)
 	for e := 0; e < s.RM.NumElems(); e++ {
-		slot := s.elemCorr[e*fem.MaxElemNodes*4:]
+		slot := s.elemCorr[3*s.RM.LocalPtr[e]:]
 		for a, ln := range s.RM.ElemNodesLocal(e) {
-			s.lumped[ln] += slot[a*4]
 			for c := 0; c < 3; c++ {
-				s.gradScr[c][ln] += slot[a*4+1+c]
+				s.gradScr[c][ln] += slot[a*3+c]
 			}
 		}
 	}
 	for c := 0; c < 3; c++ {
 		s.haloSum(s.gradScr[c])
 	}
-	s.haloSum(s.lumped)
 	s.par.Range(n, s.corrFinalBody)
 }
 
@@ -391,11 +383,4 @@ func (s *Solver) MaxVelocity() float64 {
 		}
 	}
 	return s.Comm.AllreduceFloat64(local, simmpi.OpMax)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
