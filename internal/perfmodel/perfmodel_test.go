@@ -101,8 +101,9 @@ func TestConflictPairsKeyings(t *testing.T) {
 }
 
 // TestConflictPairsMatchesPairLists: the KeyNeighbors graph equals the
-// explicit neighbor and distance-2 pair lists on task grids of several
-// sizes and a random graph.
+// explicit neighbor and distance-2 pair lists, and the KeyEdges graph
+// equals the adjacency itself, on task grids of several sizes and a
+// random graph.
 func TestConflictPairsMatchesPairLists(t *testing.T) {
 	graphs := []*graph.CSR{
 		syntheticTaskGrid(1, 1, 1).Adj,
@@ -128,6 +129,10 @@ func TestConflictPairsMatchesPairLists(t *testing.T) {
 		got := ConflictPairs(adj, tasking.KeyNeighbors)
 		if !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Adj, want.Adj) {
 			t.Fatalf("graph %d: ConflictPairs differs from the pair-list oracle", i)
+		}
+		got = ConflictPairs(adj, tasking.KeyEdges)
+		if !slices.Equal(got.Ptr, adj.Ptr) || !slices.Equal(got.Adj, adj.Adj) {
+			t.Fatalf("graph %d: KeyEdges ConflictPairs differs from the adjacency", i)
 		}
 	}
 }

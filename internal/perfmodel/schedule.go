@@ -8,21 +8,13 @@ import (
 )
 
 // ConflictPairs derives which task pairs exclude each other under a
-// mutexinoutset keying. KeyEdges conflicts exactly the adjacent pairs;
-// KeyNeighbors (the paper's formulation: task i declares keys {i} u
-// adj(i)) additionally serializes distance-2 pairs, because their key
-// sets intersect at the common neighbor.
+// mutexinoutset keying: two tasks conflict iff their tasking.MutexKeys
+// sets intersect. KeyEdges conflicts exactly the adjacent pairs;
+// KeyNeighbors (the paper's formulation) additionally serializes
+// distance-2 pairs, whose key sets meet at the common neighbor.
 func ConflictPairs(adj *graph.CSR, keying tasking.MutexKeying) *graph.CSR {
-	n := adj.NumVertices()
-	if keying == tasking.KeyEdges {
-		return adj
-	}
-	keys := &graph.CSR{Ptr: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		keys.Adj = append(append(keys.Adj, int32(v)), adj.Neighbors(v)...)
-		keys.Ptr[v+1] = int32(len(keys.Adj))
-	}
-	return graph.Shared(keys, graph.Transpose(keys, n))
+	keys, nkeys := tasking.MutexKeys(adj, keying)
+	return graph.Shared(keys, graph.Transpose(keys, nkeys))
 }
 
 // eventHeap orders (time, task) completion events.

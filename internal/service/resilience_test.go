@@ -111,6 +111,22 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
+// TestJobDeadlineOverflowRejected: a deadlineMs too large for a
+// time.Duration is a 400, not a wrapped negative deadline that would
+// skip both the server default and the job timeout; the largest
+// representable one is still accepted.
+func TestJobDeadlineOverflowRejected(t *testing.T) {
+	env := newTestEnv(t, Config{})
+	for _, ms := range []string{"1e13", "9.3e12", "1e300"} {
+		if code, out := env.do(t, "POST", "/jobs", `{"scenario":"echo","deadlineMs":`+ms+`}`); code != http.StatusBadRequest {
+			t.Fatalf("deadlineMs %s: POST = %d: %s", ms, code, out)
+		}
+	}
+	if code, out := env.do(t, "POST", "/jobs", `{"scenario":"echo","deadlineMs":9.2e12}`); code != http.StatusCreated {
+		t.Fatalf("deadlineMs 9.2e12: POST = %d: %s", code, out)
+	}
+}
+
 // TestDrain: after BeginDrain, new submissions get 503 + Retry-After,
 // health reports draining, and already-accepted jobs still finish.
 func TestDrain(t *testing.T) {

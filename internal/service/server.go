@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -280,6 +281,9 @@ func (s *Server) Handler() http.Handler {
 
 // --- wire types ---
 
+// maxDeadlineMS is the largest deadlineMs a time.Duration can hold.
+const maxDeadlineMS = float64(math.MaxInt64 / int64(time.Millisecond))
+
 // submitRequest is the POST /jobs body.
 type submitRequest struct {
 	Scenario string              `json:"scenario"`
@@ -421,8 +425,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad options: %v", err)
 		return
 	}
-	if req.DeadlineMS < 0 {
-		writeError(w, http.StatusBadRequest, "bad deadlineMs %g: want a nonnegative number", req.DeadlineMS)
+	if req.DeadlineMS < 0 || req.DeadlineMS > maxDeadlineMS {
+		// Past maxDeadlineMS the conversion below would wrap to a
+		// negative duration, which would silently mean "no deadline".
+		writeError(w, http.StatusBadRequest, "bad deadlineMs %g: want a number in [0, %g]", req.DeadlineMS, maxDeadlineMS)
 		return
 	}
 	deadline := time.Duration(req.DeadlineMS * float64(time.Millisecond))

@@ -2,7 +2,6 @@ package tasking
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -26,7 +25,7 @@ const (
 	StrategyColoring
 	// StrategyMultidep maps each mesh subdomain to a task and lets tasks
 	// of adjacent (node-sharing) subdomains exclude each other through
-	// mutexinoutset dependences built with runtime iterators. No atomics,
+	// mutexinoutset key sets sized at run time (MutexKeys). No atomics,
 	// and each task walks a contiguous, memory-ordered element range, so
 	// spatial locality is preserved.
 	StrategyMultidep
@@ -93,27 +92,16 @@ type AssemblyPlan struct {
 	NumSub    int
 	Keying    MutexKeying
 
-	// LargestFirst enables the compiled graph's static release
-	// priority: when several subdomain tasks become startable at once,
-	// the one with the most elements is released first, shortening the
-	// makespan tail. It changes the release order — and with it the
-	// accumulation order of conflicting scatters — so it is off by
-	// default (the golden contract: compilation reuses, never
-	// reassociates) and ablated in the benchmarks. Set it before the
-	// first Assemble/Compile; the compiled graph freezes the choice.
-	LargestFirst bool
-
 	subElems [][]int32 // elements per subdomain, ascending (locality)
 
-	// compiled is the frozen multidep task graph, built on first use and
-	// reused every step (the plan's geometry is static, so the graph is
-	// too). Kernel and scatter flow through the graph's argument slots.
-	compiled *CompiledGraph
+	// runner executes the multidep tasks, built on first use and reused
+	// every step (the plan's geometry is static, so the runner is too).
+	runner *mutexRunner
 
 	// Prebuilt loop bodies for the ParallelFor-based strategies: one
 	// element-range body for Atomics, one per color for Coloring. Like
-	// the compiled graph's task bodies they read the argument slots
-	// below, so a steady-state Assemble submits only reused closures.
+	// the runner's task bodies they read the argument slots below, so a
+	// steady-state Assemble submits only reused closures.
 	atomicBody  func(lo, hi int)
 	colorBodies []func(lo, hi int)
 
@@ -168,7 +156,7 @@ func NewMultidepPlan(subLabels []int32, subAdj *graph.CSR, keying MutexKeying) *
 // scatter atomically (used only by StrategyAtomic). Both must accumulate
 // into the same underlying storage.
 //
-// Assemble routes kernel and scatters through the plan's compiled run
+// Assemble routes kernel and scatters through the plan's prebuilt run
 // structures (built on first use, reused every step), so a plan may be
 // assembled by one goroutine at a time — the per-rank ownership every
 // caller in this codebase already has.
@@ -210,36 +198,22 @@ func Assemble(pool *Pool, plan *AssemblyPlan, kernel Kernel, plain, atomicS *Sca
 		if plan.SubAdj == nil {
 			return fmt.Errorf("tasking: StrategyMultidep requires subdomain adjacency")
 		}
-		// The compiled graph is built once per plan and reused every
-		// step; the kernel and scatter reach the prebuilt task bodies
-		// through the graph's argument slots, so the steady-state
-		// assembly performs zero heap allocations — matching the other
-		// strategies (and the OmpSs runtime the paper measures, which
-		// does not rebuild its task metadata per time step).
-		cg := plan.Compiled()
-		cg.kernel, cg.plain = kernel, plain
-		err := cg.Run(pool)
-		cg.kernel, cg.plain = nil, nil
-		return err
+		return plan.compiled().run(pool, kernel, plain)
 	}
 	return fmt.Errorf("tasking: unknown strategy %v", plan.Strategy)
 }
 
-// subdomainName formats multidep task names lazily: only the panic-error
-// path pays for the string.
-func subdomainName(i int) string { return fmt.Sprintf("subdomain-%d", i) }
-
-// Compiled returns the plan's compiled multidep task graph, building it
-// on first use. Only meaningful for StrategyMultidep plans.
-func (plan *AssemblyPlan) Compiled() *CompiledGraph {
-	if plan.compiled == nil {
-		plan.compiled = plan.newCompiled()
+// compiled returns the plan's multidep runner, building it on first use.
+// Only meaningful for StrategyMultidep plans.
+func (plan *AssemblyPlan) compiled() *mutexRunner {
+	if plan.runner == nil {
+		plan.runner = newMutexRunner(plan.SubAdj, plan.Keying, plan.subElems)
 	}
-	return plan.compiled
+	return plan.runner
 }
 
 // Compile eagerly builds the strategy's reusable run structures: the
-// compiled task graph for Multidep, the prebuilt loop bodies for
+// mutex runner for Multidep, the prebuilt loop bodies for
 // Atomics and Coloring. Assemble compiles lazily on first use, so
 // calling Compile is optional — it just moves the one-time cost out of
 // the first step.
@@ -247,7 +221,7 @@ func (plan *AssemblyPlan) Compile() {
 	switch plan.Strategy {
 	case StrategyMultidep:
 		if plan.SubAdj != nil {
-			plan.Compiled()
+			plan.compiled()
 		}
 	case StrategyAtomic:
 		if plan.atomicBody == nil {
@@ -282,62 +256,5 @@ func (plan *AssemblyPlan) buildColorBodies() {
 				k(int(elems[i]), sc)
 			}
 		}
-	}
-}
-
-// newCompiled compiles the plan's task graph with slot-reading bodies
-// and the static largest-subdomain-first release priority.
-func (plan *AssemblyPlan) newCompiled() *CompiledGraph {
-	cg := &CompiledGraph{}
-	tg := TaskGraph{NameFn: subdomainName}
-	for s := 0; s < plan.NumSub; s++ {
-		elems := plan.subElems[s]
-		// The body reads the kernel/scatter slots Assemble fills around
-		// Run, so one compiled closure serves every step.
-		tg.Add("", plan.mutexDeps(s), func() {
-			k, sc := cg.kernel, cg.plain
-			for _, e := range elems {
-				k(int(e), sc)
-			}
-		})
-	}
-	tg.compileInto(cg)
-	if plan.LargestFirst {
-		// Static priority: release larger subdomains first. Priorities
-		// only change which startable task acquires its keys first —
-		// never whether two conflicting tasks may overlap — so
-		// exclusion semantics are unaffected. Ties keep ascending
-		// subdomain order, so the order is deterministic.
-		cg.priority = true
-		sort.SliceStable(cg.order, func(a, b int) bool {
-			return len(plan.subElems[cg.order[a]]) > len(plan.subElems[cg.order[b]])
-		})
-	}
-	return cg
-}
-
-// mutexDeps builds the mutexinoutset dependence list for subdomain task s
-// using a runtime iterator over the adjacency — the multidependences
-// feature: the dependence count is known only at execution time.
-func (plan *AssemblyPlan) mutexDeps(s int) []Dep {
-	switch plan.Keying {
-	case KeyEdges:
-		return DepsFromIterator(Mutexinoutset, func(yield func(any)) {
-			for _, nb := range plan.SubAdj.Neighbors(s) {
-				a, b := int64(s), int64(nb)
-				if a > b {
-					a, b = b, a
-				}
-				yield(a<<32 | b)
-			}
-			yield(int64(s)<<32 | int64(s)) // self key serializes nothing but orders with itself
-		})
-	default: // KeyNeighbors — the paper's formulation
-		return DepsFromIterator(Mutexinoutset, func(yield func(any)) {
-			yield(int64(s))
-			for _, nb := range plan.SubAdj.Neighbors(s) {
-				yield(int64(nb))
-			}
-		})
 	}
 }

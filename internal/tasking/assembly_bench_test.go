@@ -14,40 +14,17 @@ func benchAssemblySetup() (*synthWorkload, []float64, *Scatter, Kernel) {
 	return w, vec, plain, w.kernel()
 }
 
-// BenchmarkAssembleMultidep is the tentpole A/B: the fresh task-graph
-// front-end (rebuilt every call: task structs, boxed dependence keys,
-// map-backed edge construction) against the compiled graph (built once,
-// reset per run), plus the largest-first release-priority ablation.
-// Run with -benchmem: compiled must report 0 allocs/op.
+// BenchmarkAssembleMultidep times the multidep runner's steady state
+// (built once per plan, reset per run). Run with -benchmem: it must
+// report 0 allocs/op.
 func BenchmarkAssembleMultidep(b *testing.B) {
 	w, _, plain, kernel := benchAssemblySetup()
 	subLabels, subAdj := w.blockSubdomains(32)
 	pool := NewPool(4)
 	defer pool.Close()
 
-	b.Run("fresh", func(b *testing.B) {
-		plan := NewMultidepPlan(subLabels, subAdj, KeyNeighbors)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := plan.TaskGraph(kernel, plain).Run(pool); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		plan := NewMultidepPlan(subLabels, subAdj, KeyNeighbors)
-		plan.Compile()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := Assemble(pool, plan, kernel, plain, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compiled-largest-first", func(b *testing.B) {
-		plan := NewMultidepPlan(subLabels, subAdj, KeyNeighbors)
-		plan.LargestFirst = true
 		plan.Compile()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -60,7 +37,7 @@ func BenchmarkAssembleMultidep(b *testing.B) {
 }
 
 // BenchmarkAssembleStrategies compares the four strategies on the same
-// synthetic workload through the compiled steady-state path (0 allocs/op
+// synthetic workload through the prebuilt steady-state path (0 allocs/op
 // across the board under -benchmem).
 func BenchmarkAssembleStrategies(b *testing.B) {
 	w, _, plain, kernel := benchAssemblySetup()

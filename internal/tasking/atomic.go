@@ -57,10 +57,3 @@ func (a *AtomicFloat64Slice) CopyTo(dst []float64) {
 		dst[i] = a.Load(i)
 	}
 }
-
-// CopyFrom sets values from src. Not atomic with respect to concurrent Adds.
-func (a *AtomicFloat64Slice) CopyFrom(src []float64) {
-	for i, v := range src {
-		a.bits[i] = math.Float64bits(v)
-	}
-}

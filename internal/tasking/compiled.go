@@ -3,271 +3,197 @@ package tasking
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/graph"
 )
 
-// CompiledGraph is the frozen, reusable form of a task graph. Where
-// TaskGraph is the flexible allocating front-end (any-keyed dependences,
-// per-Run edge construction, per-task launch closures), a CompiledGraph
-// precomputes everything that does not change between runs:
-//
-//   - the ordering edges as one CSR (succPtr/succ) plus the base
-//     predecessor counts,
-//   - the mutexinoutset key sets as dense int32 indices into a flat busy
-//     array — no any boxing, no map[any] probed per run,
-//   - one prebuilt submit closure per task (captured once at compile
-//     time), and
-//   - the whole run state (pred counters, blocked list, done latch),
-//     which Reset()s in place instead of reallocating.
-//
-// A steady-state Run therefore performs zero heap allocations: the OmpSs
-// runtime the paper's multidependences strategy relies on keeps its task
+// MutexKeys returns the mutexinoutset key set of every subdomain task as
+// a CSR over dense key indices, plus the number of keys. KeyNeighbors
+// gives task s the keys {s} ∪ adj(s) (key k names subdomain k); KeyEdges
+// gives it one key per incident adjacency edge, shared with the task at
+// the edge's other end. Two tasks exclude each other iff their key sets
+// intersect. This is the only place the keying rule lives: the runner
+// acquires these sets and perfmodel derives its conflict graph from them.
+func MutexKeys(adj *graph.CSR, keying MutexKeying) (*graph.CSR, int) {
+	n := adj.NumVertices()
+	keys := &graph.CSR{Ptr: make([]int32, n+1)}
+	if keying != KeyEdges {
+		keys.Adj = make([]int32, 0, n+len(adj.Adj))
+		for s := 0; s < n; s++ {
+			keys.Adj = append(append(keys.Adj, int32(s)), adj.Neighbors(s)...)
+			keys.Ptr[s+1] = int32(len(keys.Adj))
+		}
+		return keys, n
+	}
+	// Edge {s, t} with s < t gets a fresh key at t's slot in row s; row t
+	// copies it from there. A self loop or a one-sided entry gets a key of
+	// its own, which excludes nothing.
+	keys.Adj = make([]int32, len(adj.Adj))
+	nkeys := int32(0)
+	for s := 0; s < n; s++ {
+		for p := adj.Ptr[s]; p < adj.Ptr[s+1]; p++ {
+			keys.Adj[p] = -1
+			if t := int(adj.Adj[p]); t < s {
+				for q := adj.Ptr[t]; q < adj.Ptr[t+1]; q++ {
+					if int(adj.Adj[q]) == s {
+						keys.Adj[p] = keys.Adj[q]
+						break
+					}
+				}
+			}
+			if keys.Adj[p] < 0 {
+				keys.Adj[p] = nkeys
+				nkeys++
+			}
+		}
+		keys.Ptr[s+1] = adj.Ptr[s+1]
+	}
+	return keys, int(nkeys)
+}
+
+// mutexRunner executes a multidep plan: task s walks subdomain s's
+// elements while holding every key of its MutexKeys set. Everything that
+// does not change between steps — the key sets, the element lists, one
+// submit closure per task and the run state — is built once per plan, so
+// a steady-state run performs zero heap allocations: the OmpSs runtime
+// the paper's multidependences strategy relies on keeps its task
 // metadata out of the per-step path, and this is the Go analogue.
 //
-// A CompiledGraph is built by TaskGraph.Compile or (for assembly plans)
-// lazily inside Assemble. It may be Run any number of times, but runs
-// must not overlap: one graph models one rank's phase, executed once per
-// time step.
-type CompiledGraph struct {
-	n int
+// Runs must not overlap: one runner models one rank's assembly phase,
+// executed once per time step.
+type mutexRunner struct {
+	keys    *graph.CSR // task -> dense key indices
+	elems   [][]int32  // elements per task, ascending
+	submits []func()   // prebuilt pool.Submit closures, one per task
 
-	// Static structure, immutable after compile.
-	succPtr   []int32  // ordering-successor CSR offsets (len n+1)
-	succ      []int32  // concatenated ordering successors
-	basePreds []int32  // predecessor counts the run state resets from
-	mutexPtr  []int32  // mutex-key CSR offsets (len n+1)
-	mutexKey  []int32  // dense key indices into busy
-	order     []int32  // initial blocked-set order (priority when enabled)
-	priority  bool     // stable priority scan instead of the legacy scan
-	submits   []func() // prebuilt pool.Submit closures, one per task
-	bodies    []func()
-	nameOf    func(i int) string // lazy task names (panic path only)
-
-	// Argument slots for assembly bodies: Assemble stores the kernel and
-	// scatter here around Run so the prebuilt bodies read them without a
-	// per-step closure. Written only while no run is in flight.
+	// Argument slots the task bodies read; set by run around the
+	// parallel section, never while one is in flight.
 	kernel Kernel
 	plain  *Scatter
 
-	// Reusable run state, reset at the top of every Run.
+	// Reusable run state, reset at the top of every run.
 	mu        sync.Mutex
-	done      sync.Cond // caller waits here for the last task
+	done      sync.Cond // run waits here for the last task
 	pool      *Pool
-	preds     []int32 // remaining ordering predecessors per task
-	busy      []int32 // dense key -> running holder+1, 0 free
-	blocked   []int32 // not-yet-started tasks, kept in priority order
+	busy      []bool  // key held by a running task
+	blocked   []int32 // not-yet-started tasks
 	doneCount int
 	firstErr  error
 	running   bool
 }
 
-// Compile freezes the graph into its reusable compiled form. The
-// receiver must not have been Run (Run consumes the front-end's edge
-// state); after Compile it should be discarded — the compiled graph
-// holds everything, including the task bodies.
-func (tg *TaskGraph) Compile() *CompiledGraph {
-	cg := &CompiledGraph{}
-	tg.compileInto(cg)
-	return cg
+func newMutexRunner(adj *graph.CSR, keying MutexKeying, subElems [][]int32) *mutexRunner {
+	keys, nkeys := MutexKeys(adj, keying)
+	n := len(subElems)
+	r := &mutexRunner{
+		keys:    keys,
+		elems:   subElems,
+		submits: make([]func(), n),
+		busy:    make([]bool, nkeys),
+		blocked: make([]int32, 0, n),
+	}
+	r.done.L = &r.mu
+	for i := range r.submits {
+		s := int32(i)
+		r.submits[i] = func() { r.runTask(s) }
+	}
+	return r
 }
 
-// compileInto populates cg from the front-end graph. Split from Compile
-// so assembly-plan compilation can allocate the CompiledGraph first and
-// build bodies that capture it (reading the kernel/scatter slots).
-func (tg *TaskGraph) compileInto(cg *CompiledGraph) {
-	tg.buildEdges()
-	n := len(tg.tasks)
-	cg.n = n
-	cg.done.L = &cg.mu
-
-	// Ordering edges -> CSR; base predecessor counts.
-	cg.succPtr = make([]int32, n+1)
-	for i, t := range tg.tasks {
-		cg.succPtr[i+1] = cg.succPtr[i] + int32(len(t.succs))
-	}
-	cg.succ = make([]int32, cg.succPtr[n])
-	cg.basePreds = make([]int32, n)
-	for i, t := range tg.tasks {
-		copy(cg.succ[cg.succPtr[i]:cg.succPtr[i+1]], t.succs)
-		cg.basePreds[i] = int32(t.preds)
-	}
-
-	// Mutex keys -> dense indices. The map is a compile-time cost only;
-	// at run time a key is an index into the flat busy array.
-	cg.mutexPtr = make([]int32, n+1)
-	for i, t := range tg.tasks {
-		cg.mutexPtr[i+1] = cg.mutexPtr[i] + int32(len(t.mutexKeys))
-	}
-	cg.mutexKey = make([]int32, cg.mutexPtr[n])
-	keyIndex := make(map[any]int32)
-	k := 0
-	for _, t := range tg.tasks {
-		for _, key := range t.mutexKeys {
-			idx, ok := keyIndex[key]
-			if !ok {
-				idx = int32(len(keyIndex))
-				keyIndex[key] = idx
-			}
-			cg.mutexKey[k] = idx
-			k++
-		}
-	}
-	cg.busy = make([]int32, len(keyIndex))
-
-	// Default release order is submission order; assembly compilation
-	// overrides it with largest-task-first (see AssemblyPlan).
-	cg.order = make([]int32, n)
-	for i := range cg.order {
-		cg.order[i] = int32(i)
-	}
-
-	cg.preds = make([]int32, n)
-	cg.blocked = make([]int32, 0, n)
-	cg.bodies = make([]func(), n)
-	names := make([]string, n)
-	for i, t := range tg.tasks {
-		cg.bodies[i] = t.fn
-		names[i] = t.name
-	}
-	nameFn := tg.NameFn
-	cg.nameOf = func(i int) string {
-		if names[i] != "" {
-			return names[i]
-		}
-		if nameFn != nil {
-			return nameFn(i)
-		}
-		return fmt.Sprintf("task-%d", i)
-	}
-	cg.submits = make([]func(), n)
-	for i := range cg.submits {
-		id := int32(i)
-		cg.submits[i] = func() { cg.runTask(id) }
-	}
-}
-
-// Len reports the number of compiled tasks.
-func (cg *CompiledGraph) Len() int { return cg.n }
-
-// Run executes the compiled graph on pool and blocks until every task
-// completed, respecting the same ordering and mutual-exclusion semantics
-// as TaskGraph.Run. The run state is reset in place, so a steady-state
-// Run allocates nothing. Runs must not overlap; a second Run entered
-// while one is in flight panics.
-func (cg *CompiledGraph) Run(pool *Pool) error {
-	if cg.n == 0 {
+// run executes every task on pool with kernel and plain in the argument
+// slots and blocks until the last one finished. It returns the first
+// task panic as an error. A second run entered while one is in flight
+// panics.
+func (r *mutexRunner) run(pool *Pool, kernel Kernel, plain *Scatter) error {
+	n := len(r.submits)
+	if n == 0 {
 		return nil
 	}
-	cg.mu.Lock()
-	if cg.running {
-		cg.mu.Unlock()
-		panic("tasking: CompiledGraph.Run while a run is in flight")
+	r.mu.Lock()
+	if r.running {
+		r.mu.Unlock()
+		panic("tasking: multidep run while a run is in flight")
 	}
-	cg.running = true
-	cg.pool = pool
-	copy(cg.preds, cg.basePreds)
-	for i := range cg.busy {
-		cg.busy[i] = 0
+	r.running = true
+	r.pool, r.kernel, r.plain = pool, kernel, plain
+	clear(r.busy)
+	r.doneCount = 0
+	r.firstErr = nil
+	r.blocked = r.blocked[:0]
+	for s := 0; s < n; s++ {
+		r.blocked = append(r.blocked, int32(s))
 	}
-	cg.doneCount = 0
-	cg.firstErr = nil
-	cg.blocked = append(cg.blocked[:0], cg.order...)
-	cg.tryStart()
-	for cg.doneCount != cg.n {
-		cg.done.Wait()
+	r.tryStart()
+	for r.doneCount != n {
+		r.done.Wait()
 	}
-	err := cg.firstErr
-	cg.running = false
-	cg.pool = nil
-	cg.mu.Unlock()
+	err := r.firstErr
+	r.running = false
+	r.pool, r.kernel, r.plain = nil, nil, nil
+	r.mu.Unlock()
 	return err
 }
 
-// canAcquire reports whether every mutex key of task t is free (mu held).
-func (cg *CompiledGraph) canAcquire(t int32) bool {
-	for _, k := range cg.mutexKey[cg.mutexPtr[t]:cg.mutexPtr[t+1]] {
-		if cg.busy[k] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// tryStart launches every startable blocked task (mu held).
-//
-// Without priorities it replicates TaskGraph.Run's scan exactly —
-// forward walk with swap-remove — so a compiled graph makes the same
-// release decisions in the same order as the uncompiled front-end: on a
-// one-worker pool (where the submission order is the execution order)
-// compiled and fresh runs are bit-identical, which is what keeps the
-// golden suite unchanged.
-//
-// With the static priority enabled the blocked list is instead kept in
-// priority order and compacted stably: when several tasks become
-// startable at once, the largest is submitted — and acquires its keys —
-// first. That changes the release order, and with it the accumulation
-// order of conflicting scatters, so it is an opt-in whose makespan
-// effect is measured in the benchmarks rather than a silent default.
-func (cg *CompiledGraph) tryStart() {
-	if cg.priority {
-		w := 0
-		for _, t := range cg.blocked {
-			if cg.preds[t] == 0 && cg.canAcquire(t) {
-				cg.acquire(t)
-				cg.pool.Submit(cg.submits[t])
-			} else {
-				cg.blocked[w] = t
-				w++
-			}
-		}
-		cg.blocked = cg.blocked[:w]
-		return
-	}
-	for i := 0; i < len(cg.blocked); {
-		t := cg.blocked[i]
-		if cg.preds[t] == 0 && cg.canAcquire(t) {
-			cg.acquire(t)
-			cg.blocked[i] = cg.blocked[len(cg.blocked)-1]
-			cg.blocked = cg.blocked[:len(cg.blocked)-1]
-			cg.pool.Submit(cg.submits[t])
+// tryStart launches every blocked task whose keys are all free (mu
+// held). It walks the blocked list forward and swap-removes each task it
+// starts; on a one-worker pool, where submission order is execution
+// order, this fixes the order in which conflicting scatters accumulate,
+// so the scan must not change without re-pinning the goldens.
+func (r *mutexRunner) tryStart() {
+	for i := 0; i < len(r.blocked); {
+		t := r.blocked[i]
+		if r.canAcquire(t) {
+			r.setKeys(t, true)
+			r.blocked[i] = r.blocked[len(r.blocked)-1]
+			r.blocked = r.blocked[:len(r.blocked)-1]
+			r.pool.Submit(r.submits[t])
 			continue
 		}
 		i++
 	}
 }
 
-// acquire marks every mutex key of task t busy (mu held).
-func (cg *CompiledGraph) acquire(t int32) {
-	for _, k := range cg.mutexKey[cg.mutexPtr[t]:cg.mutexPtr[t+1]] {
-		cg.busy[k] = t + 1
+// canAcquire reports whether every key of task t is free (mu held).
+func (r *mutexRunner) canAcquire(t int32) bool {
+	for _, k := range r.keys.Neighbors(int(t)) {
+		if r.busy[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// setKeys marks every key of task t held or free (mu held).
+func (r *mutexRunner) setKeys(t int32, held bool) {
+	for _, k := range r.keys.Neighbors(int(t)) {
+		r.busy[k] = held
 	}
 }
 
-// runTask is the body of the prebuilt submit closure for task id.
-func (cg *CompiledGraph) runTask(id int32) {
+// runTask is the body of task s's prebuilt submit closure.
+func (r *mutexRunner) runTask(s int32) {
 	panicked := true
 	defer func() {
+		var rec any
 		if panicked {
-			r := recover()
-			cg.mu.Lock()
-			if cg.firstErr == nil {
-				cg.firstErr = fmt.Errorf("tasking: task %q panicked: %v", cg.nameOf(int(id)), r)
-			}
-			cg.mu.Unlock()
+			rec = recover()
 		}
-		cg.mu.Lock()
-		for _, k := range cg.mutexKey[cg.mutexPtr[id]:cg.mutexPtr[id+1]] {
-			cg.busy[k] = 0
+		r.mu.Lock()
+		if panicked && r.firstErr == nil {
+			// Formatted only here: the hot path builds no names.
+			r.firstErr = fmt.Errorf("tasking: task \"subdomain-%d\" panicked: %v", s, rec)
 		}
-		for _, s := range cg.succ[cg.succPtr[id]:cg.succPtr[id+1]] {
-			cg.preds[s]--
+		r.setKeys(s, false)
+		r.doneCount++
+		r.tryStart()
+		if r.doneCount == len(r.submits) {
+			r.done.Broadcast()
 		}
-		cg.doneCount++
-		cg.tryStart()
-		if cg.doneCount == cg.n {
-			cg.done.Broadcast()
-		}
-		cg.mu.Unlock()
+		r.mu.Unlock()
 	}()
-	cg.bodies[id]()
+	k, sc := r.kernel, r.plain
+	for _, e := range r.elems[s] {
+		k(int(e), sc)
+	}
 	panicked = false
 }

@@ -2,8 +2,8 @@ package tasking
 
 import (
 	"math"
+	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,171 +11,233 @@ import (
 	"repro/internal/graph"
 )
 
-// --- CompiledGraph semantics: ordering, exclusion, reuse ---
+// --- key sets and the semantics of a plan's compiled runner ---
 
-// orderedGraph builds the w1 -> {r1, r2} -> w2 dependence chain used by
-// the front-end ordering test.
-func orderedGraph(record func(name string) func()) *TaskGraph {
-	var tg TaskGraph
-	tg.Add("w1", []Dep{{Out, "x"}}, record("w1"))
-	tg.Add("r1", []Dep{{In, "x"}}, record("r1"))
-	tg.Add("r2", []Dep{{In, "x"}}, record("r2"))
-	tg.Add("w2", []Dep{{Inout, "x"}}, record("w2"))
-	return &tg
-}
-
-func TestCompiledGraphOrderingAcrossRuns(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	var mu sync.Mutex
-	var order []string
-	record := func(name string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-		}
-	}
-	cg := orderedGraph(record).Compile()
-	for run := 0; run < 5; run++ { // the same graph, Run repeatedly
-		order = order[:0]
-		if err := cg.Run(pool); err != nil {
-			t.Fatal(err)
-		}
-		pos := map[string]int{}
-		for i, n := range order {
-			pos[n] = i
-		}
-		if !(pos["w1"] < pos["r1"] && pos["w1"] < pos["r2"] && pos["r1"] < pos["w2"] && pos["r2"] < pos["w2"]) {
-			t.Fatalf("run %d: dependence order violated: %v", run, order)
+func TestMutexKeys(t *testing.T) {
+	path := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	for _, c := range []struct {
+		keying MutexKeying
+		ptr    []int32
+		keys   []int32
+		nkeys  int
+	}{
+		{KeyNeighbors, []int32{0, 2, 5, 7}, []int32{0, 1, 1, 0, 2, 2, 1}, 3},
+		{KeyEdges, []int32{0, 1, 3, 4}, []int32{0, 0, 1, 1}, 2},
+	} {
+		keys, nkeys := MutexKeys(path, c.keying)
+		if nkeys != c.nkeys || !slices.Equal(keys.Ptr, c.ptr) || !slices.Equal(keys.Adj, c.keys) {
+			t.Errorf("keying=%d: got %v %v (%d keys), want %v %v (%d keys)",
+				c.keying, keys.Ptr, keys.Adj, nkeys, c.ptr, c.keys, c.nkeys)
 		}
 	}
 }
 
+// oneElementPlan builds a multidep plan in which subdomain s is element s.
+func oneElementPlan(adj *graph.CSR, keying MutexKeying) *AssemblyPlan {
+	labels := make([]int32, adj.NumVertices())
+	for s := range labels {
+		labels[s] = int32(s)
+	}
+	return NewMultidepPlan(labels, adj, keying)
+}
+
+// TestCompiledGraphMutexExclusionAcrossRuns: when every pair of
+// subdomains is adjacent, every pair of tasks shares a key under either
+// keying, so no two may ever run at once, on any rerun of the same plan.
 func TestCompiledGraphMutexExclusionAcrossRuns(t *testing.T) {
+	const n = 20
+	var edges []graph.Edge
+	for a := int32(0); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			edges = append(edges, graph.Edge{U: a, V: b})
+		}
+	}
 	pool := NewPool(8)
 	defer pool.Close()
-	var tg TaskGraph
-	var inside, violations int32
-	for i := 0; i < 20; i++ {
-		tg.Add("m", []Dep{{Mutexinoutset, "k"}}, func() {
+	for _, keying := range []MutexKeying{KeyNeighbors, KeyEdges} {
+		plan := oneElementPlan(graph.FromEdges(n, edges), keying)
+		var inside, violations int32
+		k := func(int, *Scatter) {
 			if atomic.AddInt32(&inside, 1) > 1 {
 				atomic.AddInt32(&violations, 1)
 			}
 			time.Sleep(50 * time.Microsecond)
 			atomic.AddInt32(&inside, -1)
-		})
-	}
-	cg := tg.Compile()
-	for run := 0; run < 3; run++ {
-		if err := cg.Run(pool); err != nil {
-			t.Fatal(err)
 		}
-	}
-	if violations != 0 {
-		t.Fatalf("%d mutual-exclusion violations across compiled runs", violations)
+		for run := 0; run < 3; run++ {
+			if err := Assemble(pool, plan, k, &Scatter{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if violations != 0 {
+			t.Fatalf("keying=%d: %d mutual-exclusion violations across runs", keying, violations)
+		}
 	}
 }
 
+// TestMultidepIndependentKeysOverlap: tasks whose key sets are disjoint
+// must be able to run concurrently; each of the two waits for the other
+// to have started. Under KeyEdges that includes the two ends of a path,
+// which share a neighbor but no edge.
+func TestMultidepIndependentKeysOverlap(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	for _, c := range []struct {
+		keying MutexKeying
+		adj    *graph.CSR
+	}{
+		{KeyNeighbors, graph.FromEdges(3, []graph.Edge{{U: 1, V: 2}})},
+		{KeyEdges, graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})},
+	} {
+		started := [3]chan struct{}{make(chan struct{}), nil, make(chan struct{})}
+		k := func(e int, _ *Scatter) {
+			if e == 1 {
+				return
+			}
+			close(started[e])
+			select {
+			case <-started[2-e]:
+			case <-time.After(2 * time.Second):
+				panic("peer never started: independent mutex keys were serialized")
+			}
+		}
+		if err := Assemble(pool, oneElementPlan(c.adj, c.keying), k, &Scatter{}, nil); err != nil {
+			t.Fatalf("keying=%d: %v", c.keying, err)
+		}
+	}
+}
+
+// TestCompiledGraphPanicNamesAndRecovery: a panicking task surfaces as
+// an error naming its subdomain, the other tasks still run, and the plan
+// is reusable afterwards (the panicking task's keys were released).
 func TestCompiledGraphPanicNamesAndRecovery(t *testing.T) {
 	pool := NewPool(2)
 	defer pool.Close()
-	var tg TaskGraph
+	plan := oneElementPlan(graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}), KeyNeighbors)
 	boom := true
-	tg.Add("", []Dep{{Mutexinoutset, 0}}, func() {
-		if boom {
+	var ran int32
+	k := func(e int, _ *Scatter) {
+		if e == 1 && boom {
 			panic("kaboom")
 		}
-	})
-	tg.Add("steady", nil, func() {})
-	tg.NameFn = func(i int) string { return "lazy-task" }
-	cg := tg.Compile()
-	err := cg.Run(pool)
-	if err == nil {
-		t.Fatal("want error from panicking compiled task")
+		atomic.AddInt32(&ran, 1)
 	}
-	if !strings.Contains(err.Error(), "lazy-task") {
-		t.Fatalf("panic error %q does not carry the lazily formatted name", err)
+	err := Assemble(pool, plan, k, &Scatter{}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"subdomain-1"`) || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("panic error %v does not name subdomain-1 and carry the panic value", err)
 	}
-	// The graph must be reusable after a failed run: state resets, the
-	// panicking task's mutex key was released.
+	if ran != 2 {
+		t.Fatalf("%d of the 2 non-panicking tasks ran", ran)
+	}
 	boom = false
-	if err := cg.Run(pool); err != nil {
-		t.Fatalf("compiled graph not reusable after a panicked run: %v", err)
+	if err := Assemble(pool, plan, k, &Scatter{}, nil); err != nil {
+		t.Fatalf("plan not reusable after a panicked run: %v", err)
+	}
+	if ran != 5 {
+		t.Fatalf("rerun executed %d tasks, want 3", ran-2)
 	}
 }
 
 func TestCompiledGraphEmpty(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
-	var tg TaskGraph
-	cg := tg.Compile()
-	if cg.Len() != 0 {
-		t.Fatal("empty graph has tasks")
-	}
-	if err := cg.Run(pool); err != nil {
-		t.Fatal(err)
+	for _, keying := range []MutexKeying{KeyNeighbors, KeyEdges} {
+		plan := NewMultidepPlan(nil, graph.FromEdges(0, nil), keying)
+		plan.Compile()
+		if err := Assemble(pool, plan, func(int, *Scatter) { t.Error("kernel called") }, &Scatter{}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestTaskGraphSingleUseGuard(t *testing.T) {
+// releaseOrderInput is a 5x4 grid of subdomains with every other cell's
+// diagonal added; subdomain s holds s%3+1 consecutive elements.
+func releaseOrderInput() ([]int32, *graph.CSR) {
+	const w, h = 5, 4
+	var edges []graph.Edge
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := int32(y*w + x)
+			if x+1 < w {
+				edges = append(edges, graph.Edge{U: v, V: v + 1})
+			}
+			if y+1 < h {
+				edges = append(edges, graph.Edge{U: v, V: v + w})
+			}
+			if x+1 < w && y+1 < h && (x+y)%2 == 0 {
+				edges = append(edges, graph.Edge{U: v, V: v + w + 1})
+			}
+		}
+	}
+	var labels []int32
+	for s := 0; s < w*h; s++ {
+		for k := 0; k <= s%3; k++ {
+			labels = append(labels, int32(s))
+		}
+	}
+	return labels, graph.FromEdges(w*h, edges)
+}
+
+// TestMultidepReleaseOrderOneWorker pins the order in which a one-worker
+// pool executes the subdomain tasks. There submission order is execution
+// order, so this is the order conflicting scatters accumulate in: the
+// golden suite depends on it. The sequences were recorded from the
+// In/Out/Inout task-graph engine this runner replaced.
+func TestMultidepReleaseOrderOneWorker(t *testing.T) {
+	want := map[MutexKeying][]int32{
+		KeyNeighbors: {0, 19, 3, 15, 6, 4, 18, 1, 10, 9, 12, 13, 5, 8, 17, 2, 16, 7, 14, 11},
+		KeyEdges:     {0, 19, 2, 17, 4, 15, 11, 13, 5, 1, 7, 3, 9, 16, 18, 6, 14, 10, 12, 8},
+	}
+	labels, adj := releaseOrderInput()
 	pool := NewPool(1)
 	defer pool.Close()
-	var tg TaskGraph
-	tg.Add("once", nil, func() {})
-	if err := tg.Run(pool); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("re-running a consumed TaskGraph must panic (compile it instead)")
+	for _, keying := range []MutexKeying{KeyNeighbors, KeyEdges} {
+		plan := NewMultidepPlan(labels, adj, keying)
+		var seq []int32
+		k := func(e int, _ *Scatter) {
+			if e == 0 || labels[e-1] != labels[e] {
+				seq = append(seq, labels[e])
+			}
 		}
-	}()
-	_ = tg.Run(pool)
-}
-
-// --- compiled vs fresh equivalence on the assembly plan ---
-
-// runFresh executes the plan through the uncompiled front-end.
-func runFresh(t *testing.T, pool *Pool, plan *AssemblyPlan, kernel Kernel, plain *Scatter) {
-	t.Helper()
-	if err := plan.TaskGraph(kernel, plain).Run(pool); err != nil {
-		t.Fatal(err)
+		for run := 0; run < 3; run++ {
+			seq = seq[:0]
+			if err := Assemble(pool, plan, k, &Scatter{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(seq, want[keying]) {
+				t.Fatalf("keying=%d run=%d: order %v, want %v", keying, run, seq, want[keying])
+			}
+		}
 	}
 }
+
+// --- results: bit-identical to the serial loop, exclusive per slot ---
 
 // TestCompiledMatchesFreshBitIdentical pins the reuse-not-reassociate
-// contract: the compiled multidep path must produce bit-identical
-// results to the fresh task-graph front-end for both keyings at any
-// worker count (the synthetic workload's contributions are exactly
-// representable, so sums are order-independent and the comparison is
-// exact), and repeated compiled runs must keep reproducing them.
+// contract: the multidep path must produce results bit-identical to the
+// serial element loop for both keyings at any worker count (the
+// synthetic contributions, e%7 + 0.5, are exactly representable and
+// their sums exact, so any accumulation order gives the same bits), and
+// repeated runs of the same plan must keep reproducing them.
 func TestCompiledMatchesFreshBitIdentical(t *testing.T) {
 	w := newSynthWorkload(300, 2000, 11)
+	want := w.serialResult()
+	subLabels, subAdj := w.blockSubdomains(16)
 	for _, keying := range []MutexKeying{KeyNeighbors, KeyEdges} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			pool := NewPool(workers)
-			subLabels, subAdj := w.blockSubdomains(16)
-
-			fresh := make([]float64, w.nNodes)
-			freshScatter := &Scatter{AddVec: func(i int32, v float64) { fresh[i] += v }, AddMat: func(int32, int32, float64) {}}
-			planFresh := NewMultidepPlan(subLabels, subAdj, keying)
-			runFresh(t, pool, planFresh, w.kernel(), freshScatter)
-
-			compiled := make([]float64, w.nNodes)
-			compScatter := &Scatter{AddVec: func(i int32, v float64) { compiled[i] += v }, AddMat: func(int32, int32, float64) {}}
+			got := make([]float64, w.nNodes)
+			sc := &Scatter{AddVec: func(i int32, v float64) { got[i] += v }, AddMat: func(int32, int32, float64) {}}
 			plan := NewMultidepPlan(subLabels, subAdj, keying)
-			for run := 0; run < 3; run++ { // reuse: same compiled graph every run
-				for i := range compiled {
-					compiled[i] = 0
-				}
-				if err := Assemble(pool, plan, w.kernel(), compScatter, nil); err != nil {
+			for run := 0; run < 3; run++ {
+				clear(got)
+				if err := Assemble(pool, plan, w.kernel(), sc, nil); err != nil {
 					t.Fatal(err)
 				}
-				for i := range fresh {
-					if math.Float64bits(compiled[i]) != math.Float64bits(fresh[i]) {
-						t.Fatalf("keying=%v workers=%d run=%d: slot %d compiled %g != fresh %g",
-							keying, workers, run, i, compiled[i], fresh[i])
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("keying=%v workers=%d run=%d: slot %d = %g, serial %g",
+							keying, workers, run, i, got[i], want[i])
 					}
 				}
 			}
@@ -204,45 +266,37 @@ func guardedScatter(nNodes int, vec []float64, violations *int32) *Scatter {
 	}
 }
 
-// TestCompiledMultidepExclusion reruns the exclusion checker on the
-// compiled path — with and without the largest-first release priority,
-// under both keyings — across repeated runs of the same compiled graph.
+// TestCompiledMultidepExclusion reruns the exclusion checker under both
+// keyings across repeated runs of the same plan.
 func TestCompiledMultidepExclusion(t *testing.T) {
 	w := newSynthWorkload(100, 1000, 9)
 	want := w.serialResult()
+	subLabels, subAdj := w.blockSubdomains(12)
 	for _, keying := range []MutexKeying{KeyNeighbors, KeyEdges} {
-		for _, largestFirst := range []bool{false, true} {
-			subLabels, subAdj := w.blockSubdomains(12)
-			plan := NewMultidepPlan(subLabels, subAdj, keying)
-			plan.LargestFirst = largestFirst
-			pool := NewPool(8)
-			var violations int32
-			vec := make([]float64, w.nNodes)
-			plain := guardedScatter(w.nNodes, vec, &violations)
-			for run := 0; run < 3; run++ {
-				for i := range vec {
-					vec[i] = 0
-				}
-				if err := Assemble(pool, plan, w.kernel(), plain, nil); err != nil {
-					t.Fatal(err)
-				}
-				if violations != 0 {
-					t.Fatalf("keying=%v largestFirst=%v run=%d: %d concurrent conflicting updates",
-						keying, largestFirst, run, violations)
-				}
-				checkClose(t, vec, want, "compiled-guarded")
+		plan := NewMultidepPlan(subLabels, subAdj, keying)
+		pool := NewPool(8)
+		var violations int32
+		vec := make([]float64, w.nNodes)
+		plain := guardedScatter(w.nNodes, vec, &violations)
+		for run := 0; run < 3; run++ {
+			clear(vec)
+			if err := Assemble(pool, plan, w.kernel(), plain, nil); err != nil {
+				t.Fatal(err)
 			}
-			pool.Close()
+			if violations != 0 {
+				t.Fatalf("keying=%v run=%d: %d concurrent conflicting updates", keying, run, violations)
+			}
+			checkClose(t, vec, want, "multidep-guarded")
 		}
+		pool.Close()
 	}
 }
 
 // --- the zero-allocation contract ---
 
-// TestAssembleZeroAllocAllStrategies pins the acceptance criterion of
-// the compiled task-graph layer: after warm-up, Assemble performs zero
-// heap allocations per step under every strategy — multidep included,
-// which used to rebuild its whole task graph each call.
+// TestAssembleZeroAllocAllStrategies: after warm-up, Assemble performs
+// zero heap allocations per step under every strategy — multidep
+// included, whose runner is built once per plan.
 func TestAssembleZeroAllocAllStrategies(t *testing.T) {
 	w := newSynthWorkload(300, 2000, 5)
 	vec := make([]float64, w.nNodes)
@@ -270,7 +324,7 @@ func TestAssembleZeroAllocAllStrategies(t *testing.T) {
 					panic(err)
 				}
 			}
-			for i := 0; i < 10; i++ { // warm-up: compiled graph, loop states, queue backing
+			for i := 0; i < 10; i++ { // warm-up: runner, loop states, queue backing
 				step()
 			}
 			if avg := testing.AllocsPerRun(30, step); avg != 0 {
@@ -279,59 +333,5 @@ func TestAssembleZeroAllocAllStrategies(t *testing.T) {
 			}
 		}
 		pool.Close()
-	}
-}
-
-// TestAssembleZeroAllocLargestFirst extends the pin to the priority
-// scan: the opt-in release order must not reintroduce allocations.
-func TestAssembleZeroAllocLargestFirst(t *testing.T) {
-	w := newSynthWorkload(300, 2000, 5)
-	vec := make([]float64, w.nNodes)
-	plain := &Scatter{AddVec: func(i int32, v float64) { vec[i] += v }, AddMat: func(int32, int32, float64) {}}
-	subLabels, subAdj := w.blockSubdomains(16)
-	plan := NewMultidepPlan(subLabels, subAdj, KeyNeighbors)
-	plan.LargestFirst = true
-	pool := NewPool(4)
-	defer pool.Close()
-	kernel := w.kernel()
-	step := func() {
-		if err := Assemble(pool, plan, kernel, plain, nil); err != nil {
-			panic(err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		step()
-	}
-	if avg := testing.AllocsPerRun(30, step); avg != 0 {
-		t.Errorf("largest-first Assemble allocates %.2f objects per step, want 0", avg)
-	}
-}
-
-// TestCompiledGraphRunZeroAlloc pins the generic compiled path (ad-hoc
-// graphs through TaskGraph.Compile), including ordering edges.
-func TestCompiledGraphRunZeroAlloc(t *testing.T) {
-	var tg TaskGraph
-	var sink int64
-	for i := 0; i < 32; i++ {
-		key := i % 4
-		tg.Add("", []Dep{{Inout, key}, {Mutexinoutset, "shared"}}, func() {
-			atomic.AddInt64(&sink, 1)
-		})
-	}
-	cg := tg.Compile()
-	pool := NewPool(4)
-	defer pool.Close()
-	for i := 0; i < 10; i++ {
-		if err := cg.Run(pool); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(30, func() {
-		if err := cg.Run(pool); err != nil {
-			panic(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state CompiledGraph.Run allocates %.2f objects, want 0", avg)
 	}
 }

@@ -4,11 +4,11 @@
 //   - a worker pool whose size can be changed while tasks run (the
 //     malleability DLB exploits via omp_set_num_threads),
 //   - parallel loops with dynamic chunk scheduling,
-//   - a task graph supporting In/Out/Inout dependences plus the OpenMP 5.0
-//     features the paper evaluates: mutexinoutset dependences and
-//     dependence lists computed at run time ("multidependences"), and
 //   - the three matrix assembly strategies compared in the paper:
-//     Atomics, Coloring, and Multidependences.
+//     Atomics, Coloring, and Multidependences. Multidependences runs one
+//     task per subdomain under the one OpenMP 5.0 feature the paper
+//     evaluates: mutexinoutset dependences whose lists are sized at run
+//     time, rendered as a dense mutex-key set per task (MutexKeys).
 package tasking
 
 import (
@@ -167,13 +167,6 @@ func (p *Pool) Workers() int {
 
 // MaxWorkers reports the pool's spawned worker count.
 func (p *Pool) MaxWorkers() int { return p.max }
-
-// Pending reports queued plus running tasks.
-func (p *Pool) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pending
-}
 
 // Wait blocks until every submitted task has finished.
 func (p *Pool) Wait() {

@@ -128,9 +128,6 @@ func TestPoolWait(t *testing.T) {
 	if done != 10 {
 		t.Fatalf("Wait returned with %d/10 done", done)
 	}
-	if pool.Pending() != 0 {
-		t.Fatal("pending after Wait")
-	}
 }
 
 func TestAtomicFloat64Slice(t *testing.T) {
@@ -161,152 +158,12 @@ func TestAtomicFloat64Slice(t *testing.T) {
 		t.Fatal("copyTo")
 	}
 	a.Zero()
-	if a.Load(2) != 0 {
-		t.Fatal("zero")
-	}
-	a.CopyFrom([]float64{1, 2, 3, 4})
-	if a.Load(3) != 4 || a.Len() != 4 {
-		t.Fatal("copyFrom/len")
+	if a.Load(2) != 0 || a.Len() != 4 {
+		t.Fatal("zero/len")
 	}
 }
 
-func TestTaskGraphOrdering(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	var tg TaskGraph
-	var order []string
-	var mu sync.Mutex
-	record := func(name string) func() {
-		return func() {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-		}
-	}
-	tg.Add("w1", []Dep{{Out, "x"}}, record("w1"))
-	tg.Add("r1", []Dep{{In, "x"}}, record("r1"))
-	tg.Add("r2", []Dep{{In, "x"}}, record("r2"))
-	tg.Add("w2", []Dep{{Inout, "x"}}, record("w2"))
-	if err := tg.Run(pool); err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	if !(pos["w1"] < pos["r1"] && pos["w1"] < pos["r2"] && pos["r1"] < pos["w2"] && pos["r2"] < pos["w2"]) {
-		t.Fatalf("dependence order violated: %v", order)
-	}
-}
-
-func TestTaskGraphMutexExclusion(t *testing.T) {
-	pool := NewPool(8)
-	defer pool.Close()
-	var tg TaskGraph
-	var inside, violations int32
-	for i := 0; i < 20; i++ {
-		tg.Add("m", []Dep{{Mutexinoutset, "k"}}, func() {
-			if atomic.AddInt32(&inside, 1) > 1 {
-				atomic.AddInt32(&violations, 1)
-			}
-			time.Sleep(100 * time.Microsecond)
-			atomic.AddInt32(&inside, -1)
-		})
-	}
-	if err := tg.Run(pool); err != nil {
-		t.Fatal(err)
-	}
-	if violations != 0 {
-		t.Fatalf("%d mutual-exclusion violations", violations)
-	}
-}
-
-func TestTaskGraphMutexIndependentKeysOverlap(t *testing.T) {
-	// Two mutexinoutset tasks on different keys must be able to run
-	// concurrently: each waits for the other to have started.
-	pool := NewPool(4)
-	defer pool.Close()
-	var tg TaskGraph
-	aStarted := make(chan struct{})
-	bStarted := make(chan struct{})
-	wait := func(own chan struct{}, other chan struct{}) func() {
-		return func() {
-			close(own)
-			select {
-			case <-other:
-			case <-time.After(2 * time.Second):
-				panic("peer never started: independent mutex keys were serialized")
-			}
-		}
-	}
-	tg.Add("a", []Dep{{Mutexinoutset, 1}}, wait(aStarted, bStarted))
-	tg.Add("b", []Dep{{Mutexinoutset, 2}}, wait(bStarted, aStarted))
-	if err := tg.Run(pool); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTaskGraphMutexOrderedAgainstWriters(t *testing.T) {
-	pool := NewPool(4)
-	defer pool.Close()
-	var tg TaskGraph
-	var order []string
-	var mu sync.Mutex
-	rec := func(n string) func() {
-		return func() { mu.Lock(); order = append(order, n); mu.Unlock() }
-	}
-	tg.Add("w", []Dep{{Out, "x"}}, rec("w"))
-	tg.Add("m1", []Dep{{Mutexinoutset, "x"}}, rec("m1"))
-	tg.Add("m2", []Dep{{Mutexinoutset, "x"}}, rec("m2"))
-	tg.Add("r", []Dep{{In, "x"}}, rec("r"))
-	if err := tg.Run(pool); err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	if !(pos["w"] < pos["m1"] && pos["w"] < pos["m2"] && pos["m1"] < pos["r"] && pos["m2"] < pos["r"]) {
-		t.Fatalf("mutexinoutset not ordered against writer/reader: %v", order)
-	}
-}
-
-func TestTaskGraphPanicPropagates(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	var tg TaskGraph
-	tg.Add("boom", nil, func() { panic("kaboom") })
-	tg.Add("ok", nil, func() {})
-	if err := tg.Run(pool); err == nil {
-		t.Fatal("want error from panicking task")
-	}
-}
-
-func TestTaskGraphEmpty(t *testing.T) {
-	pool := NewPool(1)
-	defer pool.Close()
-	var tg TaskGraph
-	if err := tg.Run(pool); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDepsFromIterator(t *testing.T) {
-	deps := DepsFromIterator(Mutexinoutset, func(yield func(any)) {
-		for i := 0; i < 3; i++ {
-			yield(i * 10)
-		}
-	})
-	if len(deps) != 3 || deps[1].Key != 10 || deps[2].Type != Mutexinoutset {
-		t.Fatalf("deps = %v", deps)
-	}
-}
-
-func TestDepTypeStrings(t *testing.T) {
-	if In.String() != "in" || Out.String() != "out" || Inout.String() != "inout" ||
-		Mutexinoutset.String() != "mutexinoutset" {
-		t.Fatal("dep type names")
-	}
+func TestStrategyStrings(t *testing.T) {
 	for _, s := range []Strategy{StrategySerial, StrategyAtomic, StrategyColoring, StrategyMultidep} {
 		if s.String() == "" {
 			t.Fatal("empty strategy name")
