@@ -41,6 +41,33 @@ func oneElementPlan(adj *graph.CSR, keying MutexKeying) *AssemblyPlan {
 	return NewMultidepPlan(labels, adj, keying)
 }
 
+// TestTaskGraphMutexExclusion: in a star of subdomains under
+// KeyNeighbors every task holds the hub's key, so the task graph is one
+// mutexinoutset set and no two tasks may ever run at once.
+func TestTaskGraphMutexExclusion(t *testing.T) {
+	const n = 20
+	var edges []graph.Edge
+	for leaf := int32(1); leaf < n; leaf++ {
+		edges = append(edges, graph.Edge{U: 0, V: leaf})
+	}
+	pool := NewPool(8)
+	defer pool.Close()
+	var inside, violations int32
+	k := func(int, *Scatter) {
+		if atomic.AddInt32(&inside, 1) > 1 {
+			atomic.AddInt32(&violations, 1)
+		}
+		time.Sleep(100 * time.Microsecond)
+		atomic.AddInt32(&inside, -1)
+	}
+	if err := Assemble(pool, oneElementPlan(graph.FromEdges(n, edges), KeyNeighbors), k, &Scatter{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if violations != 0 {
+		t.Fatalf("%d mutual-exclusion violations", violations)
+	}
+}
+
 // TestCompiledGraphMutexExclusionAcrossRuns: when every pair of
 // subdomains is adjacent, every pair of tasks shares a key under either
 // keying, so no two may ever run at once, on any rerun of the same plan.
@@ -135,6 +162,33 @@ func TestCompiledGraphPanicNamesAndRecovery(t *testing.T) {
 	}
 	if ran != 5 {
 		t.Fatalf("rerun executed %d tasks, want 3", ran-2)
+	}
+}
+
+// TestTaskGraphPanicPropagates: a panic in one of two independent
+// subdomain tasks fails the run.
+func TestTaskGraphPanicPropagates(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	plan := oneElementPlan(graph.FromEdges(2, nil), KeyNeighbors)
+	k := func(e int, _ *Scatter) {
+		if e == 0 {
+			panic("kaboom")
+		}
+	}
+	if err := Assemble(pool, plan, k, &Scatter{}, nil); err == nil {
+		t.Fatal("want error from panicking task")
+	}
+}
+
+// TestTaskGraphEmpty: a multidep plan with no subdomains runs without an
+// explicit Compile and calls no kernel.
+func TestTaskGraphEmpty(t *testing.T) {
+	pool := NewPool(1)
+	defer pool.Close()
+	plan := NewMultidepPlan(nil, graph.FromEdges(0, nil), KeyNeighbors)
+	if err := Assemble(pool, plan, func(int, *Scatter) { t.Error("kernel called") }, &Scatter{}, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
