@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/mesh"
+	"repro/internal/navierstokes"
 	"repro/internal/partition"
+	"repro/internal/simmpi"
 	"repro/internal/tasking"
 )
 
@@ -270,7 +272,8 @@ func releaseLookups(b *testing.B) (locs [2]*Locator, hits, misses [2][]mesh.Vec3
 // probe set (centroids, vertices, cell edges, near-face points, the outlet
 // plane, misses; the same points BenchmarkLocatorMap walks) and on both
 // sides of a bolus release: the inlet rank's lookups, which hit, and the
-// other rank's, which miss.
+// other rank's, which miss; stale-hint is the inlet rank's search after
+// the release's first particle step.
 func BenchmarkLocatorFlat(b *testing.B) {
 	m := benchMesh(b)
 	b.Run("probes", func(b *testing.B) {
@@ -288,6 +291,68 @@ func BenchmarkLocatorFlat(b *testing.B) {
 	b.Run("subdomain-miss", func(b *testing.B) {
 		benchLocate(b, misses[1-owner], locs[1-owner].Locate)
 	})
+	b.Run("stale-hint", func(b *testing.B) {
+		l := locs[owner]
+		pts, hints := steppedRelease(b, l)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := i % len(pts)
+			l.Locate(pts[k], hints[k])
+		}
+	})
+}
+
+// steppedRelease injects a release on l's subdomain and advances it one
+// particle step through the flow of one Navier-Stokes step (solved on one
+// rank over the whole mesh), as the bolus run's first step does. It
+// returns every particle's new position with its pre-step element: the
+// Locate(p, previous element) searches Tracker.Step makes, about 72 % of
+// which miss their hint.
+func steppedRelease(b *testing.B, l *Locator) (pts []mesh.Vec3, hints []int32) {
+	b.Helper()
+	m := l.m
+	p, err := partition.KWay(m.DualByNode(), nil, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rms, err := partition.BuildRankMeshes(m, p.Parts, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	world, err := simmpi.NewWorld(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := navierstokes.DefaultConfig()
+	err = world.Run(func(r *simmpi.Rank) {
+		pool := tasking.NewPool(1)
+		defer pool.Close()
+		ns, err := navierstokes.NewSolver(m, rms[0], r.Comm, pool, cfg, navierstokes.DefaultCostModel(), nil)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := ns.Step(); err != nil {
+			panic(err)
+		}
+		tr := NewTracker(m, l.elems, aerosol(), AirAt20C())
+		tr.InjectAtInlet(4096, 1, cfg.InletVelocity)
+		before := make(map[int64]int32, tr.Active.Len())
+		for i, id := range tr.Active.ID {
+			before[id] = tr.Active.Elem[i]
+		}
+		tr.Step(cfg.Props.Dt, ns.VelocityAt)
+		for i, id := range tr.Active.ID {
+			pts, hints = append(pts, tr.Active.Pos[i]), append(hints, before[id])
+		}
+		for _, q := range tr.TakeLost() {
+			pts, hints = append(pts, q.Pos), append(hints, before[q.ID])
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pts, hints
 }
 
 func BenchmarkLocatorMap(b *testing.B) {

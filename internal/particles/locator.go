@@ -2,6 +2,7 @@ package particles
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/mesh"
 )
@@ -12,11 +13,11 @@ import (
 // on each element's tet decomposition.
 //
 // The grid is a CSR-style flat one: one offset slice plus one index slice
-// holding the precomputed per-cell candidate lists contiguously, so a
-// lookup is two slice reads with no hashing and no pointer chasing. The
-// seed's map[int][]int32 buckets survive as the test oracle (mapLocator):
-// both enumerate each cell's candidates in identical order, so Locate
-// results are bit-for-bit interchangeable.
+// holding every cell's candidate list contiguously, so a lookup is slice
+// reads with no hashing and no pointer chasing. The seed's map[int][]int32
+// buckets survive as the test oracle (mapLocator): both enumerate each
+// cell's candidates in identical order and visit the cells in identical
+// order, so Locate results are bit-for-bit interchangeable.
 type Locator struct {
 	m     *mesh.Mesh
 	elems []int32 // element subset (global ids)
@@ -28,26 +29,39 @@ type Locator struct {
 	tol    float64
 
 	// Flat CSR grid: cell k's candidates are
-	// cellElems[cellPtr[k]:cellPtr[k+1]]. Only a build-time intermediate:
-	// buildNeighborhoods folds it into the union lists below and releases
-	// it, so a live flat locator holds just unionPtr/unionElems.
+	// cellElems[cellPtr[k]:cellPtr[k+1]], positions in elems (not global
+	// ids) so that the per-element data below scales with the subdomain.
 	cellPtr   []int32
 	cellElems []int32
-	// Precomputed per-cell neighborhood lists: cell k's own candidates
-	// followed by its 26 neighbors', in the exact order the legacy scan
-	// visits them, with later duplicates dropped. Locate walks this one
-	// list instead of up to 27 bucket lookups; dropping a duplicate never
-	// changes the first Contains hit, so results are identical to the
-	// nested scan. Both lists hold positions in elems, not global ids, so
-	// that the per-element data below scales with the subdomain.
-	unionPtr   []int32
-	unionElems []int32
+	// nbrMask[k] has bit j set when neighbor j of cell k (see nbrOffsets)
+	// lies inside the grid and has candidates, so Locate walks only
+	// non-empty lists and never bounds-checks a neighbor; nbrDelta[j] is
+	// neighbor j's key minus k.
+	nbrMask  []uint32
+	nbrDelta [27]int32
 	// boxes[i] is element elems[i] with its bounding box widened by boxPad
 	// on every side. The neighborhood walk skips an element whose padded
 	// box misses p before running its tet tests; see boxPad for why that
 	// never changes an answer.
 	boxes []elemBox
 }
+
+// nbrOffsets are the 27 cells Locate visits, in the seed's scan order:
+// the cell itself, then its 26 neighbors in dz, dy, dx order.
+var nbrOffsets = func() (o [27][3]int) {
+	j := 1
+	for dz := -1; dz <= 1; dz++ {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if dx != 0 || dy != 0 || dz != 0 {
+					o[j] = [3]int{dx, dy, dz}
+					j++
+				}
+			}
+		}
+	}
+	return o
+}()
 
 // elemBox is an element's axis-aligned box and global id, kept together
 // so that the walk reads both from one place rather than also loading
@@ -158,63 +172,34 @@ func NewLocator(m *mesh.Mesh, elems []int32, cellsPerAxis int) *Locator {
 		})
 		b.lo, b.hi = b.lo.Sub(pad), b.hi.Add(pad)
 	}
-	l.buildNeighborhoods(ncells)
+	l.buildNeighborMasks()
 	return l
 }
 
-// buildNeighborhoods precomputes each cell's deduplicated candidate list
-// over the cell plus its 26 neighbors, preserving the legacy scan order
-// (center cell first, then offsets in dz, dy, dx order).
-func (l *Locator) buildNeighborhoods(ncells int) {
-	l.unionPtr = make([]int32, ncells+1)
-	stamp := make([]int32, len(l.elems))
-	for i := range stamp {
-		stamp[i] = -1
+// buildNeighborMasks sets each cell's neighbor mask from the filled CSR
+// grid and the key offsets it is read with.
+func (l *Locator) buildNeighborMasks() {
+	for j, o := range nbrOffsets {
+		l.nbrDelta[j] = int32(l.key(o[0], o[1], o[2]))
 	}
-	// Each per-cell entry lands in at most 27 neighborhood lists (domain
-	// edges and dedup only shrink that), so this capacity is a true upper
-	// bound: the append below never grows-and-copies. A final exact-size
-	// copy keeps the retained slice tight.
-	union := make([]int32, 0, 27*len(l.cellElems))
-	appendCell := func(key int32, x, y, z int) {
-		if x < 0 || y < 0 || z < 0 || x >= l.nx || y >= l.ny || z >= l.nz {
-			return
-		}
-		k := l.key(x, y, z)
-		for _, i := range l.cellElems[l.cellPtr[k]:l.cellPtr[k+1]] {
-			if stamp[i] == key {
-				continue
-			}
-			stamp[i] = key
-			union = append(union, i)
-		}
-	}
-	// The loop nest visits keys in increasing order, so unionPtr can be
-	// finalized cell by cell.
+	l.nbrMask = make([]uint32, len(l.cellPtr)-1)
 	for iz := 0; iz < l.nz; iz++ {
 		for iy := 0; iy < l.ny; iy++ {
 			for ix := 0; ix < l.nx; ix++ {
-				key := int32(l.key(ix, iy, iz))
-				appendCell(key, ix, iy, iz)
-				for dz := -1; dz <= 1; dz++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dx := -1; dx <= 1; dx++ {
-							if dx == 0 && dy == 0 && dz == 0 {
-								continue
-							}
-							appendCell(key, ix+dx, iy+dy, iz+dz)
-						}
+				var mask uint32
+				for j, o := range nbrOffsets {
+					x, y, z := ix+o[0], iy+o[1], iz+o[2]
+					if x < 0 || y < 0 || z < 0 || x >= l.nx || y >= l.ny || z >= l.nz {
+						continue
+					}
+					if k := l.key(x, y, z); l.cellPtr[k] < l.cellPtr[k+1] {
+						mask |= 1 << j
 					}
 				}
-				l.unionPtr[key+1] = int32(len(union))
+				l.nbrMask[l.key(ix, iy, iz)] = mask
 			}
 		}
 	}
-	l.unionElems = append(make([]int32, 0, len(union)), union...)
-	// The per-cell CSR was only needed to build the union lists; Locate
-	// reads unionPtr/unionElems exclusively, so release the intermediate
-	// rather than keeping it alive per rank.
-	l.cellPtr, l.cellElems = nil, nil
 }
 
 func (l *Locator) cellIndex(p mesh.Vec3) (ix, iy, iz int) {
@@ -284,8 +269,8 @@ func (l *Locator) Contains(e int, p mesh.Vec3) bool {
 }
 
 // Locate finds an element containing p. hint (an element id or -1) is
-// tested first along with its cell neighborhood, making the common case —
-// a particle staying in or near its previous element — cheap.
+// tested first, on its own, making the common case — a particle staying
+// in its previous element — cheap.
 func (l *Locator) Locate(p mesh.Vec3, hint int32) (int32, bool) {
 	if hint >= 0 && l.Contains(int(hint), p) {
 		return hint, true
@@ -294,13 +279,18 @@ func (l *Locator) Locate(p mesh.Vec3, hint int32) (int32, bool) {
 	if ix < 0 || iy < 0 || iz < 0 || ix >= l.nx || iy >= l.ny || iz >= l.nz {
 		return -1, false
 	}
-	// One precomputed neighborhood list covers the cell and its 26
-	// neighbors in legacy scan order, duplicates removed. An element whose
-	// padded box misses p cannot contain it, so its tet tests are skipped.
-	k := l.key(ix, iy, iz)
-	for _, i := range l.unionElems[l.unionPtr[k]:l.unionPtr[k+1]] {
-		if b := &l.boxes[i]; b.has(p) && l.Contains(int(b.e), p) {
-			return b.e, true
+	// The cell and its non-empty neighbors, in the seed's scan order. An
+	// element in several of them is tested once per cell; Contains is
+	// pure, so a repeat fails as its first test did and the first hit is
+	// the seed's. An element whose padded box misses p cannot contain it,
+	// so its tet tests are skipped.
+	k := int32(l.key(ix, iy, iz))
+	for mask := l.nbrMask[k]; mask != 0; mask &= mask - 1 {
+		c := k + l.nbrDelta[bits.TrailingZeros32(mask)]
+		for _, i := range l.cellElems[l.cellPtr[c]:l.cellPtr[c+1]] {
+			if b := &l.boxes[i]; b.has(p) && l.Contains(int(b.e), p) {
+				return b.e, true
+			}
 		}
 	}
 	return -1, false

@@ -2,6 +2,7 @@ package particles
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -220,65 +221,146 @@ func checkPaddedBoxes(t *testing.T, cfg mesh.AirwayConfig) {
 	}
 }
 
-// TestLocatorFlatUnionInvariant checks the flat grid's precomputed
-// structure — the only one a live flat locator retains: union offsets are
-// monotone and every cell's neighborhood list equals the legacy 27-cell
-// scan over the map buckets (center cell first, then dz/dy/dx neighbor
-// order) with later duplicates dropped.
-func TestLocatorFlatUnionInvariant(t *testing.T) {
+// TestLocatorNeighbourMask checks the flat grid's structure against the
+// map oracle's buckets, on the whole mesh and on the odd-element subset at
+// three resolutions: every cell's CSR list names the bucket's elements in
+// the bucket's order, and bit j of its neighbor mask is set iff neighbor j
+// (nbrOffsets: the cell, then dz/dy/dx order) is inside the grid and has a
+// non-empty bucket, and nbrDelta[j] reaches that neighbor's key.
+func TestLocatorNeighbourMask(t *testing.T) {
 	m := airway(t, 0)
-	flat := NewLocator(m, nil, 16)
-	mp := NewLocatorMap(m, nil, 16)
-	ncells := flat.nx * flat.ny * flat.nz
-	if len(flat.unionPtr) != ncells+1 {
-		t.Fatalf("unionPtr length %d, want %d", len(flat.unionPtr), ncells+1)
+	var odds []int32
+	for e := 1; e < m.NumElems(); e += 2 {
+		odds = append(odds, int32(e))
 	}
-	if flat.cellPtr != nil || flat.cellElems != nil {
-		t.Fatal("flat locator retains the CSR build intermediate")
-	}
-	for iz := 0; iz < flat.nz; iz++ {
-		for iy := 0; iy < flat.ny; iy++ {
-			for ix := 0; ix < flat.nx; ix++ {
-				k := flat.key(ix, iy, iz)
-				if flat.unionPtr[k] > flat.unionPtr[k+1] {
-					t.Fatalf("unionPtr not monotone at %d", k)
-				}
-				var want []int32
-				seen := make(map[int32]bool)
-				scan := func(x, y, z int) {
-					if x < 0 || y < 0 || z < 0 || x >= flat.nx || y >= flat.ny || z >= flat.nz {
-						return
-					}
-					for _, e := range mp.buckets[flat.key(x, y, z)] {
-						if !seen[e] {
-							seen[e] = true
-							want = append(want, e)
+	for _, res := range []int{16, 24, 32} {
+		for _, subset := range [][]int32{nil, odds} {
+			flat := NewLocator(m, subset, res)
+			mp := NewLocatorMap(m, subset, res)
+			ncells := flat.nx * flat.ny * flat.nz
+			if len(flat.cellPtr) != ncells+1 || len(flat.nbrMask) != ncells {
+				t.Fatalf("res %d: %d offsets and %d masks for %d cells", res, len(flat.cellPtr), len(flat.nbrMask), ncells)
+			}
+			set := 0
+			for iz := 0; iz < flat.nz; iz++ {
+				for iy := 0; iy < flat.ny; iy++ {
+					for ix := 0; ix < flat.nx; ix++ {
+						k := flat.key(ix, iy, iz)
+						got := flat.cellElems[flat.cellPtr[k]:flat.cellPtr[k+1]]
+						want := mp.buckets[k]
+						if len(got) != len(want) {
+							t.Fatalf("res %d cell %d: %d candidates vs %d in the bucket", res, k, len(got), len(want))
 						}
-					}
-				}
-				scan(ix, iy, iz)
-				for dz := -1; dz <= 1; dz++ {
-					for dy := -1; dy <= 1; dy++ {
-						for dx := -1; dx <= 1; dx++ {
-							if dx == 0 && dy == 0 && dz == 0 {
-								continue
+						for i := range got {
+							if flat.elems[got[i]] != want[i] {
+								t.Fatalf("res %d cell %d: candidate %d is element %d, bucket says %d", res, k, i, flat.elems[got[i]], want[i])
 							}
-							scan(ix+dx, iy+dy, iz+dz)
+						}
+						for j, o := range nbrOffsets {
+							x, y, z := ix+o[0], iy+o[1], iz+o[2]
+							inside := x >= 0 && y >= 0 && z >= 0 && x < flat.nx && y < flat.ny && z < flat.nz
+							wantBit := inside && len(mp.buckets[flat.key(x, y, z)]) > 0
+							if gotBit := flat.nbrMask[k]>>j&1 == 1; gotBit != wantBit {
+								t.Fatalf("res %d cell (%d,%d,%d) neighbor %d %v: mask bit %v, want %v", res, ix, iy, iz, j, o, gotBit, wantBit)
+							}
+							if wantBit {
+								set++
+								if n := k + int(flat.nbrDelta[j]); n != flat.key(x, y, z) {
+									t.Fatalf("res %d cell %d neighbor %d: delta reaches key %d, want %d", res, k, j, n, flat.key(x, y, z))
+								}
+							}
+						}
+						if flat.nbrMask[k]>>len(nbrOffsets) != 0 {
+							t.Fatalf("res %d cell %d: mask %#x sets a bit past neighbor 26", res, k, flat.nbrMask[k])
 						}
 					}
 				}
-				got := flat.unionElems[flat.unionPtr[k]:flat.unionPtr[k+1]]
-				if len(got) != len(want) {
-					t.Fatalf("cell %d: %d union candidates vs %d from map scan", k, len(got), len(want))
-				}
-				for i := range got {
-					if flat.elems[got[i]] != want[i] {
-						t.Fatalf("cell %d: union order differs: %v vs %v", k, got, want)
-					}
+			}
+			if set == 0 {
+				t.Fatalf("res %d: no mask bit set; test is vacuous", res)
+			}
+		}
+	}
+}
+
+// FuzzLocate holds the flat locator to the map oracle on fuzzed lookups.
+// The point is drawn in the mesh box widened by one cell on every side,
+// so it may lie outside the grid, and is optionally snapped onto a grid
+// corner or onto a cell face. The hint is -1, an own element, or the
+// element the point just left: the oracle's answer a small step back.
+// The subset is the whole mesh, its odd elements or its even ones.
+func FuzzLocate(f *testing.F) {
+	m := airway(f, 1)
+	var subsets [3][]int32 // whole mesh, even elements, odd elements
+	for e := 0; e < m.NumElems(); e++ {
+		subsets[1+e%2] = append(subsets[1+e%2], int32(e))
+	}
+	var flats [3]*Locator
+	var maps [3]*mapLocator
+	for i, sub := range subsets {
+		flats[i], maps[i] = NewLocator(m, sub, 32), NewLocatorMap(m, sub, 32)
+	}
+	lo, hi := m.BoundingBox()
+	c := flats[0].cell
+	// at maps a fuzzed word onto [lo-c, hi+c]; frac is its inverse.
+	at := func(f uint32, lo, hi float64) float64 {
+		return lo - c + float64(f)/(1<<32)*(hi-lo+2*c)
+	}
+	frac := func(x, lo, hi float64) uint32 {
+		return uint32((x - lo + c) / (hi - lo + 2*c) * (1 << 32))
+	}
+	// Seeds: element centroids and vertices (hits, and points many
+	// elements share) under every hint kind and subset, then grid
+	// corners and faces, inside and outside the grid.
+	for _, e := range []int{0, m.NumElems() / 2, m.NumElems() - 1} {
+		for _, p := range []mesh.Vec3{m.Centroid(e), m.Coords[m.ElemNodes(e)[0]]} {
+			fx, fy, fz := frac(p.X, lo.X, hi.X), frac(p.Y, lo.Y, hi.Y), frac(p.Z, lo.Z, hi.Z)
+			for parity := uint8(0); parity < 3; parity++ {
+				for hint := uint8(0); hint < 3; hint++ {
+					f.Add(fx, fy, fz, uint8(0), hint, uint32(e), int8(3), int8(-5), int8(9), parity)
 				}
 			}
 		}
 	}
+	for snap := uint8(1); snap < 9; snap++ {
+		f.Add(uint32(1<<31), uint32(1<<31), uint32(1<<30), snap, uint8(0), uint32(0), int8(0), int8(0), int8(0), snap%3)
+	}
+	f.Add(uint32(0), uint32(0), uint32(0), uint8(1), uint8(0), uint32(0), int8(0), int8(0), int8(0), uint8(0))
+	f.Add(^uint32(0), ^uint32(0), ^uint32(0), uint8(2), uint8(1), ^uint32(0), int8(0), int8(0), int8(0), uint8(1))
+	f.Fuzz(func(t *testing.T, fx, fy, fz uint32, snap, hintKind uint8, hintIdx uint32, sx, sy, sz int8, parity uint8) {
+		sub := int(parity % 3)
+		flat, mp := flats[sub], maps[sub]
+		p := mesh.Vec3{X: at(fx, lo.X, hi.X), Y: at(fy, lo.Y, hi.Y), Z: at(fz, lo.Z, hi.Z)}
+		onGrid := func(x, origin float64) float64 {
+			return origin + math.Round((x-origin)/c)*c
+		}
+		switch snap % 3 {
+		case 1: // a grid corner
+			p = mesh.Vec3{X: onGrid(p.X, flat.origin.X), Y: onGrid(p.Y, flat.origin.Y), Z: onGrid(p.Z, flat.origin.Z)}
+		case 2: // a cell face normal to one axis
+			switch snap / 3 % 3 {
+			case 0:
+				p.X = onGrid(p.X, flat.origin.X)
+			case 1:
+				p.Y = onGrid(p.Y, flat.origin.Y)
+			default:
+				p.Z = onGrid(p.Z, flat.origin.Z)
+			}
+		}
+		hint := int32(-1)
+		switch hintKind % 3 {
+		case 1:
+			hint = flat.elems[hintIdx%uint32(len(flat.elems))]
+		case 2: // a step of up to a cell back along (sx, sy, sz)
+			back := mesh.Vec3{X: float64(sx), Y: float64(sy), Z: float64(sz)}.Scale(c / 128)
+			hint, _ = mp.Locate(p.Sub(back), -1)
+		}
+		fe, fok := flat.Locate(p, hint)
+		me, mok := mp.Locate(p, hint)
+		if fe != me || fok != mok {
+			t.Fatalf("p=%+v hint %d subset %d: flat (%d,%v) vs map (%d,%v)", p, hint, sub, fe, fok, me, mok)
+		}
+	})
 }
 
 // TestKindTetsMatchTetDecomposition pins Contains' static per-kind tet

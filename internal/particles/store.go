@@ -73,17 +73,6 @@ func (s *ParticleStore) copyWithin(dst, src int) {
 	s.Elem[dst] = s.Elem[src]
 }
 
-// SwapRemove deletes particle i by overwriting it with the last particle
-// and truncating — O(1), order-destroying. Use Compact when the
-// population order must survive.
-func (s *ParticleStore) SwapRemove(i int) {
-	last := s.Len() - 1
-	if i != last {
-		s.copyWithin(i, last)
-	}
-	s.Truncate(last)
-}
-
 // Compact removes every particle i for which keep(i) reports false,
 // preserving the order of the survivors, and returns the new length.
 func (s *ParticleStore) Compact(keep func(i int) bool) int {

@@ -34,30 +34,6 @@ func TestStoreAppendAtRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreSwapRemove(t *testing.T) {
-	s := &ParticleStore{}
-	for id := int64(0); id < 4; id++ {
-		s.Append(mkParticle(id))
-	}
-	s.SwapRemove(1) // last (3) moves into slot 1
-	if s.Len() != 3 {
-		t.Fatalf("len=%d", s.Len())
-	}
-	wantIDs := []int64{0, 3, 2}
-	for i, want := range wantIDs {
-		if s.ID[i] != want {
-			t.Fatalf("ids after SwapRemove: %v, want %v", s.ID, wantIDs)
-		}
-		if got := s.At(i); got != mkParticle(want) {
-			t.Fatalf("slot %d fields out of sync: %+v", i, got)
-		}
-	}
-	s.SwapRemove(2) // removing the last slot is a plain truncate
-	if s.Len() != 2 || s.ID[0] != 0 || s.ID[1] != 3 {
-		t.Fatalf("ids after second SwapRemove: %v", s.ID)
-	}
-}
-
 func TestStoreCompactIsStable(t *testing.T) {
 	s := &ParticleStore{}
 	for id := int64(0); id < 6; id++ {
