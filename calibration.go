@@ -90,7 +90,7 @@ const table1TTL = 15 * time.Minute
 
 // table1Memo deduplicates concurrent and repeated Table-1 runs: the
 // Table 1 scenario and its Figure 2 trace rendering share one calibrated
-// probe + measured coupling.Run pair per option set. Failed (e.g.
+// probe + measured coupling.RunContext pair per option set. Failed (e.g.
 // cancelled) computations are evicted, waiters with a live context retry
 // after a failed leader, and entries expire after table1TTL — the
 // single-flight contract lives in internal/memo.

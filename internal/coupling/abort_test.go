@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -43,7 +44,7 @@ func TestInjectedErrorAbortsRun(t *testing.T) {
 				done := make(chan error, 1)
 				start := time.Now()
 				go func() {
-					_, err := Run(m, cfg)
+					_, err := RunContext(context.Background(), m, cfg)
 					done <- err
 				}()
 				var err error

@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -46,7 +47,7 @@ func measureRunAllocs(t *testing.T, m *mesh.Mesh, cfg RunConfig, warm int) (uint
 			runtime.ReadMemStats(&m1)
 		}
 	}
-	if _, err := Run(m, cfg); err != nil {
+	if _, err := RunContext(context.Background(), m, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return m1.Mallocs - m0.Mallocs, last - warm

@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/navierstokes"
@@ -31,7 +32,7 @@ func TestBreathingDeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		cfg := breathingCfg(3)
 		cfg.WorkersPerRank = workers
-		res, err := Run(m, cfg)
+		res, err := RunContext(context.Background(), m, cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -57,7 +58,7 @@ func TestInjectEveryReleasesEachPeriod(t *testing.T) {
 	// Single bolus: one release at step 0.
 	cfg := breathingCfg(4)
 	cfg.InjectEvery = 0
-	bolus, err := Run(m, cfg)
+	bolus, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestInjectEveryReleasesEachPeriod(t *testing.T) {
 	// Every step: four releases of the same size.
 	cfg = breathingCfg(4)
 	cfg.InjectEvery = 1
-	every, err := Run(m, cfg)
+	every, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestInjectEveryReleasesEachPeriod(t *testing.T) {
 	// Every other step: releases at steps 0 and 2.
 	cfg = breathingCfg(4)
 	cfg.InjectEvery = 2
-	alt, err := Run(m, cfg)
+	alt, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +94,13 @@ func TestBreathingWaveformChangesOutcome(t *testing.T) {
 	// fields via the makespan and injected velocities via particle fate.
 	m := testMesh(t)
 	cfg := breathingCfg(3)
-	breathing, err := Run(m, cfg)
+	breathing, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	steady := breathingCfg(3)
 	steady.NS.Inflow = nil
-	ref, err := Run(m, steady)
+	ref, err := RunContext(context.Background(), m, steady)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestPartitionScratchMatchesFresh(t *testing.T) {
 	// simulation at all — same partitions, same everything.
 	m := testMesh(t)
 	cfg := breathingCfg(2)
-	fresh, err := Run(m, cfg)
+	fresh, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestPartitionScratchMatchesFresh(t *testing.T) {
 	for trial := 0; trial < 2; trial++ { // reuse across runs too
 		cfg := breathingCfg(2)
 		cfg.PartitionScratch = scr
-		res, err := Run(m, cfg)
+		res, err := RunContext(context.Background(), m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

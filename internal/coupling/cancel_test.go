@@ -85,7 +85,7 @@ func TestRunContextBackgroundUnchanged(t *testing.T) {
 	m := testMesh(t)
 	cfg := fastCfg()
 	cfg.FluidRanks = 4
-	a, err := Run(m, cfg)
+	a, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestOnStepFiresEveryStep(t *testing.T) {
 	cfg.Steps = 3
 	var got []int
 	cfg.OnStep = func(step int) { got = append(got, step) }
-	if _, err := Run(m, cfg); err != nil {
+	if _, err := RunContext(context.Background(), m, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {

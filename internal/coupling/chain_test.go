@@ -59,7 +59,7 @@ func resumeChain(t *testing.T, cfg RunConfig, path string) *RunResult {
 	var reports []error
 	cfg.Checkpoint = &checkpoint.Plan{Path: path, Resume: true, Keep: 2,
 		OnError: func(err error) { reports = append(reports, err) }}
-	res, err := Run(testMesh(t), cfg)
+	res, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestResumeChainCorruptNewest(t *testing.T) {
 	cfg.FluidRanks = 4
 	cfg.Steps = 6
 	cfg.InjectEvery = 2
-	ref, err := Run(testMesh(t), cfg)
+	ref, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestResumeChainAllCorrupt(t *testing.T) {
 	cfg.FluidRanks = 4
 	cfg.Steps = 6
 	cfg.InjectEvery = 2
-	ref, err := Run(testMesh(t), cfg)
+	ref, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

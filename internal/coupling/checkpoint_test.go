@@ -52,7 +52,7 @@ func resumeAndCompare(t *testing.T, cfg RunConfig, path string, ref *RunResult) 
 	cfg.Checkpoint = &checkpoint.Plan{Path: path, Resume: true,
 		OnError: func(err error) { t.Errorf("resume error: %v", err) }}
 	m := testMesh(t)
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func resumeCuts(steps, every, cancelAt int) []resumeCut {
 // worker count (the fingerprint deliberately ignores WorkersPerRank;
 // results are bit-identical at any worker count).
 func testResumeDeterminism(t *testing.T, cfg RunConfig, cuts []resumeCut) {
-	ref, err := Run(testMesh(t), cfg)
+	ref, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestResumeSkipsMismatchedSnapshot(t *testing.T) {
 
 	other := cfg
 	other.Seed = 99 // different trajectory, different fingerprint
-	ref, err := Run(testMesh(t), other)
+	ref, err := RunContext(context.Background(), testMesh(t), other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestResumeSkipsMismatchedSnapshot(t *testing.T) {
 				t.Errorf("unexpected checkpoint error: %v", err)
 			}
 		}}
-	res, err := Run(testMesh(t), other)
+	res, err := RunContext(context.Background(), testMesh(t), other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFaultPlanSurfacesStall(t *testing.T) {
 	cfg.FaultPlan = &simmpi.FaultPlan{Rules: []simmpi.FaultRule{
 		{Rank: 1, Op: simmpi.FaultCollective, Tag: -1, Step: 2, Nth: 1, Action: simmpi.FaultDrop},
 	}}
-	_, err := Run(testMesh(t), cfg)
+	_, err := RunContext(context.Background(), testMesh(t), cfg)
 	var stall *simmpi.ErrRankStalled
 	if !errors.As(err, &stall) {
 		t.Fatalf("err = %v, want *simmpi.ErrRankStalled", err)

@@ -163,16 +163,12 @@ type RunResult struct {
 	DLB dlb.Stats
 }
 
-// Run executes the configured simulation on mesh m.
-func Run(m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
-	return RunContext(context.Background(), m, cfg)
-}
-
-// RunContext is Run with cooperative cancellation: every rank checks ctx
-// at the top of each time step, and the first to see it cancelled panics
-// with ctx.Err(), which aborts the world like any rank error — its peers
-// unwind from their next blocking wait — and the run returns an error
-// wrapping ctx.Err(). A step in flight on that rank always completes.
+// RunContext executes the configured simulation on mesh m with
+// cooperative cancellation: every rank checks ctx at the top of each
+// time step, and the first to see it cancelled panics with ctx.Err(),
+// which aborts the world like any rank error — its peers unwind from
+// their next blocking wait — and the run returns an error wrapping
+// ctx.Err(). A step in flight on that rank always completes.
 // Cancellable and uncancellable contexts share one step loop.
 func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	if cfg.Mode > Coupled {

@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/trace"
@@ -10,7 +11,7 @@ func TestMakespanMatchesTraceClock(t *testing.T) {
 	m := testMesh(t)
 	cfg := fastCfg()
 	cfg.FluidRanks = 4
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +26,7 @@ func TestSynchronousRanksStayAligned(t *testing.T) {
 	m := testMesh(t)
 	cfg := fastCfg()
 	cfg.FluidRanks = 6
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestCoupledParticleGroupAligned(t *testing.T) {
 	cfg.Mode = Coupled
 	cfg.FluidRanks = 3
 	cfg.ParticleRanks = 2
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCoupledVelocityActuallyArrives(t *testing.T) {
 	cfg.FluidRanks = 3
 	cfg.ParticleRanks = 1
 	cfg.Steps = 3
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestDeterministicVirtualTime(t *testing.T) {
 	m := testMesh(t)
 	cfg := fastCfg()
 	cfg.FluidRanks = 4
-	a, err := Run(m, cfg)
+	a, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(m, cfg)
+	b, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

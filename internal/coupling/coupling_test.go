@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func TestSynchronousRun(t *testing.T) {
 	m := testMesh(t)
 	cfg := fastCfg()
 	cfg.FluidRanks = 4
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSynchronousParticleImbalance(t *testing.T) {
 	cfg := fastCfg()
 	cfg.FluidRanks = 8
 	cfg.Steps = 2
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestCoupledRun(t *testing.T) {
 	cfg.Mode = Coupled
 	cfg.FluidRanks = 3
 	cfg.ParticleRanks = 2
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +134,18 @@ func TestCoupledModeValidation(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Mode = Coupled
 	cfg.ParticleRanks = 0
-	if _, err := Run(m, cfg); err == nil {
+	if _, err := RunContext(context.Background(), m, cfg); err == nil {
 		t.Fatal("coupled mode without particle ranks must error")
 	}
 	cfg = fastCfg()
 	cfg.ParticleRanks = 2 // invalid in synchronous mode
-	if _, err := Run(m, cfg); err == nil {
+	if _, err := RunContext(context.Background(), m, cfg); err == nil {
 		t.Fatal("synchronous mode with particle ranks must error")
 	}
 	cfg = fastCfg()
 	cfg.Steps = 0
 	cfg.ParticleRanks = 0
-	if _, err := Run(m, cfg); err == nil {
+	if _, err := RunContext(context.Background(), m, cfg); err == nil {
 		t.Fatal("zero steps must error")
 	}
 }
@@ -173,7 +174,7 @@ func TestDLBLendsDuringCoupledRun(t *testing.T) {
 	cfg.UseDLB = true
 	cfg.WorkersPerRank = 2
 	cfg.FaultPlan = lateRankZero()
-	res, err := Run(m, cfg)
+	res, err := RunContext(context.Background(), m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func recordedRun(t *testing.T, cfg RunConfig) (*telemetry.Store, telemetry.RunMe
 	t.Helper()
 	st := telemetry.NewMemStore()
 	cfg.Telemetry = st
-	res, err := Run(testMesh(t), cfg)
+	res, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCancelledRunRecordsNothing(t *testing.T) {
 func TestNoSinkRecordsNothing(t *testing.T) {
 	cfg := fastCfg()
 	cfg.FluidRanks = 2
-	res, err := Run(testMesh(t), cfg)
+	res, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,6 @@ func New(enabled bool) *DLB {
 	}
 }
 
-// Enabled reports whether lending is active.
-func (d *DLB) Enabled() bool { return d.enabled }
-
 // Register binds a rank living on the given node to its worker pool and
 // its owned core count. Must be called before the rank communicates.
 func (d *DLB) Register(rank, node int, pool Resizable, ownedCores int) error {

@@ -181,9 +181,6 @@ func TestDisabledDLBIsNoop(t *testing.T) {
 	if p1.Workers() != 2 {
 		t.Fatal("disabled DLB must not lend")
 	}
-	if d.Enabled() {
-		t.Fatal("Enabled() should be false")
-	}
 	s := d.Snapshot()
 	if s.Lends != 0 {
 		t.Fatal("disabled DLB recorded lends")

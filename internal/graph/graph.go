@@ -310,7 +310,7 @@ func (g *CSR) Components() ([]int32, int) {
 
 // PseudoPeripheral returns a pseudo-peripheral vertex of the component
 // containing start, found by repeated BFS to the farthest vertex. Such
-// vertices make good seeds for partition growing and RCM.
+// vertices make good seeds for partition growing.
 func (g *CSR) PseudoPeripheral(start int) int {
 	v := start
 	bestEcc := int32(-1)
@@ -325,86 +325,4 @@ func (g *CSR) PseudoPeripheral(start int) int {
 		v = int(last)
 	}
 	return v
-}
-
-// RCM computes a reverse Cuthill–McKee ordering, returning perm where
-// perm[i] is the original index of the vertex placed at position i.
-// Disconnected components are ordered one after another.
-func (g *CSR) RCM() []int32 {
-	n := g.NumVertices()
-	visited := make([]bool, n)
-	perm := make([]int32, 0, n)
-	scratch := make([]int32, 0, 64)
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		seed := g.PseudoPeripheral(s)
-		if visited[seed] {
-			seed = s
-		}
-		queue := []int32{int32(seed)}
-		visited[seed] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			perm = append(perm, v)
-			scratch = scratch[:0]
-			for _, w := range g.Neighbors(int(v)) {
-				if !visited[w] {
-					visited[w] = true
-					scratch = append(scratch, w)
-				}
-			}
-			sort.Slice(scratch, func(i, j int) bool {
-				return g.Degree(int(scratch[i])) < g.Degree(int(scratch[j]))
-			})
-			queue = append(queue, scratch...)
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(perm)-1; i < j; i, j = i+1, j-1 {
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm
-}
-
-// Bandwidth reports max |i - pos[j]| over edges under the identity ordering.
-func (g *CSR) Bandwidth() int {
-	bw := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, w := range g.Neighbors(v) {
-			d := v - int(w)
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
-}
-
-// BandwidthUnder reports the bandwidth under a permutation perm, where
-// perm[i] is the original vertex placed at position i.
-func (g *CSR) BandwidthUnder(perm []int32) int {
-	n := g.NumVertices()
-	pos := make([]int32, n)
-	for i, v := range perm {
-		pos[v] = int32(i)
-	}
-	bw := 0
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			d := int(pos[v] - pos[w])
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
 }

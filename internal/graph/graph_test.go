@@ -134,41 +134,6 @@ func TestPseudoPeripheralOnPath(t *testing.T) {
 	}
 }
 
-func TestRCMReducesBandwidth(t *testing.T) {
-	// Build a path graph with a scrambled labeling; RCM should recover
-	// (near-)optimal bandwidth 1, much better than the scrambled one.
-	n := 64
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	edges := make([]Edge, 0, n-1)
-	for i := 0; i < n-1; i++ {
-		edges = append(edges, Edge{int32(perm[i]), int32(perm[i+1])})
-	}
-	g := FromEdges(n, edges)
-	before := g.Bandwidth()
-	after := g.BandwidthUnder(g.RCM())
-	if after > before/2 {
-		t.Fatalf("RCM bandwidth %d not much better than %d", after, before)
-	}
-	if after < 1 {
-		t.Fatalf("connected graph must have bandwidth >= 1")
-	}
-}
-
-func TestRCMIsPermutation(t *testing.T) {
-	g := randomGraph(200, 600, 7)
-	perm := g.RCM()
-	if len(perm) != g.NumVertices() {
-		t.Fatalf("perm length %d, want %d", len(perm), g.NumVertices())
-	}
-	seen := make([]bool, g.NumVertices())
-	for _, v := range perm {
-		if seen[v] {
-			t.Fatalf("vertex %d appears twice", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestGreedyColoringProper(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(300, 1200, seed)
@@ -261,12 +226,5 @@ func TestFromEdgesValidQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBandwidthPath(t *testing.T) {
-	g := pathGraph(10)
-	if g.Bandwidth() != 1 {
-		t.Fatalf("path bandwidth = %d, want 1", g.Bandwidth())
 	}
 }

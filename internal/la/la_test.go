@@ -138,10 +138,6 @@ func TestVectorKernels(t *testing.T) {
 	if y[0] != 6 || y[2] != 12 {
 		t.Fatalf("axpy result %v", y)
 	}
-	Scale(0.5, y)
-	if y[0] != 3 {
-		t.Fatalf("scale result %v", y)
-	}
 	if Norm2([]float64{3, 4}) != 5 {
 		t.Fatal("norm2")
 	}

@@ -1,7 +1,5 @@
 package la
 
-import "math"
-
 // This file is the pool-aware kernel layer: the Krylov solver phases
 // (the paper's Solver1/Solver2, which Table 1 shows dominating per-step
 // runtime) are memory-bound SpMV and reduction loops, and on an Arm
@@ -11,7 +9,7 @@ import "math"
 //
 //   - MulVec is row-blocked; each row is reduced serially by exactly
 //     one worker, so the result is bit-identical to the serial kernel.
-//   - Dot/Norm2/MaskedDot use fixed-size chunks (reductionChunk
+//   - Dot/MaskedDot use fixed-size chunks (reductionChunk
 //     entries, independent of the worker count): workers compute
 //     per-chunk partial sums, and the partials are combined serially in
 //     ascending chunk order. The result is bit-identical at any worker
@@ -149,9 +147,6 @@ func (o *ParOps) MaskedDot(mask []bool, x, y []float64) float64 {
 	o.dotMask, o.dotX, o.dotY, o.dotParts = nil, nil, nil, nil
 	return sumOrdered(parts)
 }
-
-// Norm2 returns the Euclidean norm via the deterministic Dot.
-func (o *ParOps) Norm2(x []float64) float64 { return math.Sqrt(o.Dot(x, x)) }
 
 // Axpy computes y += alpha*x in parallel; element-wise, so bit-identical
 // to the serial Axpy.

@@ -26,20 +26,6 @@ func OpsFromMatrix(a *CSRMatrix) Ops {
 	return Ops{N: a.N, MatVec: a.MulVec, Dot: Dot}
 }
 
-// ParOpsFromMatrix returns Ops whose MatVec is row-blocked and whose
-// inner product uses the fixed-chunk deterministic reduction, both
-// executed on par's pool. Results are bit-identical at any worker
-// count (see the ParOps contract); the inner product differs from the
-// serial OpsFromMatrix fold only when N exceeds the reduction chunk.
-func ParOpsFromMatrix(a *CSRMatrix, par *ParOps) Ops {
-	return Ops{
-		N:      a.N,
-		MatVec: func(x, y []float64) { par.MulVec(a, x, y) },
-		Dot:    par.Dot,
-		Vec:    par,
-	}
-}
-
 // SolveStats reports the outcome of an iterative solve.
 type SolveStats struct {
 	Iterations int

@@ -234,18 +234,8 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Copy copies src into dst.
-func Copy(dst, src []float64) { copy(dst, src) }
 
 // Fill sets every entry of x to v.
 func Fill(x []float64, v float64) {

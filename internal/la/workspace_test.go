@@ -202,7 +202,7 @@ func TestKrylovWorkspaceZeroAllocOnPool(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		pool := tasking.NewPool(workers)
 		par := NewParOps(pool)
-		ops := ParOpsFromMatrix(spd, par)
+		ops := parOps(spd, par)
 		ws := NewKrylovWorkspace(n)
 		solve := func() {
 			Fill(x, 0)

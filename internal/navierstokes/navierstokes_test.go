@@ -184,24 +184,6 @@ func TestStrategiesAgree(t *testing.T) {
 	}
 }
 
-func TestMultidepKeyingsAgree(t *testing.T) {
-	m := testMesh(t)
-	cfg := DefaultConfig()
-	cfg.Strategy = tasking.StrategyMultidep
-	cfg.SGSStrategy = tasking.StrategySerial
-	cfg.Keying = tasking.KeyNeighbors
-	a, _ := runDistributed(t, m, 2, 1, cfg)
-	cfg.Keying = tasking.KeyEdges
-	b, _ := runDistributed(t, m, 2, 1, cfg)
-	for g := range a {
-		for c := 0; c < 3; c++ {
-			if math.Abs(a[g][c]-b[g][c]) > 1e-9 {
-				t.Fatalf("keyings disagree at node %d", g)
-			}
-		}
-	}
-}
-
 func TestTraceRecordsAllPhases(t *testing.T) {
 	m := testMesh(t)
 	cfg := DefaultConfig()

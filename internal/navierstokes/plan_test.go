@@ -8,9 +8,8 @@ import (
 )
 
 // planSolver is the slice of a Solver that buildPlan reads: rank 0's
-// mesh of a four-way partition, the plan knobs, and a pool whose maximum
-// size is workers.
-func planSolver(t testing.TB, cfg Config, workers int) *Solver {
+// mesh of a four-way partition and a pool whose maximum size is workers.
+func planSolver(t testing.TB, workers int) *Solver {
 	t.Helper()
 	m := testMesh(t)
 	p, err := partition.KWay(m.DualByNode(), nil, 4)
@@ -23,11 +22,11 @@ func planSolver(t testing.TB, cfg Config, workers int) *Solver {
 	}
 	pool := tasking.NewPool(workers)
 	t.Cleanup(pool.Close)
-	return &Solver{RM: rms[0], Cfg: cfg, Pool: pool}
+	return &Solver{RM: rms[0], Pool: pool}
 }
 
 func TestBuildPlanAllStrategies(t *testing.T) {
-	s := planSolver(t, Config{Keying: tasking.KeyNeighbors}, 2)
+	s := planSolver(t, 2)
 	for _, strat := range []tasking.Strategy{
 		tasking.StrategySerial, tasking.StrategyAtomic,
 		tasking.StrategyColoring, tasking.StrategyMultidep,
@@ -46,15 +45,8 @@ func TestBuildPlanAllStrategies(t *testing.T) {
 }
 
 func TestBuildPlanMultidepTaskCount(t *testing.T) {
-	plan, err := planSolver(t, Config{SubdomainsPerRank: 6}, 2).buildPlan(tasking.StrategyMultidep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.NumSub != 6 {
-		t.Fatalf("got %d subdomains, want 6", plan.NumSub)
-	}
-	// Default sizing: 4 per worker.
-	plan, err = planSolver(t, Config{}, 3).buildPlan(tasking.StrategyMultidep)
+	// Four tasks per worker.
+	plan, err := planSolver(t, 3).buildPlan(tasking.StrategyMultidep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +56,7 @@ func TestBuildPlanMultidepTaskCount(t *testing.T) {
 }
 
 func TestLocalConflictsMatchesSharedNodes(t *testing.T) {
-	rm := planSolver(t, Config{}, 1).RM
+	rm := planSolver(t, 1).RM
 	g := localConflicts(rm)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

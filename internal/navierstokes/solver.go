@@ -38,11 +38,6 @@ type Config struct {
 	// subgrid-scale loop (the paper evaluates both phases separately).
 	Strategy    tasking.Strategy
 	SGSStrategy tasking.Strategy
-	// SubdomainsPerRank is the multidependences task count per rank
-	// (0 = 4 tasks per worker).
-	SubdomainsPerRank int
-	// Keying selects the mutexinoutset key construction.
-	Keying tasking.MutexKeying
 
 	// InletVelocity is the peak inlet Dirichlet velocity. Inflow scales
 	// it over simulation time (nil = constant inflow, the pre-waveform
@@ -340,7 +335,7 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 // element loop over this rank's elements under a strategy (Atomics /
 // Coloring / Multidependences), including the Metis-style sub-partition
 // and the mutexinoutset dependence construction for multidependences.
-// The pool's maximum size sets the default multidep task count.
+// The pool's maximum size sets the multidep task count.
 func (s *Solver) buildPlan(strategy tasking.Strategy) (*tasking.AssemblyPlan, error) {
 	rm := s.RM
 	ne := rm.NumElems()
@@ -352,16 +347,8 @@ func (s *Solver) buildPlan(strategy tasking.Strategy) (*tasking.AssemblyPlan, er
 	case tasking.StrategyColoring:
 		return tasking.NewColoringPlan(localConflicts(rm)), nil
 	case tasking.StrategyMultidep:
-		nsub := s.Cfg.SubdomainsPerRank
-		if nsub <= 0 {
-			nsub = 4 * s.Pool.MaxWorkers()
-		}
-		if nsub > ne {
-			nsub = ne
-		}
-		if nsub < 1 {
-			nsub = 1
-		}
+		// Four multidependences tasks per worker, at most one per element.
+		nsub := max(min(4*s.Pool.MaxWorkers(), ne), 1)
 		weights := make([]float64, ne)
 		for e := 0; e < ne; e++ {
 			weights[e] = fem.CostWeight(rm.Kinds[e])
@@ -370,7 +357,7 @@ func (s *Solver) buildPlan(strategy tasking.Strategy) (*tasking.AssemblyPlan, er
 		if err != nil {
 			return nil, err
 		}
-		return tasking.NewMultidepPlan(labels, adj, s.Cfg.Keying), nil
+		return tasking.NewMultidepPlan(labels, adj, tasking.KeyNeighbors), nil
 	}
 	return nil, fmt.Errorf("navierstokes: unsupported strategy %v", strategy)
 }

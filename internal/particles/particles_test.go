@@ -274,6 +274,45 @@ func TestTrackerLostAndFinalize(t *testing.T) {
 	}
 }
 
+// TestDepositionTrackerBinsWallHits bins the particles a tracker
+// finalizes by fate and depth (below the outlet plane they exited) and
+// checks the bins against the tracker's own counters.
+func TestDepositionTrackerBinsWallHits(t *testing.T) {
+	m := airway(t, 0)
+	tr := NewTracker(m, nil, aerosol(), AirAt20C())
+	tr.InjectAtInlet(80, 5, mesh.Vec3{Z: -1})
+	injected := tr.Active.Len()
+	lo, hi := m.BoundingBox()
+	mid := (lo.Z + hi.Z) / 2
+	side := func(node int32) mesh.Vec3 { return mesh.Vec3{X: 50} }
+	var proximal, distal, exited int
+	for i := 0; i < 300 && tr.Active.Len() > 0; i++ {
+		tr.Step(1e-3, side)
+		lost := tr.TakeLost()
+		tr.Finalize(lost)
+		for _, p := range lost {
+			switch {
+			case p.Pos.Z <= tr.outletZ:
+				exited++
+			case p.Pos.Z >= mid:
+				proximal++
+			default:
+				distal++
+			}
+		}
+	}
+	if proximal+distal != tr.DepositedCount || exited != tr.ExitedCount {
+		t.Fatalf("binned deposits/exits %d/%d != tracker %d/%d", proximal+distal, exited, tr.DepositedCount, tr.ExitedCount)
+	}
+	if proximal+distal+exited+tr.Active.Len() != injected {
+		t.Fatal("deposition bookkeeping")
+	}
+	// Blown sideways near the inlet: deposits concentrate proximally.
+	if distal > proximal {
+		t.Fatalf("deposits should be proximal: %d proximal, %d distal", proximal, distal)
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	ps := []Particle{
 		{ID: 7, NewmarkState: NewmarkState{

@@ -116,12 +116,6 @@ func BuoyancyForce(f FluidProps, p Props) mesh.Vec3 {
 	return f.Gravity.Scale(-p.Mass() * f.Rho / p.Density)
 }
 
-// TotalForce sums drag, gravity and buoyancy (the forces the paper
-// considers).
-func TotalForce(f FluidProps, p Props, uf, up mesh.Vec3) mesh.Vec3 {
-	return DragForce(f, p, uf, up).Add(GravityForce(f, p)).Add(BuoyancyForce(f, p))
-}
-
 // StokesSettlingVelocity returns the analytic terminal velocity magnitude
 // in the Stokes regime, (rho_p - rho_f) |g| dp^2 / (18 mu) — used to
 // validate the integrator.
@@ -292,7 +286,7 @@ func newmarkStepLanes(b *newmarkBlock, n int, k *newmarkConsts) {
 		}
 		nLive = still
 	}
-	// a1 = TotalForce(uf, v1)/m, then the position and state update.
+	// a1 = (drag + gravity + buoyancy)/m, then the position and state update.
 	dragCoefLanes(lanes, k, &b.uf, &v1, &c)
 	for _, l := range lanes {
 		l %= newmarkLanes

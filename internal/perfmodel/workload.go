@@ -16,9 +16,6 @@
 package perfmodel
 
 import (
-	"fmt"
-	"sort"
-
 	"math/rand"
 
 	"repro/internal/fem"
@@ -241,24 +238,6 @@ func syntheticTaskGrid(totalWork float64, n int, seed int64) TaskSet {
 	return TaskSet{Durations: durations, Adj: graph.FromEdges(num, edges)}
 }
 
-// Imbalance returns maxWork / meanWork of a distribution.
-func Imbalance(work []float64) float64 {
-	if len(work) == 0 {
-		return 1
-	}
-	sum, max := 0.0, 0.0
-	for _, v := range work {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return max * float64(len(work)) / sum
-}
-
 // Max returns the maximum of a slice (0 when empty).
 func Max(xs []float64) float64 {
 	m := 0.0
@@ -277,12 +256,4 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// Describe renders the distribution's key stats.
-func Describe(name string, work []float64) string {
-	cp := append([]float64(nil), work...)
-	sort.Float64s(cp)
-	return fmt.Sprintf("%s: n=%d total=%.4g max=%.4g Ln=%.3f",
-		name, len(work), Sum(cp), Max(cp), 1/Imbalance(cp))
 }

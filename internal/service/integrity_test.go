@@ -51,8 +51,8 @@ func TestPermanentFailureFailsFast(t *testing.T) {
 			// Backoff far beyond the await deadline: if the classifier
 			// ever routes this error into the retry loop, the test hangs
 			// in a sleep and times out instead of passing by luck.
-			srv := New(Config{Registry: permRegistry("perm", tc.err, &runs),
-				MaxRetries: 3, RetryBaseDelay: time.Hour, RetryMaxDelay: time.Hour})
+			srv := withBackoff(New(Config{Registry: permRegistry("perm", tc.err, &runs),
+				MaxRetries: 3}), time.Hour, time.Hour)
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			defer srv.Close()
@@ -97,8 +97,8 @@ func TestPermanentFailureFailsFast(t *testing.T) {
 // path depends on.
 func TestTransientFailureStillRetries(t *testing.T) {
 	var runs atomic.Int32
-	srv := New(Config{Registry: flakyRegistry(1, &runs),
-		MaxRetries: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond})
+	srv := withBackoff(New(Config{Registry: flakyRegistry(1, &runs),
+		MaxRetries: 2}), time.Millisecond, 2*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -21,6 +21,13 @@ import (
 	"repro/scenario"
 )
 
+// withBackoff replaces srv's retry backoff (250ms to 10s in production)
+// with base doubling up to max, before srv runs any job.
+func withBackoff(srv *Server, base, max time.Duration) *Server {
+	srv.retry.base, srv.retry.cap = base, max
+	return srv
+}
+
 // flakyRegistry registers a scenario that fails its first failN
 // executions and succeeds afterwards.
 func flakyRegistry(failN int32, runs *atomic.Int32) *scenario.Registry {
@@ -40,8 +47,8 @@ func flakyRegistry(failN int32, runs *atomic.Int32) *scenario.Registry {
 // is retried with backoff and finishes done, reporting its retry count.
 func TestRetryToSuccess(t *testing.T) {
 	var runs atomic.Int32
-	srv := New(Config{Registry: flakyRegistry(2, &runs),
-		MaxRetries: 3, RetryBaseDelay: 2 * time.Millisecond, RetryMaxDelay: 4 * time.Millisecond})
+	srv := withBackoff(New(Config{Registry: flakyRegistry(2, &runs),
+		MaxRetries: 3}), 2*time.Millisecond, 4*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -71,8 +78,8 @@ func TestRetryToSuccess(t *testing.T) {
 // MaxRetries extra attempts with the final attempt's error.
 func TestRetryExhausted(t *testing.T) {
 	var runs atomic.Int32
-	srv := New(Config{Registry: flakyRegistry(1<<30, &runs),
-		MaxRetries: 2, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 2 * time.Millisecond})
+	srv := withBackoff(New(Config{Registry: flakyRegistry(1<<30, &runs),
+		MaxRetries: 2}), time.Millisecond, 2*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -165,8 +172,8 @@ func TestDrain(t *testing.T) {
 // degraded; recovery flips it back.
 func TestHealthzDegradedWhileRetrying(t *testing.T) {
 	var runs atomic.Int32
-	srv := New(Config{Registry: flakyRegistry(1, &runs),
-		MaxRetries: 2, RetryBaseDelay: 300 * time.Millisecond, RetryMaxDelay: 300 * time.Millisecond})
+	srv := withBackoff(New(Config{Registry: flakyRegistry(1, &runs),
+		MaxRetries: 2}), 300*time.Millisecond, 300*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -304,9 +311,8 @@ func TestStalledSimulationRetriesToSuccess(t *testing.T) {
 			return &scenario.Artifact{Scenario: "sim", Kind: scenario.KindReport,
 				Report: fmt.Sprintf("makespan=%.6f\n", res.Makespan)}, nil
 		}))
-	srv := New(Config{Registry: reg, MaxRetries: 2,
-		RetryBaseDelay: 2 * time.Millisecond, RetryMaxDelay: 4 * time.Millisecond,
-		Watchdog: 500 * time.Millisecond})
+	srv := withBackoff(New(Config{Registry: reg, MaxRetries: 2,
+		Watchdog: 500 * time.Millisecond}), 2*time.Millisecond, 4*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

@@ -226,8 +226,8 @@ func TestSchedulerCostClamp(t *testing.T) {
 // scheduler is exactly as empty as before the job existed.
 func TestDeleteDuringBackoffLeaksNoSlot(t *testing.T) {
 	var runs atomic.Int32
-	srv := New(Config{Registry: flakyRegistry(1<<30, &runs), Capacity: 1, MaxQueue: 1,
-		MaxRetries: 10, RetryBaseDelay: time.Minute, RetryMaxDelay: time.Minute})
+	srv := withBackoff(New(Config{Registry: flakyRegistry(1<<30, &runs), Capacity: 1, MaxQueue: 1,
+		MaxRetries: 10}), time.Minute, time.Minute)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()

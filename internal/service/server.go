@@ -56,13 +56,9 @@ type Config struct {
 	// MaxRetries is how many times a job whose attempt fails with a
 	// retryable error (rank stall, injected fault, transient overflow —
 	// anything but cancellation or a blown deadline) is retried with
-	// capped exponential backoff. 0 disables retries.
+	// capped exponential backoff: 250ms doubling up to 10s, each delay
+	// jittered within its upper half. 0 disables retries.
 	MaxRetries int
-	// RetryBaseDelay is the first backoff (default 250ms);
-	// RetryMaxDelay caps the exponential growth (default 10s). Each
-	// delay is jittered within its upper half.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// DefaultDeadline bounds jobs that do not send their own deadlineMs
 	// in POST /jobs. 0 leaves such jobs unbounded.
 	DefaultDeadline time.Duration
@@ -213,12 +209,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheTTL == 0 {
 		cfg.CacheTTL = 15 * time.Minute
 	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 250 * time.Millisecond
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = 10 * time.Second
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 25
 	}
@@ -237,7 +227,7 @@ func New(cfg Config) *Server {
 		logf:      logf,
 		tstore:    cfg.Telemetry,
 		maxRuns:   cfg.TelemetryMaxRuns,
-		retry:     retryPolicy{max: cfg.MaxRetries, base: cfg.RetryBaseDelay, cap: cfg.RetryMaxDelay},
+		retry:     retryPolicy{max: cfg.MaxRetries, base: 250 * time.Millisecond, cap: 10 * time.Second},
 		deadline:  cfg.DefaultDeadline,
 		ckptDir:   cfg.CheckpointDir,
 		ckptEvery: cfg.CheckpointEvery,

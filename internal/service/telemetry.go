@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -296,8 +297,8 @@ func parseQuery(w http.ResponseWriter, r *http.Request) (telemetry.Query, bool) 
 			continue
 		}
 		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil || f < 0 {
-			writeError(w, http.StatusBadRequest, "bad %s %q: want a nonnegative number", key, raw)
+		if err != nil || !(f >= 0) || math.IsInf(f, 1) {
+			writeError(w, http.StatusBadRequest, "bad %s %q: want a finite nonnegative number", key, raw)
 			return q, false
 		}
 		if key == "from" {

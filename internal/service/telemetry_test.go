@@ -124,6 +124,16 @@ func TestJobTelemetryEndpoints(t *testing.T) {
 	if code, _ := env.do(t, "GET", "/jobs/"+id+"/trace?from=-1", ""); code != http.StatusBadRequest {
 		t.Fatalf("negative from = %d, want 400", code)
 	}
+	// NaN compares false with everything, so it once answered 200 with
+	// no rows.
+	for _, path := range []string{
+		"/jobs/" + id + "/trace?from=NaN", "/jobs/" + id + "/trace?to=Inf",
+		"/telemetry/runs/" + id + "?from=NaN", "/telemetry/runs/" + id + "?to=NaN",
+	} {
+		if code, _ := env.do(t, "GET", path, ""); code != http.StatusBadRequest {
+			t.Fatalf("GET %s = %d, want 400", path, code)
+		}
+	}
 
 	// The first run carries the scheduler admission row.
 	first := getAs[TraceWire](t, env, "/telemetry/runs/"+id)

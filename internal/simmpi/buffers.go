@@ -211,31 +211,3 @@ func (c *Comm) RecvInt32Buf(src, tag int) *Int32Buf {
 	}
 	return p
 }
-
-// RecvFloat64sInto receives a []float64-carrying message into dst (grown
-// only if too small) and recycles the transport buffer; it returns dst
-// resliced to the message length. With an adequately sized dst the
-// receive allocates nothing.
-func (c *Comm) RecvFloat64sInto(src, tag int, dst []float64) []float64 {
-	p := c.RecvFloat64Buf(src, tag)
-	if cap(dst) < len(p.Data) {
-		dst = make([]float64, len(p.Data))
-	}
-	dst = dst[:len(p.Data)]
-	copy(dst, p.Data)
-	p.Release()
-	return dst
-}
-
-// RecvInt32sInto receives a []int32-carrying message into dst (see
-// RecvFloat64sInto).
-func (c *Comm) RecvInt32sInto(src, tag int, dst []int32) []int32 {
-	p := c.RecvInt32Buf(src, tag)
-	if cap(dst) < len(p.Data) {
-		dst = make([]int32, len(p.Data))
-	}
-	dst = dst[:len(p.Data)]
-	copy(dst, p.Data)
-	p.Release()
-	return dst
-}

@@ -84,7 +84,7 @@ func TestRepeatedSplits(t *testing.T) {
 		for depth := 0; depth < 3; depth++ {
 			c = c.Split(c.Rank()%2, c.Rank())
 			c.Barrier()
-			if s := c.AllreduceInt(1, OpSum); s != c.Size() {
+			if s := c.AllreduceFloat64(1, OpSum); s != float64(c.Size()) {
 				panic("split comm allreduce wrong")
 			}
 		}
@@ -97,9 +97,13 @@ func TestRepeatedSplits(t *testing.T) {
 func TestGlobalRankTranslation(t *testing.T) {
 	w, _ := NewWorld(4)
 	err := w.Run(func(r *Rank) {
-		sub := r.Comm.Split(r.ID()%2, r.ID())
-		g := sub.GlobalRank(sub.Rank())
-		if g != r.ID() {
+		// A split comm addresses peers by comm rank: rank k of color c
+		// is world rank c + 2k, so each side receives that world id.
+		color := r.ID() % 2
+		sub := r.Comm.Split(color, r.ID())
+		peer := 1 - sub.Rank()
+		sendInt(sub, peer, 1, r.ID())
+		if recvInt(sub, peer, 1) != color+2*peer {
 			panic("global rank translation wrong")
 		}
 	})
@@ -118,12 +122,12 @@ func TestCollectiveReuseManyRounds(t *testing.T) {
 			case 0:
 				r.Comm.Barrier()
 			case 1:
-				if s := r.Comm.AllreduceInt(i, OpMax); s != i {
+				if s := r.Comm.AllreduceFloat64(float64(i), OpMax); s != float64(i) {
 					panic("max wrong")
 				}
 			case 2:
-				v := r.Comm.AllgatherFloat64Into(float64(r.ID()), nil)
-				if v[3] != 3 {
+				v := r.Comm.AllgatherInt32s([]int32{int32(r.ID())})
+				if v[3][0] != 3 {
 					panic("gather wrong")
 				}
 			}

@@ -242,9 +242,9 @@ func TestNoFaultPlanUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = w.Run(func(r *Rank) {
-		sum := r.Comm.AllreduceInt(r.ID(), OpSum)
+		sum := r.Comm.AllreduceFloat64(float64(r.ID()), OpSum)
 		if sum != 6 {
-			t.Errorf("sum = %d", sum)
+			t.Errorf("sum = %g", sum)
 		}
 	})
 	if err != nil {

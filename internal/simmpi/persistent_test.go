@@ -25,8 +25,10 @@ func TestMailboxReleasesDrainedKeys(t *testing.T) {
 		buf := []float64{1, 2, 3}
 		for tag := 1; tag <= rounds; tag++ { // rolling tags, like haloSum
 			r.Comm.SendFloat64s(peer, tag, buf)
-			got := r.Comm.RecvFloat64sInto(peer, tag, buf[:0])
-			if len(got) != 3 {
+			got := r.Comm.RecvFloat64Buf(peer, tag)
+			n := len(got.Data)
+			got.Release()
+			if n != 3 {
 				panic("bad payload")
 			}
 		}
@@ -172,20 +174,13 @@ func TestOneWayShipmentZeroAlloc(t *testing.T) {
 }
 
 // TestCollectivesZeroAlloc asserts that the typed collectives — the
-// per-phase clock alignment, the solver's per-dot allreduce, and the
-// gather into a caller-owned destination — neither box their
-// contributions nor allocate results.
+// per-phase clock alignment and the solver's per-dot allreduce — neither
+// box their contributions nor allocate results.
 func TestCollectivesZeroAlloc(t *testing.T) {
 	const ranks = 4
-	gathers := make([][]float64, ranks)
-	for i := range gathers {
-		gathers[i] = make([]float64, ranks)
-	}
 	allocs := measureWorldAllocs(t, ranks, 10, 100, func(r *Rank, round int) {
 		_ = r.Comm.AllreduceFloat64(float64(r.ID()+round), OpMax)
-		_ = r.Comm.AllreduceInt(r.ID(), OpSum)
-		id := r.ID()
-		gathers[id] = r.Comm.AllgatherFloat64Into(float64(round), gathers[id])
+		_ = r.Comm.AllreduceFloat64(float64(r.ID()), OpSum)
 		r.Comm.Barrier()
 	})
 	if allocs > 2 {
@@ -201,23 +196,6 @@ func TestCollectiveFillsWholeCacheLines(t *testing.T) {
 	}
 	if size := unsafe.Sizeof(collective{}); size%64 != 0 {
 		t.Fatalf("collective is %d bytes, not a whole number of 64-byte lines; adjust its padding", size)
-	}
-}
-
-// TestIntoCollectivesMatchAllocating pins the gather into a caller-owned
-// destination against the allocating gather.
-func TestIntoCollectivesMatchAllocating(t *testing.T) {
-	w, _ := NewWorld(3)
-	if err := w.Run(func(r *Rank) {
-		wantG := r.Comm.AllgatherFloat64Into(float64(r.ID()*10), nil)
-		gotG := r.Comm.AllgatherFloat64Into(float64(r.ID()*10), make([]float64, 0, 3))
-		for i := range wantG {
-			if gotG[i] != wantG[i] {
-				panic(fmt.Sprintf("gather Into[%d] = %g, want %g", i, gotG[i], wantG[i]))
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -252,7 +230,9 @@ func BenchmarkHaloExchange(b *testing.B) {
 						buf := make([]float64, n)
 						copy(buf, x)
 						r.Comm.SendFloat64s(peer, 1, buf)
-						got := r.Comm.RecvFloat64sInto(peer, 1, nil)
+						rb := r.Comm.RecvFloat64Buf(peer, 1)
+						got := append([]float64(nil), rb.Data...)
+						rb.Release()
 						for j := range x {
 							x[j] += got[j]
 						}

@@ -145,20 +145,6 @@ func (w *World) NumNodes() int { return (w.size + w.perNode - 1) / w.perNode }
 // NodeOf reports the node housing the given global rank.
 func (w *World) NodeOf(rank int) int { return rank / w.perNode }
 
-// RanksOnNode lists the global ranks housed on a node.
-func (w *World) RanksOnNode(node int) []int {
-	lo := node * w.perNode
-	hi := lo + w.perNode
-	if hi > w.size {
-		hi = w.size
-	}
-	ranks := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		ranks = append(ranks, r)
-	}
-	return ranks
-}
-
 // Run spawns one goroutine per rank executing body and waits for all of
 // them. As in MPI, the first rank error aborts the world: a rank panic
 // (an application error, an injected *FaultError, a point-to-point
@@ -251,9 +237,6 @@ func (r *Rank) ID() int { return r.rank }
 
 // Size reports the world size.
 func (r *Rank) Size() int { return r.world.size }
-
-// Node reports the node housing this rank.
-func (r *Rank) Node() int { return r.world.NodeOf(r.rank) }
 
 // World returns the rank's world.
 func (r *Rank) World() *World { return r.world }
@@ -530,9 +513,6 @@ func (c *Comm) Rank() int { return c.shared.indexOf[c.me] }
 // Size reports the communicator size.
 func (c *Comm) Size() int { return len(c.shared.group) }
 
-// GlobalRank translates a communicator rank to a world rank.
-func (c *Comm) GlobalRank(commRank int) int { return c.shared.group[commRank] }
-
 // send delivers a leased buffer to dst (comm rank) under tag. Eager
 // semantics: it never blocks.
 func (c *Comm) send(dst, tag int, payload any) {
@@ -617,8 +597,8 @@ func (c *Comm) recvBlocking(mb *mailbox, key msgKey, tag int) message {
 
 // collective implements generation-counted rendezvous for the collective
 // operations of one communicator. Besides the generic any-typed slots it
-// carries typed slot arrays and result cells for the scalar allreduces
-// and the gather the step loop issues every iteration: contributing through
+// carries a typed slot array and result cell for the scalar float64
+// allreduce the step loop issues every iteration: contributing through
 // them avoids the interface boxing (one heap allocation per call per
 // rank) the generic path pays, making steady-state allreduces
 // allocation-free.
@@ -632,16 +612,13 @@ type collective struct {
 	result  any
 
 	fslots []float64 // scalar float64 contributions
-	islots []int     // scalar int contributions
 	resF   float64
-	resI   int
-	resBuf []float64 // gathered slice, copied out under the lock
 
-	// Keep the struct a whole number of cache lines (192 bytes). Split
+	// Keep the struct a whole number of cache lines (128 bytes). Split
 	// allocates the new communicators' collectives back to back, and
 	// waiters spin on gen: an object that straddled a line would share
 	// it with its neighbour's hot fields.
-	_ [24]byte
+	_ [16]byte
 }
 
 func newCollective(n int) *collective {
@@ -649,7 +626,6 @@ func newCollective(n int) *collective {
 		n:      n,
 		slots:  make([]any, n),
 		fslots: make([]float64, n),
-		islots: make([]int, n),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -744,23 +720,6 @@ func reduceF64(acc, x float64, op ReduceOp) float64 {
 	return acc
 }
 
-// reduceInt folds x into acc under op.
-func reduceInt(acc, x int, op ReduceOp) int {
-	switch op {
-	case OpSum:
-		return acc + x
-	case OpMax:
-		if x > acc {
-			return x
-		}
-	case OpMin:
-		if x < acc {
-			return x
-		}
-	}
-	return acc
-}
-
 // rendezvousF64 is the typed scalar-float64 rendezvous: contributions
 // and result stay unboxed, so a steady-state allreduce allocates
 // nothing. The fold walks slots in ascending rank order, exactly like
@@ -786,70 +745,6 @@ func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo)
 	res := c.resF
 	c.mu.Unlock()
 	return res
-}
-
-// rendezvousInt is the typed scalar-int rendezvous (see rendezvousF64).
-func (c *collective) rendezvousInt(idx int, v int, op ReduceOp, wd waitInfo) int {
-	c.mu.Lock()
-	gen := c.gen.Load()
-	c.islots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		acc := c.islots[0]
-		for _, x := range c.islots[1:] {
-			acc = reduceInt(acc, x, op)
-		}
-		c.resI = acc
-		c.arrived = 0
-		c.gen.Add(1)
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return acc
-	}
-	c.waitLocked(gen, wd)
-	res := c.resI
-	c.mu.Unlock()
-	return res
-}
-
-// copyOutLocked copies the collective result buffer into dst (grown only
-// if too small); the caller holds c.mu, which orders the copy against
-// the next generation's reduce.
-func (c *collective) copyOutLocked(dst []float64) []float64 {
-	if cap(dst) < len(c.resBuf) {
-		dst = make([]float64, len(c.resBuf))
-	}
-	dst = dst[:len(c.resBuf)]
-	copy(dst, c.resBuf)
-	return dst
-}
-
-// rendezvousGatherF64 gathers one float64 per rank into dst, indexed by
-// comm rank. The last arriver gathers into the collective's persistent
-// buffer and every rank copies it out under the lock, so with a
-// pre-sized dst the call allocates nothing.
-func (c *collective) rendezvousGatherF64(idx int, v float64, dst []float64, wd waitInfo) []float64 {
-	c.mu.Lock()
-	gen := c.gen.Load()
-	c.fslots[idx] = v
-	c.arrived++
-	if c.arrived == c.n {
-		if cap(c.resBuf) < c.n {
-			c.resBuf = make([]float64, c.n)
-		}
-		c.resBuf = c.resBuf[:c.n]
-		copy(c.resBuf, c.fslots)
-		c.arrived = 0
-		c.gen.Add(1)
-		dst = c.copyOutLocked(dst)
-		c.mu.Unlock()
-		c.cond.Broadcast()
-		return dst
-	}
-	c.waitLocked(gen, wd)
-	dst = c.copyOutLocked(dst)
-	c.mu.Unlock()
-	return dst
 }
 
 // collEnter runs the fault hook for a collective operation and returns
@@ -904,27 +799,6 @@ func (c *Comm) AllreduceFloat64(v float64, op ReduceOp) float64 {
 	res := c.shared.coll.rendezvousF64(c.Rank(), v, op, wd)
 	c.world.blockExit(c.me)
 	return res
-}
-
-// AllreduceInt combines one int from every rank through typed slots (no
-// steady-state allocation).
-func (c *Comm) AllreduceInt(v int, op ReduceOp) int {
-	wd := c.collEnter()
-	c.world.blockEnter(c.me)
-	res := c.shared.coll.rendezvousInt(c.Rank(), v, op, wd)
-	c.world.blockExit(c.me)
-	return res
-}
-
-// AllgatherFloat64Into collects one value per rank, indexed by comm
-// rank, into dst (grown only if too small); with a pre-sized dst the
-// call allocates nothing, with a nil dst each rank gets a fresh slice.
-func (c *Comm) AllgatherFloat64Into(v float64, dst []float64) []float64 {
-	wd := c.collEnter()
-	c.world.blockEnter(c.me)
-	dst = c.shared.coll.rendezvousGatherF64(c.Rank(), v, dst, wd)
-	c.world.blockExit(c.me)
-	return dst
 }
 
 // AllgatherInt32s collects one []int32 per rank, indexed by comm rank.

@@ -51,7 +51,7 @@ func TestSpinPolicyFollowsRunnableRanks(t *testing.T) {
 			}
 			peer := 1 - r.ID()
 			r.Comm.SendFloat64s(peer, 1, []float64{float64(r.ID())})
-			if got := r.Comm.RecvFloat64sInto(peer, 1, nil); got[0] != float64(peer) {
+			if got := recvInt(r.Comm, peer, 1); got != peer {
 				t.Errorf("rank %d: got %v from the other runnable rank", r.ID(), got)
 			}
 		}
@@ -78,9 +78,9 @@ func TestSpinPolicyFollowsRunnableRanks(t *testing.T) {
 		if r.world.spinOK() {
 			t.Errorf("GOMAXPROCS=%d, %d runnable ranks over two worlds: first world spins", procs, liveRanks.Load()-parkedRanks.Load())
 		}
-		userBarrier(&checked, 2, 1)                         // neither rank parks before both checked
-		if got := r.Comm.AllreduceInt(1, OpSum); got != 2 { // the park path still works mid-run
-			t.Errorf("allreduce while oversubscribed = %d, want 2", got)
+		userBarrier(&checked, 2, 1)                             // neither rank parks before both checked
+		if got := r.Comm.AllreduceFloat64(1, OpSum); got != 2 { // the park path still works mid-run
+			t.Errorf("allreduce while oversubscribed = %g, want 2", got)
 		}
 		if r.ID() == 0 {
 			close(bOut)
@@ -116,11 +116,11 @@ func TestOversubscribedWorldNeverSpins(t *testing.T) {
 			}
 			userBarrier(&arrived, n, 2*round+2)
 			r.Comm.SendFloat64s(next, round, []float64{float64(r.ID())})
-			if got := r.Comm.RecvFloat64sInto(prev, round, nil); got[0] != float64(prev) {
+			if got := recvInt(r.Comm, prev, round); got != prev {
 				t.Errorf("rank %d round %d: got %v from %d", r.ID(), round, got, prev)
 			}
-			if got := r.Comm.AllreduceInt(r.ID(), OpSum); got != n*(n-1)/2 {
-				t.Errorf("rank %d round %d: allreduce = %d", r.ID(), round, got)
+			if got := r.Comm.AllreduceFloat64(float64(r.ID()), OpSum); got != float64(n*(n-1)/2) {
+				t.Errorf("rank %d round %d: allreduce = %g", r.ID(), round, got)
 			}
 		}
 	}); err != nil {

@@ -39,20 +39,12 @@ func WithVerifyOnRead() Option {
 }
 
 // chunkInfo is the in-memory index entry of one chunk: enough to decide
-// whether a (time range, rank) query needs the chunk at all, and
-// whether binary search applies inside it.
+// whether a (time range, rank) query needs the chunk at all.
 type chunkInfo struct {
 	name             string
 	rows             int
 	minRank, maxRank int32
 	minStart, maxEnd float64
-	// sorted reports the append-order invariant held within this chunk:
-	// rows grouped by nondecreasing rank, nondecreasing start within a
-	// rank. Queries binary-search sorted chunks and fall back to a
-	// linear scan otherwise.
-	sorted bool
-	// last is the previous row's start, for the sortedness check.
-	last float64
 }
 
 // runState is one run's in-memory state.
@@ -318,43 +310,13 @@ func (s *Store) Query(run string, q Query) ([]Row, error) {
 			// consistent with the snapshot.
 			n = ci.rows
 		}
-		rows := make([]Row, n)
 		for i := 0; i < n; i++ {
-			rows[i] = decodeRow(data[i*RowSize:])
-		}
-		out = q.appendMatches(out, rows, ci.sorted)
-	}
-	return out, nil
-}
-
-// appendMatches collects matching rows of one decoded chunk. Sorted
-// chunks with a rank filter are binary-searched: first for the rank's
-// contiguous segment, then for the first interval that can reach the
-// window (per-rank timelines are sequential, so Start and End are both
-// nondecreasing within a segment).
-func (q Query) appendMatches(out, rows []Row, sorted bool) []Row {
-	if !sorted || !q.HasRank {
-		for _, r := range rows {
-			if q.matches(r) {
+			if r := decodeRow(data[i*RowSize:]); q.matches(r) {
 				out = append(out, r)
 			}
 		}
-		return out
 	}
-	lo := sort.Search(len(rows), func(i int) bool { return rows[i].Rank >= q.Rank })
-	hi := lo + sort.Search(len(rows)-lo, func(i int) bool { return rows[lo+i].Rank > q.Rank })
-	seg := rows[lo:hi]
-	if q.From > 0 {
-		first := sort.Search(len(seg), func(i int) bool { return seg[i].End >= q.From })
-		seg = seg[first:]
-	}
-	for _, r := range seg {
-		if q.To > 0 && r.Start > q.To {
-			break
-		}
-		out = append(out, r)
-	}
-	return out
+	return out, nil
 }
 
 // Trace rebuilds the rank-timeline trace of a stored run from its phase
@@ -407,19 +369,11 @@ func newChunkInfo(name string) chunkInfo {
 		maxRank:  math.MinInt32,
 		minStart: math.Inf(1),
 		maxEnd:   math.Inf(-1),
-		sorted:   true,
 	}
 }
 
-// note folds one row into the index entry, checking the append-order
-// invariant as it goes.
+// note folds one row into the index entry.
 func (ci *chunkInfo) note(r Row) {
-	if ci.rows > 0 && ci.sorted {
-		if r.Rank < ci.maxRank || (r.Rank == ci.maxRank && r.Start < ci.last) {
-			ci.sorted = false
-		}
-	}
-	ci.last = r.Start
 	ci.rows++
 	if r.Rank < ci.minRank {
 		ci.minRank = r.Rank

@@ -6,8 +6,8 @@
 // The design follows an append-optimized chunked-rows layout: every
 // recorded run owns a sequence of size-bounded chunks of fixed-width
 // binary rows, an in-memory index keeps per-chunk (rank, time) bounds,
-// and retrieval by (run, time range, rank) binary-searches inside the
-// selected chunks. Two backends exist — a lazily-flushed directory
+// and retrieval by (run, time range, rank) scans only the chunks those
+// bounds admit. Two backends exist — a lazily-flushed directory
 // backend whose open path recovers from a crash-truncated tail chunk by
 // dropping the incomplete final row, and a pure in-memory backend for
 // tests.
@@ -76,9 +76,7 @@ func ParseKind(s string) (Kind, bool) {
 }
 
 // WorldRank marks rows that belong to the whole run rather than one
-// rank's timeline (step markers, DLB migrations, scheduler events). It
-// sorts before every real rank, which keeps the store's rank-grouped
-// append order intact.
+// rank's timeline (step markers, DLB migrations, scheduler events).
 const WorldRank int32 = -1
 
 // Row is one fixed-width telemetry record. Field meaning depends on

@@ -14,12 +14,6 @@ import (
 // fails; backend errors latch and surface from Flush and Close. A
 // RunWriter is safe for concurrent use, though producers normally
 // append from one goroutine at a time.
-//
-// Writers should append rows grouped by nondecreasing rank, with
-// nondecreasing start times within a rank (the natural order of
-// draining rank timelines). The store notices violations per chunk and
-// degrades those chunks to linear-scan retrieval instead of binary
-// search — queries stay correct either way.
 type RunWriter struct {
 	st  *Store
 	rs  *runState

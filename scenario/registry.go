@@ -122,8 +122,5 @@ func (r *Registry) Tags() []string {
 // init time and cmd/benchfig serves.
 var Default = NewRegistry()
 
-// Register adds s to the Default registry.
-func Register(s Scenario) error { return Default.Register(s) }
-
 // MustRegister adds s to the Default registry, panicking on error.
 func MustRegister(s Scenario) { Default.MustRegister(s) }

@@ -114,9 +114,6 @@ func WithParticles(n int) Option { return func(p *Params) { p.Particles = &n } }
 // WithSteps sets the time-step count.
 func WithSteps(n int) Option { return func(p *Params) { p.Steps = n } }
 
-// WithWorkers sets the worker threads per rank.
-func WithWorkers(n int) Option { return func(p *Params) { p.Workers = n } }
-
 // WithPlatforms restricts modeled figures to the named machines.
 func WithPlatforms(names ...string) Option { return func(p *Params) { p.Platforms = names } }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/arch"
@@ -175,14 +176,15 @@ func (s ParamsSpec) Params() (Params, error) {
 		}
 		p.Inflow = w
 	}
+	// JSON cannot carry ±Inf, but the CLIs' flag binder parses "Inf".
 	for _, d := range s.SweepDiameters {
-		if !(d > 0) {
-			return bad(fmt.Errorf("sweepDiameters must be positive, got %g", d))
+		if !(d > 0) || math.IsInf(d, 1) {
+			return bad(fmt.Errorf("sweepDiameters must be positive and finite, got %g", d))
 		}
 	}
 	for _, q := range s.SweepFlows {
-		if !(q > 0) {
-			return bad(fmt.Errorf("sweepFlows must be positive, got %g", q))
+		if !(q > 0) || math.IsInf(q, 1) {
+			return bad(fmt.Errorf("sweepFlows must be positive and finite, got %g", q))
 		}
 	}
 	for _, g := range s.SweepGens {

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,6 +264,16 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 			t.Errorf("inflow %q: err = %v, want ErrBadParams", inflow, err)
 		}
 	}
+	// Infinite sweep axes, which the flag binder parses from "Inf":
+	// respira -sweep-d Inf used to run and report d=+Infum.
+	for _, spec := range []ParamsSpec{
+		{SweepDiameters: []float64{math.Inf(1)}}, {SweepDiameters: []float64{1e-6, math.Inf(-1)}},
+		{SweepFlows: []float64{math.Inf(1)}}, {SweepFlows: []float64{math.Inf(-1)}},
+	} {
+		if _, err := spec.Params(); !errors.Is(err, ErrBadParams) {
+			t.Errorf("sweep axes %v %v: err = %v, want ErrBadParams", spec.SweepDiameters, spec.SweepFlows, err)
+		}
+	}
 }
 
 // TestFlagBindsEveryKey: every ParamsSpec JSON key binds to a flag, an
@@ -339,9 +351,11 @@ func TestFlagBindsEveryKey(t *testing.T) {
 	bare.Flag("nosuch")
 }
 
-// FuzzParamsSpec: arbitrary JSON never panics the decode-and-validate
-// path, and an accepted spec's CanonicalKey survives a marshal
-// round-trip of the spec (what a persisted job manifest relies on).
+// FuzzParamsSpec: arbitrary JSON, with an optional CLI override
+// ("key=value", bound through Flag) on top, never panics the
+// decode-and-validate path, and an accepted spec's CanonicalKey survives
+// a marshal round-trip of the spec (what a persisted job manifest
+// relies on).
 func FuzzParamsSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -352,12 +366,18 @@ func FuzzParamsSpec(f *testing.F) {
 		`{"steps":-1}`,
 		`[1,2]`,
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed), "")
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte(`{"sweepFlows":[1]}`), "sweepDiameters=1e-6,Inf")
+	f.Fuzz(func(t *testing.T, data []byte, override string) {
 		var spec ParamsSpec
 		if json.Unmarshal(data, &spec) != nil {
 			return
+		}
+		if key, val, ok := strings.Cut(override, "="); ok {
+			if !slices.Contains(specKeys(), key) || spec.Flag(key).Set(val) != nil {
+				return
+			}
 		}
 		p, err := spec.Params()
 		if err != nil {
