@@ -16,10 +16,10 @@ import (
 // exportAllowlist names the exports that may go without a non-test
 // caller, each with the reason it stays: a reference implementation
 // tests compare against (oracle), a check tests run (check), the alloc
-// pins' runtime warm-up (pin), a scenario option (option), an enum value
-// whose removal would renumber the rest (enum), the root package's
-// documented entry point (entry), or a method a stdlib interface calls
-// (interface). An entry that gains a caller must leave the list.
+// pins' runtime warm-up (pin), a scenario option (option), the root
+// package's documented entry point (entry), or a method a stdlib
+// interface calls (interface). An entry that gains a caller must leave
+// the list.
 var exportAllowlist = map[string]string{
 	"RunSimulation":                             "entry",
 	"internal/fem.DivergenceRHS":                "oracle",
@@ -32,11 +32,8 @@ var exportAllowlist = map[string]string{
 	"internal/mesh.Mesh.BoundaryFaces":          "oracle",
 	"internal/mesh.Mesh.Centroid":               "oracle",
 	"internal/mesh.Mesh.Validate":               "check",
-	"internal/particles.Deposited":              "enum",
 	"internal/particles.DragForce":              "oracle",
-	"internal/particles.Exited":                 "enum",
 	"internal/particles.GanserCd":               "oracle",
-	"internal/particles.Lost":                   "enum",
 	"internal/particles.NewmarkStep":            "oracle",
 	"internal/particles.ParticleStore.CopyFrom": "oracle",
 	"internal/particles.ReynoldsP":              "oracle",

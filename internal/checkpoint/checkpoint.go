@@ -5,25 +5,28 @@
 // standing determinism contract).
 //
 // A snapshot is a single binary file written atomically and durably:
-// the encoder writes <path>.tmp, fsyncs it, renames it over <path>, and
-// fsyncs the parent directory, so a reader only ever observes a
-// complete snapshot that survives power loss. The format is versioned
-// and checksummed: version 2 appends a CRC32C after the header section and
-// after each rank section, so a flipped bit anywhere in the file is
-// reported as a typed *ErrCorrupt naming the section and offset rather
-// than silently decoding garbage. Any other version, including the
-// pre-checksum v1, is rejected as corrupt.
+// the encoder streams <path>.tmp through one fixed chunk, fsyncs it,
+// renames it over <path>, and fsyncs the parent directory, so a reader
+// only ever observes a complete snapshot that survives power loss. The
+// format is versioned and checksummed: version 2 appends a CRC32C after
+// the header section and after each rank section, so a flipped bit
+// anywhere in the file is reported as a typed *ErrCorrupt naming the
+// section and offset rather than silently decoding garbage. Any other
+// version, including the pre-checksum v1, is rejected as corrupt.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 
 	"repro/internal/fsutil"
+	"repro/internal/mesh"
 )
 
 // Format constants. The magic gates decoding; the footer detects
@@ -68,14 +71,14 @@ type SolverState struct {
 	StepIndex int64
 	U         [3][]float64
 	P         []float64
-	SGS       []float64 // subgrid vectors, 3 floats per local element
+	SGS       []mesh.Vec3 // subgrid velocity per local element
 }
 
 // ParticleState is one rank's tracker state: the active SoA store plus
 // the fate counters and ID cursor.
 type ParticleState struct {
 	ID            []int64
-	Pos, Vel, Acc []float64 // 3 floats per particle
+	Pos, Vel, Acc []mesh.Vec3
 	Elem          []int32
 	Deposited     int64
 	Exited        int64
@@ -117,22 +120,81 @@ func New(fingerprint string, ranks int) *Snapshot {
 
 // --- encoding ---
 
-type enc struct{ buf []byte }
+// chunkSize is the encoder's one output buffer: a snapshot of any size
+// reaches its writer in writes of at most this many bytes.
+const chunkSize = 64 << 10
 
-func (e *enc) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *enc) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *enc) i64(v int64)   { e.buf = binary.LittleEndian.AppendUint64(e.buf, uint64(v)) }
-func (e *enc) f64(v float64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
+// enc streams the binary layout into w through one fixed chunk. The
+// CRC32C of the open section runs across flushes (crc covers its bytes
+// already written, buf[mark:] the rest), so a section of any size is
+// sealed without being held in memory. The first write error sticks
+// and later writes are dropped.
+type enc struct {
+	w    io.Writer
+	buf  []byte
+	mark int
+	crc  uint32
+	err  error
+}
+
+func (e *enc) flush() {
+	e.crc = crc32.Update(e.crc, castagnoli, e.buf[e.mark:])
+	e.mark = 0
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// room returns the next n bytes of the chunk (n <= chunkSize) to fill,
+// flushing first when they do not fit.
+func (e *enc) room(n int) []byte {
+	if cap(e.buf)-len(e.buf) < n {
+		e.flush()
+	}
+	l := len(e.buf)
+	e.buf = e.buf[:l+n]
+	return e.buf[l:]
+}
+
+func (e *enc) u8(v uint8)    { e.room(1)[0] = v }
+func (e *enc) u32(v uint32)  { binary.LittleEndian.PutUint32(e.room(4), v) }
+func (e *enc) i64(v int64)   { binary.LittleEndian.PutUint64(e.room(8), uint64(v)) }
+func (e *enc) f64(v float64) { binary.LittleEndian.PutUint64(e.room(8), math.Float64bits(v)) }
+
+// raw writes b as is, across as many chunks as it spans.
+func (e *enc) raw(b []byte) {
+	for len(b) > 0 {
+		if len(e.buf) == cap(e.buf) {
+			e.flush()
+		}
+		l := len(e.buf)
+		n := copy(e.buf[l:cap(e.buf)], b)
+		e.buf = e.buf[:l+n]
+		b = b[n:]
+	}
+}
 
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
+	e.raw([]byte(s))
 }
 
 func (e *enc) f64s(v []float64) {
 	e.u32(uint32(len(v)))
 	for _, x := range v {
 		e.f64(x)
+	}
+}
+
+// vec3s writes v in the float-triplet layout: the length field counts
+// floats (3 per vector), exactly as a flattened []float64 would.
+func (e *enc) vec3s(v []mesh.Vec3) {
+	e.u32(uint32(3 * len(v)))
+	for _, x := range v {
+		e.f64(x.X)
+		e.f64(x.Y)
+		e.f64(x.Z)
 	}
 }
 
@@ -152,29 +214,35 @@ func (e *enc) i32s(v []int32) {
 
 func (e *enc) u8s(v []uint8) {
 	e.u32(uint32(len(v)))
-	e.buf = append(e.buf, v...)
+	e.raw(v)
 }
 
-// crc seals the section that started at byte offset start by appending
-// the CRC32C of everything written since.
-func (e *enc) crc(start int) {
-	e.u32(crc32.Checksum(e.buf[start:], castagnoli))
+// open starts a checksummed section at the current position.
+func (e *enc) open() {
+	e.mark = len(e.buf)
+	e.crc = 0
 }
 
-// Encode renders the snapshot into its binary form.
-func (s *Snapshot) Encode() []byte {
-	e := &enc{buf: make([]byte, 0, 1<<16)}
-	e.buf = append(e.buf, magic...)
+// seal closes the open section by writing the CRC32C of its bytes.
+func (e *enc) seal() {
+	e.u32(crc32.Update(e.crc, castagnoli, e.buf[e.mark:]))
+}
+
+// writeTo streams the snapshot's binary form into w through one
+// chunkSize buffer and reports the first write error.
+func (s *Snapshot) writeTo(w io.Writer) error {
+	e := &enc{w: w, buf: make([]byte, 0, chunkSize)}
+	e.raw([]byte(magic))
 	e.u32(version)
-	start := len(e.buf)
+	e.open()
 	e.str(s.Fingerprint)
 	e.i64(s.Step)
 	e.f64(s.SimTime)
 	e.f64s(s.StepClocks)
 	e.u32(uint32(len(s.Ranks)))
-	e.crc(start)
+	e.seal()
 	for i := range s.Ranks {
-		start = len(e.buf)
+		e.open()
 		r := &s.Ranks[i]
 		var flags uint8
 		if r.HasSolver {
@@ -192,14 +260,14 @@ func (s *Snapshot) Encode() []byte {
 				e.f64s(r.Solver.U[c])
 			}
 			e.f64s(r.Solver.P)
-			e.f64s(r.Solver.SGS)
+			e.vec3s(r.Solver.SGS)
 		}
 		if r.HasParticles {
 			p := &r.Particles
 			e.i64s(p.ID)
-			e.f64s(p.Pos)
-			e.f64s(p.Vel)
-			e.f64s(p.Acc)
+			e.vec3s(p.Pos)
+			e.vec3s(p.Vel)
+			e.vec3s(p.Acc)
 			e.i32s(p.Elem)
 			e.i64(p.Deposited)
 			e.i64(p.Exited)
@@ -209,10 +277,19 @@ func (s *Snapshot) Encode() []byte {
 		e.u8s(r.Trace.Phases)
 		e.f64s(r.Trace.Starts)
 		e.f64s(r.Trace.Ends)
-		e.crc(start)
+		e.seal()
 	}
-	e.buf = append(e.buf, footer...)
-	return e.buf
+	e.raw([]byte(footer))
+	e.flush()
+	return e.err
+}
+
+// Encode renders the snapshot into its binary form in memory, through
+// the same encoder Save streams to disk.
+func (s *Snapshot) Encode() []byte {
+	var b bytes.Buffer
+	_ = s.writeTo(&b) // a bytes.Buffer write never fails
+	return b.Bytes()
 }
 
 // --- decoding ---
@@ -301,6 +378,26 @@ func (d *dec) f64s() []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = d.f64()
+	}
+	return v
+}
+
+// vec3s reads a float-triplet vector; a float count that is not a
+// multiple of 3 is corrupt.
+func (d *dec) vec3s() []mesh.Vec3 {
+	at := d.off
+	n := d.length(8)
+	if d.err != nil {
+		return nil
+	}
+	if n%3 != 0 {
+		d.err = &ErrCorrupt{Section: d.section, Offset: int64(at),
+			Detail: fmt.Sprintf("vector length %d is not a multiple of 3", n)}
+		return nil
+	}
+	v := make([]mesh.Vec3, n/3)
+	for i := range v {
+		v[i] = mesh.Vec3{X: d.f64(), Y: d.f64(), Z: d.f64()}
 	}
 	return v
 }
@@ -402,14 +499,14 @@ func Decode(data []byte) (*Snapshot, error) {
 				r.Solver.U[c] = d.f64s()
 			}
 			r.Solver.P = d.f64s()
-			r.Solver.SGS = d.f64s()
+			r.Solver.SGS = d.vec3s()
 		}
 		if r.HasParticles {
 			p := &r.Particles
 			p.ID = d.i64s()
-			p.Pos = d.f64s()
-			p.Vel = d.f64s()
-			p.Acc = d.f64s()
+			p.Pos = d.vec3s()
+			p.Vel = d.vec3s()
+			p.Acc = d.vec3s()
 			p.Elem = d.i32s()
 			p.Deposited = d.i64()
 			p.Exited = d.i64()
@@ -430,12 +527,14 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// Save writes the snapshot atomically and durably: encode into
-// <path>.tmp, fsync, rename over <path>, fsync the parent directory. A
-// reader (or a resuming process) therefore only ever sees a complete
-// snapshot, and the rename survives a crash.
+// Save writes the snapshot atomically and durably: stream the encoding
+// into <path>.tmp, fsync, rename over <path>, fsync the parent
+// directory. A reader (or a resuming process) therefore only ever sees
+// a complete snapshot, and the rename survives a crash. The file is
+// never held in memory whole: Save allocates one chunk, whatever the
+// snapshot's size.
 func (s *Snapshot) Save(path string) error {
-	return fsutil.WriteFileAtomic(path, s.Encode(), 0o644)
+	return fsutil.WriteAtomic(path, 0o644, s.writeTo)
 }
 
 // Load reads and decodes the snapshot at path. Corruption errors carry

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/mesh"
 )
 
 func sampleSnapshot() *Snapshot {
@@ -19,7 +21,7 @@ func sampleSnapshot() *Snapshot {
 			StepIndex: 8,
 			U:         [3][]float64{{1, 2}, {3, 4}, {5, 6}},
 			P:         []float64{0.5, -0.5},
-			SGS:       []float64{1, 2, 3, 4, 5, 6},
+			SGS:       []mesh.Vec3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}},
 		},
 		Trace:    TraceState{Phases: []uint8{1, 2}, Starts: []float64{0, 1}, Ends: []float64{1, 2}},
 		Injected: 100,
@@ -29,9 +31,9 @@ func sampleSnapshot() *Snapshot {
 		HasParticles: true,
 		Particles: ParticleState{
 			ID:        []int64{10, 11},
-			Pos:       []float64{1, 2, 3, 4, 5, 6},
-			Vel:       []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
-			Acc:       []float64{0, 0, 0, 0, 0, 0},
+			Pos:       []mesh.Vec3{{X: 1, Y: 2, Z: 3}, {X: 4, Y: 5, Z: 6}},
+			Vel:       []mesh.Vec3{{X: 0.1, Y: 0.2, Z: 0.3}, {X: 0.4, Y: 0.5, Z: 0.6}},
+			Acc:       []mesh.Vec3{{}, {}},
 			Elem:      []int32{5, -1},
 			Deposited: 3,
 			Exited:    1,

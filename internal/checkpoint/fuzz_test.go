@@ -21,6 +21,7 @@ func FuzzDecode(f *testing.F) {
 	flipped := sampleSnapshot().Encode()
 	flipped[17] ^= 0xff
 	f.Add(flipped)
+	f.Add(raggedPos())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)

@@ -12,7 +12,7 @@ import (
 // version 2 but version word 1 and no CRC32C after the header or rank
 // sections.
 func encodeV1(s *Snapshot) []byte {
-	e := &enc{}
+	e := &oracleEnc{}
 	e.buf = append(e.buf, magic...)
 	e.u32(1)
 	e.str(s.Fingerprint)
@@ -38,14 +38,14 @@ func encodeV1(s *Snapshot) []byte {
 				e.f64s(r.Solver.U[c])
 			}
 			e.f64s(r.Solver.P)
-			e.f64s(r.Solver.SGS)
+			e.vec3s(r.Solver.SGS)
 		}
 		if r.HasParticles {
 			p := &r.Particles
 			e.i64s(p.ID)
-			e.f64s(p.Pos)
-			e.f64s(p.Vel)
-			e.f64s(p.Acc)
+			e.vec3s(p.Pos)
+			e.vec3s(p.Vel)
+			e.vec3s(p.Acc)
 			e.i32s(p.Elem)
 			e.i64(p.Deposited)
 			e.i64(p.Exited)

@@ -1,7 +1,8 @@
 // Checkpoint capture and resume for the two run modes. Capture happens
-// at step boundaries only — rank-0 writes the file between two world
-// barriers while every other rank is parked, strictly off the step
-// loop's hot path (the same discipline as telemetry recording).
+// at step boundaries only — every rank points the snapshot at its live
+// state and rank 0 streams the file between two world barriers while
+// every other rank is parked, strictly off the step loop's hot path
+// (the same discipline as telemetry recording).
 package coupling
 
 import (
@@ -33,7 +34,8 @@ func (cfg *RunConfig) fingerprint(m *mesh.Mesh) string {
 }
 
 // prepCheckpoint resolves the run's checkpoint plan into a resume
-// snapshot (when one exists and matches) and a reusable capture buffer.
+// snapshot (when one exists and matches) and the snapshot that boundary
+// captures fill.
 // Restore problems are reported to the plan and degrade to a fresh
 // start — a checkpoint must never be able to brick its run.
 func (cfg *RunConfig) prepCheckpoint(m *mesh.Mesh, size int) (resume, snap *checkpoint.Snapshot, startStep int) {
@@ -71,18 +73,26 @@ func (s *ckptSaver) due(step int) bool {
 	return s.snap != nil && (step+1)%s.plan.Every == 0 && step+1 < s.cfg.Steps
 }
 
-// save is rank 0's half of the capture: stamp the boundary metadata and
-// atomically write the file. Runs between two barriers, so every rank's
-// section is quiescent. Errors go to the plan's observer, never the run.
+// save is rank 0's half of the capture: stamp the boundary metadata,
+// write the file, and drop the rank sections' views of live state.
+// Runs between two barriers, so every rank's state is quiescent and
+// the views are valid. Errors go to the plan's observer, never the run.
 func (s *ckptSaver) save(step int, stepClocks []float64) {
 	s.snap.Step = int64(step)
 	s.snap.SimTime = s.cfg.simTimeAt(step)
 	s.snap.StepClocks = append(s.snap.StepClocks[:0], stepClocks...)
 	s.plan.Report(s.plan.Write(s.snap))
+	// Past the second barrier the views go stale, and holding them would
+	// pin a particle store that later grows.
+	for i := range s.snap.Ranks {
+		s.snap.Ranks[i].Solver = checkpoint.SolverState{}
+		s.snap.Ranks[i].Particles = checkpoint.ParticleState{}
+	}
 }
 
-// captureRank fills snap.Ranks[id] from the rank's live state; ns and tk
-// may each be nil (coupled mode's split roles).
+// captureRank points snap.Ranks[id] at the rank's live solver and
+// tracker state (no copy; valid until the next step) and copies its
+// trace columns; ns and tk may each be nil (coupled mode's split roles).
 func captureRank(snap *checkpoint.Snapshot, id int, ns *navierstokes.Solver, tk *particles.Tracker, rt *trace.RankTracer, injected int, d *dlb.DLB) {
 	rs := &snap.Ranks[id]
 	rs.HasSolver = ns != nil

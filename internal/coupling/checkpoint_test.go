@@ -6,12 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/navierstokes"
+	"repro/internal/particles"
 	"repro/internal/simmpi"
+	"repro/internal/trace"
 )
 
 // runInterrupted executes cfg with checkpointing on and cancels it from
@@ -256,5 +261,120 @@ func TestEnvWatchdogReachesRun(t *testing.T) {
 		case <-time.After(time.Minute):
 			t.Fatalf("cfg %v env %v: the dropped collective hung the run", c.cfg, c.env)
 		}
+	}
+}
+
+// TestCheckpointViewDroppedAfterSave: a boundary capture points the
+// snapshot at the rank's live solver and tracker state without copying
+// it, the file carries that state, and once rank 0 has written the
+// file the snapshot holds no slice of it, so a particle store that
+// grows later is not pinned.
+func TestCheckpointViewDroppedAfterSave(t *testing.T) {
+	m := testMesh(t)
+	cfg := fastCfg()
+	cfg.FluidRanks = 1
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg.Checkpoint = &checkpoint.Plan{Every: 1, Path: path,
+		OnError: func(err error) { t.Errorf("checkpoint error: %v", err) }}
+	rms, err := buildPartition(m, m.DualByNode(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, d, pools, err := newWorld(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closePools(pools)
+	_, snap, _ := cfg.prepCheckpoint(m, 1)
+	saver := &ckptSaver{plan: cfg.Checkpoint, snap: snap, cfg: &cfg}
+	rt := trace.NewTrace(1).Ranks[0]
+	var (
+		ns      *navierstokes.Solver
+		tk      *particles.Tracker
+		aliased bool
+	)
+	err = world.Run(func(r *simmpi.Rank) {
+		var err error
+		if ns, err = navierstokes.NewSolver(m, rms[0], r.Comm, pools[0], cfg.NS, cfg.Cost, rt); err != nil {
+			panic(err)
+		}
+		if _, err := ns.Step(); err != nil {
+			panic(err)
+		}
+		tk = particles.NewTracker(m, rms[0].Elems, cfg.Species, cfg.Fluid)
+		injected := particles.InjectAtInletCollectiveAt(r.Comm, tk, cfg.NumParticles, cfg.Seed, 0, cfg.NS.InletVelocityAt(0))
+		captureRank(snap, 0, ns, tk, rt, injected, d)
+		rs := &snap.Ranks[0]
+		aliased = &rs.Solver.U[0][0] == &ns.U[0][0] && &rs.Solver.P[0] == &ns.P[0] &&
+			&rs.Solver.SGS[0] == &ns.SGS[0] && &rs.Particles.Pos[0] == &tk.Active.Pos[0] &&
+			&rs.Particles.ID[0] == &tk.Active.ID[0]
+		saver.save(0, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !aliased {
+		t.Error("capture copied the live state instead of pointing at it")
+	}
+	for i, rs := range snap.Ranks {
+		s, p := rs.Solver, rs.Particles
+		if s.U[0] != nil || s.U[1] != nil || s.U[2] != nil || s.P != nil || s.SGS != nil ||
+			p.ID != nil || p.Pos != nil || p.Vel != nil || p.Acc != nil || p.Elem != nil {
+			t.Errorf("rank %d: snapshot still holds state slices after the save", i)
+		}
+	}
+	got, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := got.Ranks[0]
+	if !reflect.DeepEqual(rs.Solver.U, ns.U) || !reflect.DeepEqual(rs.Solver.SGS, ns.SGS) ||
+		!reflect.DeepEqual(rs.Particles.Pos, tk.Active.Pos) || !reflect.DeepEqual(rs.Particles.ID, tk.Active.ID) {
+		t.Error("saved file does not carry the rank's live state")
+	}
+}
+
+// TestCheckpointWriteFailureKeepsRun: a checkpoint whose stream fails
+// is reported through the plan's OnError and leaves no temporary file,
+// the next boundary's checkpoint is written, and the run's results are
+// those of a run without checkpoints.
+func TestCheckpointWriteFailureKeepsRun(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes with")
+	}
+	cfg := fastCfg()
+	cfg.FluidRanks = 2
+	cfg.Steps = 4
+	ref, err := RunContext(context.Background(), testMesh(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Writes through <path>.tmp land on /dev/full and fail with ENOSPC,
+	// so the first checkpoint's stream breaks. The failed save removes
+	// the link, and later boundaries write normally.
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.Symlink("/dev/full", path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	var reported []error
+	cfg.Checkpoint = &checkpoint.Plan{Every: 1, Path: path,
+		OnError: func(err error) { reported = append(reported, err) }}
+	res, err := RunContext(context.Background(), testMesh(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reported) != 1 || !errors.Is(reported[0], syscall.ENOSPC) {
+		t.Fatalf("reported %v, want one ENOSPC", reported)
+	}
+	if _, err := os.Lstat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind (lstat err = %v)", err)
+	}
+	if s, err := checkpoint.Load(path); err != nil || s.Step != int64(cfg.Steps-2) {
+		t.Fatalf("last checkpoint: %v, want step %d", err, cfg.Steps-2)
+	}
+	if res.Trace.Render(100, 0) != ref.Trace.Render(100, 0) || res.Makespan != ref.Makespan ||
+		res.Injected != ref.Injected || res.Deposited != ref.Deposited ||
+		res.Exited != ref.Exited || res.ActiveEnd != ref.ActiveEnd {
+		t.Fatal("a failed checkpoint changed the run's results")
 	}
 }

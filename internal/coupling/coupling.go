@@ -548,12 +548,13 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 				}
 			}
 			if saver.due(step) {
-				// Boundary capture across every role: each rank snapshots
-				// its quiescent state, the first world barrier proves every
-				// velocity shipment, migration and halo message of this
-				// step was consumed, rank 0 writes the file, the second
-				// barrier holds the world until it is on disk. Barriers do
-				// not advance virtual clocks, so the trace is unaffected.
+				// Boundary capture across every role: each rank points
+				// the snapshot at its quiescent state, the first world
+				// barrier proves every velocity shipment, migration and
+				// halo message of this step was consumed, rank 0 streams
+				// the file from those views, the second barrier holds the
+				// world until it is on disk. Barriers do not advance
+				// virtual clocks, so the trace is unaffected.
 				captureRank(snap, id, ns, tk, rt, injected[id], d)
 				r.Comm.Barrier()
 				if id == 0 {

@@ -1,6 +1,7 @@
 // Package fsutil holds the durability primitives the persistent-state
 // packages (checkpoint, telemetry) share: parent-directory fsync after
-// atomic renames, and the full tmp+fsync+rename+dirsync atomic write.
+// atomic renames, and the full tmp+fsync+rename+dirsync atomic write,
+// streamed or from memory.
 //
 // POSIX only guarantees a rename is durable once the containing
 // directory has been fsynced; without it a crash shortly after the
@@ -9,6 +10,7 @@
 package fsutil
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -34,35 +36,41 @@ func SyncDir(dir string) error {
 	return cerr
 }
 
-// WriteFileAtomic writes data to path atomically and durably: write to
-// path+".tmp", fsync the file, rename it over path, and fsync the
-// parent directory. A reader never observes a partial file; a crash at
-// any point leaves either the previous content or the new one.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+// WriteAtomic streams a file to path atomically and durably: fill
+// writes the content into path+".tmp", which is fsynced, closed and
+// renamed over path, and then the parent directory is fsynced. A reader
+// never observes a partial file; a crash at any point leaves either the
+// previous content or the new one. If fill or any later step fails, the
+// temporary file is removed and path keeps its previous content.
+func WriteAtomic(path string, perm os.FileMode, fill func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// WriteFileAtomic is WriteAtomic for content already in memory.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
+	return WriteAtomic(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // SyncFile fsyncs an existing file's contents (used when sealing an

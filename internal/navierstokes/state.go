@@ -4,24 +4,20 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/mesh"
 )
 
-// CaptureState copies the solver's cross-step state into dst, reusing
-// dst's slices when they are large enough. Uold is intentionally
-// omitted: Step overwrites it from U before reading it, so it carries no
-// information across a step boundary. The matrices, preconditioners and
-// workspaces are rebuilt identically by NewSolver and need no capture.
+// CaptureState points dst at the solver's live cross-step state; it
+// copies nothing. The view is valid only while the solver is parked at
+// a step boundary (the checkpoint barrier pair): the next Step
+// overwrites what it references. Uold is intentionally omitted: Step
+// overwrites it from U before reading it, so it carries no information
+// across a step boundary. The matrices, preconditioners and workspaces
+// are rebuilt identically by NewSolver and need no capture.
 func (s *Solver) CaptureState(dst *checkpoint.SolverState) {
 	dst.StepIndex = int64(s.stepIndex)
-	for c := 0; c < 3; c++ {
-		dst.U[c] = append(dst.U[c][:0], s.U[c]...)
-	}
-	dst.P = append(dst.P[:0], s.P...)
-	dst.SGS = dst.SGS[:0]
-	for _, v := range s.SGS {
-		dst.SGS = append(dst.SGS, v.X, v.Y, v.Z)
-	}
+	dst.U = s.U
+	dst.P = s.P
+	dst.SGS = s.SGS
 }
 
 // RestoreState loads a captured state into a freshly constructed solver
@@ -35,16 +31,14 @@ func (s *Solver) RestoreState(src *checkpoint.SolverState) error {
 	if len(src.P) != len(s.P) {
 		return fmt.Errorf("navierstokes: restore P: have %d nodes, snapshot %d", len(s.P), len(src.P))
 	}
-	if len(src.SGS) != 3*len(s.SGS) {
-		return fmt.Errorf("navierstokes: restore SGS: have %d elems, snapshot %d floats", len(s.SGS), len(src.SGS))
+	if len(src.SGS) != len(s.SGS) {
+		return fmt.Errorf("navierstokes: restore SGS: have %d elems, snapshot %d", len(s.SGS), len(src.SGS))
 	}
 	for c := 0; c < 3; c++ {
 		copy(s.U[c], src.U[c])
 	}
 	copy(s.P, src.P)
-	for e := range s.SGS {
-		s.SGS[e] = mesh.Vec3{X: src.SGS[3*e], Y: src.SGS[3*e+1], Z: src.SGS[3*e+2]}
-	}
+	copy(s.SGS, src.SGS)
 	s.stepIndex = int(src.StepIndex)
 	return nil
 }

@@ -4,23 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/mesh"
 )
 
-// CaptureState copies the tracker's population and fate counters into
-// dst, reusing dst's slices when large enough. It must be called at a
-// step boundary after migration: the lost list is transient within a
-// step (Migrate consumes it) and is not captured.
+// CaptureState points dst at the tracker's live population and copies
+// its fate counters; the population itself is not copied. The view is
+// valid only while the tracker is parked at a step boundary (the
+// checkpoint barrier pair): the next Step, release or migration
+// mutates or reallocates what it references. It must be called after
+// migration: the lost list is transient within a step (Migrate
+// consumes it) and is not captured.
 func (t *Tracker) CaptureState(dst *checkpoint.ParticleState) {
 	if len(t.lost) != 0 {
 		panic("particles: CaptureState with pending lost particles (capture only at step boundaries)")
 	}
 	s := t.Active
-	dst.ID = append(dst.ID[:0], s.ID...)
-	dst.Elem = append(dst.Elem[:0], s.Elem...)
-	dst.Pos = flattenVec3(dst.Pos[:0], s.Pos)
-	dst.Vel = flattenVec3(dst.Vel[:0], s.Vel)
-	dst.Acc = flattenVec3(dst.Acc[:0], s.Acc)
+	dst.ID, dst.Elem = s.ID, s.Elem
+	dst.Pos, dst.Vel, dst.Acc = s.Pos, s.Vel, s.Acc
 	dst.Deposited = int64(t.DepositedCount)
 	dst.Exited = int64(t.ExitedCount)
 	dst.WorkUnits = t.WorkUnits
@@ -31,34 +30,20 @@ func (t *Tracker) CaptureState(dst *checkpoint.ParticleState) {
 // captured state.
 func (t *Tracker) RestoreState(src *checkpoint.ParticleState) error {
 	n := len(src.ID)
-	if len(src.Pos) != 3*n || len(src.Vel) != 3*n || len(src.Acc) != 3*n || len(src.Elem) != n {
-		return fmt.Errorf("particles: restore: inconsistent snapshot (%d ids, %d/%d/%d coords, %d elems)",
+	if len(src.Pos) != n || len(src.Vel) != n || len(src.Acc) != n || len(src.Elem) != n {
+		return fmt.Errorf("particles: restore: inconsistent snapshot (%d ids, %d/%d/%d vectors, %d elems)",
 			n, len(src.Pos), len(src.Vel), len(src.Acc), len(src.Elem))
 	}
 	s := t.Active
 	s.ID = append(s.ID[:0], src.ID...)
 	s.Elem = append(s.Elem[:0], src.Elem...)
-	s.Pos = unflattenVec3(s.Pos[:0], src.Pos)
-	s.Vel = unflattenVec3(s.Vel[:0], src.Vel)
-	s.Acc = unflattenVec3(s.Acc[:0], src.Acc)
+	s.Pos = append(s.Pos[:0], src.Pos...)
+	s.Vel = append(s.Vel[:0], src.Vel...)
+	s.Acc = append(s.Acc[:0], src.Acc...)
 	t.lost = t.lost[:0]
 	t.DepositedCount = int(src.Deposited)
 	t.ExitedCount = int(src.Exited)
 	t.WorkUnits = src.WorkUnits
 	t.nextID = src.NextID
 	return nil
-}
-
-func flattenVec3(dst []float64, v []mesh.Vec3) []float64 {
-	for _, x := range v {
-		dst = append(dst, x.X, x.Y, x.Z)
-	}
-	return dst
-}
-
-func unflattenVec3(dst []mesh.Vec3, v []float64) []mesh.Vec3 {
-	for i := 0; i+2 < len(v); i += 3 {
-		dst = append(dst, mesh.Vec3{X: v[i], Y: v[i+1], Z: v[i+2]})
-	}
-	return dst
 }

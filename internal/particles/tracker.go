@@ -10,17 +10,6 @@ import (
 	"repro/internal/tasking"
 )
 
-// State classifies a particle's fate.
-type State uint8
-
-// Particle states.
-const (
-	Active    State = iota // advancing through the domain
-	Lost                   // left the local subdomain; candidate for migration
-	Deposited              // hit the airway wall (the clinically relevant outcome)
-	Exited                 // left through an outlet (reached the deep lung)
-)
-
 // Particle is one Lagrangian particle in AoS form, used at the system's
 // edges: transport encoding, migration, tests. The tracker itself keeps
 // its population in a ParticleStore.
