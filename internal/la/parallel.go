@@ -9,12 +9,13 @@ package la
 //
 //   - MulVec is row-blocked; each row is reduced serially by exactly
 //     one worker, so the result is bit-identical to the serial kernel.
-//   - Dot/MaskedDot use fixed-size chunks (reductionChunk
+//   - Dot/MaskedDot/MaskedDot2 use fixed-size chunks (reductionChunk
 //     entries, independent of the worker count): workers compute
 //     per-chunk partial sums, and the partials are combined serially in
 //     ascending chunk order. The result is bit-identical at any worker
 //     count — including mid-solve DLB resizes — and equal to the serial
-//     reference DotChunked.
+//     reference DotChunked. MaskedDot2 keeps one accumulator per
+//     component, so each equals its own MaskedDot.
 //   - Axpy/Range are element-wise with disjoint writes, so they are
 //     bit-identical to serial by construction.
 
@@ -62,11 +63,13 @@ type ParOps struct {
 	mvX, mvY []float64
 	mvBody   func(lo, hi int)
 
-	dotX, dotY []float64
-	dotMask    []bool
-	dotParts   []float64
-	dotBody    func(lo, hi int)
-	mdotBody   func(lo, hi int)
+	dotX, dotY   []float64
+	dotX2, dotY2 []float64
+	dotMask      []bool
+	dotParts     []float64
+	dotBody      func(lo, hi int)
+	mdotBody     func(lo, hi int)
+	mdot2Body    func(lo, hi int)
 
 	axAlpha  float64
 	axX, axY []float64
@@ -90,6 +93,10 @@ func (o *ParOps) initBodies() {
 	}
 	o.mdotBody = func(lo, hi int) {
 		o.dotParts[lo/reductionChunk] = maskedDotRange(o.dotMask, o.dotX, o.dotY, lo, hi)
+	}
+	o.mdot2Body = func(lo, hi int) {
+		c, nc := lo/reductionChunk, len(o.dotParts)/2
+		o.dotParts[c], o.dotParts[nc+c] = maskedDot2Range(o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, lo, hi)
 	}
 	o.axBody = func(lo, hi int) { axpyRange(o.axAlpha, o.axX, o.axY, lo, hi) }
 }
@@ -148,6 +155,22 @@ func (o *ParOps) MaskedDot(mask []bool, x, y []float64) float64 {
 	return sumOrdered(parts)
 }
 
+// MaskedDot2 computes MaskedDot(mask, x1, y1) and MaskedDot(mask, x2,
+// y2) in one pass over the vectors, one accumulator per component; each
+// equals its MaskedDotChunked bit for bit at any worker count. It is
+// the local half of a Krylov solver's fused two-dot reduction.
+func (o *ParOps) MaskedDot2(mask []bool, x1, y1, x2, y2 []float64) (float64, float64) {
+	if !o.threaded(len(x1)) {
+		return maskedDot2Chunked(mask, x1, y1, x2, y2)
+	}
+	nc := numChunks(len(x1))
+	parts := o.scratch(2 * nc)
+	o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, o.dotParts = mask, x1, y1, x2, y2, parts
+	o.pool.ParallelFor(len(x1), reductionChunk, o.mdot2Body)
+	o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, o.dotParts = nil, nil, nil, nil, nil, nil
+	return sumOrdered(parts[:nc]), sumOrdered(parts[nc:])
+}
+
 // Axpy computes y += alpha*x in parallel; element-wise, so bit-identical
 // to the serial Axpy.
 func (o *ParOps) Axpy(alpha float64, x, y []float64) {
@@ -192,6 +215,18 @@ func MaskedDotChunked(mask []bool, x, y []float64) float64 {
 	return s
 }
 
+// maskedDot2Chunked is the serial path of MaskedDot2: the chunk walk of
+// MaskedDotChunked with one running sum per component.
+func maskedDot2Chunked(mask []bool, x1, y1, x2, y2 []float64) (float64, float64) {
+	s1, s2 := 0.0, 0.0
+	for lo := 0; lo < len(x1); lo += reductionChunk {
+		p1, p2 := maskedDot2Range(mask, x1, y1, x2, y2, lo, min(lo+reductionChunk, len(x1)))
+		s1 += p1
+		s2 += p2
+	}
+	return s1, s2
+}
+
 func numChunks(n int) int { return (n + reductionChunk - 1) / reductionChunk }
 
 // sumOrdered folds partials in index order — the serial combination
@@ -220,6 +255,17 @@ func maskedDotRange(mask []bool, x, y []float64, lo, hi int) float64 {
 		}
 	}
 	return s
+}
+
+func maskedDot2Range(mask []bool, x1, y1, x2, y2 []float64, lo, hi int) (float64, float64) {
+	s1, s2 := 0.0, 0.0
+	for i := lo; i < hi; i++ {
+		if mask[i] {
+			s1 += x1[i] * y1[i]
+			s2 += x2[i] * y2[i]
+		}
+	}
+	return s1, s2
 }
 
 func axpyRange(alpha float64, x, y []float64, lo, hi int) {

@@ -28,7 +28,10 @@ func parOps(a *CSRMatrix, par *ParOps) Ops {
 		N:      a.N,
 		MatVec: func(x, y []float64) { par.MulVec(a, x, y) },
 		Dot:    par.Dot,
-		Vec:    par,
+		Dot2: func(x1, y1, x2, y2 []float64) (float64, float64) {
+			return par.Dot(x1, y1), par.Dot(x2, y2)
+		},
+		Vec: par,
 	}
 }
 

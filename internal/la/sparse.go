@@ -215,6 +215,38 @@ func (a *CSRMatrix) SetDirichletRow(i int32) {
 	}
 }
 
+// DropZeros removes the stored entries whose value is ±0, for a matrix
+// whose values are final. Val is compacted in place; Ptr and Col are
+// rebuilt at exact size, so a matrix sharing the old pattern (as the
+// flow solver's momentum matrix shares the pressure matrix's) keeps it.
+// Column order within a row is kept, so Find still works.
+//
+// MulVec keeps its bits on finite x: a row sum starts at +0 and never
+// becomes −0 (x + (−x) rounds to +0), and adding ±0·x[j] = ±0 to a sum
+// that is not −0 leaves it unchanged. With a non-finite x[j] the
+// dropped 0·x[j] would have made the row NaN. Diagonal reads a dropped
+// diagonal as +0, as it reads one outside the pattern.
+func (a *CSRMatrix) DropZeros() {
+	nnz := 0
+	for _, v := range a.Val {
+		if v != 0 {
+			nnz++
+		}
+	}
+	ptr, col := make([]int32, a.N+1), make([]int32, nnz)
+	w := 0
+	for i := 0; i < a.N; i++ {
+		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
+			if v := a.Val[k]; v != 0 {
+				col[w], a.Val[w] = a.Col[k], v
+				w++
+			}
+		}
+		ptr[i+1] = int32(w)
+	}
+	a.Ptr, a.Col, a.Val = ptr, col, a.Val[:nnz]
+}
+
 // NNZ reports the number of stored entries.
 func (a *CSRMatrix) NNZ() int { return len(a.Val) }
 
@@ -225,6 +257,17 @@ func Dot(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
+}
+
+// Dot2 returns (Dot(x1, y1), Dot(x2, y2)) from one pass with one
+// accumulator per product, so each equals its Dot bit for bit.
+func Dot2(x1, y1, x2, y2 []float64) (float64, float64) {
+	s1, s2 := 0.0, 0.0
+	for i := range x1 {
+		s1 += x1[i] * y1[i]
+		s2 += x2[i] * y2[i]
+	}
+	return s1, s2
 }
 
 // Axpy computes y += alpha*x.

@@ -123,7 +123,7 @@ type Solver struct {
 	Tracer *trace.RankTracer
 
 	A *la.CSRMatrix // momentum matrix (rebuilt each step)
-	L *la.CSRMatrix // pressure Laplacian (constant; Dirichlet-fixed)
+	L *la.CSRMatrix // pressure Laplacian (constant; Dirichlet-fixed; zeros dropped)
 
 	U    [3][]float64 // velocity components at local nodes
 	Uold [3][]float64
@@ -228,8 +228,8 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	for e := 0; e < rm.NumElems(); e++ {
 		s.numWeight += fem.CostWeight(rm.Kinds[e])
 	}
-	// Local node graph -> one matrix pattern, shared by A and L (the
-	// solver only ever writes Val).
+	// Local node graph -> one matrix pattern, shared by A and L until
+	// L drops its zeros below (the solver only ever writes Val).
 	inc := &graph.CSR{Ptr: rm.LocalPtr, Adj: rm.LocalConn}
 	s.A = la.NewCSRFromGraph(graph.Shared(graph.Transpose(inc, n), inc))
 	s.L = &la.CSRMatrix{N: s.A.N, Ptr: s.A.Ptr, Col: s.A.Col, Val: make([]float64, len(s.A.Val))}
@@ -305,8 +305,12 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	s.sgsPlan.Compile()
 
 	// The static element geometry and what is built from it alone: the
-	// constant pressure Laplacian and the lumped mass.
+	// constant pressure Laplacian and the lumped mass. L's values are
+	// final now, so the zeros of its Dirichlet rows and columns leave
+	// its pattern (exact on finite iterates, see DropZeros); ownedNNZ
+	// was counted from A's pattern and does not change.
 	s.assembleStatic()
+	s.L.DropZeros()
 
 	// One-time construction of everything the step loop reuses (the
 	// zero-allocation steady state). L never changes after this point,
@@ -416,6 +420,13 @@ func (s *Solver) dotOwned(x, y []float64) float64 {
 	return s.Comm.AllreduceFloat64(local, simmpi.OpSum)
 }
 
+// dotOwned2 is two dotOwned products in one pass and one allreduce; each
+// result equals its dotOwned bit for bit.
+func (s *Solver) dotOwned2(x1, y1, x2, y2 []float64) (float64, float64) {
+	a, b := s.par.MaskedDot2(s.RM.Owned, x1, y1, x2, y2)
+	return s.Comm.AllreduceSum2(a, b)
+}
+
 // ops builds the distributed Krylov operations for matrix a: row-blocked
 // pool-parallel SpMV plus halo exchange, the deterministic owned-node
 // inner product, and pool-parallel vector updates inside the solvers.
@@ -426,8 +437,9 @@ func (s *Solver) ops(a *la.CSRMatrix) la.Ops {
 			s.par.MulVec(a, x, y)
 			s.haloSum(y)
 		},
-		Dot: s.dotOwned,
-		Vec: s.par,
+		Dot:  s.dotOwned,
+		Dot2: s.dotOwned2,
+		Vec:  s.par,
 	}
 }
 

@@ -223,9 +223,9 @@ func (s *Server) manifestPath(id string) string {
 	return filepath.Join(s.ckptDir, id+".job.json")
 }
 
-// cleanupJob removes a terminal job's manifest and checkpoint files: a
-// finished job must not be resurrected by the next restart, and its
-// checkpoints are dead weight. Failures only log — the files will be
+// cleanupJob removes an ending job's manifest and checkpoint files,
+// before its terminal state is published: a finished job must not be
+// resurrected by the next restart, and its checkpoints are dead weight. Failures only log — the files will be
 // retried for deletion never, but they are harmless (the fingerprint
 // guards against a stale resume).
 func (s *Server) cleanupJob(job *Job) {

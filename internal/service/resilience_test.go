@@ -272,6 +272,52 @@ func TestRecoverResubmitsManifests(t *testing.T) {
 	envB.await(t, next)
 }
 
+// TestTerminalStateNeverShowsManifest: once a job's terminal state can
+// be read, its manifest is gone, so a crash after a client saw the job
+// end cannot resubmit it. The server's permanent-failure log line is
+// written after the state is published and before run returns; the
+// logger checks the state and the manifest right there, with no timing
+// involved.
+func TestTerminalStateNeverShowsManifest(t *testing.T) {
+	dir := t.TempDir()
+	reg := scenario.NewRegistry()
+	reg.MustRegister(scenario.New("bad", "fails permanently", []string{"test"},
+		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
+			return nil, fmt.Errorf("%w: rejected by the run", scenario.ErrBadParams)
+		}))
+	var srv *Server
+	var seen atomic.Int32
+	logf := func(format string, args ...any) {
+		if !strings.Contains(format, "permanent failure") {
+			return
+		}
+		id := args[0].(string)
+		srv.mu.Lock()
+		job := srv.jobs[id]
+		srv.mu.Unlock()
+		seen.Add(1)
+		if state := job.snapshot(false).State; state == StateFailed {
+			if _, err := os.Stat(srv.manifestPath(id)); err == nil {
+				t.Errorf("job %s reads %s while its manifest still exists", id, state)
+			}
+		}
+	}
+	srv = New(Config{Registry: reg, CheckpointDir: dir, Logf: logf})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	env := &testEnv{ts: ts, srv: srv}
+	for i := 0; i < 3; i++ {
+		id := env.submit(t, `{"scenario":"bad"}`)
+		if j := env.await(t, id); j.State != StateFailed {
+			t.Fatalf("job %s = %s, want failed", id, j.State)
+		}
+	}
+	if seen.Load() != 3 {
+		t.Fatalf("%d permanent-failure log lines, want 3", seen.Load())
+	}
+}
+
 // TestStalledSimulationRetriesToSuccess is the end-to-end robustness
 // path: a real coupled simulation whose first attempt drops a message
 // (deterministic fault injection) fails with a typed rank stall within

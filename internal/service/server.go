@@ -581,11 +581,14 @@ func (s *Server) run(ctx context.Context, job *Job, sc scenario.Scenario, ticket
 	art, err := s.cache.Do(ctx, job.key, func(ctx context.Context) (*scenario.Artifact, error) {
 		return s.lead(ctx, job, sc, ticket)
 	})
+	// The manifest and checkpoints go before the terminal state is
+	// published: a client that has seen the job end must not find the
+	// files a restart would resubmit it from.
+	s.cleanupJob(job)
 	job.finish(art, err)
 	if err != nil {
 		s.notePermanentFailure(job, err)
 	}
-	s.cleanupJob(job)
 	s.pruneTelemetry()
 	s.logf("job %s: %s", job.id, job.snapshot(false).State)
 }

@@ -597,11 +597,11 @@ func (c *Comm) recvBlocking(mb *mailbox, key msgKey, tag int) message {
 
 // collective implements generation-counted rendezvous for the collective
 // operations of one communicator. Besides the generic any-typed slots it
-// carries a typed slot array and result cell for the scalar float64
-// allreduce the step loop issues every iteration: contributing through
-// them avoids the interface boxing (one heap allocation per call per
-// rank) the generic path pays, making steady-state allreduces
-// allocation-free.
+// carries typed slots and result cells for the float64 allreduces the
+// step loop issues every iteration (the scalar one and the two-slot sum
+// of a fused Krylov reduction): contributing through them avoids the
+// interface boxing (one heap allocation per call per rank) the generic
+// path pays, making steady-state allreduces allocation-free.
 type collective struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -611,21 +611,23 @@ type collective struct {
 	slots   []any
 	result  any
 
-	fslots []float64 // scalar float64 contributions
-	resF   float64
+	// fslots holds float64 contributions: rank i's scalar at i, its
+	// two-slot pair at i and n+i.
+	fslots []float64
+	resF   [2]float64
 
 	// Keep the struct a whole number of cache lines (128 bytes). Split
 	// allocates the new communicators' collectives back to back, and
 	// waiters spin on gen: an object that straddled a line would share
 	// it with its neighbour's hot fields.
-	_ [16]byte
+	_ [8]byte
 }
 
 func newCollective(n int) *collective {
 	c := &collective{
 		n:      n,
 		slots:  make([]any, n),
-		fslots: make([]float64, n),
+		fslots: make([]float64, 2*n),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -731,10 +733,10 @@ func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo)
 	c.arrived++
 	if c.arrived == c.n {
 		acc := c.fslots[0]
-		for _, x := range c.fslots[1:] {
+		for _, x := range c.fslots[1:c.n] {
 			acc = reduceF64(acc, x, op)
 		}
-		c.resF = acc
+		c.resF[0] = acc
 		c.arrived = 0
 		c.gen.Add(1)
 		c.mu.Unlock()
@@ -742,9 +744,38 @@ func (c *collective) rendezvousF64(idx int, v float64, op ReduceOp, wd waitInfo)
 		return acc
 	}
 	c.waitLocked(gen, wd)
-	res := c.resF
+	res := c.resF[0]
 	c.mu.Unlock()
 	return res
+}
+
+// rendezvousSum2 is the typed two-slot sum: each component is folded
+// over the ranks in ascending order from rank 0's value, exactly as
+// rendezvousF64 folds an OpSum, so it equals two scalar allreduces bit
+// for bit in one synchronisation.
+func (c *collective) rendezvousSum2(idx int, a, b float64, wd waitInfo) (float64, float64) {
+	c.mu.Lock()
+	gen := c.gen.Load()
+	c.fslots[idx], c.fslots[c.n+idx] = a, b
+	c.arrived++
+	if c.arrived == c.n {
+		sa, sb := c.fslots[:c.n], c.fslots[c.n:]
+		accA, accB := sa[0], sb[0]
+		for i := 1; i < c.n; i++ {
+			accA += sa[i]
+			accB += sb[i]
+		}
+		c.resF = [2]float64{accA, accB}
+		c.arrived = 0
+		c.gen.Add(1)
+		c.mu.Unlock()
+		c.cond.Broadcast()
+		return accA, accB
+	}
+	c.waitLocked(gen, wd)
+	res := c.resF
+	c.mu.Unlock()
+	return res[0], res[1]
 }
 
 // collEnter runs the fault hook for a collective operation and returns
@@ -799,6 +830,17 @@ func (c *Comm) AllreduceFloat64(v float64, op ReduceOp) float64 {
 	res := c.shared.coll.rendezvousF64(c.Rank(), v, op, wd)
 	c.world.blockExit(c.me)
 	return res
+}
+
+// AllreduceSum2 sums two values over every rank in one rendezvous; each
+// result equals AllreduceFloat64(v, OpSum) of that component bit for
+// bit. Like AllreduceFloat64 it allocates nothing in steady state.
+func (c *Comm) AllreduceSum2(a, b float64) (float64, float64) {
+	wd := c.collEnter()
+	c.world.blockEnter(c.me)
+	ra, rb := c.shared.coll.rendezvousSum2(c.Rank(), a, b, wd)
+	c.world.blockExit(c.me)
+	return ra, rb
 }
 
 // AllgatherInt32s collects one []int32 per rank, indexed by comm rank.
