@@ -161,6 +161,11 @@ type RunResult struct {
 	ActiveEnd int
 
 	DLB dlb.Stats
+
+	// Solves sums the fluid ranks' Krylov solve counters in rank order,
+	// over the steps this run executed (a resumed run counts from its
+	// resume step).
+	Solves navierstokes.SolveCounts
 }
 
 // RunContext executes the configured simulation on mesh m with
@@ -438,6 +443,7 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	deposited := make([]int, total)
 	exited := make([]int, total)
 	activeEnd := make([]int, total)
+	solves := make([]navierstokes.SolveCounts, total)
 	// Step-boundary clocks for telemetry, recorded by rank 0 only and
 	// read after world.Run joins every rank goroutine. Preallocated so
 	// the step loop stays allocation-free. On resume the completed steps'
@@ -567,6 +573,9 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 			a, dd, ee := tk.Counts()
 			deposited[id], exited[id], activeEnd[id] = dd, ee, a
 		}
+		if ns != nil {
+			solves[id] = ns.Counts()
+		}
 	})
 	res.Wall = time.Since(start)
 	if err != nil {
@@ -577,6 +586,7 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 		res.Deposited += deposited[i]
 		res.Exited += exited[i]
 		res.ActiveEnd += activeEnd[i]
+		res.Solves.Add(solves[i])
 	}
 	res.Makespan = tr.MaxClock()
 	res.DLB = d.Snapshot()

@@ -347,3 +347,17 @@ func BenchmarkBiCGSTAB(b *testing.B) {
 		}
 	})
 }
+
+// rankOps returns the Ops a distributed rank builds, with the
+// allreduce a single rank's identity: owned-row inner products on par.
+func rankOps(a *CSRMatrix, owned []bool, par *ParOps) Ops {
+	return Ops{
+		N:      a.N,
+		MatVec: func(x, y []float64) { par.MulVec(a, x, y) },
+		Dot:    func(x, y []float64) float64 { return par.MaskedDot(owned, x, y) },
+		Dot2: func(x1, y1, x2, y2 []float64) (float64, float64) {
+			return par.MaskedDot2(owned, x1, y1, x2, y2)
+		},
+		Vec: par,
+	}
+}

@@ -109,6 +109,32 @@ type StepStats struct {
 	PressureIters int
 	MomentumRes   float64
 	PressureRes   float64
+	// MomentumConverged is set when all three momentum solves met
+	// TolMomentum, PressureConverged when the pressure solve met
+	// TolPressure.
+	MomentumConverged bool
+	PressureConverged bool
+	// Breakdowns counts the step's solves that ended in la.ErrBreakdown;
+	// the step goes on from their last iterate.
+	Breakdowns int
+}
+
+// SolveCounts tallies a rank's Krylov solves over the steps it ran.
+type SolveCounts struct {
+	Solves     int // momentum components and pressure solves
+	Iterations int
+	// PressureCapped counts pressure solves that stopped unconverged at
+	// MaxIterPressure.
+	PressureCapped int
+	Breakdowns     int // solves that ended in la.ErrBreakdown
+}
+
+// Add accumulates o into c.
+func (c *SolveCounts) Add(o SolveCounts) {
+	c.Solves += o.Solves
+	c.Iterations += o.Iterations
+	c.PressureCapped += o.PressureCapped
+	c.Breakdowns += o.Breakdowns
 }
 
 // Solver is the per-rank solver state.
@@ -198,7 +224,12 @@ type Solver struct {
 	noopScatter          *tasking.Scatter
 	prhsBody, corrBody   func(lo, hi int)
 	corrFinalBody        func(lo, hi int)
+
+	counts SolveCounts
 }
+
+// Counts reports the solves of every step this solver has run.
+func (s *Solver) Counts() SolveCounts { return s.counts }
 
 // NewSolver builds the per-rank solver. All ranks of comm must call it
 // collectively with their own RankMesh from the same partition.

@@ -224,6 +224,17 @@ func (s *Solver) assembleMomentum(t float64) error {
 	return nil
 }
 
+// tally counts one accepted solve into the step's stats and the rank's
+// counters; err is nil or la.ErrBreakdown.
+func (s *Solver) tally(stats *StepStats, st la.SolveStats, err error) {
+	s.counts.Solves++
+	s.counts.Iterations += st.Iterations
+	if err == la.ErrBreakdown {
+		s.counts.Breakdowns++
+		stats.Breakdowns++
+	}
+}
+
 // SimTime reports the simulation time the solver has advanced to:
 // completed steps times Dt.
 func (s *Solver) SimTime() float64 {
@@ -255,6 +266,7 @@ func (s *Solver) Step() (StepStats, error) {
 	s.haloSum(s.diag)
 	la.JacobiInvInto(s.diag, s.momInv)
 	totalIters := 0
+	stats.MomentumConverged = true
 	for c := 0; c < 3; c++ {
 		st, err := la.BiCGSTABWithWorkspace(s.opsA, s.momPrecond, s.rhs[c], s.U[c], s.Cfg.TolMomentum, s.Cfg.MaxIterMomentum, s.ws)
 		if herr := s.checkHealth("momentum", err, st.Residual); herr != nil {
@@ -263,10 +275,12 @@ func (s *Solver) Step() (StepStats, error) {
 		if err != nil && err != la.ErrBreakdown {
 			return stats, fmt.Errorf("navierstokes: momentum solve: %w", err)
 		}
+		s.tally(&stats, st, err)
 		totalIters += st.Iterations
 		if st.Residual > stats.MomentumRes {
 			stats.MomentumRes = st.Residual
 		}
+		stats.MomentumConverged = stats.MomentumConverged && st.Converged
 	}
 	stats.MomentumIters = totalIters
 	s.advance(trace.PhaseSolver1, float64(totalIters)*s.ownedNNZ*s.Cost.SolverUnit)
@@ -281,8 +295,13 @@ func (s *Solver) Step() (StepStats, error) {
 	if err != nil && err != la.ErrBreakdown {
 		return stats, fmt.Errorf("navierstokes: pressure solve: %w", err)
 	}
+	s.tally(&stats, pst, err)
+	if !pst.Converged && pst.Iterations == s.Cfg.MaxIterPressure {
+		s.counts.PressureCapped++
+	}
 	stats.PressureIters = pst.Iterations
 	stats.PressureRes = pst.Residual
+	stats.PressureConverged = pst.Converged
 	s.advance(trace.PhaseSolver2, float64(pst.Iterations)*s.ownedNNZ*s.Cost.solver2Unit())
 
 	// Velocity correction (projection), accounted as "other".
