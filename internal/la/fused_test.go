@@ -53,19 +53,6 @@ func chunkEdgeMask(n, w int) []bool {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestDot2MatchesTwoDots: the serial fused product equals two Dot folds
-// by Float64bits, component by component.
-func TestDot2MatchesTwoDots(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 7, 4095, 4096, 4097, 8193} {
-		x1, y1, x2, y2 := edgeVec(rng, n), edgeVec(rng, n), edgeVec(rng, n), edgeVec(rng, n)
-		a, b := Dot2(x1, y1, x2, y2)
-		if wa, wb := Dot(x1, y1), Dot(x2, y2); !sameBits(a, wa) || !sameBits(b, wb) {
-			t.Fatalf("n=%d: Dot2 = (%x, %x), two Dots = (%x, %x)", n, a, b, wa, wb)
-		}
-	}
-}
-
 // TestMaskedDot2MatchesTwoMaskedDots pins ParOps.MaskedDot2 to two
 // MaskedDotChunked references bit for bit: on a nil and a pool-less
 // ParOps and on pools of 1–4 workers, at lengths around one and two
@@ -107,12 +94,12 @@ func TestMaskedDot2MatchesTwoMaskedDots(t *testing.T) {
 	}
 }
 
-// countReductions wraps ops so every Dot and every Dot2 counts as one
-// reduction — one allreduce once the ops are distributed.
+// countReductions wraps ops so every one- and two-slot allreduce counts
+// as one reduction.
 func countReductions(ops Ops, n *int) Ops {
-	dot, dot2 := ops.Dot, ops.Dot2
-	ops.Dot = func(x, y []float64) float64 { *n++; return dot(x, y) }
-	ops.Dot2 = func(x1, y1, x2, y2 []float64) (float64, float64) { *n++; return dot2(x1, y1, x2, y2) }
+	one, two := ops.Allreduce, ops.Allreduce2
+	ops.Allreduce = func(v float64) float64 { *n++; return one(v) }
+	ops.Allreduce2 = func(a, b float64) (float64, float64) { *n++; return two(a, b) }
 	return ops
 }
 
@@ -316,9 +303,9 @@ func TestDropZerosNonFiniteStillFails(t *testing.T) {
 
 // FuzzFusedDots: on random lengths, masks and values (±0, subnormals,
 // the smallest normal, large and ordinary normals), MaskedDot2 — serial
-// and on a 3-worker pool — equals two MaskedDotChunked calls and Dot2
-// equals two Dots bit for bit, and a matrix built from the same values
-// keeps its MulVec bits on finite x once its zeros are dropped.
+// and on a 3-worker pool — equals two MaskedDotChunked calls bit for
+// bit, and a matrix built from the same values keeps its MulVec bits on
+// finite x once its zeros are dropped.
 func FuzzFusedDots(f *testing.F) {
 	f.Add(int64(1), uint16(4097), []byte{200, 3, 17})
 	f.Add(int64(2), uint16(8192), []byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1})
@@ -349,9 +336,6 @@ func FuzzFusedDots(f *testing.F) {
 			if a, b := o.MaskedDot2(mask, x1, y1, x2, y2); !sameBits(a, wa) || !sameBits(b, wb) {
 				t.Fatalf("n=%d %s: MaskedDot2 = (%x, %x), want (%x, %x)", n, name, a, b, wa, wb)
 			}
-		}
-		if a, b := Dot2(x1, y1, x2, y2); !sameBits(a, Dot(x1, y1)) || !sameBits(b, Dot(x2, y2)) {
-			t.Fatalf("n=%d: Dot2 = (%x, %x), want (%x, %x)", n, a, b, Dot(x1, y1), Dot(x2, y2))
 		}
 
 		m := zeroyCSR(min(n, 700)+1, rng)

@@ -9,15 +9,17 @@ package la
 //
 //   - MulVec is row-blocked; each row is reduced serially by exactly
 //     one worker, so the result is bit-identical to the serial kernel.
-//   - Dot/MaskedDot/MaskedDot2 use fixed-size chunks (reductionChunk
-//     entries, independent of the worker count): workers compute
-//     per-chunk partial sums, and the partials are combined serially in
-//     ascending chunk order. The result is bit-identical at any worker
-//     count — including mid-solve DLB resizes — and equal to the serial
-//     reference DotChunked. MaskedDot2 keeps one accumulator per
-//     component, so each equals its own MaskedDot.
-//   - Axpy/Range are element-wise with disjoint writes, so they are
-//     bit-identical to serial by construction.
+//   - Every reduction (MaskedDot, MaskedDot2 and the solvers' fused
+//     passes) runs through reduce2 over fixed-size chunks
+//     (reductionChunk entries, independent of the worker count):
+//     workers compute per-chunk partial sums, and the partials are
+//     combined serially in ascending chunk order. The result is
+//     bit-identical at any worker count — including mid-solve DLB
+//     resizes — and equal to the serial reference MaskedDotChunked,
+//     one accumulator per component.
+//   - Axpy/Range and the element-wise half of a fused pass write
+//     disjoint indices, so they are bit-identical to serial by
+//     construction.
 
 // Runner is the slice of tasking.Pool the kernels need. It is declared
 // here so la does not depend on the tasking package; *tasking.Pool
@@ -66,10 +68,12 @@ type ParOps struct {
 	dotX, dotY   []float64
 	dotX2, dotY2 []float64
 	dotMask      []bool
-	dotParts     []float64
-	dotBody      func(lo, hi int)
-	mdotBody     func(lo, hi int)
-	mdot2Body    func(lo, hi int)
+	mdotBody     func(lo, hi int) (float64, float64)
+	mdot2Body    func(lo, hi int) (float64, float64)
+
+	redBody  func(lo, hi int) (float64, float64)
+	redParts []float64
+	redWrap  func(lo, hi int)
 
 	axAlpha  float64
 	axX, axY []float64
@@ -88,15 +92,15 @@ func NewParOps(pool Runner) *ParOps {
 // receiver and read their arguments from the slots.
 func (o *ParOps) initBodies() {
 	o.mvBody = func(lo, hi int) { o.mvA.mulVecRows(o.mvX, o.mvY, lo, hi) }
-	o.dotBody = func(lo, hi int) {
-		o.dotParts[lo/reductionChunk] = dotRange(o.dotX, o.dotY, lo, hi)
+	o.mdotBody = func(lo, hi int) (float64, float64) {
+		return maskedDotRange(o.dotMask, o.dotX, o.dotY, lo, hi), 0
 	}
-	o.mdotBody = func(lo, hi int) {
-		o.dotParts[lo/reductionChunk] = maskedDotRange(o.dotMask, o.dotX, o.dotY, lo, hi)
+	o.mdot2Body = func(lo, hi int) (float64, float64) {
+		return maskedDot2Range(o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, lo, hi)
 	}
-	o.mdot2Body = func(lo, hi int) {
-		c, nc := lo/reductionChunk, len(o.dotParts)/2
-		o.dotParts[c], o.dotParts[nc+c] = maskedDot2Range(o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, lo, hi)
+	o.redWrap = func(lo, hi int) {
+		c, nc := lo/reductionChunk, len(o.redParts)/2
+		o.redParts[c], o.redParts[nc+c] = o.redBody(lo, hi)
 	}
 	o.axBody = func(lo, hi int) { axpyRange(o.axAlpha, o.axX, o.axY, lo, hi) }
 }
@@ -126,49 +130,54 @@ func (o *ParOps) MulVec(a *CSRMatrix, x, y []float64) {
 	o.mvA, o.mvX, o.mvY = nil, nil, nil
 }
 
-// Dot computes the inner product with the fixed-chunk deterministic
-// reduction; the result equals DotChunked(x, y) bit for bit at any
-// worker count.
-func (o *ParOps) Dot(x, y []float64) float64 {
-	if !o.threaded(len(x)) {
-		return DotChunked(x, y)
+// reduce2 runs body over [0,n) in fixed reductionChunk-sized chunks
+// and folds each of the two partial sums body returns in ascending
+// chunk order, starting from +0 — the order of MaskedDotChunked, so the
+// sums are bit-identical at any worker count. body may also write
+// element-wise outputs for its own chunk: that is how a Krylov solver
+// fuses a vector update with the inner products that read it.
+func (o *ParOps) reduce2(n int, body func(lo, hi int) (float64, float64)) (float64, float64) {
+	if !o.threaded(n) {
+		s1, s2 := 0.0, 0.0
+		for lo := 0; lo < n; lo += reductionChunk {
+			p1, p2 := body(lo, min(lo+reductionChunk, n))
+			s1 += p1
+			s2 += p2
+		}
+		return s1, s2
 	}
-	parts := o.scratch(numChunks(len(x)))
-	o.dotX, o.dotY, o.dotParts = x, y, parts
-	o.pool.ParallelFor(len(x), reductionChunk, o.dotBody)
-	o.dotX, o.dotY, o.dotParts = nil, nil, nil
-	return sumOrdered(parts)
+	nc := numChunks(n)
+	parts := o.scratch(2 * nc)
+	o.redBody, o.redParts = body, parts
+	o.pool.ParallelFor(n, reductionChunk, o.redWrap)
+	o.redBody, o.redParts = nil, nil
+	return sumOrdered(parts[:nc]), sumOrdered(parts[nc:])
 }
 
-// MaskedDot computes sum_{i: mask[i]} x[i]*y[i] with the same
-// fixed-chunk scheme; it equals MaskedDotChunked bit for bit at any
-// worker count. This is the per-rank piece of the solver's owned-node
-// inner product.
+// MaskedDot computes sum_{i: mask[i]} x[i]*y[i] with the fixed-chunk
+// scheme; it equals MaskedDotChunked bit for bit at any worker count.
+// This is the per-rank piece of the solver's owned-node inner product.
 func (o *ParOps) MaskedDot(mask []bool, x, y []float64) float64 {
 	if !o.threaded(len(x)) {
 		return MaskedDotChunked(mask, x, y)
 	}
-	parts := o.scratch(numChunks(len(x)))
-	o.dotMask, o.dotX, o.dotY, o.dotParts = mask, x, y, parts
-	o.pool.ParallelFor(len(x), reductionChunk, o.mdotBody)
-	o.dotMask, o.dotX, o.dotY, o.dotParts = nil, nil, nil, nil
-	return sumOrdered(parts)
+	o.dotMask, o.dotX, o.dotY = mask, x, y
+	s, _ := o.reduce2(len(x), o.mdotBody)
+	o.dotMask, o.dotX, o.dotY = nil, nil, nil
+	return s
 }
 
 // MaskedDot2 computes MaskedDot(mask, x1, y1) and MaskedDot(mask, x2,
 // y2) in one pass over the vectors, one accumulator per component; each
-// equals its MaskedDotChunked bit for bit at any worker count. It is
-// the local half of a Krylov solver's fused two-dot reduction.
+// equals its MaskedDotChunked bit for bit at any worker count.
 func (o *ParOps) MaskedDot2(mask []bool, x1, y1, x2, y2 []float64) (float64, float64) {
 	if !o.threaded(len(x1)) {
 		return maskedDot2Chunked(mask, x1, y1, x2, y2)
 	}
-	nc := numChunks(len(x1))
-	parts := o.scratch(2 * nc)
-	o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, o.dotParts = mask, x1, y1, x2, y2, parts
-	o.pool.ParallelFor(len(x1), reductionChunk, o.mdot2Body)
-	o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2, o.dotParts = nil, nil, nil, nil, nil, nil
-	return sumOrdered(parts[:nc]), sumOrdered(parts[nc:])
+	o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2 = mask, x1, y1, x2, y2
+	a, b := o.reduce2(len(x1), o.mdot2Body)
+	o.dotMask, o.dotX, o.dotY, o.dotX2, o.dotY2 = nil, nil, nil, nil, nil
+	return a, b
 }
 
 // Axpy computes y += alpha*x in parallel; element-wise, so bit-identical
@@ -184,26 +193,14 @@ func (o *ParOps) Axpy(alpha float64, x, y []float64) {
 }
 
 // Range runs body over [0,n) on the pool, or inline when the layer is
-// serial or n is small. It is the escape hatch for the solvers' fused
-// element-wise recurrences; bodies must write disjoint indices.
+// serial or n is small. It runs element-wise passes with no reduction;
+// bodies must write disjoint indices.
 func (o *ParOps) Range(n int, body func(lo, hi int)) {
 	if !o.threaded(n) {
 		body(0, n)
 		return
 	}
 	o.pool.ParallelFor(n, 0, body)
-}
-
-// DotChunked is the serial reference for the deterministic reduction:
-// per-chunk partial sums combined in ascending chunk order. For
-// len(x) <= reductionChunk it degenerates to the plain left-to-right
-// Dot fold.
-func DotChunked(x, y []float64) float64 {
-	s := 0.0
-	for lo := 0; lo < len(x); lo += reductionChunk {
-		s += dotRange(x, y, lo, min(lo+reductionChunk, len(x)))
-	}
-	return s
 }
 
 // MaskedDotChunked is the serial reference for MaskedDot.
@@ -239,17 +236,10 @@ func sumOrdered(parts []float64) float64 {
 	return s
 }
 
-func dotRange(x, y []float64, lo, hi int) float64 {
-	s := 0.0
-	for i := lo; i < hi; i++ {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
 func maskedDotRange(mask []bool, x, y []float64, lo, hi int) float64 {
+	mask, x, y = mask[lo:hi], x[lo:hi], y[lo:hi]
 	s := 0.0
-	for i := lo; i < hi; i++ {
+	for i := range mask {
 		if mask[i] {
 			s += x[i] * y[i]
 		}
@@ -258,8 +248,9 @@ func maskedDotRange(mask []bool, x, y []float64, lo, hi int) float64 {
 }
 
 func maskedDot2Range(mask []bool, x1, y1, x2, y2 []float64, lo, hi int) (float64, float64) {
+	mask, x1, y1, x2, y2 = mask[lo:hi], x1[lo:hi], y1[lo:hi], x2[lo:hi], y2[lo:hi]
 	s1, s2 := 0.0, 0.0
-	for i := lo; i < hi; i++ {
+	for i := range mask {
 		if mask[i] {
 			s1 += x1[i] * y1[i]
 			s2 += x2[i] * y2[i]

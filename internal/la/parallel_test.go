@@ -2,6 +2,7 @@ package la
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -21,18 +22,16 @@ func randVec(n int, seed int64) []float64 {
 	return x
 }
 
-// parOps returns Krylov Ops for a whose SpMV, inner product and vector
-// updates all run on par's pool.
+// parOps returns Krylov Ops for a whose SpMV, inner products and vector
+// updates all run on par's pool, every row owned.
 func parOps(a *CSRMatrix, par *ParOps) Ops {
-	return Ops{
-		N:      a.N,
-		MatVec: func(x, y []float64) { par.MulVec(a, x, y) },
-		Dot:    par.Dot,
-		Dot2: func(x1, y1, x2, y2 []float64) (float64, float64) {
-			return par.Dot(x1, y1), par.Dot(x2, y2)
-		},
-		Vec: par,
-	}
+	return rankOps(a, slices.Repeat([]bool{true}, a.N), par)
+}
+
+// dotChunked is the unmasked fixed-chunk reduction: per-chunk partial
+// sums combined in ascending chunk order.
+func dotChunked(x, y []float64) float64 {
+	return MaskedDotChunked(slices.Repeat([]bool{true}, len(x)), x, y)
 }
 
 func withPools(t *testing.T, fn func(t *testing.T, workers int, par *ParOps)) {
@@ -68,11 +67,12 @@ func TestParDotMatchesChunkedReference(t *testing.T) {
 	for i := range mask {
 		mask[i] = rng.Intn(3) != 0
 	}
-	wantDot := DotChunked(x, y)
+	all := slices.Repeat([]bool{true}, n)
+	wantDot := dotChunked(x, y)
 	wantMasked := MaskedDotChunked(mask, x, y)
 	withPools(t, func(t *testing.T, w int, par *ParOps) {
-		if got := par.Dot(x, y); got != wantDot {
-			t.Fatalf("workers=%d: Dot=%x, reference %x", w, got, wantDot)
+		if got := par.MaskedDot(all, x, y); got != wantDot {
+			t.Fatalf("workers=%d: unmasked Dot=%x, reference %x", w, got, wantDot)
 		}
 		if got := par.MaskedDot(mask, x, y); got != wantMasked {
 			t.Fatalf("workers=%d: MaskedDot=%x, reference %x", w, got, wantMasked)
@@ -86,8 +86,8 @@ func TestDotChunkedEqualsSerialFoldBelowChunk(t *testing.T) {
 	// run's meshes) keep their exact serial bits under ParOps.
 	for _, n := range []int{1, 100, reductionChunk} {
 		x, y := randVec(n, 11), randVec(n, 12)
-		if DotChunked(x, y) != Dot(x, y) {
-			t.Fatalf("n=%d: DotChunked diverges from serial Dot", n)
+		if dotChunked(x, y) != Dot(x, y) {
+			t.Fatalf("n=%d: the chunked reduction diverges from serial Dot", n)
 		}
 	}
 }
@@ -286,15 +286,12 @@ func BenchmarkSpMV(b *testing.B) {
 func BenchmarkDot(b *testing.B) {
 	x := randVec(1<<20, 2)
 	y := randVec(1<<20, 3)
+	all := slices.Repeat([]bool{true}, len(x))
 	benchPools(b, func(b *testing.B, par *ParOps) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if par == nil {
-				sinkDot = DotChunked(x, y)
-			} else {
-				sinkDot = par.Dot(x, y)
-			}
+			sinkDot = par.MaskedDot(all, x, y)
 		}
 	})
 }
@@ -352,12 +349,11 @@ func BenchmarkBiCGSTAB(b *testing.B) {
 // allreduce a single rank's identity: owned-row inner products on par.
 func rankOps(a *CSRMatrix, owned []bool, par *ParOps) Ops {
 	return Ops{
-		N:      a.N,
-		MatVec: func(x, y []float64) { par.MulVec(a, x, y) },
-		Dot:    func(x, y []float64) float64 { return par.MaskedDot(owned, x, y) },
-		Dot2: func(x1, y1, x2, y2 []float64) (float64, float64) {
-			return par.MaskedDot2(owned, x1, y1, x2, y2)
-		},
-		Vec: par,
+		N:          a.N,
+		MatVec:     func(x, y []float64) { par.MulVec(a, x, y) },
+		Owned:      owned,
+		Allreduce:  oneRank,
+		Allreduce2: oneRank2,
+		Vec:        par,
 	}
 }

@@ -3,33 +3,40 @@ package la
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // Ops abstracts the vector-space operations a Krylov solver needs, so the
 // same implementation runs serially (tests) and distributed (each MPI rank
-// passes a MatVec that performs halo exchange and a Dot that reduces over
-// owned entries with an allreduce).
+// passes a MatVec that performs halo exchange, its owned-row mask and its
+// allreduce). The solvers form every inner product themselves: the owned
+// rows' partial sum in MaskedDotChunked's fixed chunk order, fused into
+// the vector update that produces its operands, then one allreduce.
 type Ops struct {
 	N      int
-	MatVec func(x, y []float64)         // y = A x
-	Dot    func(x, y []float64) float64 // global inner product
-	// Dot2 returns (Dot(x1, y1), Dot(x2, y2)), bit for bit, from one
-	// reduction: a distributed Dot2 makes one allreduce where two Dots
-	// make two. The solvers pair the products an iteration needs at the
-	// same point, so every iterate keeps its bits.
-	Dot2 func(x1, y1, x2, y2 []float64) (float64, float64)
+	MatVec func(x, y []float64) // y = A x
+	// Owned marks the N rows whose entries enter the inner products: a
+	// rank's owned rows, so each shared row counts once over all ranks.
+	Owned []bool
+	// Allreduce sums one partial over all ranks. Allreduce2 sums two in
+	// one reduction, each equal to its Allreduce bit for bit; the solvers
+	// pair the products an iteration needs at the same point.
+	Allreduce  func(float64) float64
+	Allreduce2 func(a, b float64) (float64, float64)
 
-	// Vec optionally parallelizes the solver-internal vector updates
-	// (axpys and fused recurrences) over a worker pool. nil runs them
-	// serially; either way the updates are element-wise with disjoint
-	// writes, so the iterates are bit-identical.
+	// Vec optionally runs the solvers' passes over a worker pool. nil
+	// runs them serially; either way every iterate is bit-identical.
 	Vec *ParOps
 }
 
-// OpsFromMatrix returns serial Ops for an assembled matrix.
+// OpsFromMatrix returns serial Ops for an assembled matrix: every row
+// owned, one rank's allreduce.
 func OpsFromMatrix(a *CSRMatrix) Ops {
-	return Ops{N: a.N, MatVec: a.MulVec, Dot: Dot, Dot2: Dot2}
+	return Ops{N: a.N, MatVec: a.MulVec, Owned: slices.Repeat([]bool{true}, a.N), Allreduce: oneRank, Allreduce2: oneRank2}
 }
+
+func oneRank(v float64) float64                { return v }
+func oneRank2(a, b float64) (float64, float64) { return a, b }
 
 // SolveStats reports the outcome of an iterative solve.
 type SolveStats struct {
@@ -83,27 +90,28 @@ func JacobiApplier(inv []float64) func(r, z []float64) {
 // PCGWithWorkspace solves A x = b with preconditioned conjugate
 // gradients over caller-owned scratch; A must be symmetric positive
 // definite. x holds the initial guess on entry and the solution on exit.
+//
+// precond must be a diagonal scaling, z[i] = d[i]*r[i] (JacobiApplier,
+// or the identity): the solver applies it once, to a ones vector, and
+// scales by d inside its passes. After its SpMV an iteration makes three
+// passes: p·Ap; x += αp, r -= α·Ap, z = d⊙r with {r·z, r·r}; p = z + βp.
+//
 // With a reused workspace the steady-state solve allocates nothing, and
 // the iterates are bit-identical to a fresh workspace's (every scratch
 // vector is fully written before it is read).
 func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol float64, maxIter int, ws *KrylovWorkspace) (SolveStats, error) {
-	n := ops.N
-	ws.reserve(n)
-	ws.attach(b, x)
+	n, par := ops.N, ops.Vec
+	ws.begin(ops, precond, b, x)
 	defer ws.detach()
-	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
 
-	ops.MatVec(x, r)
-	ops.Vec.Range(n, ws.resid)
-	bnorm := math.Sqrt(ops.Dot(b, b))
+	ops.MatVec(x, ws.r)
+	bnorm := math.Sqrt(ops.Allreduce(par.MaskedDot(ops.Owned, b, b)))
 	if bnorm == 0 {
 		bnorm = 1
 	}
-	precond(r, z)
-	copy(p, z)
 	// r·r is reduced together with r·z: r does not change between the
 	// two, so the pair costs one reduction instead of two.
-	rz, rr := ops.Dot2(r, z, r, r)
+	rz, rr := ops.Allreduce2(par.reduce2(n, ws.pcgInit))
 	var stats SolveStats
 	for k := 0; k < maxIter; k++ {
 		stats.Residual = math.Sqrt(rr) / bnorm
@@ -114,20 +122,17 @@ func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol
 			stats.Converged = true
 			return stats, nil
 		}
-		ops.MatVec(p, ap)
-		pap := ops.Dot(p, ap)
+		ops.MatVec(ws.p, ws.ap)
+		pap := ops.Allreduce(par.MaskedDot(ops.Owned, ws.p, ws.ap))
 		if pap == 0 {
 			return stats, ErrBreakdown
 		}
-		alpha := rz / pap
-		ops.Vec.Axpy(alpha, p, x)
-		ops.Vec.Axpy(-alpha, ap, r)
-		precond(r, z)
+		ws.alpha = rz / pap
 		var rzNew float64
-		rzNew, rr = ops.Dot2(r, z, r, r)
+		rzNew, rr = ops.Allreduce2(par.reduce2(n, ws.pcgStep))
 		ws.beta = rzNew / rz
 		rz = rzNew
-		ops.Vec.Range(n, ws.pcgP)
+		par.Range(n, ws.pcgP)
 		stats.Iterations = k + 1
 	}
 	stats.Residual = math.Sqrt(rr) / bnorm
@@ -140,29 +145,29 @@ func PCGWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol
 
 // BiCGSTABWithWorkspace solves A x = b for general (nonsymmetric) A with
 // the stabilized bi-conjugate gradient method and a right preconditioner,
-// over caller-owned scratch (see PCGWithWorkspace for the allocation and
-// bit-identity contract).
+// over caller-owned scratch (see PCGWithWorkspace for the preconditioner,
+// allocation and bit-identity contract). An iteration makes five passes
+// around its two SpMVs: the p update with p̂ = d⊙p; r̂·v; s = r - αv,
+// ŝ = d⊙s with s·s; {t·t, t·s}; the x and r updates with the next
+// iteration's {r·r, r̂·r}.
 func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64, tol float64, maxIter int, ws *KrylovWorkspace) (SolveStats, error) {
-	n := ops.N
-	ws.reserve(n)
-	ws.attach(b, x)
+	n, par := ops.N, ops.Vec
+	ws.begin(ops, precond, b, x)
 	defer ws.detach()
-	r, rhat, p, v := ws.r, ws.rhat, ws.p, ws.v
-	s, t, phat, shat := ws.s, ws.t, ws.phat, ws.shat
 
-	ops.MatVec(x, r)
-	ops.Vec.Range(n, ws.resid)
-	copy(rhat, r)
-	bnorm := math.Sqrt(ops.Dot(b, b))
+	ops.MatVec(x, ws.r)
+	bnorm := math.Sqrt(ops.Allreduce(par.MaskedDot(ops.Owned, b, b)))
 	if bnorm == 0 {
 		bnorm = 1
 	}
+	// Owned partials of r·r and r̂·r, reduced in one allreduce at the top
+	// of the iteration that reads them (r̂·r is wasted only on the
+	// iteration that converges).
+	rrLoc, rhoLoc := par.reduce2(n, ws.bicgInit)
 	rho, alpha, omega := 1.0, 1.0, 1.0
 	var stats SolveStats
 	for k := 0; k < maxIter; k++ {
-		// r·r and r̂·r in one reduction (r̂·r is wasted only on the
-		// iteration that converges).
-		rr, rhoNew := ops.Dot2(r, r, rhat, r)
+		rr, rhoNew := ops.Allreduce2(rrLoc, rhoLoc)
 		stats.Residual = math.Sqrt(rr) / bnorm
 		if nonFinite(stats.Residual) {
 			return stats, ErrNonFinite
@@ -174,38 +179,35 @@ func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64
 		if rhoNew == 0 {
 			return stats, ErrBreakdown
 		}
-		if k == 0 {
-			copy(p, r)
-		} else {
+		ws.first = k == 0
+		if !ws.first {
 			ws.beta = (rhoNew / rho) * (alpha / omega)
 			ws.omega = omega
-			ops.Vec.Range(n, ws.bicgP)
 		}
+		par.Range(n, ws.bicgP)
 		rho = rhoNew
-		precond(p, phat)
-		ops.MatVec(phat, v)
-		den := ops.Dot(rhat, v)
+		ops.MatVec(ws.phat, ws.v)
+		den := ops.Allreduce(par.MaskedDot(ops.Owned, ws.rhat, ws.v))
 		if den == 0 {
 			return stats, ErrBreakdown
 		}
 		alpha = rho / den
 		ws.alpha = alpha
-		ops.Vec.Range(n, ws.bicgS)
-		snorm := math.Sqrt(ops.Dot(s, s))
+		ss, _ := par.reduce2(n, ws.bicgS)
+		snorm := math.Sqrt(ops.Allreduce(ss))
 		if nonFinite(snorm) {
 			stats.Residual = snorm / bnorm
 			return stats, ErrNonFinite
 		}
 		if snorm/bnorm <= tol {
-			ops.Vec.Axpy(alpha, phat, x)
+			par.Axpy(alpha, ws.phat, x)
 			stats.Iterations = k + 1
 			stats.Residual = snorm / bnorm
 			stats.Converged = true
 			return stats, nil
 		}
-		precond(s, shat)
-		ops.MatVec(shat, t)
-		tt, ts := ops.Dot2(t, t, t, s)
+		ops.MatVec(ws.shat, ws.t)
+		tt, ts := ops.Allreduce2(par.MaskedDot2(ops.Owned, ws.t, ws.t, ws.t, ws.s))
 		if tt == 0 {
 			return stats, ErrBreakdown
 		}
@@ -214,12 +216,10 @@ func BiCGSTABWithWorkspace(ops Ops, precond func(r, z []float64), b, x []float64
 			return stats, ErrBreakdown
 		}
 		ws.omega = omega
-		ops.Vec.Range(n, ws.bicgX)
-		ops.Vec.Range(n, ws.bicgR)
+		rrLoc, rhoLoc = par.reduce2(n, ws.bicgXR)
 		stats.Iterations = k + 1
 	}
-	rnorm := math.Sqrt(ops.Dot(r, r))
-	stats.Residual = rnorm / bnorm
+	stats.Residual = math.Sqrt(ops.Allreduce(rrLoc)) / bnorm
 	if nonFinite(stats.Residual) {
 		return stats, ErrNonFinite
 	}

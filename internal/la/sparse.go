@@ -259,17 +259,6 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Dot2 returns (Dot(x1, y1), Dot(x2, y2)) from one pass with one
-// accumulator per product, so each equals its Dot bit for bit.
-func Dot2(x1, y1, x2, y2 []float64) (float64, float64) {
-	s1, s2 := 0.0, 0.0
-	for i := range x1 {
-		s1 += x1[i] * y1[i]
-		s2 += x2[i] * y2[i]
-	}
-	return s1, s2
-}
-
 // Axpy computes y += alpha*x.
 func Axpy(alpha float64, x, y []float64) {
 	for i := range x {

@@ -442,25 +442,11 @@ func (s *Solver) haloSum(x []float64) {
 	}
 }
 
-// dotOwned computes the global inner product over owned nodes. The
-// local reduction runs on the rank's pool with the fixed-chunk
-// deterministic order, so the value — and therefore every Krylov
-// iterate — is bit-identical at any worker count.
-func (s *Solver) dotOwned(x, y []float64) float64 {
-	local := s.par.MaskedDot(s.RM.Owned, x, y)
-	return s.Comm.AllreduceFloat64(local, simmpi.OpSum)
-}
-
-// dotOwned2 is two dotOwned products in one pass and one allreduce; each
-// result equals its dotOwned bit for bit.
-func (s *Solver) dotOwned2(x1, y1, x2, y2 []float64) (float64, float64) {
-	a, b := s.par.MaskedDot2(s.RM.Owned, x1, y1, x2, y2)
-	return s.Comm.AllreduceSum2(a, b)
-}
-
 // ops builds the distributed Krylov operations for matrix a: row-blocked
-// pool-parallel SpMV plus halo exchange, the deterministic owned-node
-// inner product, and pool-parallel vector updates inside the solvers.
+// pool-parallel SpMV plus halo exchange, the owned-node mask the solvers
+// reduce over (on the rank's pool, in the fixed-chunk order, so every
+// iterate is bit-identical at any worker count), and the allreduces that
+// sum the ranks' partials.
 func (s *Solver) ops(a *la.CSRMatrix) la.Ops {
 	return la.Ops{
 		N: a.N,
@@ -468,9 +454,10 @@ func (s *Solver) ops(a *la.CSRMatrix) la.Ops {
 			s.par.MulVec(a, x, y)
 			s.haloSum(y)
 		},
-		Dot:  s.dotOwned,
-		Dot2: s.dotOwned2,
-		Vec:  s.par,
+		Owned:      s.RM.Owned,
+		Allreduce:  func(v float64) float64 { return s.Comm.AllreduceFloat64(v, simmpi.OpSum) },
+		Allreduce2: func(a, b float64) (float64, float64) { return s.Comm.AllreduceSum2(a, b) },
+		Vec:        s.par,
 	}
 }
 
