@@ -68,9 +68,6 @@ func countShapes() []struct {
 // no timing pairs: a kernel change that keeps every iterate's bits
 // leaves testdata/golden/counts.txt byte-identical; -update rewrites it.
 func TestSolveCountsGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four simulations")
-	}
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "# workload solves iterations pressure_capped breakdowns (quick sizing: 3 steps, 200 particles, seed 1)")
 	for _, sh := range countShapes() {
