@@ -64,19 +64,21 @@ func countShapes() []struct {
 
 // TestSolveCountsGolden pins the exact Krylov solve counts — solves,
 // iterations, pressure solves that stopped unconverged at the cap, and
-// breakdowns — of the four benchmark workload shapes. Exact counts need
-// no timing pairs: a kernel change that keeps every iterate's bits
+// breakdowns — and the simmpi exchange counts — allreduce calls,
+// point-to-point messages and the float64s they carried — of the four
+// benchmark workload shapes. Exact counts need no timing pairs: a kernel
+// or wait change that keeps every iterate's bits and every exchange
 // leaves testdata/golden/counts.txt byte-identical; -update rewrites it.
 func TestSolveCountsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	fmt.Fprintln(&buf, "# workload solves iterations pressure_capped breakdowns (quick sizing: 3 steps, 200 particles, seed 1)")
+	fmt.Fprintln(&buf, "# workload solves iterations pressure_capped breakdowns allreduces messages float64s (quick sizing: 3 steps, 200 particles, seed 1)")
 	for _, sh := range countShapes() {
 		res, err := RunSimulation(sh.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
-		c := res.Result.Solves
-		fmt.Fprintf(&buf, "%s %d %d %d %d\n", sh.name, c.Solves, c.Iterations, c.PressureCapped, c.Breakdowns)
+		c, x := res.Result.Solves, res.Result.Exchanges
+		fmt.Fprintf(&buf, "%s %d %d %d %d %d %d %d\n", sh.name, c.Solves, c.Iterations, c.PressureCapped, c.Breakdowns, x.Allreduces, x.Messages, x.Float64s)
 	}
 	path := filepath.Join("testdata", "golden", "counts.txt")
 	if *updateGolden {

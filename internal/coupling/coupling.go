@@ -166,6 +166,9 @@ type RunResult struct {
 	// over the steps this run executed (a resumed run counts from its
 	// resume step).
 	Solves navierstokes.SolveCounts
+	// Exchanges sums every rank's simmpi exchange counts in rank order,
+	// over the same steps as Solves.
+	Exchanges simmpi.Exchanges
 }
 
 // RunContext executes the configured simulation on mesh m with
@@ -587,6 +590,7 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 		res.Exited += exited[i]
 		res.ActiveEnd += activeEnd[i]
 		res.Solves.Add(solves[i])
+		res.Exchanges.Add(world.Exchanges(i))
 	}
 	res.Makespan = tr.MaxClock()
 	res.DLB = d.Snapshot()

@@ -72,6 +72,10 @@ type World struct {
 	bufs     bufPool // freelist of leased transport buffers
 	spinMax  int64   // waits spin while runnable ranks <= spinMax (set by Run; 0 = always park)
 
+	// sent counts each rank's exchanges, indexed by global rank and
+	// written only by that rank's goroutine (see Exchanges).
+	sent []paddedExchanges
+
 	// Robustness state (see fault.go). steps, sendSeq and faultHits are
 	// indexed by rank and touched only by that rank's goroutine.
 	watchdog  time.Duration
@@ -121,6 +125,7 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 		w.conds = append(w.conds, w.inbox[i].cond)
 	}
 	w.steps = make([]int, size)
+	w.sent = make([]paddedExchanges, size)
 	if w.faults != nil {
 		w.sendSeq = make([]int64, size)
 		w.faultHits = make([][]int, len(w.faults.Rules))
@@ -202,6 +207,34 @@ func (w *World) Run(body func(r *Rank)) error {
 	}
 	return nil
 }
+
+// Exchanges counts what one rank put on the wire: allreduce calls (the
+// scalar and the two-slot form), point-to-point messages sent, and the
+// float64s those messages carried. The counts follow from the program
+// alone, never from how its waits were served.
+type Exchanges struct {
+	Allreduces int
+	Messages   int
+	Float64s   int
+}
+
+// Add accumulates o into e.
+func (e *Exchanges) Add(o Exchanges) {
+	e.Allreduces += o.Allreduces
+	e.Messages += o.Messages
+	e.Float64s += o.Float64s
+}
+
+// paddedExchanges keeps each rank's counters on a cache line of their
+// own: the ranks bump them on every exchange, side by side.
+type paddedExchanges struct {
+	Exchanges
+	_ [128 - 3*8]byte
+}
+
+// Exchanges reports the given global rank's exchange counts. Read it
+// after Run returns, or from the rank's own goroutine.
+func (w *World) Exchanges(rank int) Exchanges { return w.sent[rank].Exchanges }
 
 // abortEcho is the panic of a rank's blocking wait or SetStep once
 // another rank's error has aborted the world; Run drops it.
@@ -516,6 +549,11 @@ func (c *Comm) Size() int { return len(c.shared.group) }
 // send delivers a leased buffer to dst (comm rank) under tag. Eager
 // semantics: it never blocks.
 func (c *Comm) send(dst, tag int, payload any) {
+	x := &c.world.sent[c.me]
+	x.Messages++
+	if b, ok := payload.(*Float64Buf); ok {
+		x.Float64s += len(b.Data)
+	}
 	if c.world.faults != nil {
 		if act, d, ok := c.world.faultFor(FaultSend, c.me, tag); ok {
 			switch act {
@@ -825,6 +863,7 @@ const (
 // AllreduceFloat64 combines one value from every rank. Contributions
 // travel through typed slots, so a steady-state call allocates nothing.
 func (c *Comm) AllreduceFloat64(v float64, op ReduceOp) float64 {
+	c.world.sent[c.me].Allreduces++
 	wd := c.collEnter()
 	c.world.blockEnter(c.me)
 	res := c.shared.coll.rendezvousF64(c.Rank(), v, op, wd)
@@ -836,6 +875,7 @@ func (c *Comm) AllreduceFloat64(v float64, op ReduceOp) float64 {
 // result equals AllreduceFloat64(v, OpSum) of that component bit for
 // bit. Like AllreduceFloat64 it allocates nothing in steady state.
 func (c *Comm) AllreduceSum2(a, b float64) (float64, float64) {
+	c.world.sent[c.me].Allreduces++
 	wd := c.collEnter()
 	c.world.blockEnter(c.me)
 	ra, rb := c.shared.coll.rendezvousSum2(c.Rank(), a, b, wd)
