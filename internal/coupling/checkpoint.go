@@ -19,8 +19,11 @@ import (
 // fingerprint identifies the deterministic inputs of a run. A snapshot
 // resumes only under an identical fingerprint; anything that changes the
 // simulated trajectory belongs here. WorkersPerRank and DLB are
-// deliberately absent — results are bit-identical at any worker count
-// (the standing contract), so a resumed run may rebalance differently.
+// deliberately absent: with serial or coloring assembly results are
+// bit-identical at any worker count, so a resumed run may rebalance
+// differently. Atomic and multidep assembly add conflicting scatters in
+// scheduling order, so on more than one worker they repeat only to
+// rounding, resumed or not.
 func (cfg *RunConfig) fingerprint(m *mesh.Mesh) string {
 	wf := "steady"
 	if cfg.NS.Inflow != nil {

@@ -102,7 +102,7 @@ func resumeCuts(steps, every, cancelAt int) []resumeCut {
 // requires the finished run to be indistinguishable from one that was
 // never interrupted — including when the resumed run uses a different
 // worker count (the fingerprint deliberately ignores WorkersPerRank;
-// results are bit-identical at any worker count).
+// fastCfg's serial assembly is bit-identical at any worker count).
 func testResumeDeterminism(t *testing.T, cfg RunConfig, cuts []resumeCut) {
 	ref, err := RunContext(context.Background(), testMesh(t), cfg)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/navierstokes"
+	"repro/internal/tasking"
 	"repro/internal/telemetry"
 )
 
@@ -104,5 +105,25 @@ func TestRunDigests(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestColoringDigestAcrossWorkers: coloring assembly gives each node at
+// most one contribution per color and runs the colors in order, so a run
+// is bit-identical at one worker and at two. A self-consistency check:
+// it compares the two runs with each other, not with a recorded digest.
+// Atomic and multidep assembly make no such promise (see fingerprint).
+func TestColoringDigestAcrossWorkers(t *testing.T) {
+	digest := func(workers int) string {
+		cfg := fastCfg()
+		cfg.FluidRanks = 2
+		cfg.Steps = 4
+		cfg.NS.Strategy = tasking.StrategyColoring
+		cfg.NS.SGSStrategy = tasking.StrategyColoring
+		cfg.WorkersPerRank = workers
+		return runDigest(t, cfg)
+	}
+	if one, two := digest(1), digest(2); one != two {
+		t.Errorf("coloring, sync 2+0: digest %s at one worker, %s at two", one, two)
 	}
 }
