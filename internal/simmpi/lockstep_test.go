@@ -2,7 +2,10 @@ package simmpi
 
 import (
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/la"
 	"repro/internal/warmrt"
@@ -90,4 +93,66 @@ func BenchmarkLockstep(b *testing.B) {
 			benchSink = accs[0]
 		})
 	}
+}
+
+// parkCount is a ParkHooks value that counts parks: the rank a benchmark
+// waits on has given up spinning once the count moves.
+type parkCount struct{ parks atomic.Int64 }
+
+func (h *parkCount) IntoBlockingCall(int)  {}
+func (h *parkCount) OutOfBlockingCall(int) {}
+func (h *parkCount) IntoPark(int)          { h.parks.Add(1) }
+func (h *parkCount) OutOfPark(int)         {}
+
+// parkSettle is how long BenchmarkParkWake's sender waits after seeing
+// the receiver park, so the receiver is asleep on its condvar, and its
+// thread on a futex, by the time the message lands.
+const parkSettle = 100 * time.Microsecond
+
+// BenchmarkParkWake measures what a park costs, the quantity spinBudget
+// is sized against. Rank 1 receives with nothing to match, spins out its
+// budget and parks; rank 0 waits until it is seen parked and settled,
+// sends, then busy-waits without yielding — as a rank already computing
+// its next SpMV does — until the receive returns, so the receiver must be
+// woken onto another processor. ns/wake is the median time from the send
+// to that return; the tail runs to milliseconds, so the mean would say
+// little.
+func BenchmarkParkWake(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("one processor: the sender's busy-wait would hold the receiver's only P")
+	}
+	h := &parkCount{}
+	w, err := NewWorld(2, WithBlockingHooks(h))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var back atomic.Int64 // receives returned
+	var returned time.Time
+	wakes := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	if err := w.Run(func(r *Rank) {
+		for i := int64(0); i < int64(b.N); i++ {
+			if r.ID() == 1 {
+				recvInt(r.Comm, 0, int(i))
+				returned = time.Now()
+				back.Store(i + 1)
+				continue
+			}
+			for h.parks.Load() <= i {
+				runtime.Gosched()
+			}
+			for t := time.Now(); time.Since(t) < parkSettle; {
+				runtime.Gosched()
+			}
+			sent := time.Now()
+			sendInt(r.Comm, 1, int(i), 0)
+			for back.Load() <= i {
+			}
+			wakes = append(wakes, returned.Sub(sent))
+		}
+	}); err != nil {
+		b.Fatal(err)
+	}
+	slices.Sort(wakes)
+	b.ReportMetric(float64(wakes[len(wakes)/2].Nanoseconds()), "ns/wake")
 }

@@ -8,18 +8,19 @@
 //
 //   - blocking semantics: receives and collectives block until satisfied,
 //     wasting the caller's core exactly as a blocked MPI process does.
-//     A blocked rank first busy-waits on an atomic for a small constant
-//     budget (spinRounds, a few microseconds) and only then parks on a
-//     condvar: ranks in lockstep are rarely more than microseconds apart,
-//     and a futex sleep/wake per exchange costs more than the exchange.
-//     It spins only while every runnable rank of every running world can
-//     have a processor to itself (GOMAXPROCS > 1 and live minus parked
-//     ranks <= GOMAXPROCS, see spinOK): a parked rank holds no core, so
-//     it does not stop its peers from spinning; with more runnable ranks
-//     than processors a wait parks at once, because the core it would
-//     burn is the one a peer needs. This is a scheduling policy the code
-//     decides from what it can observe, not an option: results never
-//     depend on it; and
+//     A blocked rank first busy-waits on an atomic for up to a constant
+//     wall-clock budget (spinBudget, about what a park and its wake cost)
+//     and only then parks on a condvar: ranks in lockstep are rarely more
+//     than tens of microseconds apart, and a futex sleep/wake per
+//     exchange costs more than the exchange. It spins only while every
+//     runnable rank of every running world can have a processor to
+//     itself (GOMAXPROCS > 1 and live minus parked ranks <= GOMAXPROCS,
+//     see spinOK), checked on entry and again while it spins: a parked
+//     rank holds no core, so it does not stop its peers from spinning;
+//     with more runnable ranks than processors a wait parks, because the
+//     core it would burn is the one a peer needs. This is a scheduling
+//     policy the code decides from what it can observe, not an option:
+//     results never depend on it; and
 //   - the PMPI interception surface: every blocking call is bracketed by
 //     Enter/Exit hooks, and a call that stops spinning and parks is
 //     additionally bracketed by IntoPark/OutOfPark (ParkHooks). That is
@@ -368,21 +369,24 @@ func (mb *mailbox) popLocked(key msgKey, q *msgQueue) message {
 }
 
 // take blocks until a message for key arrives; it reports false if the
-// watchdog (zero waits forever) expires or the world aborts first. With
-// wd.spin it first busy-waits on the put counter for the spin budget;
-// then it parks on the condvar, bracketed by wd's park bookkeeping
-// (outside the lock), and arms the watchdog timer there and only there.
+// watchdog (zero waits forever) expires or the world aborts first. It
+// first spins on the put counter (see waitInfo.spinUntil); then it parks
+// on the condvar, bracketed by wd's park bookkeeping (outside the lock),
+// and arms the watchdog timer there and only there.
 func (mb *mailbox) take(key msgKey, wd waitInfo) (message, bool) {
-	if wd.spin {
-		for i, seen := 0, ^uint64(0); i < spinRounds; i++ {
-			if p := mb.puts.Load(); p != seen {
-				seen = p
-				if m, ok := mb.tryTake(key); ok {
-					return m, true
-				}
-			}
-			runtime.Gosched()
+	var m message
+	seen := ^uint64(0)
+	if wd.spinUntil(func() bool {
+		p := mb.puts.Load()
+		if p == seen {
+			return false
 		}
+		seen = p
+		var ok bool
+		m, ok = mb.tryTake(key)
+		return ok
+	}) {
+		return m, true
 	}
 	wd.intoPark()
 	defer wd.outOfPark() // after the unlock on every return below
@@ -437,15 +441,24 @@ func (mb *mailbox) tryTake(key msgKey) (message, bool) {
 // against GOMAXPROCS.
 var liveRanks, parkedRanks atomic.Int64
 
-// spinRounds is the busy-wait budget of a blocking wait, in rounds of one
-// atomic load plus one runtime.Gosched (~125 ns a round, so ~8 us): about
-// what parking and being woken costs, so a rank a few microseconds ahead
-// of its peer never pays for a futex. The yield matters as much as the
-// load: a peer this rank has just woken sits in this P's run queue, and
-// Gosched hands it the processor at once instead of after the budget. It
-// is a constant, not a tunable: results do not depend on it, only how a
-// wait spends its first microseconds.
-const spinRounds = 64
+// spinBudget bounds how long a blocking wait spins before it parks. It
+// is sized from what a park costs: on a 2-vCPU x86-64 VM,
+// BenchmarkParkWake reads a median of ~100 us (87-138 us over ten runs)
+// from a send to the return of the parked receive it wakes onto the
+// other processor, with a tail into milliseconds, where a spinning
+// receive returns within a microsecond or two. Spinning for about what a
+// park costs is the competitive spin-then-block rule (Karlin et al.,
+// SOSP 1991): a wait never pays much more than twice what it would had
+// it known when its peer arrives. Budgets of 25-800 us ran fluid_sync
+// equally fast within noise; 200 us is the smallest that kept its
+// parks at or below ~6 per step in every run (CHANGES.md). It is a
+// constant, not a tunable: results do not depend on it, only how a wait
+// spends its first microseconds.
+const spinBudget = 200 * time.Microsecond
+
+// spinCheckRounds is how many polls a spin makes between two reads of the
+// clock and of the runnable ranks.
+const spinCheckRounds = 64
 
 // spinOK reports whether a blocking wait may busy-wait before parking:
 // only while every runnable rank can have a processor to itself
@@ -454,16 +467,52 @@ const spinRounds = 64
 // exchanges while two particle ranks sit parked waiting for velocities.
 // With more runnable ranks than procs a spinning rank would hold the
 // very core a peer needs, so it parks at once.
-func (w *World) spinOK() bool {
-	return w.spinMax > 0 && liveRanks.Load()-parkedRanks.Load() <= w.spinMax
+func (w *World) spinOK() bool { return runnableFit(w.spinMax) }
+
+// runnableFit reports whether the runnable ranks of every running world
+// fit spinMax processors (spinMax 0: never).
+func runnableFit(spinMax int64) bool {
+	return spinMax > 0 && liveRanks.Load()-parkedRanks.Load() <= spinMax
+}
+
+// spinUntil is the spin half of every blocking wait: while wd.spin
+// allows it polls done, one call and one runtime.Gosched a round, and
+// reports true as soon as done does. The yield matters as much as the
+// poll: a peer this rank has just woken sits in this P's run queue, and
+// Gosched hands it the processor at once. Every spinCheckRounds rounds
+// it re-checks the policy and gives up — reports false, and the caller
+// parks — once the runnable ranks outnumber GOMAXPROCS (a rank woken
+// elsewhere needs the core) or spinBudget has passed since the first
+// check. The clock is read only there, so a wait satisfied within its
+// first rounds never reads it.
+func (wd waitInfo) spinUntil(done func() bool) bool {
+	if !wd.spin {
+		return false
+	}
+	var start time.Time
+	for i := 1; !done(); i++ {
+		if i%spinCheckRounds == 0 {
+			if !runnableFit(wd.spinMax) {
+				return false
+			}
+			if start.IsZero() {
+				start = time.Now()
+			} else if time.Since(start) >= spinBudget {
+				return false
+			}
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 // waitFor returns the wait policy and identity of one blocking call by
-// rank: whether it may spin (decided once, on entry), the watchdog and
-// abort flag a park watches, the step to blame on a stall and the park
-// hooks to bracket a park with.
+// rank: whether it may spin (decided on entry, re-checked against
+// spinMax while it spins), the watchdog and abort flag a park watches,
+// the step to blame on a stall and the park hooks to bracket a park
+// with.
 func (w *World) waitFor(rank int) waitInfo {
-	return waitInfo{spin: w.spinOK(), watchdog: w.watchdog, rank: rank, step: w.stepOf(rank), park: w.park, aborted: &w.aborted}
+	return waitInfo{spin: w.spinOK(), spinMax: w.spinMax, watchdog: w.watchdog, rank: rank, step: w.stepOf(rank), park: w.park, aborted: &w.aborted}
 }
 
 // isAborted reports whether the wait's world has aborted; a waitInfo
@@ -672,11 +721,13 @@ func newCollective(n int) *collective {
 }
 
 // waitInfo carries the wait policy of one blocking call — whether it may
-// spin, the watchdog bound (zero waits forever), the park hooks, the
+// spin and the processor count its spin re-checks the runnable ranks
+// against, the watchdog bound (zero waits forever), the park hooks, the
 // world's abort flag (nil: never aborts) — and the identity to report if
 // the watchdog expires. Passed by value — no allocation on the hot path.
 type waitInfo struct {
 	spin     bool
+	spinMax  int64
 	watchdog time.Duration
 	rank     int
 	step     int
@@ -685,20 +736,15 @@ type waitInfo struct {
 }
 
 // waitLocked blocks until the generation advances past gen; the caller
-// holds c.mu and gets it back. It drops the lock, busy-waits for the spin
-// budget when wd.spin allows, and only if the generation still has not
-// moved parks: park bookkeeping first (off the lock), then the condvar,
+// holds c.mu and gets it back. It drops the lock, spins on the
+// generation (see waitInfo.spinUntil), and only if it still has not moved
+// parks: park bookkeeping first (off the lock), then the condvar,
 // arming the watchdog timer only there. On expiry it releases c.mu (so
 // every other stalled participant can time out too), leaves the park and
 // gives up (see giveUp); a world abort ends the wait the same way.
 func (c *collective) waitLocked(gen uint64, wd waitInfo) {
 	c.mu.Unlock()
-	if wd.spin {
-		for i := 0; i < spinRounds && c.gen.Load() == gen; i++ {
-			runtime.Gosched()
-		}
-	}
-	if c.gen.Load() != gen {
+	if wd.spinUntil(func() bool { return c.gen.Load() != gen }) || c.gen.Load() != gen {
 		c.mu.Lock()
 		return
 	}

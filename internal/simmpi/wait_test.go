@@ -379,3 +379,87 @@ func TestWatchdogTimerOnlyWhenParking(t *testing.T) {
 		t.Errorf("%d lockstep allreduces under a watchdog allocated %d objects; the timer is being armed before the spin", rounds, allocs)
 	}
 }
+
+// spinAll is a spin limit no test's runnable ranks reach: only the
+// budget can end the spin.
+const spinAll = 1 << 20
+
+// TestSpinReturnsOnceConditionHolds: a spin whose condition turns true
+// after k polls, before, at and well past a policy check, returns true
+// after exactly k polls and never touches the park bookkeeping or its
+// hooks; its callers return on true without parking
+// (TestSpinSatisfiedWaitNeverParks).
+func TestSpinReturnsOnceConditionHolds(t *testing.T) {
+	h := newParkRecorder()
+	wd := waitInfo{spin: true, spinMax: spinAll, park: h}
+	for _, k := range []int{1, 2, spinCheckRounds, spinCheckRounds + 1, 5 * spinCheckRounds} {
+		polls := 0
+		if !wd.spinUntil(func() bool { polls++; return polls == k }) || polls != k {
+			t.Errorf("condition true at poll %d: spin made %d polls", k, polls)
+		}
+	}
+	if len(h.events) != 0 || parkedRanks.Load() != 0 {
+		t.Fatalf("satisfied spins parked: events %q, parkedRanks %d", h.events[0], parkedRanks.Load())
+	}
+}
+
+// stampedPark records when its rank first gave up spinning.
+type stampedPark struct {
+	parkRecorder
+	at time.Time
+}
+
+func (h *stampedPark) IntoPark(rank int) {
+	if h.at.IsZero() {
+		h.at = time.Now()
+	}
+	h.parkRecorder.IntoPark(rank)
+}
+
+// TestSpinNeverSatisfiedParksAfterBudget: a condition that never turns
+// true ends the spin no sooner than spinBudget, and a receive that waits
+// for a message that never comes parks (and stalls at its watchdog) only
+// after spinning out the budget.
+func TestSpinNeverSatisfiedParksAfterBudget(t *testing.T) {
+	start := time.Now()
+	if (waitInfo{spin: true, spinMax: spinAll}).spinUntil(func() bool { return false }) {
+		t.Fatal("spin reported a condition that never held")
+	}
+	if d := time.Since(start); d < spinBudget {
+		t.Errorf("spin gave up after %v, before its %v budget", d, spinBudget)
+	}
+
+	h := &stampedPark{parkRecorder: *newParkRecorder()}
+	wd := waitInfo{spin: true, spinMax: spinAll, watchdog: 10 * time.Millisecond, park: h}
+	start = time.Now()
+	if _, ok := newMailbox().take(msgKey{src: 1, tag: 3}, wd); ok {
+		t.Fatal("take returned a message nobody sent")
+	}
+	if got := string(h.events[0]); got != "Pp" {
+		t.Fatalf("park hooks %q, want one IntoPark/OutOfPark pair", got)
+	}
+	if d := h.at.Sub(start); d < spinBudget {
+		t.Errorf("receive parked after %v, before its %v spin budget", d, spinBudget)
+	}
+}
+
+// TestSpinStopsWhenRunnableRanksOutgrowProcs: a spin whose runnable-rank
+// check turns false while it spins — another world's ranks started —
+// gives up at its next check, long before the budget could end it.
+func TestSpinStopsWhenRunnableRanksOutgrowProcs(t *testing.T) {
+	const spinMax, raiseAt = 2, spinCheckRounds + 1
+	wd := waitInfo{spin: true, spinMax: spinMax}
+	polls := 0
+	defer func() { liveRanks.Add(-(spinMax + 1)) }()
+	if wd.spinUntil(func() bool {
+		if polls++; polls == raiseAt {
+			liveRanks.Add(spinMax + 1) // runnable ranks now outnumber spinMax
+		}
+		return false
+	}) {
+		t.Fatal("spin reported a condition that never held")
+	}
+	if want := 2 * spinCheckRounds; polls != want {
+		t.Errorf("spin gave up after %d polls, want %d: the check after the raise", polls, want)
+	}
+}
