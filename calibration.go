@@ -83,7 +83,7 @@ func CalibratePhaseUnits(ctx context.Context, m *mesh.Mesh, rc coupling.RunConfi
 }
 
 // table1TTL bounds how long a memoized Table-1 run is served. Within one
-// benchfig invocation (tens of seconds) every scenario sharing an option
+// `respira fig` invocation (tens of seconds) every scenario sharing an option
 // set hits the cache exactly as before; in a long-running daemon the
 // entries age out instead of accumulating forever.
 const table1TTL = 15 * time.Minute

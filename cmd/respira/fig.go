@@ -1,56 +1,24 @@
-// Command benchfig serves the scenario registry: every table and figure
-// of the paper's evaluation plus the example workloads, selected by
-// name or tag, rendered as text, JSON, or CSV, optionally in parallel.
-//
-// Usage:
-//
-//	benchfig -list                     # enumerate registered scenarios
-//	benchfig                           # the paper evaluation suite (-exp all)
-//	benchfig -exp table1               # one scenario
-//	benchfig -exp fig6,fig7 -platform Thunder
-//	benchfig -tags example             # the example workloads
-//	benchfig -exp fig8 -format json    # typed artifact as JSON
-//	benchfig -exp all -format csv      # flat CSV over every artifact
-//	benchfig -exp fig6,fig8 -parallel 2 -progress
-//
-// Unknown -exp names fail with the list of registered scenarios. `-exp
-// all` expands to the scenarios tagged "paper" (the pre-registry
-// benchfig suite, in registration order); a Ctrl-C cancels in-flight
-// simulations at their next step boundary.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"strings"
 
 	_ "repro" // populate the default scenario registry
 	"repro/scenario"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "benchfig:", err)
-		if errors.Is(err, scenario.ErrBadParams) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
-
-// run is the whole CLI, separated from main for testing.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var spec scenario.ParamsSpec
+// figCmd is `respira fig`: every table and figure of the paper's
+// evaluation plus the example workloads and sweeps, selected from the
+// scenario registry by name or tag, rendered as text, JSON or CSV,
+// optionally in parallel. `-exp all` is the scenarios tagged "paper" in
+// registration order; unknown names fail with the registry listing.
+func figCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("respira fig", flag.ContinueOnError)
 	var (
 		list     = fs.Bool("list", false, "list registered scenarios and exit")
 		exp      = fs.String("exp", "all", "comma-separated scenario names, or 'all' for the paper suite")
@@ -59,27 +27,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		parallel = fs.Int("parallel", 1, "number of scenarios to run concurrently")
 		progress = fs.Bool("progress", false, "report per-scenario progress on stderr")
 	)
-	// Overrides bind to the POST /jobs option fields: an unset flag keeps
-	// each scenario's own default (quickstart renders 90x8, fig2 100x24).
-	fs.Var(spec.Flag("platforms"), "platform", "restrict per-platform figures to one platform (MareNostrum4 or Thunder)")
-	fs.Var(spec.Flag("width"), "width", "timeline width (trace scenarios)")
-	fs.Var(spec.Flag("rows"), "rows", "timeline max rows (trace scenarios)")
-	fs.Var(spec.Flag("inflow"), "inflow", "inlet waveform for measured scenarios: steady, breathing:<period>, or table:<t>=<s>,...")
-	fs.Var(spec.Flag("sweepDiameters"), "sweep-d", "comma-separated particle diameters in meters (sweep scenarios)")
-	fs.Var(spec.Flag("sweepFlows"), "sweep-q", "comma-separated inlet face speeds in m/s (sweep scenarios)")
-	fs.Var(spec.Flag("sweepGens"), "sweep-g", "comma-separated airway mesh generations (sweep scenarios)")
-	if err := fs.Parse(args); err != nil {
+	// An unset override keeps each scenario's own default (quickstart
+	// renders 90x8, fig2 100x24).
+	spec := bindOverrides(fs, "platforms", "width", "rows", "inflow", "sweepDiameters", "sweepFlows", "sweepGens")
+	if err := parse(fs, args, stderr); err != nil {
 		return err
-	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q (scenarios are selected with -exp)", fs.Args())
 	}
 	switch *format {
 	case "text", "json", "csv":
 	default:
 		// Validated before any scenario runs: a typo must not discard a
 		// minutes-long suite.
-		return fmt.Errorf("unknown format %q (want text, json, or csv)", *format)
+		return usagef("unknown format %q (want text, json, or csv)", *format)
 	}
 	params, err := spec.Params()
 	if err != nil {
@@ -99,8 +58,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	runner := scenario.Runner{Parallel: *parallel}
+	runner := &scenario.Runner{Parallel: *parallel}
 	if *progress {
 		runner.Progress = func(ev scenario.Event) {
 			if !ev.Done {
@@ -112,22 +70,28 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			}
 		}
 	}
+	return runScenarios(ctx, runner, scs, params, *format, stdout, stderr)
+}
 
+// runScenarios runs scs with params and writes the artifacts of those
+// that succeeded in format, in selection order. Each failure is noted on
+// stderr; the first one is returned.
+func runScenarios(ctx context.Context, runner *scenario.Runner, scs []scenario.Scenario, params scenario.Params, format string, stdout, stderr io.Writer) error {
 	results, ctxErr := runner.Run(ctx, scs, params)
 	var arts []*scenario.Artifact
-	var firstErr error
+	var first error
 	for _, res := range results {
 		if res.Err != nil {
-			fmt.Fprintln(stderr, "benchfig:", res.Err)
-			if firstErr == nil {
-				firstErr = res.Err
+			fmt.Fprintln(stderr, "respira:", res.Err)
+			if first == nil {
+				first = res.Err
 			}
 			continue
 		}
 		arts = append(arts, res.Artifact)
 	}
 
-	switch *format {
+	switch format {
 	case "text":
 		for _, a := range arts {
 			fmt.Fprintln(stdout, a.Text())
@@ -145,8 +109,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprint(stdout, out)
 	}
-	if firstErr != nil {
-		return fmt.Errorf("%d of %d scenarios failed (first: %w)", len(results)-len(arts), len(results), firstErr)
+	if first != nil {
+		return fmt.Errorf("%d of %d scenarios failed (first: %w)", len(results)-len(arts), len(results), first)
 	}
 	return ctxErr
 }

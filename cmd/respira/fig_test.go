@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,18 +13,11 @@ import (
 	"repro/scenario"
 )
 
-func runCLI(t *testing.T, args ...string) (string, string, error) {
-	t.Helper()
-	var out, errb bytes.Buffer
-	err := run(context.Background(), args, &out, &errb)
-	return out.String(), errb.String(), err
-}
-
 // TestUnknownExpErrors pins the satellite fix: an unrecognized -exp must
 // fail loudly and list every registered scenario (the seed CLI silently
 // did nothing).
 func TestUnknownExpErrors(t *testing.T) {
-	_, _, err := runCLI(t, "-exp", "nosuch")
+	_, _, err := runCLI(t, "fig", "-exp", "nosuch")
 	if err == nil {
 		t.Fatal("unknown -exp must error")
 	}
@@ -36,7 +28,7 @@ func TestUnknownExpErrors(t *testing.T) {
 		}
 	}
 	// A typo inside a multi-name selection fails the whole run too.
-	if _, _, err := runCLI(t, "-exp", "fig8,nope"); err == nil {
+	if _, _, err := runCLI(t, "fig", "-exp", "fig8,nope"); err == nil {
 		t.Fatal("unknown name in a list must error")
 	}
 }
@@ -44,7 +36,7 @@ func TestUnknownExpErrors(t *testing.T) {
 // TestListEnumeratesRegistry: 10 paper experiments, 4 example workloads and
 // the 2 sweep scenarios.
 func TestListEnumeratesRegistry(t *testing.T) {
-	out, _, err := runCLI(t, "-list")
+	out, _, err := runCLI(t, "fig", "-list")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +54,7 @@ func TestListEnumeratesRegistry(t *testing.T) {
 // TestListGolden pins -list byte for byte: names, tags and descriptions
 // in registration order.
 func TestListGolden(t *testing.T) {
-	out, _, err := runCLI(t, "-list")
+	out, _, err := runCLI(t, "fig", "-list")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +67,7 @@ func TestListGolden(t *testing.T) {
 	}
 }
 
-// TestPaperSuiteSelection: -exp all is exactly the pre-registry benchfig
+// TestPaperSuiteSelection: -exp all is exactly the pre-registry paper
 // suite, in its historical order.
 func TestPaperSuiteSelection(t *testing.T) {
 	scs, err := selectScenarios(scenario.Default, "all", "")
@@ -109,7 +101,7 @@ func TestPaperSuiteSelection(t *testing.T) {
 // pre-refactor text output byte for byte (fig8 is fully modeled, hence
 // deterministic).
 func TestFig8TextGolden(t *testing.T) {
-	out, _, err := runCLI(t, "-exp", "fig8")
+	out, _, err := runCLI(t, "fig", "-exp", "fig8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +117,7 @@ func TestFig8TextGolden(t *testing.T) {
 // TestJSONOutputRoundTrips: -format json emits an array of artifacts
 // that encoding/json accepts back.
 func TestJSONOutputRoundTrips(t *testing.T) {
-	out, _, err := runCLI(t, "-exp", "ipc,fig9", "-format", "json")
+	out, _, err := runCLI(t, "fig", "-exp", "ipc,fig9", "-format", "json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +135,7 @@ func TestJSONOutputRoundTrips(t *testing.T) {
 
 // TestCSVOutput: uniform header plus per-point records.
 func TestCSVOutput(t *testing.T) {
-	out, _, err := runCLI(t, "-exp", "fig10", "-format", "csv")
+	out, _, err := runCLI(t, "fig", "-exp", "fig10", "-format", "csv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +154,14 @@ func TestCSVOutput(t *testing.T) {
 // TestPlatformRestriction: the legacy -platform flag still narrows the
 // per-platform figures.
 func TestPlatformRestriction(t *testing.T) {
-	out, _, err := runCLI(t, "-exp", "fig6", "-platform", "Thunder")
+	out, _, err := runCLI(t, "fig", "-exp", "fig6", "-platform", "Thunder")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out, "MareNostrum4") || !strings.Contains(out, "Thunder") {
 		t.Fatalf("platform restriction failed:\n%s", out)
 	}
-	if _, _, err := runCLI(t, "-exp", "fig6", "-platform", "NoSuchMachine"); err == nil {
+	if _, _, err := runCLI(t, "fig", "-exp", "fig6", "-platform", "NoSuchMachine"); err == nil {
 		t.Fatal("unknown platform must error")
 	}
 }
@@ -177,7 +169,7 @@ func TestPlatformRestriction(t *testing.T) {
 // TestParallelKeepsOrder: with -parallel the text output order is still
 // the selection order.
 func TestParallelKeepsOrder(t *testing.T) {
-	out, _, err := runCLI(t, "-exp", "fig11,fig8,ipc", "-parallel", "3")
+	out, _, err := runCLI(t, "fig", "-exp", "fig11,fig8,ipc", "-parallel", "3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +186,13 @@ func TestBadFormatAndArgs(t *testing.T) {
 	// table1 takes seconds; a format typo must fail fast instead of
 	// running it first and discarding the results.
 	start := time.Now()
-	if _, _, err := runCLI(t, "-exp", "table1", "-format", "yaml"); err == nil {
+	if _, _, err := runCLI(t, "fig", "-exp", "table1", "-format", "yaml"); err == nil {
 		t.Fatal("unknown format must error")
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("format validation ran the scenarios first (%v)", d)
 	}
-	if _, _, err := runCLI(t, "table1"); err == nil {
+	if _, _, err := runCLI(t, "fig", "table1"); err == nil {
 		t.Fatal("positional arguments must error")
 	}
 }
@@ -219,7 +211,7 @@ func TestBadOverridesAreTyped(t *testing.T) {
 		{"-sweep-g", "2,0"},
 	} {
 		start := time.Now()
-		_, _, err := runCLI(t, append([]string{"-exp", "table1"}, args...)...)
+		_, _, err := runCLI(t, append([]string{"fig", "-exp", "table1"}, args...)...)
 		if !errors.Is(err, scenario.ErrBadParams) {
 			t.Errorf("%v: err = %v, want ErrBadParams", args, err)
 		}
@@ -229,12 +221,12 @@ func TestBadOverridesAreTyped(t *testing.T) {
 	}
 }
 
-// TestCLIMatchesExampleWrapper: `benchfig -exp quickstart` and the
+// TestCLIMatchesExampleWrapper: `respira fig -exp quickstart` and the
 // examples/quickstart main run the same scenario with the same defaults
 // — including the scenario's own 90x8 timeline (CLI flag defaults must
 // not leak in).
 func TestCLIMatchesExampleWrapper(t *testing.T) {
-	out, _, err := runCLI(t, "-exp", "quickstart")
+	out, _, err := runCLI(t, "fig", "-exp", "quickstart")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +256,7 @@ func TestCLIMatchesExampleWrapper(t *testing.T) {
 // TestProgressOutput: -progress reports start and finish per scenario on
 // stderr, never on stdout.
 func TestProgressOutput(t *testing.T) {
-	out, errb, err := runCLI(t, "-exp", "ipc", "-progress")
+	out, errb, err := runCLI(t, "fig", "-exp", "ipc", "-progress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,5 +265,18 @@ func TestProgressOutput(t *testing.T) {
 	}
 	if strings.Contains(out, "[1/1]") {
 		t.Fatal("progress leaked to stdout")
+	}
+}
+
+// A sweep axis flag runs the dosage sweep: one table row per grid point.
+func TestSweep(t *testing.T) {
+	out, errb, err := runCLI(t, "fig", "-exp", "sweep", "-sweep-d", "2.5e-6,10e-6", "-sweep-q", "0.9", "-sweep-g", "1")
+	if err != nil {
+		t.Fatalf("exit %d: %v\n%s", exitCode(err), err, errb)
+	}
+	for _, want := range []string{"d=2.5um q=0.9 g=1", "d=10um q=0.9 g=1"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("sweep table missing row %q:\n%s", want, out)
+		}
 	}
 }

@@ -1,210 +1,195 @@
-// Command respira runs a real (laptop-scale) CFPD respiratory simulation:
-// airway mesh generation, distributed Navier-Stokes, Lagrangian particle
-// transport — with a choice of execution mode, assembly strategy and DLB,
-// mirroring how the paper's Alya runs are configured.
+// Command respira is the reproduction's one command-line front end.
+// Its first argument names a subcommand:
 //
-// Examples:
+//	respira run -ranks 8 -steps 5 -particles 2000   # one simulation
+//	respira run -mode coupled -particle-ranks 2 -dlb
+//	respira run -steps 40 -checkpoint /tmp/run.ckpt -checkpoint-every 10
+//	respira fig -exp fig6,fig8 -format json         # paper tables and figures
+//	respira fig -exp sweep -sweep-d 2.5e-6,10e-6 -sweep-q 0.9,1.5
+//	respira serve -addr :8080 -checkpoint /var/lib/respira/ckpt
+//	respira trace -store /var/lib/respira/telemetry -list
+//	respira verify /var/lib/respira/ckpt            # offline integrity scrub
 //
-//	respira -ranks 8 -steps 5 -particles 2000
-//	respira -mode coupled -fluid 6 -parts 2 -dlb
-//	respira -strategy coloring -threads 2 -gens 3 -trace
-//	respira -inflow breathing:0.0008 -inject-every 1 -steps 4
-//	respira -sweep -sweep-d 2.5e-6,10e-6 -sweep-q 0.9,1.5
-//	respira -steps 40 -checkpoint /tmp/run.ckpt -checkpoint-every 10
-//	respira -verify /var/lib/respirad/ckpt
+// `respira SUBCOMMAND -h` lists a subcommand's flags. A scenario
+// override flag (-ranks, -steps, -gens, -width, -sweep-d, ...) is
+// spelled the same in every subcommand and is validated like the
+// matching POST /jobs option. Every subcommand exits 0 on success or
+// -h, 2 on a command line it cannot run (an unknown flag, a stray
+// argument, a bad value) before doing any work, and 1 on a failure
+// once running.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"strings"
+	"syscall"
+	"time"
 
-	"repro"
-	"repro/internal/checkpoint"
-	"repro/internal/coupling"
-	"repro/internal/integrity"
-	"repro/internal/tasking"
 	"repro/scenario"
 )
 
+// commands are the subcommands, in the order -h lists them.
+var commands = []struct {
+	name, about string
+	run         func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+}{
+	{"run", "one simulation: airway mesh, Navier-Stokes, particle transport (default: 4 sync ranks, 3 steps, 1000 particles)", runCmd},
+	{"fig", "regenerate the paper's tables and figures from the scenario registry (default: -exp all)", figCmd},
+	{"serve", "serve the scenario registry as an HTTP job service", serveCmd},
+	{"trace", "render Paraver-style timelines of stored, served or fresh runs", traceCmd},
+	{"verify", "scrub every checkpoint and telemetry chunk under DIR offline", verifyCmd},
+}
+
 func main() {
-	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+	// The first SIGINT or SIGTERM cancels the context (a run stops at its
+	// next step boundary, serve drains); a second one kills the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	go func() { <-ctx.Done(); stop() }()
+	err := respira(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, err)
+	}
+	os.Exit(exitCode(err))
 }
 
-// run is the whole CLI, separated from main for testing. It returns the
-// exit status: 2 for a bad flag, 1 for a failed run.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("respira", flag.ContinueOnError)
+// respira runs the subcommand args[0] names on the rest of args.
+func respira(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) > 0 {
+		for _, c := range commands {
+			if c.name == args[0] {
+				if err := c.run(ctx, args[1:], stdout, stderr); err != nil {
+					return fmt.Errorf("respira %s: %w", c.name, err)
+				}
+				return nil
+			}
+		}
+	}
+	fmt.Fprintln(stderr, "usage: respira SUBCOMMAND [flags]")
+	for _, c := range commands {
+		fmt.Fprintf(stderr, "  %-7s %s\n", c.name, c.about)
+	}
+	switch {
+	case len(args) == 0:
+		return usagef("respira: missing subcommand")
+	case args[0] == "-h" || args[0] == "-help" || args[0] == "--help":
+		return flag.ErrHelp
+	}
+	return usagef("respira: unknown subcommand %q", args[0])
+}
+
+// usageError is a command line a subcommand cannot run.
+type usageError struct{ error }
+
+func usagef(format string, args ...any) error { return usageError{fmt.Errorf(format, args...)} }
+
+// exitCode is every subcommand's exit status for the error it returned.
+func exitCode(err error) int {
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, new(usageError)) || errors.Is(err, scenario.ErrBadParams):
+		return 2
+	}
+	return 1
+}
+
+// parse parses args into fs, which must leave exactly the named
+// operands. Flag errors are returned, not printed; -h prints the flags.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer, operands ...string) error {
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
 	fs.SetOutput(stderr)
-	// The simulation overrides bind to the POST /jobs option fields and
-	// so share its validation; unset ones take the defaults below.
-	var spec scenario.ParamsSpec
-	fs.Var(spec.Flag("mode"), "mode", "execution mode: sync or coupled (default sync)")
-	fs.Var(spec.Flag("ranks"), "ranks", "MPI ranks, sync mode (default 4)")
-	fs.Var(spec.Flag("steps"), "steps", "time steps (default 3)")
-	fs.Var(spec.Flag("particles"), "particles", "particles injected at step 0 (default 1000)")
-	fs.Var(spec.Flag("strategy"), "strategy", "assembly strategy: serial, atomics, coloring, multidep (default multidep)")
-	fs.Var(spec.Flag("workers"), "threads", "OpenMP-like threads per rank (default 1)")
-	fs.Var(spec.Flag("meshGenerations"), "gens", "bronchial generations of the airway mesh (default 2)")
-	fs.Var(spec.Flag("dlb"), "dlb", "enable dynamic load balancing")
-	fs.Var(spec.Flag("inflow"), "inflow", "inlet waveform: steady, breathing:<period>, or table:<t>=<s>,... (default constant inflow)")
-	fs.Var(spec.Flag("sweepDiameters"), "sweep-d", "sweep axis: comma-separated particle diameters in meters (implies -sweep)")
-	fs.Var(spec.Flag("sweepFlows"), "sweep-q", "sweep axis: comma-separated inlet face speeds in m/s (implies -sweep)")
-	fs.Var(spec.Flag("sweepGens"), "sweep-g", "sweep axis: comma-separated mesh generations (implies -sweep)")
-	var (
-		fluid        = fs.Int("fluid", 3, "fluid ranks (coupled mode)")
-		parts        = fs.Int("parts", 1, "particle ranks (coupled mode)")
-		ranksPerNode = fs.Int("ranks-per-node", 0, "ranks per node (0 = 48, one MareNostrum4 node; larger runs span several nodes)")
-		showTrace    = fs.Bool("trace", false, "print the phase timeline")
-		injectEvery  = fs.Int("inject-every", 0, "re-release particles every k steps (0 = single step-0 bolus)")
-		sweep        = fs.Bool("sweep", false, "run a dosage sweep (one simulation per grid point) instead of a single run")
-		ckptPath     = fs.String("checkpoint", "", "checkpoint the run into this file and resume from it when present (single-run mode)")
-		ckptEvery    = fs.Int("checkpoint-every", 10, "checkpoint capture period in steps (with -checkpoint)")
-		ckptKeep     = fs.Int("checkpoint-keep", 2, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
-		verify       = fs.String("verify", "", "offline integrity scrub: verify every checkpoint and telemetry chunk under this directory, print per-file verdicts, and exit (1 if anything is corrupt or quarantined)")
-		watchdog     = fs.Duration("watchdog", 0, "bound on a blocking exchange whose message is lost; a rank error needs none, it aborts the run at once (0 = off)")
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		fmt.Fprintln(stderr, strings.Join(append([]string{"usage:", fs.Name(), "[flags]"}, operands...), " "))
+		fs.PrintDefaults()
+		return err
+	case err != nil:
+		return usageError{err}
+	case fs.NArg() != len(operands):
+		return usagef("want operands %q, got %q", operands, fs.Args())
+	}
+	return nil
+}
+
+// overrides gives every scenario.ParamsSpec key its one flag name and
+// usage string. A subcommand binds the keys it accepts, so a key is
+// spelled the same in every subcommand; none binds seed or sgsStrategy
+// yet.
+var overrides = map[string]struct{ name, usage string }{
+	"mode":            {"mode", "execution mode: sync or coupled"},
+	"ranks":           {"ranks", "MPI ranks (fluid ranks in coupled mode)"},
+	"particleRanks":   {"particle-ranks", "particle ranks in coupled mode"},
+	"strategy":        {"strategy", "assembly strategy: serial, atomics, coloring or multidep"},
+	"sgsStrategy":     {"sgs-strategy", "SGS assembly strategy: serial, atomics, coloring or multidep"},
+	"dlb":             {"dlb", "enable dynamic load balancing"},
+	"meshGenerations": {"gens", "bronchial generations of the airway mesh"},
+	"particles":       {"particles", "particles injected at step 0"},
+	"steps":           {"steps", "time steps"},
+	"workers":         {"threads", "OpenMP-like threads per rank"},
+	"platforms":       {"platform", "restrict per-platform figures to one platform (MareNostrum4 or Thunder)"},
+	"width":           {"width", "timeline width in chars"},
+	"rows":            {"rows", "timeline max rank rows"},
+	"seed":            {"seed", "particle injection seed"},
+	"inflow":          {"inflow", "inlet waveform: steady, breathing:<period>, or table:<t>=<s>,..."},
+	"sweepDiameters":  {"sweep-d", "sweep axis: comma-separated particle diameters in meters"},
+	"sweepFlows":      {"sweep-q", "sweep axis: comma-separated inlet face speeds in m/s"},
+	"sweepGens":       {"sweep-g", "sweep axis: comma-separated airway mesh generations"},
+}
+
+// bindOverrides binds the override flags of keys into fs. An unset flag
+// leaves its field nil: the subcommand's or scenario's default.
+func bindOverrides(fs *flag.FlagSet, keys ...string) *scenario.ParamsSpec {
+	spec := new(scenario.ParamsSpec)
+	for _, key := range keys {
+		o := overrides[key]
+		fs.Var(spec.Flag(key), o.name, o.usage)
+	}
+	return spec
+}
+
+// persistence holds the checkpoint and watchdog flags run and serve share.
+type persistence struct {
+	every, keep int
+	watchdog    time.Duration
+}
+
+func bindPersistence(fs *flag.FlagSet) *persistence {
+	p := new(persistence)
+	fs.IntVar(&p.every, "checkpoint-every", 10, "checkpoint capture period in simulation steps (with -checkpoint)")
+	fs.IntVar(&p.keep, "checkpoint-keep", 2, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
+	fs.DurationVar(&p.watchdog, "watchdog", 0, "bound on a blocking exchange whose message is lost; a rank error needs none, it aborts the run at once (0 = off)")
+	return p
+}
+
+func (p *persistence) check() error {
+	return firstErr(
+		scenario.CheckPositive("checkpoint-every", p.every),
+		scenario.CheckPositive("checkpoint-keep", p.keep),
+		nonNegative("watchdog", p.watchdog),
 	)
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-
-	if *verify != "" {
-		return runVerify(*verify, stdout, stderr)
-	}
-
-	// Validate every flag before any simulation work: nonsensical counts
-	// (-steps -1, -gens 0, ...) exit 2 with a usage message, the same
-	// rules the respirad service applies to POST /jobs options (400).
-	usage := func(err error) int {
-		fmt.Fprintln(stderr, "respira:", err)
-		fs.Usage()
-		return 2
-	}
-	if fs.NArg() > 0 {
-		return usage(fmt.Errorf("unexpected arguments %q", fs.Args()))
-	}
-	p, err := spec.Params()
-	if err != nil {
-		return usage(err)
-	}
-	for _, c := range []struct {
-		name string
-		v    int
-		fn   func(string, int) error
-	}{
-		{"fluid", *fluid, scenario.CheckPositive},
-		{"parts", *parts, scenario.CheckPositive},
-		{"ranks-per-node", *ranksPerNode, scenario.CheckNonNegative},
-		{"inject-every", *injectEvery, scenario.CheckNonNegative},
-		{"checkpoint-every", *ckptEvery, scenario.CheckPositive},
-		{"checkpoint-keep", *ckptKeep, scenario.CheckPositive},
-	} {
-		if err := c.fn(c.name, c.v); err != nil {
-			return usage(err)
-		}
-	}
-	if *watchdog < 0 {
-		return usage(fmt.Errorf("watchdog must be nonnegative, got %v", *watchdog))
-	}
-
-	if *sweep || len(p.SweepDiameters)+len(p.SweepFlows)+len(p.SweepGens) > 0 {
-		// Sweep mode runs the registered "sweep" scenario: a grid of
-		// full simulations with per-point mesh/partition arena reuse.
-		// Only explicitly set flags override the sweep's per-point
-		// defaults (2 ranks, 2 steps, 400 particles per point).
-		sp := scenario.Params{
-			Ranks: p.Ranks, Steps: p.Steps, Particles: p.Particles, Workers: p.Workers, Inflow: p.Inflow,
-			SweepDiameters: p.SweepDiameters, SweepFlows: p.SweepFlows, SweepGens: p.SweepGens,
-		}
-		if err := runDosageSweep(ctx, sp, stdout); err != nil {
-			fmt.Fprintln(stderr, "respira:", err)
-			return 1
-		}
-		return 0
-	}
-
-	cfg := repro.DefaultSimulationConfig()
-	cfg.Mesh.Generations = 2
-	rc := &cfg.Run
-	rc.Mode, rc.FluidRanks, rc.ParticleRanks = coupling.Synchronous, 4, 0
-	rc.Steps, rc.NumParticles, rc.WorkersPerRank = 3, 1000, 1
-	rc.NS.Strategy = tasking.StrategyMultidep
-	p.ApplyRun(rc)
-	p.ApplyMesh(&cfg.Mesh)
-	if rc.Mode == coupling.Coupled {
-		rc.FluidRanks, rc.ParticleRanks = *fluid, *parts
-	}
-	if *ranksPerNode > 0 {
-		rc.RanksPerNode = *ranksPerNode
-	}
-	rc.InjectEvery = *injectEvery
-	rc.Watchdog = *watchdog
-	if *ckptPath != "" {
-		rc.Checkpoint = &checkpoint.Plan{
-			Path: *ckptPath, Every: *ckptEvery, Resume: true, Keep: *ckptKeep,
-			OnError: func(err error) { fmt.Fprintln(stderr, "respira: checkpoint:", err) },
-		}
-	}
-
-	res, err := repro.RunSimulationContext(ctx, cfg)
-	if err != nil {
-		fmt.Fprintln(stderr, "respira:", err)
-		return 1
-	}
-	fmt.Fprint(stdout, res.Summary())
-	if *showTrace {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, res.Result.Trace.Render(100, 24))
-	}
-	return 0
 }
 
-// runVerify is the -verify DIR offline scrub: per-file verdicts on
-// stdout, exit 1 when anything is corrupt or quarantined (the same
-// criterion as respirad's GET /admin/integrity ok field).
-func runVerify(dir string, stdout, stderr io.Writer) int {
-	vs, err := integrity.ScanDir(dir)
-	if err != nil {
-		fmt.Fprintln(stderr, "respira: verify:", err)
-		return 1
+func nonNegative(name string, d time.Duration) error {
+	if d < 0 {
+		return usagef("%s must be nonnegative, got %v", name, d)
 	}
-	if len(vs) == 0 {
-		fmt.Fprintf(stdout, "%s: no checkpoints or telemetry runs found\n", dir)
-		return 0
-	}
-	for _, v := range vs {
-		line := fmt.Sprintf("%-11s %-10s %s", v.Status, v.Kind, v.File)
-		if v.Detail != "" {
-			line += "  (" + v.Detail + ")"
-		}
-		fmt.Fprintln(stdout, line)
-	}
-	if integrity.AnyBad(vs) {
-		return 1
-	}
-	return 0
+	return nil
 }
 
-// runDosageSweep executes the registered "sweep" scenario with p and
-// prints its table.
-func runDosageSweep(ctx context.Context, p scenario.Params, stdout io.Writer) error {
-	scs, err := scenario.Default.Select([]string{repro.ScenarioSweep})
-	if err != nil {
-		return err
+// firstErr returns the first non-nil error, so validation always
+// reports the same flag first.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	r := &scenario.Runner{}
-	results, err := r.Run(ctx, scs, p)
-	if err != nil {
-		return err
-	}
-	if results[0].Err != nil {
-		return results[0].Err
-	}
-	fmt.Fprintln(stdout, results[0].Artifact.Text())
 	return nil
 }

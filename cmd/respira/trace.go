@@ -1,43 +1,15 @@
-// Command traceview renders Paraver-style timelines — the
-// reproduction's stand-in for opening an Extrae trace in Paraver (the
-// paper's Figure 2 workflow). It reads three sources:
-//
-//   - A persistent telemetry store directory written by respirad
-//     (-store DIR): list recorded runs, or re-render one byte-identically
-//     to the in-memory render, with its per-phase makespan/imbalance
-//     table.
-//   - A live respirad server (-url http://host:port): the same listing
-//     and rendering over the /telemetry endpoints.
-//   - A fresh run of any registry scenario (-scenario NAME, the
-//     default mode): render its artifact directly, and record the run
-//     into -store when one is given.
-//
-// Usage:
-//
-//	traceview                                    # fresh fig2 run
-//	traceview -scenario quickstart -ranks 8
-//	traceview -store /var/lib/respirad/telemetry -list
-//	traceview -store DIR -run job-3              # render a stored run
-//	traceview -url http://localhost:8080 -list
-//	traceview -url http://localhost:8080 -run job-3
-//
-// Unknown -scenario names fail with the list of registered scenarios.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
 	"time"
 
-	_ "repro" // populate the default scenario registry
 	"repro/internal/coupling"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -45,46 +17,34 @@ import (
 	"repro/scenario"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "traceview:", err)
-		if errors.Is(err, scenario.ErrBadParams) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
-
-// run is the whole CLI, separated from main for testing.
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var spec scenario.ParamsSpec
+// traceCmd is `respira trace`: Paraver-style timelines, the
+// reproduction's stand-in for opening an Extrae trace in Paraver (the
+// paper's Figure 2 workflow). It reads one of three sources:
+//
+//   - a telemetry store directory written by `respira serve` (-store
+//     DIR): list its runs, or re-render one byte-identically to the
+//     in-memory render, with its per-phase makespan/imbalance table;
+//   - a live `respira serve` (-url http://host:port): the same listing
+//     and rendering over its /telemetry endpoints;
+//   - a fresh run of a registry scenario (-scenario NAME, the default
+//     mode), recorded into -store when one is given.
+func traceCmd(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("respira trace", flag.ContinueOnError)
 	var (
 		store = fs.String("store", "", "telemetry store directory to render from (or record into with -scenario)")
-		url   = fs.String("url", "", "base URL of a live respirad server to query instead of a store directory")
+		url   = fs.String("url", "", "base URL of a live respira serve to query instead of a store directory")
 		list  = fs.Bool("list", false, "list recorded runs and exit (-store or -url mode)")
 		runID = fs.String("run", "", "run ID to render (default: the newest recorded run)")
 		scen  = fs.String("scenario", "fig2", "registry scenario to run fresh (ignored with -url or a bare -store)")
 	)
-	// Fresh-run overrides bind to the POST /jobs option fields: an unset
-	// flag keeps the scenario's own default.
-	fs.Var(spec.Flag("ranks"), "ranks", "MPI ranks (fresh runs)")
-	fs.Var(spec.Flag("steps"), "steps", "time steps (fresh runs)")
-	fs.Var(spec.Flag("particles"), "particles", "particles injected (fresh runs)")
-	fs.Var(spec.Flag("meshGenerations"), "mesh", "airway mesh generations (fresh runs)")
-	fs.Var(spec.Flag("width"), "width", "timeline width in chars (default 110; fresh runs: the scenario's)")
-	fs.Var(spec.Flag("rows"), "rows", "max rank rows shown (default 32; fresh runs: the scenario's)")
-	if err := fs.Parse(args); err != nil {
+	// An unset override keeps the scenario's own default on a fresh run;
+	// stored runs render 110 wide and 32 rows deep.
+	spec := bindOverrides(fs, "ranks", "steps", "particles", "meshGenerations", "width", "rows")
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments %q", fs.Args())
-	}
 	if *url != "" && *store != "" {
-		return fmt.Errorf("-store and -url are mutually exclusive")
+		return usagef("-store and -url are mutually exclusive")
 	}
 	params, err := spec.Params()
 	if err != nil {
@@ -93,11 +53,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// A scenario run happens only when the user asked for one (or gave
 	// neither source); a bare -store/-url is a pure reader.
 	scenarioSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "scenario" {
-			scenarioSet = true
-		}
-	})
+	fs.Visit(func(f *flag.Flag) { scenarioSet = scenarioSet || f.Name == "scenario" })
 	width, rows := 110, 32
 	if params.Width > 0 {
 		width = params.Width
@@ -109,21 +65,37 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *url != "":
 		if scenarioSet {
-			return fmt.Errorf("-scenario runs locally; drop it when querying a server with -url")
+			return usagef("-scenario runs locally; drop it when querying a server with -url")
 		}
-		return runRemote(*url, *list, *runID, width, rows, stdout)
+		return traceRemote(*url, *list, *runID, width, rows, stdout)
 	case *store != "" && !scenarioSet:
 		st, err := telemetry.OpenDir(*store)
 		if err != nil {
 			return err
 		}
-		return runStored(st, *list, *runID, width, rows, stdout)
-	default:
-		if *list || *runID != "" {
-			return fmt.Errorf("-list and -run need a source: -store DIR or -url URL")
-		}
-		return runFresh(ctx, *scen, *store, params, stdout, stderr)
+		return traceStored(st, *list, *runID, width, rows, stdout)
+	case *list || *runID != "":
+		return usagef("-list and -run need a source: -store DIR or -url URL")
 	}
+	sc, err := scenario.Default.Get(*scen) // unknown names list the registry
+	if err != nil {
+		return err
+	}
+	if *store != "" {
+		// The store rides the context's coupling.Env down to RunContext.
+		st, err := telemetry.OpenDir(*store)
+		if err != nil {
+			return err
+		}
+		before := st.RunCount()
+		ctx = coupling.WithEnv(ctx, coupling.Env{Telemetry: namedSink{st: st, scenario: *scen}})
+		defer func() {
+			if n := st.RunCount() - before; n > 0 {
+				fmt.Fprintf(stderr, "respira trace: recorded %d run(s) into %s\n", n, *store)
+			}
+		}()
+	}
+	return runScenarios(ctx, &scenario.Runner{}, []scenario.Scenario{sc}, params, "text", stdout, stderr)
 }
 
 // namedSink stamps the scenario name onto runs the simulation records,
@@ -140,41 +112,8 @@ func (s namedSink) BeginRun(meta telemetry.RunMeta) (*telemetry.RunWriter, error
 	return s.st.BeginRun(meta)
 }
 
-// runFresh executes one registry scenario and prints its artifact. With
-// a store directory the executed simulations are also recorded there
-// (the store rides the context's coupling.Env down to RunContext).
-func runFresh(ctx context.Context, name, storeDir string, params scenario.Params, stdout, stderr io.Writer) error {
-	sc, err := scenario.Default.Get(name) // unknown names list the registry
-	if err != nil {
-		return err
-	}
-	if storeDir != "" {
-		st, err := telemetry.OpenDir(storeDir)
-		if err != nil {
-			return err
-		}
-		before := st.RunCount()
-		ctx = coupling.WithEnv(ctx, coupling.Env{Telemetry: namedSink{st: st, scenario: name}})
-		defer func() {
-			if n := st.RunCount() - before; n > 0 {
-				fmt.Fprintf(stderr, "traceview: recorded %d run(s) into %s\n", n, storeDir)
-			}
-		}()
-	}
-	r := &scenario.Runner{}
-	results, err := r.Run(ctx, []scenario.Scenario{sc}, params)
-	if err != nil && (len(results) == 0 || results[0].Err == nil) {
-		return err
-	}
-	if res := results[0]; res.Err != nil {
-		return res.Err
-	}
-	fmt.Fprint(stdout, results[0].Artifact.Text())
-	return nil
-}
-
-// runStored lists or renders runs of an on-disk store.
-func runStored(st *telemetry.Store, list bool, runID string, width, rows int, stdout io.Writer) error {
+// traceStored lists or renders runs of an on-disk store.
+func traceStored(st *telemetry.Store, list bool, runID string, width, rows int, stdout io.Writer) error {
 	runs := st.Runs()
 	if list {
 		listRuns(stdout, runs)
@@ -194,8 +133,8 @@ func runStored(st *telemetry.Store, list bool, runID string, width, rows int, st
 	return nil
 }
 
-// runRemote is runStored over a live server's /telemetry endpoints.
-func runRemote(base string, list bool, runID string, width, rows int, stdout io.Writer) error {
+// traceRemote is traceStored over a live server's /telemetry endpoints.
+func traceRemote(base string, list bool, runID string, width, rows int, stdout io.Writer) error {
 	base = strings.TrimRight(base, "/")
 	if list || runID == "" {
 		var runs []telemetry.RunMeta

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,17 +15,10 @@ import (
 	"repro/scenario"
 )
 
-func runCLI(t *testing.T, args ...string) (string, string, error) {
-	t.Helper()
-	var out, errb bytes.Buffer
-	err := run(context.Background(), args, &out, &errb)
-	return out.String(), errb.String(), err
-}
-
 // An unknown -scenario must fail loudly and list the registry (the
-// benchfig contract, extended here to traceview).
+// fig contract, extended here to trace).
 func TestUnknownScenarioErrors(t *testing.T) {
-	_, _, err := runCLI(t, "-scenario", "nosuch")
+	_, _, err := runCLI(t, "trace", "-scenario", "nosuch")
 	if err == nil {
 		t.Fatal("unknown -scenario must error")
 	}
@@ -38,23 +30,23 @@ func TestUnknownScenarioErrors(t *testing.T) {
 }
 
 func TestFlagValidation(t *testing.T) {
-	if _, _, err := runCLI(t, "-store", "x", "-url", "http://h"); err == nil ||
+	if _, _, err := runCLI(t, "trace", "-store", "x", "-url", "http://h"); err == nil ||
 		!strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("-store with -url = %v", err)
 	}
-	if _, _, err := runCLI(t, "-list"); err == nil ||
+	if _, _, err := runCLI(t, "trace", "-list"); err == nil ||
 		!strings.Contains(err.Error(), "need a source") {
 		t.Fatalf("bare -list = %v", err)
 	}
-	if _, _, err := runCLI(t, "-run", "job-1"); err == nil ||
+	if _, _, err := runCLI(t, "trace", "-run", "job-1"); err == nil ||
 		!strings.Contains(err.Error(), "need a source") {
 		t.Fatalf("bare -run = %v", err)
 	}
-	if _, _, err := runCLI(t, "-url", "http://h", "-scenario", "fig2"); err == nil ||
+	if _, _, err := runCLI(t, "trace", "-url", "http://h", "-scenario", "fig2"); err == nil ||
 		!strings.Contains(err.Error(), "-url") {
 		t.Fatalf("-url with -scenario = %v", err)
 	}
-	if _, _, err := runCLI(t, "stray"); err == nil {
+	if _, _, err := runCLI(t, "trace", "stray"); err == nil {
 		t.Fatal("positional arguments must error")
 	}
 }
@@ -71,7 +63,7 @@ func timelineRows(out string) []string {
 // Each timeline flag overrides only its own dimension on a fresh run;
 // the other keeps the scenario's (quickstart renders 90x8).
 func TestWidthAndRowsBindSeparately(t *testing.T) {
-	out, _, err := runCLI(t, "-scenario", "quickstart", "-ranks", "10", "-steps", "1", "-particles", "100", "-width", "40")
+	out, _, err := runCLI(t, "trace", "-scenario", "quickstart", "-ranks", "10", "-steps", "1", "-particles", "100", "-width", "40")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +76,7 @@ func TestWidthAndRowsBindSeparately(t *testing.T) {
 			t.Fatalf("-width 40 rendered a %d-column row %q", len(b), b)
 		}
 	}
-	out, _, err = runCLI(t, "-scenario", "quickstart", "-steps", "1", "-particles", "100", "-rows", "2")
+	out, _, err = runCLI(t, "trace", "-scenario", "quickstart", "-steps", "1", "-particles", "100", "-rows", "2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +98,7 @@ func TestBadOverrideIsTyped(t *testing.T) {
 		{"-scenario", "quickstart", "-width", "0"},
 		{"-store", t.TempDir(), "-rows", "-1"},
 	} {
-		if _, _, err := runCLI(t, args...); !errors.Is(err, scenario.ErrBadParams) {
+		if _, _, err := runCLI(t, append([]string{"trace"}, args...)...); !errors.Is(err, scenario.ErrBadParams) {
 			t.Errorf("%v: err = %v, want ErrBadParams", args, err)
 		}
 	}
@@ -116,9 +108,9 @@ func TestBadOverrideIsTyped(t *testing.T) {
 // store, then list and re-render the persisted runs from that store.
 func TestRecordListAndRenderStoredRun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tstore")
-	fresh, errb, err := runCLI(t,
+	fresh, errb, err := runCLI(t, "trace",
 		"-scenario", "fig2", "-store", dir,
-		"-ranks", "4", "-steps", "1", "-particles", "200", "-mesh", "2",
+		"-ranks", "4", "-steps", "1", "-particles", "200", "-gens", "2",
 		"-width", "60", "-rows", "4")
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +122,7 @@ func TestRecordListAndRenderStoredRun(t *testing.T) {
 		t.Fatalf("stderr should note the recorded runs: %q", errb)
 	}
 
-	list, _, err := runCLI(t, "-store", dir, "-list")
+	list, _, err := runCLI(t, "trace", "-store", dir, "-list")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +135,11 @@ func TestRecordListAndRenderStoredRun(t *testing.T) {
 	}
 
 	// Default render picks the newest run; -run selects explicitly.
-	newest, _, err := runCLI(t, "-store", dir, "-width", "60", "-rows", "4")
+	newest, _, err := runCLI(t, "trace", "-store", dir, "-width", "60", "-rows", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	picked, _, err := runCLI(t, "-store", dir, "-run", "run-000002", "-width", "60", "-rows", "4")
+	picked, _, err := runCLI(t, "trace", "-store", dir, "-run", "run-000002", "-width", "60", "-rows", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +152,7 @@ func TestRecordListAndRenderStoredRun(t *testing.T) {
 		}
 	}
 
-	if _, _, err := runCLI(t, "-store", dir, "-run", "nope"); err == nil {
+	if _, _, err := runCLI(t, "trace", "-store", dir, "-run", "nope"); err == nil {
 		t.Fatal("unknown -run must error")
 	}
 }
@@ -185,7 +177,7 @@ func TestRemoteRenderMatchesStored(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	remote, _, err := runCLI(t, "-url", ts.URL, "-run", "job-1", "-width", "60", "-rows", "4")
+	remote, _, err := runCLI(t, "trace", "-url", ts.URL, "-run", "job-1", "-width", "60", "-rows", "4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +191,7 @@ func TestRemoteRenderMatchesStored(t *testing.T) {
 		t.Fatalf("remote render differs from local:\n--- remote\n%s--- local\n%s", remote, local.String())
 	}
 
-	list, _, err := runCLI(t, "-url", ts.URL, "-list")
+	list, _, err := runCLI(t, "trace", "-url", ts.URL, "-list")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +199,7 @@ func TestRemoteRenderMatchesStored(t *testing.T) {
 		t.Fatalf("remote listing missing job-1:\n%s", list)
 	}
 	// Server error bodies surface in the CLI error.
-	if _, _, err := runCLI(t, "-url", ts.URL, "-run", "nope"); err == nil ||
+	if _, _, err := runCLI(t, "trace", "-url", ts.URL, "-run", "nope"); err == nil ||
 		!strings.Contains(err.Error(), "nope") {
 		t.Fatalf("unknown remote run = %v", err)
 	}

@@ -7,9 +7,9 @@
 // microseconds, so a parked rank's cores are free elsewhere only briefly
 // — the same trade-off that makes DLB pay off only when phases are long
 // (the paper's production runs). The cluster-scale shapes of Figures 8-11 are
-// regenerated by `go run ./cmd/benchfig -exp fig8`. The workload is the
-// registered "coupled_dlb" scenario (`benchfig -exp coupled_dlb` runs
-// the same code).
+// regenerated by `go run ./cmd/respira fig -exp fig8`. The workload is
+// the registered "coupled_dlb" scenario (`respira fig -exp coupled_dlb`
+// runs the same code).
 package main
 
 import (

@@ -3,7 +3,7 @@
 // times during the simulation", as the paper's Section 2.2 motivates for
 // production runs). The workload — a synchronous coupling run that
 // re-releases the dose every step — is the registered "pollutant"
-// scenario (`benchfig -exp pollutant` runs the same code).
+// scenario (`respira fig -exp pollutant` runs the same code).
 package main
 
 import (

@@ -2,8 +2,8 @@
 // simulation (fluid + particles) on simulated MPI ranks, and print the
 // outcome. This is the minimal end-to-end use of the public API: the
 // workload itself is the registered "quickstart" scenario, so this main
-// cannot drift from the library (`benchfig -exp quickstart` runs the
-// same code).
+// cannot drift from the library (`respira fig -exp quickstart` runs
+// the same code).
 package main
 
 import (

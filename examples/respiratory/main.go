@@ -3,8 +3,8 @@
 // during a rapid inhalation; the run reports where particles end up
 // (airway-wall deposition vs deep-lung arrival) and the per-phase load
 // balance that motivates the paper's runtime techniques. The workload is
-// the registered "respiratory" scenario (`benchfig -exp respiratory`
-// runs the same code).
+// the registered "respiratory" scenario (`respira fig -exp
+// respiratory` runs the same code).
 package main
 
 import (

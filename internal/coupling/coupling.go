@@ -209,7 +209,7 @@ func RunContext(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, e
 
 // Env carries the run services a caller hands every simulation below it
 // without threading them through scenario options: the job service
-// attaches one per job attempt, traceview one per fresh run. RunContext
+// attaches one per job attempt, `respira trace` one per fresh run. RunContext
 // reads it once; a set RunConfig field wins over its Env counterpart.
 type Env struct {
 	// Telemetry backs RunConfig.Telemetry.

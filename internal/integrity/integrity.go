@@ -1,8 +1,8 @@
 // Package integrity is the scrub pass over persisted state: it walks
 // checkpoint directories and telemetry stores, validates every file
 // against its checksums, and reports per-file verdicts. The same scan
-// backs `respirad GET /admin/integrity` (live) and `respira -verify`
-// (offline), so an operator sees one vocabulary everywhere:
+// backs `respira serve`'s GET /admin/integrity (live) and `respira
+// verify` (offline), so an operator sees one vocabulary everywhere:
 //
 //	ok          — decoded and every checksum matched
 //	unsealed    — a telemetry chunk without a seal footer (live or
@@ -145,7 +145,7 @@ func looksLikeTelemetryRun(dir string) bool {
 	return false
 }
 
-// ScanDir is the offline entry point (`respira -verify DIR`): it scrubs
+// ScanDir is the offline entry point (`respira verify DIR`): it scrubs
 // dir as a checkpoint directory and, when its subdirectories look like
 // telemetry runs, as a telemetry store too.
 func ScanDir(dir string) ([]Verdict, error) {

@@ -411,7 +411,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	params, err := req.Options.Params()
 	if err != nil {
-		// The same validation respira applies to its flags (exit 2).
+		// The same validation the respira subcommands apply to their flags (exit 2).
 		writeError(w, http.StatusBadRequest, "bad options: %v", err)
 		return
 	}

@@ -81,7 +81,7 @@ func (s *Server) pruneTelemetry() {
 	}
 }
 
-// --- wire types (shared with cmd/traceview) ---
+// --- wire types (shared with `respira trace`) ---
 
 // RowWire is one telemetry row on the wire. The numeric phase field
 // reconstructs rows exactly; kind and phaseName are for humans. Floats

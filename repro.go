@@ -26,7 +26,7 @@
 // a named scenario in the repro/scenario registry (importing this
 // package populates scenario.Default). Scenarios take functional-option
 // parameters, honor context cancellation, and return typed artifacts
-// that render uniformly to text, JSON and CSV. cmd/benchfig is a thin
+// that render uniformly to text, JSON and CSV. `respira fig` is a thin
 // CLI over that registry; see README.md for the scenario API.
 //
 // DESIGN.md documents the two-layer architecture, the scenario API

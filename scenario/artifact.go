@@ -88,7 +88,7 @@ type Artifact struct {
 	Notes    []string   `json:"notes,omitempty"`
 }
 
-// Text renders the artifact as the plain text `benchfig` prints: tables
+// Text renders the artifact as the plain text `respira fig` prints: tables
 // with their declared column formats, figures as bar charts, traces as
 // their title plus timeline, reports verbatim. Blocks within one
 // artifact (e.g. one figure per platform) are separated by a blank line.

@@ -8,7 +8,7 @@ import (
 )
 
 // Registry is a named, ordered collection of scenarios. Registration
-// order is preserved (it is the order `benchfig -list` and `-exp all`
+// order is preserved (it is the order `respira fig -list` and `-exp all`
 // use); duplicate names are rejected.
 type Registry struct {
 	mu     sync.RWMutex
@@ -119,7 +119,7 @@ func (r *Registry) Tags() []string {
 }
 
 // Default is the process-wide registry the repro package populates at
-// init time and cmd/benchfig serves.
+// init time and `respira fig` serves.
 var Default = NewRegistry()
 
 // MustRegister adds s to the Default registry, panicking on error.

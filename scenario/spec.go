@@ -47,7 +47,7 @@ func ParseStrategy(name string) (tasking.Strategy, error) {
 
 // CheckPositive rejects a count that must be at least 1 (steps, ranks,
 // mesh generations, worker threads). It is the shared validation both
-// the respira CLI (exit 2) and the service's job decoding (HTTP 400)
+// the respira subcommands (exit 2) and the service's job decoding (HTTP 400)
 // apply before any simulation work starts.
 func CheckPositive(name string, v int) error {
 	if v < 1 {

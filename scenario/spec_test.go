@@ -177,7 +177,7 @@ func TestParamsSpecWaveformAndSweep(t *testing.T) {
 }
 
 // TestParamsSpecWaveformJSON: the wire form round-trips through JSON the
-// way respirad's POST /jobs body carries it.
+// way `respira serve`'s POST /jobs body carries it.
 func TestParamsSpecWaveformJSON(t *testing.T) {
 	var spec ParamsSpec
 	body := `{"inflow":"table:0=0,0.1=1","sweepDiameters":[1e-6],"sweepFlows":[1.2],"sweepGens":[2]}`
@@ -265,7 +265,7 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 		}
 	}
 	// Infinite sweep axes, which the flag binder parses from "Inf":
-	// respira -sweep-d Inf used to run and report d=+Infum.
+	// respira fig -sweep-d Inf used to run and report d=+Infum.
 	for _, spec := range []ParamsSpec{
 		{SweepDiameters: []float64{math.Inf(1)}}, {SweepDiameters: []float64{1e-6, math.Inf(-1)}},
 		{SweepFlows: []float64{math.Inf(1)}}, {SweepFlows: []float64{math.Inf(-1)}},

@@ -9,9 +9,9 @@ import (
 )
 
 // Scenario names registered by this package, paper evaluation first (the
-// `benchfig -exp all` suite, tag "paper") then the example workloads
-// (tag "example"). Registration order is the order `benchfig` runs and
-// lists them in.
+// `respira fig -exp all` suite, tag "paper") then the example workloads
+// (tag "example"). Registration order is the order `respira fig` runs
+// and lists them in.
 const (
 	ScenarioTable1   = "table1"
 	ScenarioFigure2  = "fig2"
