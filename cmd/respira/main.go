@@ -31,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/scenario"
 )
 
@@ -162,8 +163,8 @@ type persistence struct {
 
 func bindPersistence(fs *flag.FlagSet) *persistence {
 	p := new(persistence)
-	fs.IntVar(&p.every, "checkpoint-every", 10, "checkpoint capture period in simulation steps (with -checkpoint)")
-	fs.IntVar(&p.keep, "checkpoint-keep", 2, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
+	fs.IntVar(&p.every, "checkpoint-every", checkpoint.DefaultEvery, "checkpoint capture period in simulation steps (with -checkpoint)")
+	fs.IntVar(&p.keep, "checkpoint-keep", checkpoint.DefaultKeep, "snapshot generations retained per run; resume falls back past corrupt ones (with -checkpoint)")
 	fs.DurationVar(&p.watchdog, "watchdog", 0, "bound on a blocking exchange whose message is lost; a rank error needs none, it aborts the run at once (0 = off)")
 	return p
 }

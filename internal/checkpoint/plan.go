@@ -33,6 +33,14 @@ type Plan struct {
 	OnError func(error)
 }
 
+// DefaultEvery and DefaultKeep are the capture period (in steps) and
+// the number of snapshot generations of a checkpointed run that sets
+// neither.
+const (
+	DefaultEvery = 10
+	DefaultKeep  = 2
+)
+
 // maxScan bounds how many generation slots LoadResume probes. Rotation
 // never writes past Keep-1, but quarantine renames can leave gaps, so
 // the walk tolerates holes up to this fixed horizon.

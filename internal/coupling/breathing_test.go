@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/navierstokes"
-	"repro/internal/partition"
 )
 
 // breathingCfg is a synchronous run with a sinusoidal inlet waveform and
@@ -111,29 +110,5 @@ func TestBreathingWaveformChangesOutcome(t *testing.T) {
 		breathing.ActiveEnd == ref.ActiveEnd && breathing.Makespan == ref.Makespan
 	if same {
 		t.Fatal("breathing waveform produced a run indistinguishable from steady inflow")
-	}
-}
-
-func TestPartitionScratchMatchesFresh(t *testing.T) {
-	// Threading a partition scratch through a run must not change the
-	// simulation at all — same partitions, same everything.
-	m := testMesh(t)
-	cfg := breathingCfg(2)
-	fresh, err := RunContext(context.Background(), m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scr := partition.NewScratch()
-	for trial := 0; trial < 2; trial++ { // reuse across runs too
-		cfg := breathingCfg(2)
-		cfg.PartitionScratch = scr
-		res, err := RunContext(context.Background(), m, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Makespan != fresh.Makespan || res.Deposited != fresh.Deposited ||
-			res.Exited != fresh.Exited || res.ActiveEnd != fresh.ActiveEnd {
-			t.Fatalf("trial %d: scratch-backed run diverged from fresh run", trial)
-		}
 	}
 }

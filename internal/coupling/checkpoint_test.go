@@ -276,7 +276,7 @@ func TestCheckpointViewDroppedAfterSave(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	cfg.Checkpoint = &checkpoint.Plan{Every: 1, Path: path,
 		OnError: func(err error) { t.Errorf("checkpoint error: %v", err) }}
-	rms, err := buildPartition(m, m.DualByNode(), 1, nil)
+	rms, err := buildPartition(m, m.DualByNode(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

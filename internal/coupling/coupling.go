@@ -77,11 +77,6 @@ type RunConfig struct {
 	// the paper's runs.
 	InjectEvery int
 
-	// PartitionScratch, when set, reuses partitioning buffers across
-	// runs (sweeps build many partitions per process). Not safe for
-	// concurrent runs; nil allocates fresh.
-	PartitionScratch *partition.Scratch
-
 	NS   navierstokes.Config
 	Cost navierstokes.CostModel
 	// ParticleUnit is the virtual cost of advancing one particle one step.
@@ -234,18 +229,13 @@ func EnvFrom(ctx context.Context) Env {
 	return env
 }
 
-// buildPartition partitions the dual graph of m into k rank meshes,
-// reusing scr's buffers when the caller provided one (nil = fresh
-// allocations, the one-shot path).
-func buildPartition(m *mesh.Mesh, dual *graph.CSR, k int, scr *partition.Scratch) ([]*partition.RankMesh, error) {
-	if scr == nil {
-		scr = partition.NewScratch()
-	}
-	p, err := scr.KWay(dual, nil, k)
+// buildPartition partitions the dual graph of m into k rank meshes.
+func buildPartition(m *mesh.Mesh, dual *graph.CSR, k int) ([]*partition.RankMesh, error) {
+	p, err := partition.KWay(dual, nil, k)
 	if err != nil {
 		return nil, err
 	}
-	return scr.BuildRankMeshes(m, p.Parts, k)
+	return partition.BuildRankMeshes(m, p.Parts, k)
 }
 
 // injectNow reports whether particles are released before the particle
@@ -411,7 +401,7 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	f, p := cfg.FluidRanks, cfg.ParticleRanks
 	total, split := f+p, p > 0
 	dual := m.DualByNode()
-	fluidRMs, err := buildPartition(m, dual, f, cfg.PartitionScratch)
+	fluidRMs, err := buildPartition(m, dual, f)
 	if err != nil {
 		return nil, err
 	}
@@ -421,7 +411,7 @@ func run(ctx context.Context, m *mesh.Mesh, cfg RunConfig) (*RunResult, error) {
 	var vt *velocityTransfer
 	if split {
 		if p != f {
-			if partRMs, err = buildPartition(m, dual, p, cfg.PartitionScratch); err != nil {
+			if partRMs, err = buildPartition(m, dual, p); err != nil {
 				return nil, err
 			}
 		}

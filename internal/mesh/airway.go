@@ -82,12 +82,34 @@ type segment struct {
 	wallOffset int // index of outermost ring within a section slice
 }
 
-// GenerateAirway builds the hybrid airway mesh described by cfg. It is
-// the one-shot form of Builder.GenerateAirway: a fresh Builder per call,
-// so the returned mesh is never invalidated. Sweeps generating many
-// meshes per process should hold a Builder instead.
+// airwayGen is the state of one GenerateAirway call: the node/element
+// accumulator, the jitter noise source and the boundary node lists.
+type airwayGen struct {
+	cfg AirwayConfig
+	b   *builder
+	rng *rand.Rand
+
+	inletNodes  []int32
+	outletNodes []int32
+	wallNodes   []int32
+}
+
+// GenerateAirway builds the hybrid airway mesh described by cfg.
 func GenerateAirway(cfg AirwayConfig) (*Mesh, error) {
-	return NewBuilder().GenerateAirway(cfg)
+	if err := validateAirwayConfig(cfg); err != nil {
+		return nil, err
+	}
+	g := &airwayGen{cfg: cfg, b: newBuilder(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	root := g.buildTree()
+	// Mesh every segment, then join parents to children.
+	g.meshSegmentTree(root)
+	g.connectTree(root)
+	return &Mesh{
+		Coords: g.b.coords, Kinds: g.b.kinds, Ptr: g.b.ptr, Conn: g.b.conn,
+		InletNodes:  g.inletNodes,
+		OutletNodes: g.outletNodes,
+		WallNodes:   g.wallNodes,
+	}, nil
 }
 
 func validateAirwayConfig(cfg AirwayConfig) error {
@@ -115,147 +137,23 @@ func validateAirwayConfig(cfg AirwayConfig) error {
 	return nil
 }
 
-// Builder is a reusable mesh-generation arena. One Builder generates
-// many meshes back to back — the sweep workload — reusing every
-// internal buffer: the node/element accumulator, the segment tree, the
-// cross-section node-id storage, and the boundary bookkeeping. After a
-// warmup generation at a given config size, subsequent generations
-// allocate (almost) nothing.
-//
-// The returned mesh aliases the Builder's buffers: the NEXT
-// GenerateAirway (on the same Builder) invalidates it, including
-// overwriting the *Mesh header itself. Callers must finish with one
-// mesh before generating the next, or use the package-level
-// GenerateAirway, which dedicates a Builder per call. A Builder is not
-// safe for concurrent use. Results are bit-identical to the package
-// function's for the same config — buffer reuse changes no node id,
-// element order, or coordinate.
-type Builder struct {
-	cfg AirwayConfig
-	b   *builder
-	rng *rand.Rand
-
-	// Segment-tree arena: sized up front per config (pointers into segs
-	// are handed out, so mid-build growth is forbidden), with per-slot
-	// children capacity recycled across generations.
-	segs []segment
-	nseg int
-	// Cross-section scratch: the per-segment section table and the flat
-	// node-id arena its windows point into. Completed windows are
-	// read-only, so an arena grow (fresh backing) leaves them valid.
-	sections [][]int32
-	secIDs   []int32
-	radii    []float64
-
-	inletNodes  []int32
-	outletNodes []int32
-	wallNodes   []int32
-
-	out Mesh
-}
-
-// NewBuilder returns an empty Builder; buffers grow on first use.
-func NewBuilder() *Builder {
-	return &Builder{b: newBuilder()}
-}
-
-// segmentCount is the exact number of tree segments cfg generates: a
-// full binary tree of generations 0..Generations plus the optional
-// funnel. Deterministic up-front sizing is what lets the segment arena
-// hand out stable pointers.
-func segmentCount(cfg AirwayConfig) int {
-	n := (1 << (cfg.Generations + 1)) - 1
-	if cfg.WithInletFunnel {
-		n++
-	}
-	return n
-}
-
-// reset rewinds every arena for a new generation of cfg.
-func (g *Builder) reset(cfg AirwayConfig) {
-	g.cfg = cfg
-	g.b.reset()
-	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(cfg.Seed))
-	} else {
-		g.rng.Seed(cfg.Seed)
-	}
-	if need := segmentCount(cfg); cap(g.segs) < need {
-		g.segs = make([]segment, need)
-	} else {
-		g.segs = g.segs[:need]
-	}
-	g.nseg = 0
-	g.secIDs = g.secIDs[:0]
-	g.inletNodes = g.inletNodes[:0]
-	g.outletNodes = g.outletNodes[:0]
-	g.wallNodes = g.wallNodes[:0]
-}
-
-// newSegment hands out the next arena slot, cleared but keeping its
-// children slice capacity.
-func (g *Builder) newSegment() *segment {
-	s := &g.segs[g.nseg]
-	g.nseg++
-	*s = segment{children: s.children[:0]}
-	return s
-}
-
-// allocSection reserves an n-id window in the section arena. When the
-// arena is out of capacity it switches to a fresh backing array:
-// already-completed windows keep the old array alive and stay valid,
-// because a section is never written again once filled.
-func (g *Builder) allocSection(n int) []int32 {
-	if len(g.secIDs)+n > cap(g.secIDs) {
-		g.secIDs = make([]int32, 0, 2*cap(g.secIDs)+n)
-	}
-	w := g.secIDs[len(g.secIDs) : len(g.secIDs)+n]
-	g.secIDs = g.secIDs[:len(g.secIDs)+n]
-	return w
-}
-
-// GenerateAirway builds the hybrid airway mesh described by cfg,
-// reusing the Builder's buffers. See the Builder doc for the aliasing
-// contract.
-func (g *Builder) GenerateAirway(cfg AirwayConfig) (*Mesh, error) {
-	if err := validateAirwayConfig(cfg); err != nil {
-		return nil, err
-	}
-	g.reset(cfg)
-
-	// Build the segment tree.
-	root := g.buildTree()
-
-	// Mesh every segment, then join parents to children.
-	g.meshSegmentTree(root)
-	g.connectTree(root)
-
-	g.out = Mesh{
-		Coords: g.b.coords, Kinds: g.b.kinds, Ptr: g.b.ptr, Conn: g.b.conn,
-		InletNodes:  g.inletNodes,
-		OutletNodes: g.outletNodes,
-		WallNodes:   g.wallNodes,
-	}
-	return &g.out, nil
-}
-
 // buildTree lays out segment geometry (origins, frames, radii) without
 // creating nodes yet.
-func (g *Builder) buildTree() *segment {
+func (g *airwayGen) buildTree() *segment {
 	cfg := g.cfg
 	down := Vec3{0, 0, -1} // airways run downward from the face
 	e1 := Vec3{1, 0, 0}
 	e2 := Vec3{0, 1, 0}
 
 	var root *segment
-	trachea := g.newSegment()
+	trachea := &segment{}
 	trachea.dir, trachea.e1, trachea.e2 = down, e1, e2
 	trachea.length = cfg.TracheaLength
 	trachea.r0, trachea.r1 = cfg.TracheaRadius, cfg.TracheaRadius
 	trachea.gen = 0
 	trachea.nz = cfg.NAxial
 	if cfg.WithInletFunnel {
-		funnel := g.newSegment()
+		funnel := &segment{}
 		funnel.origin = Vec3{0, 0, cfg.TracheaLength * 0.45}
 		funnel.dir, funnel.e1, funnel.e2 = down, e1, e2
 		funnel.length = cfg.TracheaLength * 0.45
@@ -278,7 +176,7 @@ func (g *Builder) buildTree() *segment {
 }
 
 // grow recursively attaches two children to s until cfg.Generations.
-func (g *Builder) grow(s *segment) {
+func (g *airwayGen) grow(s *segment) {
 	if s.gen >= g.cfg.Generations {
 		s.isLeaf = true
 		return
@@ -307,7 +205,7 @@ func (g *Builder) grow(s *segment) {
 			ce1 = perpendicular(dir)
 		}
 		ce2 := dir.Cross(ce1).Normalize()
-		child := g.newSegment()
+		child := &segment{}
 		child.origin = end.Add(dir.Scale(0.35 * s.r1))
 		child.dir, child.e1, child.e2 = dir, ce1, ce2
 		child.length = childL
@@ -334,16 +232,12 @@ func perpendicular(d Vec3) Vec3 {
 }
 
 // ringRadii returns the radius of every node ring (1..nRings) for a
-// cross-section of wall radius R, in a scratch slice overwritten by the
-// next call. Core rings are uniform to 0.65R; the wall-side rings are
+// cross-section of wall radius R. Core rings are uniform to 0.65R; the wall-side rings are
 // graded so spacing shrinks toward the wall (boundary layer resolution).
-func (g *Builder) ringRadii(R float64) []float64 {
+func (g *airwayGen) ringRadii(R float64) []float64 {
 	nr, nbl := g.cfg.NRadial, g.cfg.NBoundaryLayers
 	rcore := 0.65 * R
-	if cap(g.radii) < nr+nbl {
-		g.radii = make([]float64, nr+nbl)
-	}
-	radii := g.radii[:nr+nbl]
+	radii := make([]float64, nr+nbl)
 	for r := 1; r <= nr; r++ {
 		radii[r-1] = rcore * float64(r) / float64(nr)
 	}
@@ -356,10 +250,10 @@ func (g *Builder) ringRadii(R float64) []float64 {
 
 // sectionNodes creates the nodes of one cross-section and returns their
 // ids: index 0 is the center, ring r node i is at 1+(r-1)*NTheta+i.
-func (g *Builder) sectionNodes(center Vec3, e1, e2 Vec3, R float64, jitterOK bool) []int32 {
+func (g *airwayGen) sectionNodes(center Vec3, e1, e2 Vec3, R float64, jitterOK bool) []int32 {
 	nTheta := g.cfg.NTheta
 	radii := g.ringRadii(R)
-	ids := g.allocSection(1 + len(radii)*nTheta)
+	ids := make([]int32, 1+len(radii)*nTheta)
 	ids[0] = g.b.addNode(center)
 	nRings := len(radii)
 	for r := 1; r <= nRings; r++ {
@@ -383,7 +277,7 @@ func (g *Builder) sectionNodes(center Vec3, e1, e2 Vec3, R float64, jitterOK boo
 }
 
 // meshSegmentTree creates nodes and elements for every segment.
-func (g *Builder) meshSegmentTree(root *segment) {
+func (g *airwayGen) meshSegmentTree(root *segment) {
 	g.meshSegment(root)
 	for _, c := range root.children {
 		g.meshSegmentTree(c)
@@ -391,20 +285,14 @@ func (g *Builder) meshSegmentTree(root *segment) {
 }
 
 // meshSegment builds one tube: nz+1 cross-sections and the cells between.
-func (g *Builder) meshSegment(s *segment) {
+func (g *airwayGen) meshSegment(s *segment) {
 	cfg := g.cfg
 	nTheta := cfg.NTheta
 	nr, nbl := cfg.NRadial, cfg.NBoundaryLayers
 	nRings := nr + nbl
 	s.wallOffset = nRings
 
-	// The section table is per-segment scratch; the windows it holds
-	// live in the section arena, so only firstSec/lastSec (needed for
-	// junctions) outlive this call.
-	if cap(g.sections) < s.nz+1 {
-		g.sections = make([][]int32, s.nz+1)
-	}
-	sections := g.sections[:s.nz+1]
+	sections := make([][]int32, s.nz+1)
 	for k := 0; k <= s.nz; k++ {
 		t := float64(k) / float64(s.nz)
 		center := s.origin.Add(s.dir.Scale(s.length * t))
@@ -477,7 +365,7 @@ func (g *Builder) meshSegment(s *segment) {
 
 // wedgeToTets splits the wedge (a0,a1,a2 bottom; b0,b1,b2 top) into three
 // tetrahedra with orientation fixes.
-func (g *Builder) wedgeToTets(a0, a1, a2, b0, b1, b2 int32) {
+func (g *airwayGen) wedgeToTets(a0, a1, a2, b0, b1, b2 int32) {
 	g.b.addTet(a0, a1, a2, b0)
 	g.b.addTet(a1, a2, b0, b1)
 	g.b.addTet(a2, b0, b1, b2)
@@ -486,7 +374,7 @@ func (g *Builder) wedgeToTets(a0, a1, a2, b0, b1, b2 int32) {
 // wedgeToPyramidTet splits the wedge into one pyramid and one tet: the
 // pyramid takes the lateral quad face (a1,a2,b2,b1) as base with apex a0;
 // the remaining tet is (a0,b1,b2,b0).
-func (g *Builder) wedgeToPyramidTet(a0, a1, a2, b0, b1, b2 int32) {
+func (g *airwayGen) wedgeToPyramidTet(a0, a1, a2, b0, b1, b2 int32) {
 	g.b.addElem(Pyramid5, a1, a2, b2, b1, a0)
 	g.b.addTet(a0, b1, b2, b0)
 }
@@ -495,14 +383,14 @@ func (g *Builder) wedgeToPyramidTet(a0, a1, a2, b0, b1, b2 int32) {
 // cross-section with a sleeve of tetrahedra around the wall rings plus a
 // junction hub node, keeping the global node graph connected through
 // bifurcations.
-func (g *Builder) connectTree(s *segment) {
+func (g *airwayGen) connectTree(s *segment) {
 	for _, c := range s.children {
 		g.connectJunction(s, c)
 		g.connectTree(c)
 	}
 }
 
-func (g *Builder) connectJunction(parent, child *segment) {
+func (g *airwayGen) connectJunction(parent, child *segment) {
 	nTheta := g.cfg.NTheta
 	nRings := parent.wallOffset
 	pWall := func(i int) int32 {

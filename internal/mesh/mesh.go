@@ -301,19 +301,6 @@ func newBuilder() *builder {
 	return &builder{ptr: []int32{0}}
 }
 
-// reset empties the accumulator while keeping the backing arrays, so a
-// reused Builder appends into warm capacity instead of reallocating.
-// Any mesh previously built from this accumulator is invalidated.
-func (b *builder) reset() {
-	b.coords = b.coords[:0]
-	b.kinds = b.kinds[:0]
-	b.conn = b.conn[:0]
-	if b.ptr == nil {
-		b.ptr = []int32{0}
-	}
-	b.ptr = append(b.ptr[:0], 0)
-}
-
 func (b *builder) addNode(p Vec3) int32 {
 	b.coords = append(b.coords, p)
 	return int32(len(b.coords) - 1)

@@ -3,6 +3,7 @@ package mesh
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -224,6 +225,31 @@ func TestAirwayConfigValidation(t *testing.T) {
 		if _, err := GenerateAirway(cfg); err == nil {
 			t.Errorf("case %d: want config error", i)
 		}
+	}
+}
+
+func TestBuilderRejectsBadConfig(t *testing.T) {
+	bad := DefaultAirwayConfig()
+	bad.NTheta = 3
+	if _, err := GenerateAirway(bad); err == nil {
+		t.Fatal("want error for NTheta=3")
+	}
+	// A rejected config leaves nothing behind, and each call seeds its
+	// own jitter noise from cfg.Seed: two calls build the same mesh.
+	cfg := DefaultAirwayConfig()
+	cfg.Generations = 2
+	cfg.Jitter = 0.02
+	cfg.Seed = 7
+	a, err := GenerateAirway(cfg)
+	if err != nil {
+		t.Fatalf("valid config after a rejected one: %v", err)
+	}
+	b, err := GenerateAirway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*a, *b) {
+		t.Fatal("two GenerateAirway calls with one config built different meshes")
 	}
 }
 

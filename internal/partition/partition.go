@@ -75,33 +75,108 @@ func (p *Partition) Validate(weights []float64) error {
 }
 
 // KWay partitions the n vertices of dual into k parts, balancing the given
-// per-vertex weights. weights may be nil for uniform weights. It is the
-// one-shot form of Scratch.KWay (identical results); repeated callers —
-// sweeps building many partitions per process — should hold a Scratch.
+// per-vertex weights. weights may be nil for uniform weights.
 func KWay(dual *graph.CSR, weights []float64, k int) (*Partition, error) {
-	return NewScratch().KWay(dual, weights, k)
+	n := dual.NumVertices()
+	if k <= 0 {
+		return nil, fmt.Errorf("partition: k must be positive, got %d", k)
+	}
+	if weights == nil {
+		weights = make([]float64, n)
+		for i := range weights {
+			weights[i] = 1
+		}
+	}
+	if len(weights) != n {
+		return nil, fmt.Errorf("partition: %d weights for %d vertices", len(weights), n)
+	}
+	if k >= n {
+		// Degenerate: one vertex per part (some parts empty).
+		p := &Partition{Parts: make([]int32, n), K: k, Loads: make([]float64, k)}
+		for v := 0; v < n; v++ {
+			p.Parts[v] = int32(v % k)
+			p.Loads[v%k] += weights[v]
+		}
+		return p, nil
+	}
+
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	target := total / float64(k)
+
+	// Base assignment: traverse the graph in BFS order from a
+	// pseudo-peripheral vertex (appending any disconnected components)
+	// and cut the order into k weight-balanced contiguous chunks. BFS
+	// layers are geometrically contiguous, so the chunks are compact on
+	// mesh dual graphs, and the balance is guaranteed by construction —
+	// greedy region growing can strand fragments on the last part, which
+	// this scheme cannot.
+	parts := make([]int32, n)
+	for i := range parts {
+		parts[i] = -1
+	}
+	loads := make([]float64, k)
+
+	order := make([]int32, 0, n)
+	visited := make([]bool, n)
+	for v := 0; v < n; v++ {
+		if visited[v] {
+			continue
+		}
+		seed := dual.PseudoPeripheral(v)
+		if visited[seed] {
+			seed = v
+		}
+		bfsOrder, _ := dual.BFS(seed)
+		for _, w := range bfsOrder {
+			if !visited[w] {
+				visited[w] = true
+				order = append(order, w)
+			}
+		}
+		if !visited[v] {
+			visited[v] = true
+			order = append(order, int32(v))
+		}
+	}
+
+	part := 0
+	for _, v := range order {
+		// Close the current chunk when it reached its share and parts
+		// remain for the rest of the order.
+		if part < k-1 && loads[part]+weights[v]/2 >= target {
+			part++
+		}
+		parts[v] = int32(part)
+		loads[part] += weights[v]
+	}
+
+	p := &Partition{Parts: parts, K: k, Loads: loads}
+	refine(dual, weights, p, 8)
+	return p, nil
 }
 
 // refine runs boundary-move passes: a vertex on a part boundary moves to a
 // neighboring part when that strictly lowers the maximum of the two loads
 // involved (a Kernighan–Lin style balance criterion without the full gain
-// queue). cand is the candidate-part scratch list, retained by the caller
-// across calls.
-func refine(dual *graph.CSR, weights []float64, p *Partition, passes int, cand *[]int32) {
+// queue).
+func refine(dual *graph.CSR, weights []float64, p *Partition, passes int) {
 	n := dual.NumVertices()
+	var candidates []int32
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := 0; v < n; v++ {
 			from := p.Parts[v]
 			// Candidate parts among neighbors.
-			candidates := (*cand)[:0]
+			candidates = candidates[:0]
 			for _, w := range dual.Neighbors(v) {
 				pw := p.Parts[w]
 				if pw != from && !containsPart(candidates, pw) {
 					candidates = append(candidates, pw)
 				}
 			}
-			*cand = candidates // retain capacity growth across vertices
 			if len(candidates) == 0 {
 				continue
 			}

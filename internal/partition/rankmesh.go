@@ -55,11 +55,133 @@ func (rm *RankMesh) ElemNodesLocal(e int) []int32 {
 }
 
 // BuildRankMeshes splits mesh m into k per-rank views according to the
-// element partition parts (element -> rank). It is the one-shot form of
-// Scratch.BuildRankMeshes (identical results); repeated callers should
-// hold a Scratch to reuse the intermediate tables.
+// element partition parts (element -> rank).
 func BuildRankMeshes(m *mesh.Mesh, parts []int32, k int) ([]*RankMesh, error) {
-	return NewScratch().BuildRankMeshes(m, parts, k)
+	if len(parts) != m.NumElems() {
+		return nil, fmt.Errorf("partition: %d part labels for %d elements", len(parts), m.NumElems())
+	}
+	nn := m.NumNodes()
+
+	// Node -> touching ranks as a CSR window per node: offsets sized by
+	// the (element, node) incidence upper bound, then deduped in place
+	// and insertion-sorted (a node touches very few ranks).
+	cnt := make([]int32, nn)
+	for e := 0; e < m.NumElems(); e++ {
+		for _, nd := range m.ElemNodes(e) {
+			cnt[nd]++
+		}
+	}
+	ptr := make([]int32, nn+1)
+	for i := 0; i < nn; i++ {
+		ptr[i+1] = ptr[i] + cnt[i]
+	}
+	buf := make([]int32, ptr[nn])
+	for i := range cnt {
+		cnt[i] = 0
+	}
+	for e := 0; e < m.NumElems(); e++ {
+		r := parts[e]
+		for _, nd := range m.ElemNodes(e) {
+			w := buf[ptr[nd] : ptr[nd]+cnt[nd]]
+			if !containsPart(w, r) {
+				buf[ptr[nd]+cnt[nd]] = r
+				cnt[nd]++
+			}
+		}
+	}
+	for nd := 0; nd < nn; nd++ {
+		w := buf[ptr[nd] : ptr[nd]+cnt[nd]]
+		for i := 1; i < len(w); i++ { // insertion sort: windows are tiny
+			for j := i; j > 0 && w[j] < w[j-1]; j-- {
+				w[j], w[j-1] = w[j-1], w[j]
+			}
+		}
+	}
+	touch := func(nd int32) []int32 {
+		return buf[ptr[nd] : ptr[nd]+cnt[nd]]
+	}
+
+	rms := make([]*RankMesh, k)
+	for r := 0; r < k; r++ {
+		rms[r] = &RankMesh{Rank: r}
+	}
+	for e := 0; e < m.NumElems(); e++ {
+		rms[parts[e]].Elems = append(rms[parts[e]].Elems, int32(e))
+	}
+
+	peerCnt := make([]int32, k)
+	for r := 0; r < k; r++ {
+		rm := rms[r]
+		// Local nodes in ascending global id: scan the touch table in
+		// node order (no map, no sort — the order falls out).
+		for g := int32(0); g < int32(nn); g++ {
+			if containsPart(touch(g), int32(r)) {
+				rm.GlobalNode = append(rm.GlobalNode, g)
+			}
+		}
+		rm.LocalNode = make([]int32, nn)
+		for i := range rm.LocalNode {
+			rm.LocalNode[i] = -1
+		}
+		for i, g := range rm.GlobalNode {
+			rm.LocalNode[g] = int32(i)
+		}
+
+		// Ownership, plus per-peer halo counts in one pass.
+		for i := range peerCnt {
+			peerCnt[i] = 0
+		}
+		rm.Owned = make([]bool, len(rm.GlobalNode))
+		for i, g := range rm.GlobalNode {
+			ranks := touch(g)
+			if len(ranks) > 0 && ranks[0] == int32(r) {
+				rm.Owned[i] = true
+				rm.NumOwned++
+			}
+			for _, other := range ranks {
+				if other != int32(r) {
+					peerCnt[other]++
+				}
+			}
+		}
+		// Halos grouped by counting: peers come out ascending, and each
+		// list fills in ascending local (= ascending global) order.
+		for p := 0; p < k; p++ {
+			if peerCnt[p] > 0 {
+				rm.Halos = append(rm.Halos, Halo{Peer: p, Nodes: make([]int32, 0, peerCnt[p])})
+			}
+		}
+		for i, g := range rm.GlobalNode {
+			for _, other := range touch(g) {
+				if other != int32(r) {
+					h := findHalo(rm.Halos, int(other))
+					h.Nodes = append(h.Nodes, int32(i))
+				}
+			}
+		}
+
+		// Local connectivity.
+		rm.LocalPtr = make([]int32, 1, len(rm.Elems)+1)
+		for _, e := range rm.Elems {
+			rm.Kinds = append(rm.Kinds, m.Kinds[e])
+			for _, nd := range m.ElemNodes(int(e)) {
+				rm.LocalConn = append(rm.LocalConn, rm.LocalNode[nd])
+			}
+			rm.LocalPtr = append(rm.LocalPtr, int32(len(rm.LocalConn)))
+		}
+	}
+	return rms, nil
+}
+
+// findHalo returns the halo entry for peer; the caller guarantees it
+// exists (halos were sized by the counting pass).
+func findHalo(halos []Halo, peer int) *Halo {
+	for i := range halos {
+		if halos[i].Peer == peer {
+			return &halos[i]
+		}
+	}
+	panic("partition: halo peer not preallocated")
 }
 
 // Validate checks cross-rank invariants: each global node owned exactly

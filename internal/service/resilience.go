@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/coupling"
+	"repro/internal/fsutil"
 	"repro/internal/la"
 	"repro/internal/navierstokes"
 	"repro/scenario"
@@ -212,7 +213,7 @@ func (s *Server) writeManifest(job *Job, spec scenario.ParamsSpec) {
 		DeadlineMS: float64(job.deadline) / float64(time.Millisecond)}
 	raw, err := json.Marshal(man)
 	if err == nil {
-		err = os.WriteFile(s.manifestPath(job.id), raw, 0o644)
+		err = fsutil.WriteFileAtomic(s.manifestPath(job.id), raw, 0o644)
 	}
 	if err != nil {
 		s.logf("job %s: manifest: %v", job.id, err)
@@ -277,6 +278,13 @@ func (s *Server) HasCheckpoints(jobID string) bool {
 	return false
 }
 
+// jobSeq returns the sequence number of a server-assigned job ID
+// ("job-<n>").
+func jobSeq(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	return n, err == nil
+}
+
 // Recover scans the checkpoint directory for manifests of jobs that
 // were alive when the previous process died and resubmits them under
 // their original IDs, so their checkpoints resume seamlessly and old
@@ -300,14 +308,25 @@ func (s *Server) Recover() []string {
 			s.logf("recover: bad manifest %s: %v", p, err)
 			continue
 		}
-		if n, err := strconv.Atoi(strings.TrimPrefix(man.ID, "job-")); err == nil && n > maxID {
+		if n, ok := jobSeq(man.ID); ok && n > maxID {
 			maxID = n
 		}
 		mans = append(mans, man)
 	}
 	// Original submission order, so recovered IDs and scheduler FIFO
-	// order both match the pre-crash world.
-	sort.Slice(mans, func(i, j int) bool { return mans[i].ID < mans[j].ID })
+	// order both match the pre-crash world: by sequence number
+	// ("job-9" before "job-10"), then any unnumbered ID by string.
+	sort.Slice(mans, func(i, j int) bool {
+		a, aok := jobSeq(mans[i].ID)
+		b, bok := jobSeq(mans[j].ID)
+		if aok != bok {
+			return aok
+		}
+		if a != b {
+			return a < b
+		}
+		return mans[i].ID < mans[j].ID
+	})
 	s.mu.Lock()
 	if maxID > s.nextID {
 		s.nextID = maxID

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -270,6 +271,33 @@ func TestRecoverResubmitsManifests(t *testing.T) {
 		t.Fatalf("recovered ID %s reused", id)
 	}
 	envB.await(t, next)
+}
+
+// TestRecoverOrdersBySequenceNumber: recovered jobs resubmit in their
+// original submission order, which is numeric ("job-9" before
+// "job-10"), not the string order of their IDs.
+func TestRecoverOrdersBySequenceNumber(t *testing.T) {
+	dir := t.TempDir()
+	for _, id := range []string{"job-10", "job-2", "job-9"} {
+		raw, err := json.Marshal(jobManifest{ID: id, Scenario: "work"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".job.json"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := scenario.NewRegistry()
+	reg.MustRegister(scenario.New("work", "completes", []string{"test"},
+		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
+			return &scenario.Artifact{Scenario: "work", Kind: scenario.KindReport, Report: "ok\n"}, nil
+		}))
+	srv := New(Config{Registry: reg, CheckpointDir: dir})
+	defer srv.Close()
+	ids := srv.Recover()
+	if want := []string{"job-2", "job-9", "job-10"}; !slices.Equal(ids, want) {
+		t.Fatalf("recovered %v, want %v", ids, want)
+	}
 }
 
 // TestTerminalStateNeverShowsManifest: once a job's terminal state can

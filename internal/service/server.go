@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/memo"
 	"repro/internal/tasking"
 	"repro/internal/telemetry"
@@ -68,13 +69,14 @@ type Config struct {
 	// original IDs) and interrupted simulations resume mid-run.
 	CheckpointDir string
 	// CheckpointEvery is the capture period in simulation steps for
-	// jobs run with CheckpointDir set (default 25).
+	// jobs run with CheckpointDir set (default checkpoint.DefaultEvery).
 	CheckpointEvery int
 	// CheckpointKeep is how many snapshot generations each run retains
 	// (<id>.ckpt, <id>.ckpt.1, ...). Resume walks the chain newest-first
 	// past corrupt generations, quarantining them as *.corrupt, so a
 	// flipped bit in the newest snapshot costs one checkpoint interval
-	// instead of the whole run. Default 2; 1 keeps only the newest.
+	// instead of the whole run. Default checkpoint.DefaultKeep; 1 keeps
+	// only the newest.
 	CheckpointKeep int
 	// Watchdog bounds every blocking MPI operation of every job's
 	// simulations; a stalled rank surfaces as a typed error the retry
@@ -210,10 +212,10 @@ func New(cfg Config) *Server {
 		cfg.CacheTTL = 15 * time.Minute
 	}
 	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 25
+		cfg.CheckpointEvery = checkpoint.DefaultEvery
 	}
 	if cfg.CheckpointKeep <= 0 {
-		cfg.CheckpointKeep = 2
+		cfg.CheckpointKeep = checkpoint.DefaultKeep
 	}
 	logf := cfg.Logf
 	if logf == nil {

@@ -141,6 +141,16 @@ func (e *testEnv) await(t *testing.T, id string) jobJSON {
 	return jobJSON{}
 }
 
+// TestNewCheckpointDefaults: a Config that sets no checkpoint period
+// or generation count gets the same defaults as respira's flags.
+func TestNewCheckpointDefaults(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	if srv.ckptEvery != 10 || srv.ckptKeep != 2 {
+		t.Fatalf("checkpoint every=%d keep=%d, want 10 and 2", srv.ckptEvery, srv.ckptKeep)
+	}
+}
+
 func TestScenariosEndpoint(t *testing.T) {
 	env := newTestEnv(t, Config{})
 	code, out := env.do(t, "GET", "/scenarios", "")

@@ -64,40 +64,25 @@ func (p Params) CanonicalKey() string {
 	}
 	// Sweep axes are set-like (the grid is a cartesian product): sorted
 	// and deduplicated, so axis order and repeats never split the cache.
+	axes := SweepAxes{Diameters: p.SweepDiameters, Flows: p.SweepFlows, Gens: p.SweepGens}.canonical()
 	floats := func(name string, vs []float64) {
 		if len(vs) == 0 {
 			return
 		}
-		sorted := append([]float64(nil), vs...)
-		sort.Float64s(sorted)
-		var b strings.Builder
-		for i, v := range sorted {
-			if i > 0 && v == sorted[i-1] {
-				continue
-			}
-			if b.Len() > 0 {
-				b.WriteByte('+')
-			}
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		strs := make([]string, len(vs))
+		for i, v := range vs {
+			strs[i] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
-		add(name, b.String())
+		add(name, strings.Join(strs, "+"))
 	}
-	floats("sweepd", p.SweepDiameters)
-	floats("sweepq", p.SweepFlows)
-	if len(p.SweepGens) > 0 {
-		sorted := append([]int(nil), p.SweepGens...)
-		sort.Ints(sorted)
-		var b strings.Builder
-		for i, v := range sorted {
-			if i > 0 && v == sorted[i-1] {
-				continue
-			}
-			if b.Len() > 0 {
-				b.WriteByte('+')
-			}
-			b.WriteString(strconv.Itoa(v))
+	floats("sweepd", axes.Diameters)
+	floats("sweepq", axes.Flows)
+	if len(axes.Gens) > 0 {
+		strs := make([]string, len(axes.Gens))
+		for i, v := range axes.Gens {
+			strs[i] = strconv.Itoa(v)
 		}
-		add("sweepg", b.String())
+		add("sweepg", strings.Join(strs, "+"))
 	}
 	return strings.Join(parts, ";")
 }

@@ -106,45 +106,6 @@ func (a SweepAxes) Grid() []SweepPoint {
 	return pts
 }
 
-// RunSweep executes one simulation per grid point through r, wrapping
-// each point as an anonymous sub-scenario so the sweep inherits the
-// Runner's concurrency, progress events, deterministic result ordering,
-// and cancellation semantics. run returns the point's table row; rows
-// come back in grid order. The first point error (or an effective
-// cancellation) fails the sweep.
-func RunSweep(ctx context.Context, r *Runner, name string, points []SweepPoint, run func(ctx context.Context, pt SweepPoint) (TableRow, error)) ([]TableRow, error) {
-	rows := make([]TableRow, len(points))
-	subs := make([]Scenario, len(points))
-	for i := range points {
-		i, pt := i, points[i]
-		subs[i] = New(
-			fmt.Sprintf("%s[%s]", name, pt.Label()),
-			"sweep point "+pt.Label(),
-			nil,
-			func(ctx context.Context, _ Params) (*Artifact, error) {
-				row, err := run(ctx, pt)
-				if err != nil {
-					return nil, err
-				}
-				rows[i] = row
-				// The row is delivered through rows; the artifact only
-				// satisfies the Runner's non-nil contract.
-				return &Artifact{Kind: KindTable}, nil
-			},
-		)
-	}
-	results, err := r.Run(ctx, subs, Params{})
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-	}
-	return rows, nil
-}
-
 // Coster is implemented by scenarios whose admission cost depends on
 // their parameters — a sweep's cost grows with its grid cardinality, so
 // a flat per-scenario estimate would let one big sweep stampede past the

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -48,45 +47,6 @@ func TestSweepGridOrder(t *testing.T) {
 	}
 	if got := a.Grid(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Grid = %v, want %v (diameter-major, axes sorted)", got, want)
-	}
-}
-
-func TestRunSweepCollectsRowsInGridOrder(t *testing.T) {
-	points := []SweepPoint{
-		{1e-6, 1, 2}, {2e-6, 1, 2}, {3e-6, 1, 2},
-	}
-	// Concurrency > 1 must not reorder rows: they land by index.
-	r := &Runner{Parallel: 3}
-	rows, err := RunSweep(context.Background(), r, "test", points,
-		func(_ context.Context, pt SweepPoint) (TableRow, error) {
-			return TableRow{Label: pt.Label(), Values: []float64{pt.Diameter * 1e6}}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(points) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(points))
-	}
-	for i, pt := range points {
-		if rows[i].Label != pt.Label() || rows[i].Values[0] != pt.Diameter*1e6 {
-			t.Fatalf("row %d = %+v, want point %v", i, rows[i], pt)
-		}
-	}
-}
-
-func TestRunSweepPropagatesPointError(t *testing.T) {
-	boom := errors.New("boom")
-	r := &Runner{}
-	_, err := RunSweep(context.Background(), r, "test",
-		[]SweepPoint{{1e-6, 1, 2}, {2e-6, 1, 2}},
-		func(_ context.Context, pt SweepPoint) (TableRow, error) {
-			if pt.Diameter == 2e-6 {
-				return TableRow{}, boom
-			}
-			return TableRow{Label: pt.Label()}, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/coupling"
 	"repro/internal/mesh"
 	"repro/internal/navierstokes"
-	"repro/internal/partition"
 	"repro/scenario"
 )
 
@@ -58,7 +57,7 @@ func registerSweepScenarios() {
 	reg := scenario.MustRegister
 
 	reg(scenario.NewCosted(ScenarioSweep,
-		"Dosage sweep: one full simulation per (diameter x inlet flow x mesh) grid point, deposition efficiency per point, mesh/partition arenas reused across points",
+		"Dosage sweep: one full simulation per (diameter x inlet flow x mesh) grid point, deposition efficiency per point",
 		[]string{"sweep", "measured", "table"},
 		runSweep, sweepCost))
 	reg(scenario.New(ScenarioBreathing,
@@ -67,11 +66,8 @@ func registerSweepScenarios() {
 		runBreathing))
 }
 
-// runSweep executes the dosage grid. Points run sequentially on purpose:
-// the mesh.Builder arena hands out a mesh that the NEXT build
-// invalidates, and the partition.Scratch is single-threaded — the whole
-// point of the arena is that a sweep builds many meshes/partitions per
-// process without re-allocating, which requires one point in flight.
+// runSweep executes the dosage grid: one independent simulation per
+// point, in grid order, each on a mesh of its own.
 func runSweep(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
 	axes := p.SweepAxes(defaultSweepAxes)
 	points := axes.Grid()
@@ -79,44 +75,13 @@ func runSweep(ctx context.Context, p scenario.Params) (*scenario.Artifact, error
 		return nil, fmt.Errorf("repro: sweep grid is empty")
 	}
 
-	builder := mesh.NewBuilder()
-	scratch := partition.NewScratch()
-	r := &scenario.Runner{Parallel: 1}
-	rows, err := scenario.RunSweep(ctx, r, ScenarioSweep, points,
-		func(ctx context.Context, pt scenario.SweepPoint) (scenario.TableRow, error) {
-			mc := DefaultSimulationConfig().Mesh
-			mc.Generations = pt.MeshGens
-			m, err := builder.GenerateAirway(mc)
-			if err != nil {
-				return scenario.TableRow{}, err
-			}
-			rc := coupling.DefaultRunConfig()
-			rc.FluidRanks = sweepPointRanks
-			rc.Steps = sweepPointSteps
-			rc.NumParticles = sweepPointParticles
-			rc.Species.Diameter = pt.Diameter
-			rc.NS.InletVelocity = mesh.Vec3{Z: -pt.Flow}
-			rc.PartitionScratch = scratch
-			p.ApplyRun(&rc)
-			res, err := coupling.RunContext(ctx, m, rc)
-			if err != nil {
-				return scenario.TableRow{}, err
-			}
-			eff := 0.0
-			if res.Injected > 0 {
-				eff = float64(res.Deposited) / float64(res.Injected)
-			}
-			return scenario.TableRow{
-				Label: pt.Label(),
-				Values: []float64{
-					pt.Diameter * 1e6, pt.Flow, float64(pt.MeshGens),
-					float64(res.Injected), float64(res.Deposited),
-					float64(res.Exited), float64(res.ActiveEnd), eff,
-				},
-			}, nil
-		})
-	if err != nil {
-		return nil, err
+	rows := make([]scenario.TableRow, 0, len(points))
+	for _, pt := range points {
+		row, err := runSweepPoint(ctx, p, pt)
+		if err != nil {
+			return nil, fmt.Errorf("%s[%s]: %w", ScenarioSweep, pt.Label(), err)
+		}
+		rows = append(rows, row)
 	}
 
 	tab := scenario.Table{
@@ -139,7 +104,40 @@ func runSweep(ctx context.Context, p scenario.Params) (*scenario.Artifact, error
 		Title:  tab.Title,
 		Tables: []scenario.Table{tab},
 		Notes: []string{
-			"one full simulation per row; mesh and partition builds reuse a shared arena across points",
+			"one full simulation per row, each on its own mesh and partition",
+		},
+	}, nil
+}
+
+// runSweepPoint runs one grid point and returns its table row.
+func runSweepPoint(ctx context.Context, p scenario.Params, pt scenario.SweepPoint) (scenario.TableRow, error) {
+	mc := DefaultSimulationConfig().Mesh
+	mc.Generations = pt.MeshGens
+	m, err := mesh.GenerateAirway(mc)
+	if err != nil {
+		return scenario.TableRow{}, err
+	}
+	rc := coupling.DefaultRunConfig()
+	rc.FluidRanks = sweepPointRanks
+	rc.Steps = sweepPointSteps
+	rc.NumParticles = sweepPointParticles
+	rc.Species.Diameter = pt.Diameter
+	rc.NS.InletVelocity = mesh.Vec3{Z: -pt.Flow}
+	p.ApplyRun(&rc)
+	res, err := coupling.RunContext(ctx, m, rc)
+	if err != nil {
+		return scenario.TableRow{}, err
+	}
+	eff := 0.0
+	if res.Injected > 0 {
+		eff = float64(res.Deposited) / float64(res.Injected)
+	}
+	return scenario.TableRow{
+		Label: pt.Label(),
+		Values: []float64{
+			pt.Diameter * 1e6, pt.Flow, float64(pt.MeshGens),
+			float64(res.Injected), float64(res.Deposited),
+			float64(res.Exited), float64(res.ActiveEnd), eff,
 		},
 	}, nil
 }

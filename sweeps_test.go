@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -21,6 +22,28 @@ func runSweepScenario(t *testing.T, p scenario.Params) *scenario.Artifact {
 		t.Fatal(err)
 	}
 	return art
+}
+
+// TestSweepStopsOnCancel: a cancelled context stops the sweep at its
+// first point, with an error that names the point and wraps the cause.
+func TestSweepStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := scenario.NewParams(
+		scenario.WithSweepDiameters(2.5e-6, 10e-6),
+		scenario.WithSweepFlows(1.5),
+		scenario.WithSweepGens(1),
+	)
+	art, err := runSweep(ctx, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+	if art != nil {
+		t.Fatal("cancelled sweep returned an artifact")
+	}
+	if !strings.Contains(err.Error(), "d=2.5um q=1.5 g=1") {
+		t.Fatalf("err %q does not name the first grid point", err)
+	}
 }
 
 func TestSweepScenarioRowPerGridPoint(t *testing.T) {
