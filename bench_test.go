@@ -132,7 +132,6 @@ func benchAssemblyStrategy(b *testing.B, strategy tasking.Strategy, threads int)
 	}
 	cfg := navierstokes.DefaultConfig()
 	cfg.Strategy = strategy
-	cfg.SGSStrategy = tasking.StrategySerial
 	err = world.Run(func(r *simmpi.Rank) {
 		pool := tasking.NewPool(threads)
 		defer pool.Close()

@@ -121,14 +121,12 @@ func parse(fs *flag.FlagSet, args []string, stderr io.Writer, operands ...string
 
 // overrides gives every scenario.ParamsSpec key its one flag name and
 // usage string. A subcommand binds the keys it accepts, so a key is
-// spelled the same in every subcommand; none binds seed or sgsStrategy
-// yet.
+// spelled the same in every subcommand; none binds seed yet.
 var overrides = map[string]struct{ name, usage string }{
 	"mode":            {"mode", "execution mode: sync or coupled"},
 	"ranks":           {"ranks", "MPI ranks (fluid ranks in coupled mode)"},
 	"particleRanks":   {"particle-ranks", "particle ranks in coupled mode"},
 	"strategy":        {"strategy", "assembly strategy: serial, atomics, coloring or multidep"},
-	"sgsStrategy":     {"sgs-strategy", "SGS assembly strategy: serial, atomics, coloring or multidep"},
 	"dlb":             {"dlb", "enable dynamic load balancing"},
 	"meshGenerations": {"gens", "bronchial generations of the airway mesh"},
 	"particles":       {"particles", "particles injected at step 0"},

@@ -154,7 +154,7 @@ func TestServeBadFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-capacity", "-1"},
 		{"-queue", "-1"},
-		{"-workers", "0"},
+		{"-workers", "4"}, // the flag is gone: an old invocation fails fast
 		{"-ttl", "0s"},
 		{"-telemetry-max-runs", "-1"},
 		{"-retries", "-1"},

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/tasking"
 	"repro/internal/telemetry"
 	"repro/scenario"
 )
@@ -32,7 +30,6 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		capacity     = fs.Int64("capacity", 0, "scheduler cost capacity (0 = 2x one default measured run)")
 		queue        = fs.Int("queue", 64, "max jobs waiting for capacity before POST /jobs returns 429")
 		ttl          = fs.Duration("ttl", 15*time.Minute, "artifact cache TTL")
-		workers      = fs.Int("workers", runtime.NumCPU(), "shared runner pool workers")
 		telemetryDir = fs.String("telemetry", "", "persist run telemetry into this store directory (empty = off)")
 		maxRuns      = fs.Int("telemetry-max-runs", 0, "retain at most N telemetry runs, pruning the oldest whose jobs hold no checkpoints (0 = keep all)")
 		tverify      = fs.Bool("telemetry-verify", false, "verify chunk checksums on every telemetry read; corrupt chunks surface as errors instead of bad rows")
@@ -48,7 +45,6 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err := firstErr(
 		scenario.CheckNonNegative("capacity", int(*capacity)),
 		scenario.CheckNonNegative("queue", *queue),
-		scenario.CheckPositive("workers", *workers),
 		scenario.CheckNonNegative("telemetry-max-runs", *maxRuns),
 		scenario.CheckNonNegative("retries", *retries),
 		persist.check(),
@@ -75,13 +71,10 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		tstore = st
 	}
 
-	pool := tasking.NewPool(*workers)
-	defer pool.Close()
 	srv := service.New(service.Config{
 		Capacity:         *capacity,
 		MaxQueue:         *queue,
 		CacheTTL:         *ttl,
-		RunnerPool:       pool,
 		Telemetry:        tstore,
 		TelemetryMaxRuns: *maxRuns,
 		MaxRetries:       *retries,
@@ -102,8 +95,8 @@ func serveCmd(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	logf("serving %d scenarios on %s (queue %d, ttl %v, %d pool workers)",
-		len(scenario.Default.Names()), *addr, *queue, *ttl, *workers)
+	logf("serving %d scenarios on %s (queue %d, ttl %v)",
+		len(scenario.Default.Names()), *addr, *queue, *ttl)
 	if tstore != nil {
 		logf("recording run telemetry into %s (%d runs on open)", *telemetryDir, tstore.RunCount())
 	}

@@ -66,7 +66,6 @@ func table1Run(ctx context.Context, opts table1Options) (*table1Result, error) {
 	rc.NumParticles = opts.Particles
 	rc.RanksPerNode = opts.Ranks            // one node, as in the paper's trace
 	rc.NS.Strategy = tasking.StrategySerial // per-rank threading off: pure MPI
-	rc.NS.SGSStrategy = tasking.StrategySerial
 	rc.NS.TolMomentum = 1e-6
 	rc.NS.TolPressure = 1e-6
 	rc.WorkersPerRank = 1

@@ -54,7 +54,6 @@ var exportAllowlist = map[string]string{
 	"scenario.WithMode":                         "option",
 	"scenario.WithParticleRanks":                "option",
 	"scenario.WithPlatforms":                    "option",
-	"scenario.WithSGSStrategy":                  "option",
 	"scenario.WithStrategy":                     "option",
 	"scenario.WithSweepDiameters":               "option",
 	"scenario.WithSweepFlows":                   "option",

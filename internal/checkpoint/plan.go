@@ -12,7 +12,7 @@ import (
 
 // Plan tells a run whether and where to checkpoint. It travels on
 // coupling.RunConfig or, for service-submitted jobs, comes from the
-// Provider in the context's coupling.Env, next to the telemetry sink
+// DirProvider in the context's coupling.Env, next to the telemetry sink
 // and the watchdog.
 type Plan struct {
 	// Every checkpoints after each multiple of Every completed steps
@@ -134,18 +134,13 @@ func (p *Plan) Report(err error) {
 	}
 }
 
-// Provider hands out one Plan per simulation run. A job that executes
-// several runs (calibration probe + measured run, sweep points) gets a
-// distinct checkpoint file per run, in execution order — deterministic,
-// so a resumed job re-requests the same sequence.
-type Provider interface {
-	NextPlan() *Plan
-}
-
-// DirProvider numbers checkpoint files under a directory, naming them
-// <base>.ckpt, <base>.2.ckpt, ... — the same suffix scheme the service
-// telemetry sink uses for a job's runs, so run N's telemetry and
-// checkpoint correlate by name.
+// DirProvider hands out one Plan per simulation run, numbering the
+// checkpoint files under a directory as <base>.ckpt, <base>.2.ckpt, ...
+// A job that executes several runs (calibration probe + measured run,
+// sweep points) gets a distinct file per run, in execution order —
+// deterministic, so a resumed job re-requests the same sequence. The
+// suffix scheme is the one the service telemetry sink uses for a job's
+// runs, so run N's telemetry and checkpoint correlate by name.
 type DirProvider struct {
 	Dir     string
 	Base    string

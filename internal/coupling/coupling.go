@@ -211,7 +211,7 @@ type Env struct {
 	Telemetry telemetry.Sink
 	// Checkpoints backs RunConfig.Checkpoint: each run takes the next
 	// plan, so a job's runs checkpoint to distinct files in order.
-	Checkpoints checkpoint.Provider
+	Checkpoints *checkpoint.DirProvider
 	// Watchdog backs RunConfig.Watchdog (zero = off).
 	Watchdog time.Duration
 }

@@ -29,7 +29,6 @@ func fastCfg() RunConfig {
 	cfg.Steps = 2
 	cfg.NumParticles = 200
 	cfg.NS.Strategy = tasking.StrategySerial
-	cfg.NS.SGSStrategy = tasking.StrategySerial
 	cfg.RanksPerNode = 4
 	return cfg
 }

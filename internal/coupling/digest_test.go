@@ -119,7 +119,6 @@ func TestColoringDigestAcrossWorkers(t *testing.T) {
 		cfg.FluidRanks = 2
 		cfg.Steps = 4
 		cfg.NS.Strategy = tasking.StrategyColoring
-		cfg.NS.SGSStrategy = tasking.StrategyColoring
 		cfg.WorkersPerRank = workers
 		return runDigest(t, cfg)
 	}

@@ -129,7 +129,6 @@ func TestDLBRunRecordsMigrations(t *testing.T) {
 	cfg.UseDLB = true
 	cfg.WorkersPerRank = 2
 	cfg.NS.Strategy = tasking.StrategyColoring
-	cfg.NS.SGSStrategy = tasking.StrategyColoring
 	cfg.FaultPlan = lateRankZero() // ranks 1..3 park in the Split: lends are certain
 	st, meta, res := recordedRun(t, cfg)
 

@@ -49,7 +49,6 @@ func runOneRankStep(t *testing.T, cfg Config, mutate func(*Solver)) error {
 func serialCfg() Config {
 	cfg := DefaultConfig()
 	cfg.Strategy = tasking.StrategySerial
-	cfg.SGSStrategy = tasking.StrategySerial
 	return cfg
 }
 

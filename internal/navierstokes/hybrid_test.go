@@ -20,7 +20,6 @@ func TestHybridMultithreadedMatchesSerial(t *testing.T) {
 	m := testMesh(t)
 	base := DefaultConfig()
 	base.Strategy = tasking.StrategySerial
-	base.SGSStrategy = tasking.StrategySerial
 	ref, _ := runDistributed(t, m, 2, 2, base)
 	scale := 0.0
 	for _, v := range ref {
@@ -45,7 +44,6 @@ func TestHybridMultithreadedMatchesSerial(t *testing.T) {
 	field := make([][3]float64, m.NumNodes())
 	cfg := DefaultConfig()
 	cfg.Strategy = tasking.StrategyMultidep
-	cfg.SGSStrategy = tasking.StrategyColoring
 	err = world.Run(func(r *simmpi.Rank) {
 		pool := tasking.NewPool(4) // 4 real threads per rank
 		defer pool.Close()
@@ -116,7 +114,6 @@ func TestSolverUnderDLB(t *testing.T) {
 	tr := trace.NewTrace(ranks)
 	cfg := DefaultConfig()
 	cfg.Strategy = tasking.StrategyMultidep
-	cfg.SGSStrategy = tasking.StrategyAtomic
 	err = world.Run(func(r *simmpi.Rank) {
 		if r.ID() == 0 {
 			for d.Snapshot().Lends == 0 {
@@ -163,7 +160,6 @@ func TestZeroElementRank(t *testing.T) {
 	// Partition into many more ranks than the mesh can fill evenly.
 	ncfg := DefaultConfig()
 	ncfg.Strategy = tasking.StrategySerial
-	ncfg.SGSStrategy = tasking.StrategySerial
 	field, _ := runDistributed(t, m, 32, 1, ncfg)
 	for _, v := range field {
 		for c := 0; c < 3; c++ {

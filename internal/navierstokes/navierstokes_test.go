@@ -74,7 +74,6 @@ func TestSerialSolverProducesInhalationFlow(t *testing.T) {
 	m := testMesh(t)
 	cfg := DefaultConfig()
 	cfg.Strategy = tasking.StrategySerial
-	cfg.SGSStrategy = tasking.StrategySerial
 	field, _ := runDistributed(t, m, 1, 3, cfg)
 
 	// All values finite.
@@ -132,7 +131,6 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	m := testMesh(t)
 	cfg := DefaultConfig()
 	cfg.Strategy = tasking.StrategySerial
-	cfg.SGSStrategy = tasking.StrategySerial
 	serial, _ := runDistributed(t, m, 1, 2, cfg)
 	dist, _ := runDistributed(t, m, 4, 2, cfg)
 
@@ -159,7 +157,6 @@ func TestStrategiesAgree(t *testing.T) {
 	m := testMesh(t)
 	base := DefaultConfig()
 	base.Strategy = tasking.StrategySerial
-	base.SGSStrategy = tasking.StrategySerial
 	ref, _ := runDistributed(t, m, 2, 2, base)
 	scale := 0.0
 	for _, v := range ref {
@@ -170,7 +167,6 @@ func TestStrategiesAgree(t *testing.T) {
 	for _, strat := range []tasking.Strategy{tasking.StrategyAtomic, tasking.StrategyColoring, tasking.StrategyMultidep} {
 		cfg := base
 		cfg.Strategy = strat
-		cfg.SGSStrategy = strat
 		got, _ := runDistributed(t, m, 2, 2, cfg)
 		worst := 0.0
 		for g := range ref {
@@ -188,7 +184,6 @@ func TestTraceRecordsAllPhases(t *testing.T) {
 	m := testMesh(t)
 	cfg := DefaultConfig()
 	cfg.Strategy = tasking.StrategySerial
-	cfg.SGSStrategy = tasking.StrategySerial
 	_, tr := runDistributed(t, m, 4, 2, cfg)
 	times := tr.PhaseTimes()
 	for _, p := range []trace.Phase{trace.PhaseAssembly, trace.PhaseSolver1, trace.PhaseSolver2, trace.PhaseSGS} {
@@ -220,7 +215,6 @@ func TestStepStatsSane(t *testing.T) {
 		defer pool.Close()
 		cfg := DefaultConfig()
 		cfg.Strategy = tasking.StrategySerial
-		cfg.SGSStrategy = tasking.StrategySerial
 		s, err := NewSolver(m, rms[0], r.Comm, pool, cfg, DefaultCostModel(), nil)
 		if err != nil {
 			panic(err)

@@ -34,10 +34,8 @@ import (
 type Config struct {
 	Props fem.FluidProps
 
-	// Strategy parallelizes the momentum assembly; SGSStrategy the
-	// subgrid-scale loop (the paper evaluates both phases separately).
-	Strategy    tasking.Strategy
-	SGSStrategy tasking.Strategy
+	// Strategy parallelizes the momentum assembly (SGS needs none).
+	Strategy tasking.Strategy
 
 	// InletVelocity is the peak inlet Dirichlet velocity. Inflow scales
 	// it over simulation time (nil = constant inflow, the pre-waveform
@@ -63,14 +61,12 @@ type Config struct {
 }
 
 // DefaultConfig returns production-like settings: multidependences
-// assembly (the paper's best), atomics label for SGS (which executes no
-// atomic at all — the paper's best for that phase), air at rest driven by
-// a rapid inhalation at the inlet.
+// assembly (the paper's best), air at rest driven by a rapid inhalation
+// at the inlet.
 func DefaultConfig() Config {
 	return Config{
 		Props:           fem.FluidProps{Rho: 1.204, Mu: 1.82e-5, Dt: 1e-4, SUPG: true},
 		Strategy:        tasking.StrategyMultidep,
-		SGSStrategy:     tasking.StrategyAtomic,
 		InletVelocity:   mesh.Vec3{Z: -1.5}, // rapid inhalation, ~1.5 m/s at the face
 		TolMomentum:     1e-8,
 		TolPressure:     1e-8,
@@ -176,7 +172,6 @@ type Solver struct {
 	ownedNNZ  float64 // matrix nonzeros in owned rows (solver work)
 	scratch   sync.Pool
 	plan      *tasking.AssemblyPlan
-	sgsPlan   *tasking.AssemblyPlan
 	// atomicMat/atomicVec are the atomics strategy's accumulators (nil
 	// under the other strategies).
 	atomicMat *tasking.AtomicFloat64Slice
@@ -219,11 +214,10 @@ type Solver struct {
 	momPrecond func(r, z []float64)
 	lPrecond   func(r, z []float64)
 
-	asmKernel, sgsKernel tasking.Kernel
-	asmPlain, asmAtomic  *tasking.Scatter
-	noopScatter          *tasking.Scatter
-	prhsBody, corrBody   func(lo, hi int)
-	corrFinalBody        func(lo, hi int)
+	asmKernel                   tasking.Kernel
+	asmPlain, asmAtomic         *tasking.Scatter
+	sgsBody, prhsBody, corrBody func(lo, hi int)
+	corrFinalBody               func(lo, hi int)
 
 	counts SolveCounts
 }
@@ -231,8 +225,9 @@ type Solver struct {
 // Counts reports the solves of every step this solver has run.
 func (s *Solver) Counts() SolveCounts { return s.counts }
 
-// NewSolver builds the per-rank solver. All ranks of comm must call it
-// collectively with their own RankMesh from the same partition.
+// NewSolver builds the per-rank solver on the rank's pool, which must not
+// be nil. All ranks of comm must call it collectively with their own
+// RankMesh from the same partition.
 func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *tasking.Pool, cfg Config, cost CostModel, tracer *trace.RankTracer) (*Solver, error) {
 	n := rm.NumLocalNodes()
 	s := &Solver{
@@ -248,11 +243,7 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 		s.gradScr[c] = make([]float64, n)
 	}
 	s.scratch.New = func() any { return new(fem.Scratch) }
-	if pool != nil {
-		s.par = la.NewParOps(pool)
-	} else {
-		s.par = la.NewParOps(nil)
-	}
+	s.par = la.NewParOps(pool)
 	s.elemCorr = make([]float64, 3*len(rm.LocalConn))
 	s.elemFe = s.elemCorr[:len(rm.LocalConn)]
 
@@ -316,24 +307,19 @@ func NewSolver(m *mesh.Mesh, rm *partition.RankMesh, comm *simmpi.Comm, pool *ta
 	}
 	s.inletLoc = kept
 
-	// Assembly plans.
+	// Assembly plan.
 	var err error
 	s.plan, err = s.buildPlan(cfg.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	s.sgsPlan, err = s.buildPlan(cfg.SGSStrategy)
-	if err != nil {
-		return nil, err
-	}
-	// Freeze the strategies' reusable run structures now (for multidep,
+	// Freeze the strategy's reusable run structures now (for multidep,
 	// the compiled task graph). Assemble would compile lazily on first
 	// use; doing it here keeps even the first step allocation-free and
-	// makes the per-plan persistence explicit: the plans — and with them
-	// their compiled graphs and this solver's kernels/scatters below —
-	// live for the whole run.
+	// makes the plan's persistence explicit: the plan — and with it its
+	// compiled graph and this solver's kernels/scatters below — lives
+	// for the whole run.
 	s.plan.Compile()
-	s.sgsPlan.Compile()
 
 	// The static element geometry and what is built from it alone: the
 	// constant pressure Laplacian and the lumped mass. L's values are

@@ -145,7 +145,7 @@ func (s *Server) attemptOnce(ctx context.Context, job *Job, sc scenario.Scenario
 		}
 	}
 	ctx = coupling.WithEnv(ctx, env)
-	r := &scenario.Runner{Pool: s.pool, Progress: job.record}
+	r := &scenario.Runner{Progress: job.record}
 	results, err := r.Run(ctx, []scenario.Scenario{sc}, job.params)
 	if err != nil && (len(results) == 0 || results[0].Err == nil) {
 		return nil, err
@@ -226,9 +226,9 @@ func (s *Server) manifestPath(id string) string {
 
 // cleanupJob removes an ending job's manifest and checkpoint files,
 // before its terminal state is published: a finished job must not be
-// resurrected by the next restart, and its checkpoints are dead weight. Failures only log — the files will be
-// retried for deletion never, but they are harmless (the fingerprint
-// guards against a stale resume).
+// resurrected by the next restart, and its checkpoints are dead weight.
+// Failures only log and are never retried; a leftover file is harmless
+// (the fingerprint guards against a stale resume).
 func (s *Server) cleanupJob(job *Job) {
 	if s.ckptDir == "" {
 		return

@@ -273,6 +273,38 @@ func TestRecoverResubmitsManifests(t *testing.T) {
 	envB.await(t, next)
 }
 
+// TestRecoverIgnoresRemovedOption: a manifest written before the SGS
+// strategy option was removed still names it in its options. Recover
+// decodes manifests leniently, so the job resumes with the options that
+// remain instead of being dropped.
+func TestRecoverIgnoresRemovedOption(t *testing.T) {
+	dir := t.TempDir()
+	raw := `{"id":"job-3","scenario":"work","options":{"sgsStrategy":"serial","steps":7}}`
+	if err := os.WriteFile(filepath.Join(dir, "job-3.job.json"), []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := scenario.NewRegistry()
+	reg.MustRegister(scenario.New("work", "completes", []string{"test"},
+		func(ctx context.Context, p scenario.Params) (*scenario.Artifact, error) {
+			return &scenario.Artifact{Scenario: "work", Kind: scenario.KindReport,
+				Report: fmt.Sprintf("steps=%d\n", p.Steps)}, nil
+		}))
+	srv := New(Config{Registry: reg, CheckpointDir: dir})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	env := &testEnv{ts: ts, srv: srv}
+	if ids := srv.Recover(); !slices.Equal(ids, []string{"job-3"}) {
+		t.Fatalf("recovered %v, want [job-3]", ids)
+	}
+	if j := env.await(t, "job-3"); j.State != StateDone || !j.Recovered {
+		t.Fatalf("recovered job = %+v", j)
+	}
+	if code, out := env.do(t, "GET", "/jobs/job-3/artifact", ""); code != http.StatusOK || string(out) != "steps=7\n" {
+		t.Fatalf("artifact = %d: %q", code, out)
+	}
+}
+
 // TestRecoverOrdersBySequenceNumber: recovered jobs resubmit in their
 // original submission order, which is numeric ("job-9" before
 // "job-10"), not the string order of their IDs.
@@ -369,7 +401,6 @@ func TestStalledSimulationRetriesToSuccess(t *testing.T) {
 			rc.Steps = 3
 			rc.NumParticles = 100
 			rc.NS.Strategy = tasking.StrategySerial
-			rc.NS.SGSStrategy = tasking.StrategySerial
 			rc.RanksPerNode = 4
 			if attempts.Add(1) == 1 {
 				rc.FaultPlan = &simmpi.FaultPlan{Rules: []simmpi.FaultRule{

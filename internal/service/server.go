@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -36,9 +37,9 @@ type Config struct {
 	// CacheTTL is how long a finished artifact is served for identical
 	// resubmissions before it is recomputed. Default 15 minutes.
 	CacheTTL time.Duration
-	// RunnerPool, when set, is the shared worker pool injected into every
-	// job's Runner, so a server running thousands of jobs does not build
-	// and tear down a pool per request. The caller owns (and closes) it.
+	// Deprecated: RunnerPool is ignored and kept only for callers that
+	// still set it. A job runs its one scenario on its own goroutine, and
+	// each simulation builds its own per-rank pools.
 	RunnerPool *tasking.Pool
 	// Logf, when set, receives one line per job state change.
 	Logf func(format string, args ...any)
@@ -176,7 +177,6 @@ type Server struct {
 	reg       *scenario.Registry
 	sched     *Scheduler
 	cache     *memo.Cache[string, *scenario.Artifact]
-	pool      *tasking.Pool
 	logf      func(string, ...any)
 	tstore    *telemetry.Store
 	maxRuns   int
@@ -225,7 +225,6 @@ func New(cfg Config) *Server {
 		reg:       cfg.Registry,
 		sched:     NewScheduler(cfg.Capacity, cfg.MaxQueue),
 		cache:     memo.New[string, *scenario.Artifact](cfg.CacheTTL),
-		pool:      cfg.RunnerPool,
 		logf:      logf,
 		tstore:    cfg.Telemetry,
 		maxRuns:   cfg.TelemetryMaxRuns,
@@ -275,6 +274,9 @@ func (s *Server) Handler() http.Handler {
 
 // maxDeadlineMS is the largest deadlineMs a time.Duration can hold.
 const maxDeadlineMS = float64(math.MaxInt64 / int64(time.Millisecond))
+
+// maxSubmitBytes bounds a POST /jobs body; a real one is well under 1 KiB.
+const maxSubmitBytes = 1 << 20
 
 // submitRequest is the POST /jobs body.
 type submitRequest struct {
@@ -399,10 +401,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining, retry against a healthy instance")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var req submitRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// Only whitespace may follow the object.
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+		return
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

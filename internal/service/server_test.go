@@ -215,19 +215,30 @@ func TestNotFound(t *testing.T) {
 
 func TestBadSubmissions(t *testing.T) {
 	env := newTestEnv(t, Config{})
-	for name, body := range map[string]string{
-		"unknown scenario": `{"scenario":"nope"}`,
-		"negative steps":   `{"scenario":"echo","options":{"steps":-1}}`,
-		"zero gens":        `{"scenario":"echo","options":{"meshGenerations":0}}`,
-		"negative parts":   `{"scenario":"echo","options":{"particles":-5}}`,
-		"unknown strategy": `{"scenario":"echo","options":{"strategy":"yolo"}}`,
-		"unknown mode":     `{"scenario":"echo","options":{"mode":"warp"}}`,
-		"unknown field":    `{"scenario":"echo","options":{"stepz":3}}`,
-		"malformed json":   `{"scenario":`,
+	for name, c := range map[string]struct {
+		body string
+		want int
+	}{
+		"unknown scenario":    {`{"scenario":"nope"}`, http.StatusBadRequest},
+		"negative steps":      {`{"scenario":"echo","options":{"steps":-1}}`, http.StatusBadRequest},
+		"zero gens":           {`{"scenario":"echo","options":{"meshGenerations":0}}`, http.StatusBadRequest},
+		"negative parts":      {`{"scenario":"echo","options":{"particles":-5}}`, http.StatusBadRequest},
+		"unknown strategy":    {`{"scenario":"echo","options":{"strategy":"yolo"}}`, http.StatusBadRequest},
+		"unknown mode":        {`{"scenario":"echo","options":{"mode":"warp"}}`, http.StatusBadRequest},
+		"unknown field":       {`{"scenario":"echo","options":{"stepz":3}}`, http.StatusBadRequest},
+		"removed sgsStrategy": {`{"scenario":"echo","options":{"sgsStrategy":"serial"}}`, http.StatusBadRequest},
+		"malformed json":      {`{"scenario":`, http.StatusBadRequest},
+		"trailing object":     {`{"scenario":"echo"} {}`, http.StatusBadRequest},
+		"body over 1 MiB": {`{"scenario":"echo","options":{"inflow":"` + strings.Repeat("x", 2<<20) + `"}}`,
+			http.StatusRequestEntityTooLarge},
 	} {
-		if code, out := env.do(t, "POST", "/jobs", body); code != http.StatusBadRequest {
-			t.Fatalf("%s: POST = %d: %s", name, code, out)
+		if code, out := env.do(t, "POST", "/jobs", c.body); code != c.want {
+			t.Fatalf("%s: POST = %d, want %d: %s", name, code, c.want, out)
 		}
+	}
+	var jobs []jobJSON
+	if code, out := env.do(t, "GET", "/jobs", ""); code != http.StatusOK || json.Unmarshal(out, &jobs) != nil || len(jobs) != 0 {
+		t.Fatalf("rejected submissions created jobs: GET /jobs = %d: %s", code, out)
 	}
 }
 

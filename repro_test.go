@@ -18,7 +18,6 @@ func TestRunSimulationDefault(t *testing.T) {
 	cfg.Run.Steps = 2
 	cfg.Run.NumParticles = 300
 	cfg.Run.NS.Strategy = tasking.StrategySerial
-	cfg.Run.NS.SGSStrategy = tasking.StrategySerial
 	res, err := RunSimulation(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +44,6 @@ func TestRunSimulationCoupledWithDLB(t *testing.T) {
 	cfg.Run.UseDLB = true
 	cfg.Run.WorkersPerRank = 2
 	cfg.Run.NS.Strategy = tasking.StrategySerial
-	cfg.Run.NS.SGSStrategy = tasking.StrategySerial
 	// DLB lends only when a rank parks: hold rank 0 back from the world
 	// Split for far longer than any spin budget, so its peers park there.
 	cfg.Run.FaultPlan = &simmpi.FaultPlan{Rules: []simmpi.FaultRule{{

@@ -22,7 +22,7 @@ func (s *ParamsSpec) Flag(key string) flag.Value {
 		"ranks": &s.Ranks, "particleRanks": &s.ParticleRanks, "meshGenerations": &s.MeshGenerations,
 		"particles": &s.Particles, "steps": &s.Steps, "workers": &s.Workers, "width": &s.Width, "rows": &s.Rows,
 	}
-	names := map[string]**string{"mode": &s.Mode, "strategy": &s.Strategy, "sgsStrategy": &s.SGSStrategy, "inflow": &s.Inflow}
+	names := map[string]**string{"mode": &s.Mode, "strategy": &s.Strategy, "inflow": &s.Inflow}
 	if dst, ok := counts[key]; ok {
 		return ptrFlag[int]{dst, strconv.Atoi}
 	}

@@ -31,9 +31,6 @@ func (p Params) CanonicalKey() string {
 	if p.Strategy != nil {
 		add("strategy", p.Strategy.String())
 	}
-	if p.SGSStrategy != nil {
-		add("sgs", p.SGSStrategy.String())
-	}
 	if p.DLB != nil {
 		add("dlb", strconv.FormatBool(*p.DLB))
 	}

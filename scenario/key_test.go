@@ -52,7 +52,6 @@ func TestCanonicalKeyDistinguishes(t *testing.T) {
 		{DLB: &off},
 		NewParams(WithMode(coupling.Coupled)),
 		NewParams(WithStrategy(tasking.StrategyColoring)),
-		NewParams(WithSGSStrategy(tasking.StrategyColoring)),
 		{Platforms: []string{"Thunder"}},
 	}
 	seen := map[string]int{}

@@ -36,14 +36,8 @@ type Result struct {
 // (input order); completion order is not.
 type Runner struct {
 	// Parallel is the number of scenarios in flight at once (<= 1 runs
-	// them serially on the calling goroutine). Ignored when Pool is set.
+	// them serially on the calling goroutine).
 	Parallel int
-	// Pool, when set, executes multi-scenario runs over this shared pool
-	// instead of building (and tearing down) a fresh one per Run call —
-	// the right configuration for a long-running server issuing many
-	// Runs. Concurrency is then the pool's worker count plus the calling
-	// goroutine, and closing the pool remains the owner's job.
-	Pool *tasking.Pool
 	// Progress, when set, receives start and finish events. Calls are
 	// serialized; the callback must not invoke the Runner.
 	Progress func(Event)
@@ -95,12 +89,9 @@ func (r *Runner) Run(ctx context.Context, scs []Scenario, p Params) ([]Result, e
 			runOne(i)
 		}
 	}
-	switch {
-	case len(scs) <= 1 || (r.Pool == nil && r.Parallel <= 1):
+	if len(scs) <= 1 || r.Parallel <= 1 {
 		body(0, len(scs))
-	case r.Pool != nil:
-		r.Pool.ParallelFor(len(scs), 1, body)
-	default:
+	} else {
 		// The pool's ParallelFor with grain 1 hands each scenario to one
 		// puller; the caller participates, so Parallel counts it.
 		workers := r.Parallel - 1

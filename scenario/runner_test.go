@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/tasking"
 )
 
 // TestRunnerDeterministicOrdering: results keep the input order at any
@@ -154,33 +152,6 @@ func TestRunnerLateCancelDoesNotSpoilSuccess(t *testing.T) {
 			}
 		}
 		cancel()
-	}
-}
-
-// TestRunnerInjectedPool: a shared pool executes the batch without being
-// consumed — the Runner neither closes it nor degrades it for reuse.
-func TestRunnerInjectedPool(t *testing.T) {
-	pool := tasking.NewPool(2)
-	defer pool.Close()
-	var scs []Scenario
-	for i := 0; i < 6; i++ {
-		scs = append(scs, stub(fmt.Sprintf("s%d", i)))
-	}
-	r := Runner{Pool: pool}
-	for round := 0; round < 3; round++ {
-		results, err := r.Run(context.Background(), scs, Params{})
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		for i, res := range results {
-			want := fmt.Sprintf("s%d", i)
-			if res.Err != nil || res.Artifact == nil || res.Scenario != want {
-				t.Fatalf("round %d slot %d: %+v", round, i, res)
-			}
-		}
-	}
-	if pool.Workers() < 1 {
-		t.Fatal("runner degraded the injected pool")
 	}
 }
 

@@ -38,10 +38,8 @@ type Params struct {
 	ParticleRanks int
 	// Mode overrides the execution mode of measured runs.
 	Mode *coupling.Mode
-	// Strategy and SGSStrategy override the assembly / SGS tasking
-	// strategies of measured runs.
-	Strategy    *tasking.Strategy
-	SGSStrategy *tasking.Strategy
+	// Strategy overrides the assembly tasking strategy of measured runs.
+	Strategy *tasking.Strategy
 	// DLB toggles dynamic load balancing on measured runs.
 	DLB *bool
 	// MeshGenerations overrides the bronchial-generation depth of the
@@ -99,9 +97,6 @@ func WithMode(m coupling.Mode) Option { return func(p *Params) { p.Mode = &m } }
 // WithStrategy selects the matrix-assembly tasking strategy.
 func WithStrategy(s tasking.Strategy) Option { return func(p *Params) { p.Strategy = &s } }
 
-// WithSGSStrategy selects the SGS-phase tasking strategy.
-func WithSGSStrategy(s tasking.Strategy) Option { return func(p *Params) { p.SGSStrategy = &s } }
-
 // WithDLB toggles dynamic load balancing.
 func WithDLB(on bool) Option { return func(p *Params) { p.DLB = &on } }
 
@@ -150,9 +145,6 @@ func (p Params) ApplyRun(rc *coupling.RunConfig) {
 	}
 	if p.Strategy != nil {
 		rc.NS.Strategy = *p.Strategy
-	}
-	if p.SGSStrategy != nil {
-		rc.NS.SGSStrategy = *p.SGSStrategy
 	}
 	if p.DLB != nil {
 		rc.UseDLB = *p.DLB

@@ -76,7 +76,6 @@ type ParamsSpec struct {
 	ParticleRanks   *int     `json:"particleRanks,omitempty"`
 	Mode            *string  `json:"mode,omitempty"`
 	Strategy        *string  `json:"strategy,omitempty"`
-	SGSStrategy     *string  `json:"sgsStrategy,omitempty"`
 	DLB             *bool    `json:"dlb,omitempty"`
 	MeshGenerations *int     `json:"meshGenerations,omitempty"`
 	Particles       *int     `json:"particles,omitempty"`
@@ -144,13 +143,6 @@ func (s ParamsSpec) Params() (Params, error) {
 			return bad(err)
 		}
 		p.Strategy = &st
-	}
-	if s.SGSStrategy != nil {
-		st, err := ParseStrategy(*s.SGSStrategy)
-		if err != nil {
-			return bad(fmt.Errorf("sgsStrategy: %w", err))
-		}
-		p.SGSStrategy = &st
 	}
 	if s.DLB != nil {
 		p.DLB = s.DLB

@@ -23,7 +23,7 @@ func TestParamsSpecResolves(t *testing.T) {
 	seed := int64(42)
 	spec := ParamsSpec{
 		Ranks: iptr(8), ParticleRanks: iptr(2),
-		Mode: sptr("coupled"), Strategy: sptr("multidep"), SGSStrategy: sptr("coloring"),
+		Mode: sptr("coupled"), Strategy: sptr("multidep"),
 		DLB: &on, MeshGenerations: iptr(3), Particles: iptr(1000),
 		Steps: iptr(4), Workers: iptr(2), Platforms: []string{"Thunder"},
 		Width: iptr(90), Rows: iptr(10), Seed: &seed,
@@ -42,9 +42,6 @@ func TestParamsSpecResolves(t *testing.T) {
 	}
 	if p.Strategy == nil || *p.Strategy != tasking.StrategyMultidep {
 		t.Fatalf("strategy = %v", p.Strategy)
-	}
-	if p.SGSStrategy == nil || *p.SGSStrategy != tasking.StrategyColoring {
-		t.Fatalf("sgs strategy = %v", p.SGSStrategy)
 	}
 	if p.DLB == nil || !*p.DLB {
 		t.Fatalf("dlb = %v", p.DLB)
@@ -76,7 +73,6 @@ func TestParamsSpecRejects(t *testing.T) {
 		"width 0":          {Width: iptr(0)},
 		"rows -2":          {Rows: iptr(-2)},
 		"unknown strategy": {Strategy: sptr("speculative")},
-		"unknown sgs":      {SGSStrategy: sptr("speculative")},
 		"unknown mode":     {Mode: sptr("warp")},
 	}
 	for name, spec := range cases {
@@ -216,7 +212,6 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 		"particleRanks":   `{"particleRanks":-1}`,
 		"mode":            `{"mode":"warp"}`,
 		"strategy":        `{"strategy":"speculative"}`,
-		"sgsStrategy":     `{"sgsStrategy":"speculative"}`,
 		"meshGenerations": `{"meshGenerations":0}`,
 		"particles":       `{"particles":-1}`,
 		"steps":           `{"steps":0}`,
@@ -282,13 +277,13 @@ func TestParamsSpecRejectionsTyped(t *testing.T) {
 func TestFlagBindsEveryKey(t *testing.T) {
 	values := map[string]string{
 		"ranks": "8", "particleRanks": "2", "mode": "coupled", "strategy": "coloring",
-		"sgsStrategy": "serial", "dlb": "true", "meshGenerations": "3", "particles": "0",
+		"dlb": "true", "meshGenerations": "3", "particles": "0",
 		"steps": "4", "workers": "2", "platforms": "Thunder, MareNostrum4", "width": "60",
 		"rows": "5", "seed": "42", "inflow": "breathing:0.5",
 		"sweepDiameters": "2.5e-6,10e-6", "sweepFlows": "0.9,", "sweepGens": "2,3",
 	}
 	body := `{"ranks":8,"particleRanks":2,"mode":"coupled","strategy":"coloring",
-		"sgsStrategy":"serial","dlb":true,"meshGenerations":3,"particles":0,
+		"dlb":true,"meshGenerations":3,"particles":0,
 		"steps":4,"workers":2,"platforms":["Thunder","MareNostrum4"],"width":60,
 		"rows":5,"seed":42,"inflow":"breathing:0.5",
 		"sweepDiameters":[2.5e-6,10e-6],"sweepFlows":[0.9],"sweepGens":[2,3]}`
@@ -360,7 +355,7 @@ func FuzzParamsSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
 		`{"ranks":24,"steps":2,"strategy":"atomics","dlb":false,"platforms":["MareNostrum4"]}`,
-		`{"particles":0,"mode":"sync","sgsStrategy":"multidep","seed":-3}`,
+		`{"particles":0,"mode":"sync","strategy":"multidep","seed":-3}`,
 		`{"inflow":"table:0=0,0.1=1","sweepDiameters":[1e-6,1e-6],"sweepFlows":[1.2],"sweepGens":[3,2]}`,
 		`{"inflow":"breathing:0.0008","width":60,"rows":4,"meshGenerations":2}`,
 		`{"steps":-1}`,
